@@ -22,19 +22,17 @@ is decided by integer arithmetic alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import tm
-from .errors import DimensionCap, GeneratorFuelExhausted, WitnessSpaceTooLarge
+from .config import Config
+from .errors import DimensionCap, GeneratorFuelExhausted
 from .field import (ZERO, ONE, T_PHASE, ExactMatrix, FieldElem, real_sign,
                     scaled_identity, sylvester_pd, sylvester_psd)
-from .promise import Verdict
+from .promise import Verdict, witness_verdict
 from .words import words_of_length
 
-DEFAULT_THRESHOLDS = (Fraction(2, 3), Fraction(1, 3))
-MAX_QUBITS = 20
-MAX_WITNESS_QUBITS = 4
+_GATE_KINDS = {"01": "H", "10": "T", "11": "CNOT"}
 
 
 @dataclass(frozen=True)
@@ -89,65 +87,37 @@ class StateVector:
     amplitudes: tuple[FieldElem, ...]
 
 
-class _ParseError(Exception):
-    pass
-
-
-def _parse_gate(bits: str, pos: int) -> tuple[Gate, int]:
-    opcode = bits[pos:pos + 2]
-    if len(opcode) != 2 or opcode == "00":
-        raise _ParseError(f"bad opcode at {pos}")
-    pos += 2
-    if pos >= len(bits) or bits[pos] != "0":
-        raise _ParseError(f"missing separator at {pos}")
-    pos += 1
-    operand, pos = _read_unary(bits, pos)
-    if opcode == "01":
-        return Gate("H", (operand,)), pos
-    if opcode == "10":
-        return Gate("T", (operand,)), pos
-    if pos >= len(bits) or bits[pos] != "0":
-        raise _ParseError(f"missing CNOT separator at {pos}")
-    pos += 1
-    target, pos = _read_unary(bits, pos)
+def _parse_gate(p: tm._Parser) -> Gate:
+    kind = _GATE_KINDS.get(p.bits[p.pos:p.pos + 2])
+    if kind is None:
+        raise tm._ParseError(f"bad opcode at {p.pos}")
+    p.pos += 2
+    p.expect("0")
+    operand = p.read_unary()
+    if kind != "CNOT":
+        return Gate(kind, (operand,))
+    p.expect("0")
+    target = p.read_unary()
     if target == operand:
-        raise _ParseError("CNOT control equals target")
-    return Gate("CNOT", (operand, target)), pos
-
-
-def _read_unary(bits: str, pos: int) -> tuple[int, int]:
-    n = 0
-    while pos < len(bits) and bits[pos] == "1":
-        n += 1
-        pos += 1
-    if n == 0:
-        raise _ParseError(f"expected unary run at {pos}")
-    return n, pos
+        raise tm._ParseError("CNOT control equals target")
+    return Gate(kind, (operand, target))
 
 
 def parse_circuit(bits: str, expect_witness_header: bool = False) -> Circuit:
     """Total parser; any failure denotes the trivial never-accepting circuit."""
     try:
-        if any(ch not in "01" for ch in bits):
-            raise _ParseError("non-binary character")
-        pos = 0
+        p = tm._Parser(bits)
         m = 0
         if expect_witness_header:
-            m, pos = _read_unary(bits, pos)
-            if bits[pos:pos + 2] != "00":
-                raise _ParseError("missing witness header terminator")
-            pos += 2
-        gates = []
-        gate, pos = _parse_gate(bits, pos)
-        gates.append(gate)
-        while pos < len(bits):
-            if bits[pos] != "0":
-                raise _ParseError(f"missing gate separator at {pos}")
-            pos += 1
-            gate, pos = _parse_gate(bits, pos)
-            gates.append(gate)
+            m = p.read_unary()
+            p.expect("0")
+            p.expect("0")
+        gates = [_parse_gate(p)]
+        while not p.eof():
+            p.expect("0")
+            gates.append(_parse_gate(p))
         return Circuit(tuple(gates), witness_qubits=m)
-    except _ParseError:
+    except tm._ParseError:
         return TRIVIAL_CIRCUIT
 
 
@@ -175,13 +145,14 @@ def load_circuit_file(path: str, expect_witness_header: bool = False) -> Circuit
         return parse_circuit(fh.read().rstrip("\n"), expect_witness_header)
 
 
-def simulate(c: Circuit, basis_input: str) -> StateVector:
+def simulate(c: Circuit, basis_input: str,
+             config: Config = Config()) -> StateVector:
     """Apply the gate list in order to the given computational basis state."""
     n = c.total_qubits
     if len(basis_input) != n or any(ch not in "01" for ch in basis_input):
         raise ValueError(f"basis input must be {n} bits")
-    if n > MAX_QUBITS:
-        raise DimensionCap(f"{n} qubits exceed cap {MAX_QUBITS}")
+    if n > config.max_qubits:
+        raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
     size = 1 << n
     amps = [ZERO] * size
     amps[int(basis_input, 2)] = ONE
@@ -210,13 +181,14 @@ def simulate(c: Circuit, basis_input: str) -> StateVector:
     return StateVector(n, tuple(amps))
 
 
-def p_acc(c: Circuit, basis_input: str | None = None) -> FieldElem:
+def p_acc(c: Circuit, basis_input: str | None = None,
+          config: Config = Config()) -> FieldElem:
     """Exact probability of measuring 1 on the output qubit (qubit 1)."""
     if c.trivial:
         return ZERO
     if basis_input is None:
         basis_input = "0" * c.total_qubits
-    state = simulate(c, basis_input)
+    state = simulate(c, basis_input, config)
     half = 1 << (state.num_qubits - 1)
     total = ZERO
     for i in range(half, 2 * half):
@@ -231,8 +203,7 @@ def _witness_input(c: Circuit, y: str) -> str:
     return "0" * k + y
 
 
-def acceptance_operator(c: Circuit,
-                        dimension_cap: int = 1 << MAX_WITNESS_QUBITS) -> ExactMatrix:
+def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
     """Exact 2^m x 2^m operator of the witness block, Hermitian by check.
 
     Entry (y', y) is the overlap of the output-1 components of the runs
@@ -243,11 +214,12 @@ def acceptance_operator(c: Circuit,
     if m < 1:
         raise ValueError("circuit has no witness register")
     dim = 1 << m
-    if dim > dimension_cap:
-        raise DimensionCap(f"2^{m} exceeds cap {dimension_cap}")
+    cap = 1 << config.max_witness_qubits
+    if dim > cap:
+        raise DimensionCap(f"2^{m} exceeds cap {cap}")
     if c.trivial:
         return scaled_identity(dim, ZERO)
-    states = [simulate(c, _witness_input(c, y)).amplitudes
+    states = [simulate(c, _witness_input(c, y), config).amplitudes
               for y in words_of_length(m)]
     half = 1 << (c.total_qubits - 1)
     size = 1 << c.total_qubits
@@ -282,52 +254,32 @@ def classify_bqp(
     gen: tm.MachineDesc,
     gen_runtime: Callable[[int], int],
     x: str,
-    thresholds: tuple[Fraction, Fraction] = DEFAULT_THRESHOLDS,
+    config: Config = Config(),
 ) -> Verdict:
     """Run the generator, simulate its circuit, apply the trichotomy."""
-    c, s = _check_thresholds(thresholds)
     circ = parse_circuit(_generate(gen, gen_runtime, x))
-    p = p_acc(circ)
-    return _trichotomy(p, c, s)
+    return _trichotomy(p_acc(circ, config=config), config)
 
 
 def classify_qcma(
     gen: tm.MachineDesc,
     gen_runtime: Callable[[int], int],
     x: str,
-    thresholds: tuple[Fraction, Fraction] = DEFAULT_THRESHOLDS,
-    witness_cap: int = 1 << MAX_WITNESS_QUBITS,
+    config: Config = Config(),
 ) -> Verdict:
     """Trichotomy over the best classical (basis) witness."""
-    c, s = _check_thresholds(thresholds)
     circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
-    m = circ.witness_qubits
-    if 2 ** m > witness_cap:
-        raise WitnessSpaceTooLarge(f"2^{m} witnesses exceed cap {witness_cap}")
-    if circ.trivial:
-        return _trichotomy(ZERO, c, s)
-    some_yes = False
-    all_no = True
-    for y in words_of_length(m):
-        p = p_acc(circ, _witness_input(circ, y))
-        if real_sign(p - FieldElem(c)) >= 0:
-            some_yes = True
-            break
-        if real_sign(p - FieldElem(s)) > 0:
-            all_no = False
-    if some_yes:
-        return Verdict.YES
-    if all_no:
-        return Verdict.NO
-    return Verdict.OUTSIDE
+    return witness_verdict(
+        circ.witness_qubits, 1 << config.max_witness_qubits,
+        lambda y: _trichotomy(p_acc(circ, _witness_input(circ, y), config),
+                              config))
 
 
 def classify_qma(
     gen: tm.MachineDesc,
     gen_runtime: Callable[[int], int],
     x: str,
-    thresholds: tuple[Fraction, Fraction] = DEFAULT_THRESHOLDS,
-    dimension_cap: int = 1 << MAX_WITNESS_QUBITS,
+    config: Config = Config(),
 ) -> Verdict:
     """Trichotomy over quantum witnesses via definiteness tests.
 
@@ -336,36 +288,24 @@ def classify_qma(
     and cI - Q not positive definite to max eigenvalue >= c, so the
     verdict needs no eigenvalue computation.
     """
-    c, s = _check_thresholds(thresholds)
     circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
     if circ.trivial:
-        return _trichotomy(ZERO, c, s)
-    q = acceptance_operator(circ, dimension_cap)
-    return classify_qma_operator(q, (c, s))
+        return _trichotomy(ZERO, config)
+    return classify_qma_operator(acceptance_operator(circ, config), config)
 
 
-def classify_qma_operator(
-    q: ExactMatrix,
-    thresholds: tuple[Fraction, Fraction] = DEFAULT_THRESHOLDS,
-) -> Verdict:
-    c, s = thresholds
-    if sylvester_psd(scaled_identity(q.dim, FieldElem(s)) - q):
+def classify_qma_operator(q: ExactMatrix, config: Config = Config()) -> Verdict:
+    c, s = FieldElem(config.threshold_c), FieldElem(config.threshold_s)
+    if sylvester_psd(scaled_identity(q.dim, s) - q):
         return Verdict.NO
-    if not sylvester_pd(scaled_identity(q.dim, FieldElem(c)) - q):
+    if not sylvester_pd(scaled_identity(q.dim, c) - q):
         return Verdict.YES
     return Verdict.OUTSIDE
 
 
-def _check_thresholds(thresholds) -> tuple[Fraction, Fraction]:
-    c, s = thresholds
-    if c < s:
-        raise ValueError("completeness threshold below soundness threshold")
-    return Fraction(c), Fraction(s)
-
-
-def _trichotomy(p: FieldElem, c: Fraction, s: Fraction) -> Verdict:
-    if real_sign(p - FieldElem(c)) >= 0:
+def _trichotomy(p: FieldElem, config: Config) -> Verdict:
+    if real_sign(p - FieldElem(config.threshold_c)) >= 0:
         return Verdict.YES
-    if real_sign(p - FieldElem(s)) <= 0:
+    if real_sign(p - FieldElem(config.threshold_s)) <= 0:
         return Verdict.NO
     return Verdict.OUTSIDE

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from typing import Callable
 
 from . import circuit as qc
 from . import diagonal, enumeration, ptm, tm
 from .config import Config, load_config
-from .errors import CapExceeded, DimensionCap, PromiseLabError
+from .errors import CapExceeded, PromiseLabError
 from .field import FieldElem, decimal_string
 from .promise import (BUILTIN_PROBLEMS, TotalDecider, builtin, karp_check,
                       marked_union)
@@ -45,33 +47,38 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}")
 
 
-def _problem(ref: str) -> TotalDecider:
-    """Problem references: builtin:<name> or machine:<file>."""
+def _problem(ref: str) -> Callable[[Config], TotalDecider]:
+    """Problem references: builtin:<name> or machine:<file>.
+
+    The syntax is checked while the arguments are parsed; the reference is
+    resolved once the configuration is known, since a machine-backed
+    problem runs under its default fuel.
+    """
     kind, _, rest = ref.partition(":")
     if kind == "builtin" and rest:
-        return builtin(rest)
+        return lambda config: builtin(rest)
     if kind == "machine" and rest:
-        machine = tm.load_machine_file(rest)
-        return TotalDecider.from_machine(f"machine:{rest}", machine,
-                                         lambda n: 10_000)
+        return lambda config: TotalDecider.from_machine(
+            ref, tm.load_machine_file(rest), lambda n: config.default_fuel)
     raise argparse.ArgumentTypeError(
         f"bad problem reference {ref!r}; use builtin:<name> or machine:<file>")
 
 
-def _presentation(spec: str, problem_for_harder: TotalDecider | None = None
-                  ) -> enumeration.Enumeration:
+def _presentation(spec: str) -> Callable[[Config], enumeration.Enumeration]:
     """Presentation specs: builtins:<name>,<name>,... or family:<name>."""
     kind, _, rest = spec.partition(":")
     if kind == "builtins" and rest:
-        return enumeration.builtins_presentation(
+        pres = enumeration.builtins_presentation(
             [builtin(name) for name in rest.split(",")])
+        return lambda config: pres
     if kind == "family" and rest:
         fam = rest.lower()
         if fam == "p":
-            return enumeration.p_presentation()
+            return enumeration.p_presentation
         if fam == "np":
-            return enumeration.np_presentation()
-        return enumeration.starred_presentation(fam)
+            return enumeration.np_presentation
+        if fam in enumeration._STARRED_FAMILIES:
+            return lambda config: enumeration.starred_presentation(fam, config)
     raise argparse.ArgumentTypeError(
         f"bad presentation spec {spec!r}; use builtins:a,b,c or family:<name>")
 
@@ -116,58 +123,45 @@ def _cmd_branches(args, config: Config) -> int:
 
 def _cmd_simulate(args, config: Config) -> int:
     circ = qc.load_circuit_file(args.circuit, args.witness_header)
-    if circ.total_qubits > config.max_qubits:
-        raise DimensionCap(
-            f"{circ.total_qubits} qubits exceed cap {config.max_qubits}")
+    p = qc.p_acc(circ, args.input, config)
     print(f"gates: {circ.listing()}")
     print(f"qubits: {circ.total_qubits}\twitness: {circ.witness_qubits}"
           f"\ttrivial: {'yes' if circ.trivial else 'no'}")
-    basis = args.input if args.input is not None else "0" * circ.total_qubits
-    _print_exact("p_acc", qc.p_acc(circ, basis))
+    _print_exact("p_acc", p)
     return 0
 
 
 def _cmd_decide(args, config: Config) -> int:
     gen = tm.load_machine_file(args.gen)
-    thresholds = (args.c if args.c is not None else config.threshold_c,
-                  args.s if args.s is not None else config.threshold_s)
-    if args.problem_class == "bqp":
-        verdict = qc.classify_bqp(gen, args.gen_runtime, args.input, thresholds)
-    elif args.problem_class == "qcma":
-        verdict = qc.classify_qcma(gen, args.gen_runtime, args.input, thresholds,
-                                   witness_cap=2 ** config.max_witness_qubits)
-    else:
-        verdict = qc.classify_qma(gen, args.gen_runtime, args.input, thresholds,
-                                  dimension_cap=2 ** config.max_witness_qubits)
-    print(verdict.value)
+    flags = {"threshold_c": args.c, "threshold_s": args.s}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    decide = getattr(qc, f"classify_{args.problem_class}")
+    print(decide(gen, args.gen_runtime, args.input, config).value)
     return 0
 
 
-def _cmd_classify(args) -> int:
-    print(args.problem.classify(args.input).value)
+def _cmd_classify(args, config: Config) -> int:
+    print(args.problem(config).classify(args.input).value)
     return 0
 
 
 def _cmd_enumerate(args, config: Config) -> int:
-    if args.index > config.max_enum_index:
-        raise CapExceeded(
-            f"index {args.index} exceeds configured cap {config.max_enum_index}")
     if args.max_len > config.max_word_length:
         raise CapExceeded(
             f"--max-len {args.max_len} exceeds cap {config.max_word_length}")
     fam = args.family.lower()
-    if fam in ("polyfunc",):
-        f = enumeration.polyfunc_series(args.index)
+    if fam == "polyfunc":
+        f = enumeration.polyfunc_series(args.index, config)
         print("word\timage")
         for w in words_up_to(args.max_len):
             print(f"{w or '(empty)'}\t{f(w) or '(empty)'}")
         return 0
     if fam == "p":
-        decider = enumeration.p_machine(args.index)
+        decider = enumeration.p_machine(args.index, config)
     elif fam == "np":
-        decider = enumeration.np_machine(args.index)
+        decider = enumeration.np_machine(args.index, config)
     else:
-        decider = enumeration.class_presentation(fam, args.index)
+        decider = enumeration.class_presentation(fam, args.index, config)
     print(f"decider: {decider.tag}")
     print("word\tverdict")
     for w in words_up_to(args.max_len):
@@ -175,7 +169,7 @@ def _cmd_enumerate(args, config: Config) -> int:
     return 0
 
 
-def _cmd_gaplang(args) -> int:
+def _cmd_gaplang(args, config: Config) -> int:
     r = args.r
     if args.member is not None:
         print("true" if diagonal.gap_member(r, args.member) else "false")
@@ -214,21 +208,22 @@ def _emit_diag_report(result: diagonal.DiagResult, target: TotalDecider,
     print(f"{report.checked}\t{len(report.violations)}")
 
 
-def _cmd_diagonalize(args) -> int:
-    a = args.a
-    a_prime = args.aprime
+def _cmd_diagonalize(args, config: Config) -> int:
+    a = args.a(config)
+    a_prime = args.aprime(config)
     inst = diagonal.DiagInstance(
-        a, a_prime, args.a_pres, args.aprime_pres,
+        a, a_prime, args.a_pres(config), args.aprime_pres(config),
         args.a_mode, args.aprime_mode, args.search_cap)
     result = diagonal.diagonalize(inst, witness_bound=args.witnesses)
     _emit_diag_report(result, marked_union(a, a_prime), args.bound, args.table)
     return 0
 
 
-def _cmd_ladner(args) -> int:
-    a = args.a
-    pres_c = args.pres
-    pres_harder = enumeration.harder_set_presentation(a, pres_c, "T")
+def _cmd_ladner(args, config: Config) -> int:
+    a = args.a(config)
+    pres_c = args.pres(config)
+    pres_harder = enumeration.harder_set_presentation(a, pres_c, "T",
+                                                      config=config)
     result = diagonal.ladner(a, pres_c, args.a_mode, pres_harder,
                              search_cap=args.search_cap,
                              witness_bound=args.witnesses)
@@ -319,34 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"run": _cmd_run, "branches": _cmd_branches,
+             "simulate": _cmd_simulate, "decide": _cmd_decide,
+             "classify": _cmd_classify, "enumerate": _cmd_enumerate,
+             "gaplang": _cmd_gaplang, "diagonalize": _cmd_diagonalize,
+             "ladner": _cmd_ladner}
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config) if args.config else Config()
-        if args.command == "run":
-            return _cmd_run(args, config)
-        if args.command == "branches":
-            return _cmd_branches(args, config)
-        if args.command == "simulate":
-            return _cmd_simulate(args, config)
-        if args.command == "decide":
-            return _cmd_decide(args, config)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, config)
-        if args.command == "gaplang":
-            return _cmd_gaplang(args)
-        if args.command == "diagonalize":
-            return _cmd_diagonalize(args)
-        if args.command == "ladner":
-            return _cmd_ladner(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (PromiseLabError, ValueError, KeyError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _COMMANDS[args.command](args, config)
+    except (PromiseLabError, ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,15 @@
-"""Flat key=value configuration for the command line tool.
+"""Every cap and threshold of the package, in one frozen object.
 
-Flags override file values; file values override the defaults below.
-Unknown keys are rejected so typos surface immediately.
+Library functions that read a cap or a threshold take a single
+``config: Config = Config()`` keyword.  The command line tool builds one
+Config from a flat key=value file (``--config``) and its flags, and
+passes it down: flags override file values, file values override the
+defaults below.  Unknown keys are rejected so typos surface immediately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 
@@ -14,9 +17,10 @@ from fractions import Fraction
 class Config:
     max_qubits: int = 20
     max_witness_qubits: int = 4
-    # indices wrapping machine encodings are huge numerals; this cap only
-    # guards against absurd command-line input
-    max_enum_index: int = 10 ** 300
+    # Pairing squares the machine word-index, so indices wrapping even
+    # small machines are astronomically large numerals; what needs bounding
+    # is the decoded description size, the index bit length.
+    max_enum_index_bits: int = 10 ** 6
     max_word_length: int = 16
     default_fuel: int = 10_000
     threshold_c: Fraction = Fraction(2, 3)
@@ -25,15 +29,13 @@ class Config:
     def __post_init__(self):
         if self.threshold_c < self.threshold_s:
             raise ValueError("threshold c must be at least s")
-        for name in ("max_qubits", "max_witness_qubits", "max_enum_index",
-                     "max_word_length", "default_fuel"):
-            if getattr(self, name) < 1:
+        for name, parse in _PARSERS.items():
+            if parse is int and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
 
-_INT_KEYS = {"max_qubits", "max_witness_qubits", "max_enum_index",
-             "max_word_length", "default_fuel"}
-_FRACTION_KEYS = {"threshold_c", "threshold_s"}
+_PARSERS = {f.name: Fraction if f.type == "Fraction" else int
+            for f in fields(Config)}
 
 
 def load_config(path: str, base: Config | None = None) -> Config:
@@ -48,10 +50,12 @@ def load_config(path: str, base: Config | None = None) -> Config:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FRACTION_KEYS:
-                values[key] = Fraction(value)
-            else:
+            parse = _PARSERS.get(key)
+            if parse is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = parse(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return replace(base or Config(), **values)

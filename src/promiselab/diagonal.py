@@ -28,7 +28,7 @@ from .enumeration import Enumeration
 from .errors import (AccountingError, FuelCap, NoContradictionFound,
                      NoInstanceOfA, NotTimeConstructible)
 from . import tm
-from .promise import ReductionFn, TotalDecider, Verdict, marked_union
+from .promise import ReductionFn, TotalDecider, Verdict
 from .words import words_of_length, words_up_to
 
 REPRESENTABLE = "representable"
@@ -200,15 +200,8 @@ def _scan_contradiction(
             cost += 3  # one word enumerated, two classification calls
             va = a.classify(z)
             vm = machine.classify(z)
-            a_minus_m = (va is Verdict.YES and vm is not Verdict.YES) or \
-                        (va is Verdict.NO and vm is not Verdict.NO)
-            if a_minus_m:
+            if va.separates(vm) or (not representable and vm.separates(va)):
                 return z, cost
-            if not representable:
-                m_minus_a = (vm is Verdict.YES and va is not Verdict.YES) or \
-                            (vm is Verdict.NO and va is not Verdict.NO)
-                if m_minus_a:
-                    return z, cost
     raise NoContradictionFound(machine_index, n, cap)
 
 
@@ -407,8 +400,3 @@ def ladner(
     return DiagResult(result.b, result.r, result.reduction, result.witnesses,
                       reduction_to_a=ReductionFn("gap-or-default", fn=to_a),
                       q=result.q, q_prime=result.q_prime)
-
-
-def marked_union_of(inst: DiagInstance) -> TotalDecider:
-    """Convenience: the reduction target of the construction."""
-    return marked_union(inst.a, inst.a_prime)

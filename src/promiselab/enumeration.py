@@ -23,22 +23,20 @@ from typing import Callable, Literal
 from . import circuit as qc
 from . import ptm as ptm_mod
 from . import tm
+from .config import Config
 from .errors import CapExceeded, FuelExhausted, GeneratorFuelExhausted, \
-    NonPromisedQuery, WitnessSpaceTooLarge
-from .promise import OracleMachine, ReductionFn, TotalDecider, Verdict, cook_run
-from .words import index_to_word, words_of_length, words_up_to
+    NonPromisedQuery
+from .promise import (MAX_WITNESS_SPACE, OracleMachine, ReductionFn,
+                      TotalDecider, Verdict, cook_run, witness_verdict)
+from .words import index_to_word, words_up_to
 
-# Pairing squares the machine word-index, so indices wrapping even small
-# machines are astronomically large numerals; what actually needs bounding
-# is the decoded description size (the index bit length) and the fuel.
-MAX_ENUM_INDEX_BITS = 10 ** 6
-MAX_FUEL = 10_000
-MAX_WITNESS_SPACE = 4096
 HARDER_SET_CHECK_CAP = 12
 
 
-def _fuel(clock: Polynomial, n: int) -> int:
-    return min(clock(n), MAX_FUEL)
+def _capped(clock: Polynomial, config: Config) -> Callable[[int], int]:
+    """The clock as a fuel policy, cut off at the configured fuel."""
+    ceiling = config.default_fuel
+    return lambda n: min(clock(n), ceiling)
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,11 @@ def poly_series(i: int) -> Polynomial:
     raise AssertionError("bucket arithmetic is exhaustive")
 
 
-def _check_index(i: int) -> None:
-    if i < 0 or i.bit_length() > MAX_ENUM_INDEX_BITS:
+def _check_index(i: int, config: Config) -> None:
+    if i < 0 or i.bit_length() > config.max_enum_index_bits:
         raise CapExceeded(
             f"enumeration index must be a natural of at most "
-            f"{MAX_ENUM_INDEX_BITS} bits")
+            f"{config.max_enum_index_bits} bits")
 
 
 def machine_series(j: int) -> tm.MachineDesc:
@@ -159,19 +157,19 @@ def ptm_series(j: int) -> ptm_mod.PTMDesc:
     return ptm_mod.decode_ptm(index_to_word(j))
 
 
-def p_machine(i: int) -> TotalDecider:
+def p_machine(i: int, config: Config = Config()) -> TotalDecider:
     """Clocked deterministic decision machines: the series for P.
 
     Output "1" is Yes, "0" is No; anything else, including running past
     the clock, defaults to No, so the problem is always a decision one.
     """
-    _check_index(i)
+    _check_index(i, config)
     j, k = unpair(i)
     machine = machine_series(j)
-    clock = poly_series(k)
+    fuel = _capped(poly_series(k), config)
 
     def decide(x: str) -> Verdict:
-        result = tm.run(machine, [x], _fuel(clock, len(x)))
+        result = tm.run(machine, [x], fuel(len(x)))
         if isinstance(result, tm.Halted) and result.output == "1":
             return Verdict.YES
         return Verdict.NO
@@ -179,25 +177,24 @@ def p_machine(i: int) -> TotalDecider:
     return TotalDecider(f"p[{i}]", fn=decide)
 
 
-def polyfunc_series(i: int) -> ReductionFn:
+def polyfunc_series(i: int, config: Config = Config()) -> ReductionFn:
     """Clocked machines as total word functions (the polynomial-time series).
 
     A run that exceeds its clock yields the empty word.
     """
-    _check_index(i)
+    _check_index(i, config)
     j, k = unpair(i)
     machine = machine_series(j)
-    clock = poly_series(k)
+    fuel = _capped(poly_series(k), config)
 
     def apply(x: str) -> str:
-        result = tm.run(machine, [x], _fuel(clock, len(x)))
+        result = tm.run(machine, [x], fuel(len(x)))
         return result.output if isinstance(result, tm.Halted) else ""
 
-    return ReductionFn(f"f[{i}]", fn=apply, machine=machine,
-                       runtime=lambda n: _fuel(clock, n))
+    return ReductionFn(f"f[{i}]", fn=apply, machine=machine, runtime=fuel)
 
 
-def polyset_series(i: int):
+def polyset_series(i: int, config: Config = Config()):
     """Clocked, clamped numeric functions; lands in the polynomial set.
 
     Returns a costed map n -> (value, cost): the machine for index j runs
@@ -206,15 +203,15 @@ def polyset_series(i: int):
     """
     from .diagonal import CostedFunction
 
-    _check_index(i)
+    _check_index(i, config)
     j, k, l = untriple(i)
     machine = machine_series(j)
-    clock = poly_series(k)
+    fuel = _capped(poly_series(k), config)
     clamp = poly_series(l)
 
     def evaluate(n: int) -> tuple[int, int]:
         numeral = format(n, "b")
-        result = tm.run(machine, [numeral], _fuel(clock, len(numeral)))
+        result = tm.run(machine, [numeral], fuel(len(numeral)))
         if isinstance(result, tm.Halted):
             raw = int(result.output, 2) if result.output and \
                 all(ch in "01" for ch in result.output) else 0
@@ -224,25 +221,25 @@ def polyset_series(i: int):
     return CostedFunction(f"polyset[{i}]", evaluate)
 
 
-def np_machine(i: int, witness_cap: int = MAX_WITNESS_SPACE) -> TotalDecider:
+def np_machine(i: int, config: Config = Config()) -> TotalDecider:
     """Existential witness loop over a clocked verifier: the series for NP."""
-    _check_index(i)
+    _check_index(i, config)
     j, k, l = untriple(i)
     verifier = machine_series(j)
-    clock = poly_series(k)
-    wit_len = polyset_series(l)
+    fuel = _capped(poly_series(k), config)
+    wit_len = polyset_series(l, config)
 
     def decide(x: str) -> Verdict:
-        m_len = wit_len.eval(len(x))[0]
-        if 2 ** m_len > witness_cap:
-            raise WitnessSpaceTooLarge(
-                f"2^{m_len} witnesses exceed cap {witness_cap}")
-        fuel = _fuel(clock, len(x))
-        for y in words_of_length(m_len):
-            result = tm.run(verifier, [x, y], fuel)
+        steps = fuel(len(x))
+
+        def verify(y: str) -> Verdict:
+            result = tm.run(verifier, [x, y], steps)
             if isinstance(result, tm.Halted) and result.output == "1":
                 return Verdict.YES
-        return Verdict.NO
+            return Verdict.NO
+
+        return witness_verdict(wit_len.eval(len(x))[0], MAX_WITNESS_SPACE,
+                               verify)
 
     return TotalDecider(f"np[{i}]", fn=decide)
 
@@ -250,7 +247,8 @@ def np_machine(i: int, witness_cap: int = MAX_WITNESS_SPACE) -> TotalDecider:
 _STARRED_FAMILIES = ("promisebpp", "promisema", "bqp", "qcma", "qma")
 
 
-def class_presentation(family: str, i: int) -> TotalDecider:
+def class_presentation(family: str, i: int,
+                       config: Config = Config()) -> TotalDecider:
     """Total deciders for the extremal problems of the starred classes.
 
     The index decodes to (machine, clock) and for promisema additionally
@@ -258,35 +256,35 @@ def class_presentation(family: str, i: int) -> TotalDecider:
     presentations of extremal promise problems, not decision problems.
     """
     fam = family.lower()
-    _check_index(i)
+    _check_index(i, config)
     if fam == "promisebpp":
         j, k = unpair(i)
         machine = ptm_series(j)
-        clock = poly_series(k)
+        fuel = _capped(poly_series(k), config)
         return TotalDecider(
             f"promisebpp*[{i}]",
             fn=lambda x: ptm_mod.classify_bpp(
-                machine, lambda n: _fuel(clock, n), x, on_overrun="reject"))
+                machine, fuel, x, on_overrun="reject", config=config))
     if fam == "promisema":
         j, k, l = untriple(i)
         machine = ptm_series(j)
-        clock = poly_series(k)
-        wit_len = polyset_series(l)
+        fuel = _capped(poly_series(k), config)
+        wit_len = polyset_series(l, config)
         return TotalDecider(
             f"promisema*[{i}]",
             fn=lambda x: ptm_mod.classify_ma(
-                machine, lambda n: _fuel(clock, n),
-                lambda n: wit_len.eval(n)[0], x, on_overrun="reject"))
+                machine, fuel, lambda n: wit_len.eval(n)[0], x,
+                on_overrun="reject", config=config))
     if fam in ("bqp", "qcma", "qma"):
         j, k = unpair(i)
         gen = machine_series(j)
-        clock = poly_series(k)
+        fuel = _capped(poly_series(k), config)
         classify = {"bqp": qc.classify_bqp, "qcma": qc.classify_qcma,
                     "qma": qc.classify_qma}[fam]
 
         def decide(x: str) -> Verdict:
             try:
-                return classify(gen, lambda n: _fuel(clock, n), x)
+                return classify(gen, fuel, x, config)
             except GeneratorFuelExhausted:
                 # an overrunning generator counts as emitting the trivial
                 # circuit, which never accepts
@@ -308,19 +306,19 @@ class Enumeration:
         return self.produce(i)
 
 
-def p_presentation() -> Enumeration:
-    return Enumeration("P", p_machine)
+def p_presentation(config: Config = Config()) -> Enumeration:
+    return Enumeration("P", lambda i: p_machine(i, config))
 
 
-def np_presentation() -> Enumeration:
-    return Enumeration("NP", np_machine)
+def np_presentation(config: Config = Config()) -> Enumeration:
+    return Enumeration("NP", lambda i: np_machine(i, config))
 
 
-def starred_presentation(family: str) -> Enumeration:
+def starred_presentation(family: str, config: Config = Config()) -> Enumeration:
     fam = family.lower()
     if fam not in _STARRED_FAMILIES:
         raise ValueError(f"unknown starred family {family!r}")
-    return Enumeration(fam + "*", lambda i: class_presentation(fam, i))
+    return Enumeration(fam + "*", lambda i: class_presentation(fam, i, config))
 
 
 def builtins_presentation(deciders: list[TotalDecider] | tuple[TotalDecider, ...]) -> Enumeration:
@@ -332,14 +330,11 @@ def builtins_presentation(deciders: list[TotalDecider] | tuple[TotalDecider, ...
     return Enumeration(f"cycle({names})", lambda i: pool[i % len(pool)])
 
 
-def reduction_closure(a: TotalDecider, i: int) -> TotalDecider:
+def reduction_closure(a: TotalDecider, i: int,
+                      config: Config = Config()) -> TotalDecider:
     """Decider i of the closure of a under polynomial-time reductions."""
-    f = polyfunc_series(i)
+    f = polyfunc_series(i, config)
     return TotalDecider(f"{a.tag}<=m[{i}]", fn=lambda x: a.classify(f(x)))
-
-
-def reduction_closure_presentation(a: TotalDecider) -> Enumeration:
-    return Enumeration(f"{a.tag}-closure", lambda i: reduction_closure(a, i))
 
 
 def parse_oracle_machine(bits: str) -> tuple[tm.MachineDesc, int]:
@@ -371,6 +366,7 @@ def harder_set(
     mode: Literal["M", "T"],
     i: int,
     check_cap: int = HARDER_SET_CHECK_CAP,
+    config: Config = Config(),
 ) -> TotalDecider:
     """Presentation of the problems of a class that a reduces to.
 
@@ -381,11 +377,11 @@ def harder_set(
     stays inside the promise and answers correctly).  If all checks pass
     it answers like the presented problem, otherwise like a.
     """
-    _check_index(i)
+    _check_index(i, config)
     j, k = unpair(i)
     m_k = c_pres.produce(k)
     if mode == "M":
-        f_j = polyfunc_series(j)
+        f_j = polyfunc_series(j, config)
 
         def check(y: str, expected: Verdict) -> bool:
             return m_k.classify(f_j(y)) is expected
@@ -420,7 +416,8 @@ def harder_set_presentation(
     c_pres: Enumeration,
     mode: Literal["M", "T"] = "T",
     check_cap: int = HARDER_SET_CHECK_CAP,
+    config: Config = Config(),
 ) -> Enumeration:
     return Enumeration(
         f"harder[{mode}]({a.tag};{c_pres.family})",
-        lambda i: harder_set(a, c_pres, mode, i, check_cap))
+        lambda i: harder_set(a, c_pres, mode, i, check_cap, config))

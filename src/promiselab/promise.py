@@ -16,11 +16,13 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import tm
+from .config import Config
 from .errors import CapExceeded, FuelExhausted, NonPromisedQuery, \
-    NotTotalDecider
-from .words import words_up_to
+    NotTotalDecider, WitnessSpaceTooLarge
+from .words import words_of_length, words_up_to
 
-MAX_DIFFERENCE_BOUND = 16
+# Most witnesses the classical witness loops of the NP and MA deciders walk.
+MAX_WITNESS_SPACE = 4096
 
 
 class Verdict(enum.Enum):
@@ -30,6 +32,14 @@ class Verdict(enum.Enum):
 
     def __repr__(self) -> str:  # keeps test failure output short
         return self.value
+
+    def separates(self, other: "Verdict") -> bool:
+        """True when this verdict is committed (yes or no) and other differs.
+
+        A word whose verdicts under A and B are self and other lies in the
+        one-sided difference of A and B.
+        """
+        return self is not Verdict.OUTSIDE and other is not self
 
 
 _OUTPUT_VERDICT = {"1": Verdict.YES, "0": Verdict.NO, "10": Verdict.OUTSIDE}
@@ -116,25 +126,44 @@ class DifferenceReport(NamedTuple):
 
 
 def differences(a: TotalDecider, b: TotalDecider, bound: int,
-                cap: int = MAX_DIFFERENCE_BOUND) -> DifferenceReport:
+                config: Config = Config()) -> DifferenceReport:
     """The three difference sets over all words of length <= bound."""
-    if bound > cap:
-        raise CapExceeded(f"difference bound {bound} exceeds cap {cap}")
+    if bound > config.max_word_length:
+        raise CapExceeded(
+            f"difference bound {bound} exceeds cap {config.max_word_length}")
     sym, one_sided, total = set(), set(), set()
     for w in words_up_to(bound):
         va, vb = a.classify(w), b.classify(w)
         if (va is Verdict.YES and vb is Verdict.NO) or \
            (va is Verdict.NO and vb is Verdict.YES):
             sym.add(w)
-        a_minus_b = (va is Verdict.YES and vb is not Verdict.YES) or \
-                    (va is Verdict.NO and vb is not Verdict.NO)
-        b_minus_a = (vb is Verdict.YES and va is not Verdict.YES) or \
-                    (vb is Verdict.NO and va is not Verdict.NO)
-        if a_minus_b:
+        if va.separates(vb):
             one_sided.add(w)
-        if a_minus_b or b_minus_a:
+            total.add(w)
+        elif vb.separates(va):
             total.add(w)
     return DifferenceReport(frozenset(sym), frozenset(one_sided), frozenset(total))
+
+
+def witness_verdict(m: int, cap: int,
+                    verdict_of: Callable[[str], Verdict]) -> Verdict:
+    """The witness quantifier of the NP, MA and QCMA deciders.
+
+    Walks the witnesses of length m in canonical order and stops at the
+    first one whose verdict is Yes.  Yes iff some witness gives Yes, No
+    iff every witness gives No, otherwise outside the promise.  More than
+    cap witnesses raise WitnessSpaceTooLarge before any is tried.
+    """
+    if 2 ** m > cap:
+        raise WitnessSpaceTooLarge(f"2^{m} witnesses exceed cap {cap}")
+    verdict = Verdict.NO
+    for y in words_of_length(m):
+        v = verdict_of(y)
+        if v is Verdict.YES:
+            return v
+        if v is Verdict.OUTSIDE:
+            verdict = v
+    return verdict
 
 
 def marked_union(a: TotalDecider, a_prime: TotalDecider) -> TotalDecider:
@@ -212,7 +241,7 @@ def cook_run(o: OracleMachine, oracle: TotalDecider, x: str,
             tape.pop(head, None)
         else:
             tape[head] = wsym
-        head += {"L": -1, "R": 1, "N": 0}[move]
+        head += tm._MOVE_DELTA[move]
         steps += 1
         if state == o.oracle_state:
             word = tm.output_at(tape, head)

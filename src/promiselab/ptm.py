@@ -20,14 +20,11 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from . import tm
-from .errors import BranchFuelExhausted, WitnessSpaceTooLarge
-from .promise import Verdict
-from .words import words_of_length
+from .config import Config
+from .errors import BranchFuelExhausted
+from .promise import MAX_WITNESS_SPACE, Verdict, witness_verdict
 
 Action = tuple[int, str, str]
-
-DEFAULT_THRESHOLDS = (Fraction(2, 3), Fraction(1, 3))
-MAX_WITNESS_SPACE = 4096
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,9 @@ def classify_bpp(
     m: PTMDesc,
     runtime: Callable[[int], int],
     x: str,
-    thresholds: tuple[Fraction, Fraction] = DEFAULT_THRESHOLDS,
+    *,
     on_overrun: Literal["raise", "reject"] = "raise",
+    config: Config = Config(),
 ) -> Verdict:
     """Threshold trichotomy on the exact acceptance fraction.
 
@@ -191,15 +189,8 @@ def classify_bpp(
     the input is outside the promise.  Fuel is runtime(len(x)); a branch
     overrunning it indicates the machine violates its runtime bound.
     """
-    c, s = thresholds
-    if c < s:
-        raise ValueError("completeness threshold below soundness threshold")
     stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun=on_overrun)
-    if stats.p_acc >= c:
-        return Verdict.YES
-    if stats.p_acc <= s:
-        return Verdict.NO
-    return Verdict.OUTSIDE
+    return _trichotomy(stats.p_acc, config)
 
 
 def classify_ma(
@@ -207,33 +198,25 @@ def classify_ma(
     runtime: Callable[[int], int],
     wit_len: Callable[[int], int],
     x: str,
-    thresholds: tuple[Fraction, Fraction] = DEFAULT_THRESHOLDS,
+    *,
     on_overrun: Literal["raise", "reject"] = "raise",
-    witness_cap: int = MAX_WITNESS_SPACE,
+    config: Config = Config(),
 ) -> Verdict:
     """Existential/universal witness loop over the second tape input.
 
     Yes iff some witness of the prescribed length reaches p_acc >= c,
     No iff all stay <= s, otherwise outside the promise.
     """
-    c, s = thresholds
-    if c < s:
-        raise ValueError("completeness threshold below soundness threshold")
     m_len = wit_len(len(x))
-    if 2 ** m_len > witness_cap:
-        raise WitnessSpaceTooLarge(f"2^{m_len} witnesses exceed cap {witness_cap}")
     fuel = runtime(len(x))
-    some_yes = False
-    all_no = True
-    for y in words_of_length(m_len):
-        stats = enumerate_branches(m, [x, y], fuel, on_overrun=on_overrun)
-        if stats.p_acc >= c:
-            some_yes = True
-            break
-        if stats.p_acc > s:
-            all_no = False
-    if some_yes:
+    return witness_verdict(m_len, MAX_WITNESS_SPACE, lambda y: _trichotomy(
+        enumerate_branches(m, [x, y], fuel, on_overrun=on_overrun).p_acc,
+        config))
+
+
+def _trichotomy(p: Fraction, config: Config) -> Verdict:
+    if p >= config.threshold_c:
         return Verdict.YES
-    if all_no:
+    if p <= config.threshold_s:
         return Verdict.NO
     return Verdict.OUTSIDE

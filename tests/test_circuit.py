@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -10,6 +11,7 @@ from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, classify_bqp,
                                 classify_qcma, classify_qma, encode_circuit,
                                 p_acc, parse_circuit, simulate)
+from promiselab.config import Config
 from promiselab.errors import GeneratorFuelExhausted
 from promiselab.field import FieldElem, ZERO
 from promiselab.promise import Verdict
@@ -130,6 +132,29 @@ class TestParsing:
             assert parse_circuit(encode_circuit(circ),
                                  expect_witness_header=m > 0) == circ
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.builds(
+        Circuit,
+        st.lists(st.one_of(
+            st.builds(lambda kind, q: Gate(kind, (q,)),
+                      st.sampled_from(("H", "T")), st.integers(1, 6)),
+            st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True)
+            .map(lambda qs: Gate("CNOT", tuple(qs)))),
+            min_size=1, max_size=8).map(tuple),
+        st.integers(0, 3)))
+    def test_roundtrip_property(self, circ):
+        assert parse_circuit(encode_circuit(circ),
+                             expect_witness_header=circ.witness_qubits > 0) == circ
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(alphabet="01", max_size=40), st.booleans())
+    def test_parser_is_total(self, bits, header):
+        circ = parse_circuit(bits, expect_witness_header=header)
+        if circ.trivial:
+            assert circ == TRIVIAL_CIRCUIT
+        else:
+            assert encode_circuit(circ) == bits
+
     def test_encoding_longer_than_gate_count(self):
         rng = random.Random(223)
         for _ in range(50):
@@ -247,7 +272,7 @@ class TestClassifiers:
         # p = 2/3 exactly: thresholds are met non-strictly
         circ = Circuit((Gate("H", (1,)),))
         assert classify_bqp(generator_for(circ), GENEROUS, "",
-                            (Fraction(1, 2), Fraction(1, 3))) is Verdict.YES
+                            config=Config(threshold_c=Fraction(1, 2))) is Verdict.YES
 
     def test_generator_fuel_exhaustion(self):
         with pytest.raises(GeneratorFuelExhausted):

@@ -214,7 +214,53 @@ class TestDecideWitnessClasses:
         assert capsys.readouterr().out.strip() == "yes"
 
 
+def _config_file(tmp_path, text: str) -> str:
+    path = tmp_path / "lab.cfg"
+    path.write_text(text)
+    return str(path)
+
+
 class TestConfiguredCaps:
+    @pytest.mark.parametrize("problem_class,circ", [
+        ("bqp", Circuit((Gate("H", (3,)),))),
+        ("qcma", Circuit((Gate("CNOT", (3, 1)),), witness_qubits=1)),
+        ("qma", Circuit((Gate("CNOT", (3, 1)),), witness_qubits=1)),
+    ])
+    def test_decide_honours_max_qubits(self, tmp_path, problem_class, circ,
+                                       capsys):
+        gen = tmp_path / "gen.tm"
+        gen.write_text(encode_godel(const_output_machine(encode_circuit(circ))))
+        cfg = _config_file(tmp_path, "max-qubits = 2\n")
+        code = dispatch(["--config", cfg, "decide", problem_class,
+                         "--gen", str(gen), "--input", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "DimensionCap" in captured.err
+
+    def test_machine_problem_runs_under_default_fuel(self, tmp_path,
+                                                     parity_file, capsys):
+        cfg = _config_file(tmp_path, "default-fuel = 2\n")
+        code = dispatch(["--config", cfg, "classify",
+                         "--problem", f"machine:{parity_file}",
+                         "--input", "011"])
+        assert code == 1
+        assert "NotTotalDecider" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text,extra", [
+        ("max-qubits = 2\n", []),
+        ("", ["--input", "01"]),
+    ])
+    def test_failed_simulate_prints_nothing(self, tmp_path, example_circuit_file,
+                                            config_text, extra, capsys):
+        cfg = _config_file(tmp_path, config_text)
+        code = dispatch(["--config", cfg, "simulate",
+                         "--circuit", example_circuit_file] + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_enumerate_word_length_cap(self, capsys):
         code = dispatch(["enumerate", "p", "0", "--max-len", "30"])
         assert code == 1
@@ -247,6 +293,24 @@ class TestConfigFile:
                          "--c", "2/3"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "outside-promise"
+
+    def test_unparsable_value_is_domain_error(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, "threshold-c = 1/0\n")
+        code = dispatch(["--config", cfg, "classify",
+                         "--problem", "builtin:parity", "--input", "1"])
+        assert code == 1
+        assert f"{cfg}:1: " in capsys.readouterr().err
+
+    def test_c_below_s_same_error_from_flag_and_file(self, tmp_path,
+                                                     h_generator_file, capsys):
+        argv = ["decide", "bqp", "--gen", h_generator_file, "--input", "1"]
+        assert dispatch(argv + ["--c", "1/4"]) == 1
+        from_flag = capsys.readouterr().err
+        cfg = _config_file(tmp_path, "threshold-c = 1/4\n")
+        assert dispatch(["--config", cfg] + argv) == 1
+        from_file = capsys.readouterr().err
+        assert from_flag == from_file
+        assert "threshold c must be at least s" in from_flag
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"

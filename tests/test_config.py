@@ -1,0 +1,48 @@
+import re
+from dataclasses import fields
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from promiselab.config import Config, load_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _write(tmp_path, text: str) -> str:
+    path = tmp_path / "lab.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+class TestLoadConfig:
+    def test_keys_and_values(self, tmp_path):
+        path = _write(tmp_path, "# caps\nmax-qubits = 8\n\nthreshold-s = 1/4\n")
+        assert load_config(path) == Config(max_qubits=8,
+                                           threshold_s=Fraction(1, 4))
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("threshold-c = 1/0\n", 1),
+        ("max-qubits = 4\nmax-qubits = abc\n", 2),
+    ])
+    def test_bad_value_names_file_and_line(self, tmp_path, text, lineno):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: ")):
+            load_config(path)
+
+
+def _readme_keys() -> list[str]:
+    caps = README.read_text(encoding="utf-8").split("## Caps", 1)[1]
+    return re.findall(r"^\| `([a-z-]+)` \|", caps, flags=re.MULTILINE)
+
+
+class TestReadmeKeys:
+    def test_readme_lists_exactly_the_config_keys(self):
+        keys = {f.name.replace("_", "-") for f in fields(Config)}
+        assert sorted(_readme_keys()) == sorted(keys)
+
+    def test_every_readme_key_loads(self, tmp_path):
+        path = _write(tmp_path, "".join(f"{key} = 1\n" for key in _readme_keys()))
+        config = load_config(path)
+        assert all(getattr(config, f.name) == 1 for f in fields(Config))

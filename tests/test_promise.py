@@ -1,15 +1,20 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers_machines import (always_accept_machine, diverging_machine,
                               emit_outside_machine, identity_machine,
                               parity_machine, prepend_zero_machine)
-from promiselab.errors import FuelExhausted, NonPromisedQuery, NotTotalDecider
-from promiselab.promise import (OracleMachine, ReductionFn, TotalDecider,
+from promiselab.errors import (FuelExhausted, NonPromisedQuery,
+                               NotTotalDecider, WitnessSpaceTooLarge)
+from promiselab.promise import (MAX_WITNESS_SPACE, OracleMachine,
+                                ReductionFn, TotalDecider,
                                 Verdict, builtin, classify, cook_run,
                                 differences, karp_check, karp_to_cook,
-                                marked_union)
+                                marked_union, witness_verdict)
 from promiselab.tm import BLANK, MachineDesc, SYMBOLS
-from promiselab.words import words_up_to
+from promiselab.words import words_of_length, words_up_to
 
 PARITY = builtin("parity")
 CONST_YES = builtin("const-yes")
@@ -90,6 +95,49 @@ class TestDifferences:
             fwd = differences(a, b, 5)
             assert fwd.sym_diff <= fwd.total_diff
             assert fwd.diff <= fwd.total_diff
+
+
+class TestSeparation:
+    @pytest.mark.parametrize("va,vb", itertools.product(Verdict, repeat=2))
+    def test_matches_the_four_clause_form(self, va, vb):
+        four_clause = (va is Verdict.YES and vb is not Verdict.YES) or \
+                      (va is Verdict.NO and vb is not Verdict.NO)
+        assert va.separates(vb) is four_clause
+
+
+def _verdict_tables():
+    return st.integers(0, 4).flatmap(lambda m: st.lists(
+        st.sampled_from(Verdict), min_size=2 ** m, max_size=2 ** m))
+
+
+class TestWitnessVerdict:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_verdict_tables())
+    def test_matches_any_all_and_stops_at_first_yes(self, verdicts):
+        m = len(verdicts).bit_length() - 1
+        table = dict(zip(words_of_length(m), verdicts))
+        asked = []
+
+        def verdict_of(y):
+            asked.append(y)
+            return table[y]
+
+        if any(v is Verdict.YES for v in verdicts):
+            expected = Verdict.YES
+        elif all(v is Verdict.NO for v in verdicts):
+            expected = Verdict.NO
+        else:
+            expected = Verdict.OUTSIDE
+        assert witness_verdict(m, MAX_WITNESS_SPACE, verdict_of) is expected
+        stop = verdicts.index(Verdict.YES) + 1 \
+            if Verdict.YES in verdicts else len(verdicts)
+        assert asked == list(table)[:stop]
+
+    def test_cap_is_checked_before_any_witness(self):
+        asked = []
+        with pytest.raises(WitnessSpaceTooLarge):
+            witness_verdict(3, 7, asked.append)
+        assert asked == []
 
 
 class TestMarkedUnion:

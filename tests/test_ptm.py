@@ -5,6 +5,7 @@ import pytest
 from helpers_machines import (det_walk_ptm, fan_ptm, fair_coin_ptm,
                               two_input_fan_ptm, unbalanced_ptm,
                               witness_equals_11_ptm, witness_equals_one_ptm)
+from promiselab.config import Config
 from promiselab.errors import BranchFuelExhausted, WitnessSpaceTooLarge
 from promiselab.ptm import (PTMDesc, TRIVIAL_PTM, classify_bpp, classify_ma,
                             decode_ptm, encode_ptm, enumerate_branches)
@@ -97,8 +98,10 @@ class TestClassifyBpp:
     def test_threshold_monotonicity(self):
         # loosening c never turns a Yes into a No
         m = fan_ptm(3, 5)
-        strict = classify_bpp(m, LINEAR, "1", (Fraction(3, 5), Fraction(1, 3)))
-        loose = classify_bpp(m, LINEAR, "1", (Fraction(1, 2), Fraction(1, 3)))
+        strict = classify_bpp(m, LINEAR, "1",
+                              config=Config(threshold_c=Fraction(3, 5)))
+        loose = classify_bpp(m, LINEAR, "1",
+                             config=Config(threshold_c=Fraction(1, 2)))
         assert strict is Verdict.YES
         assert loose is Verdict.YES
 
