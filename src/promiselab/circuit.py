@@ -14,20 +14,29 @@ m qubits occupies the highest-indexed qubits, the remaining workspace
 starts in the all-zero state.  H is the standard unitary
 (1/sqrt2)[[1,1],[1,-1]]; T applies the phase (1+i)/sqrt2 to |1>.
 
-Amplitudes are exact field elements, so acceptance probabilities and the
-witness-block acceptance operator are exact and the threshold trichotomy
-is decided by integer arithmetic alone.
+Every amplitude of such a circuit lies in the ring Z[w, 1/sqrt2] with
+w = e^(i*pi/4) = (1+i)/sqrt2.  The simulator stores amplitude j as four
+integers (a, b, c, d) meaning (a + b*w + c*w^2 + d*w^3) / sqrt2^k, where
+k is the number of H gates applied so far, shared by the whole vector.
+H is then an integer sum and difference, T the signed rotation
+(a, b, c, d) -> (-d, a, b, c) (multiplication by w, as w^4 = -1), and
+CNOT a swap; no rational is formed while the gates run.  Amplitudes enter
+the field Q(1/sqrt2, i) of `promiselab.field` only at readout, so
+acceptance probabilities and the witness-block acceptance operator are
+exact and the threshold trichotomy is decided by integer arithmetic alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, mul, neg, sub
 from typing import Callable
 
 from . import tm
 from .config import Config
 from .errors import DimensionCap, GeneratorFuelExhausted
-from .field import (ZERO, ONE, T_PHASE, ExactMatrix, FieldElem, real_sign,
+from .field import (SQRT2_INV, ZERO, ExactMatrix, FieldElem, real_sign,
                     scaled_identity, sylvester_pd, sylvester_psd)
 from .promise import Verdict, witness_verdict
 from .words import words_of_length
@@ -83,8 +92,19 @@ TRIVIAL_CIRCUIT = Circuit(gates=(), witness_qubits=0, trivial=True)
 
 @dataclass(frozen=True)
 class StateVector:
+    """Amplitude j is (a + b*w + c*w^2 + d*w^3) / sqrt2^k, w = e^(i*pi/4),
+    with (a, b, c, d) = (coords[0][j], coords[1][j], coords[2][j], coords[3][j])."""
+
     num_qubits: int
-    amplitudes: tuple[FieldElem, ...]
+    k: int
+    coords: tuple[tuple[int, ...], ...]
+
+    @property
+    def amplitudes(self) -> tuple[FieldElem, ...]:
+        """The amplitudes as exact elements of Q(1/sqrt2, i)."""
+        m, odd = divmod(self.k, 2)
+        amps = (_readout(r, m) for r in zip(*self.coords))
+        return tuple(amp * SQRT2_INV for amp in amps) if odd else tuple(amps)
 
 
 def _parse_gate(p: tm._Parser) -> Gate:
@@ -145,6 +165,31 @@ def load_circuit_file(path: str, expect_witness_header: bool = False) -> Circuit
         return parse_circuit(fh.read().rstrip("\n"), expect_witness_header)
 
 
+def _slices(n: int, fixed: dict[int, int]) -> list[slice]:
+    """Slices covering, once each, the indices < 2^n whose bits at the
+    positions in `fixed` hold the given values.
+
+    Each slice steps through the longest run of free bit positions, and
+    the slices enumerate the other free bits, so there are few of them:
+    at most 2^(n/2) for one fixed bit.
+    """
+    lo = hi = run = 0  # run: first position of the current free run
+    for p in range(n):
+        if p in fixed:
+            run = p + 1
+        elif p + 1 - run > hi - lo:
+            lo, hi = run, p + 1
+    starts = [sum(v << p for p, v in fixed.items())]
+    for p in range(n):
+        if p not in fixed and not lo <= p < hi:
+            starts += [s | 1 << p for s in starts]
+    return [slice(s, s + (1 << hi), 1 << lo) for s in starts]
+
+
+def _shifted(s: slice, offset: int) -> slice:
+    return slice(s.start + offset, s.stop + offset, s.step)
+
+
 def simulate(c: Circuit, basis_input: str,
              config: Config = Config()) -> StateVector:
     """Apply the gate list in order to the given computational basis state."""
@@ -153,49 +198,88 @@ def simulate(c: Circuit, basis_input: str,
         raise ValueError(f"basis input must be {n} bits")
     if n > config.max_qubits:
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
-    size = 1 << n
-    amps = [ZERO] * size
-    amps[int(basis_input, 2)] = ONE
+    coords = [[0] * (1 << n) for _ in range(4)]
+    coords[0][int(basis_input, 2)] = 1
+    x0, x1, x2, x3 = coords
+    k = 0
     for g in c.gates:
+        pos = n - g.qubits[0]
         if g.kind == "H":
-            bit = 1 << (n - g.qubits[0])
-            for i in range(size):
-                if i & bit:
-                    continue
-                j = i | bit
-                u, v = amps[i], amps[j]
-                amps[i] = (u + v).mul_sqrt2_inv()
-                amps[j] = (u - v).mul_sqrt2_inv()
+            for lo in _slices(n, {pos: 0}):
+                hi = _shifted(lo, 1 << pos)
+                for xs in coords:
+                    u, v = xs[lo], xs[hi]
+                    xs[lo] = map(add, u, v)
+                    xs[hi] = map(sub, u, v)
+            k += 1
         elif g.kind == "T":
-            bit = 1 << (n - g.qubits[0])
-            for i in range(size):
-                if i & bit:
-                    amps[i] = amps[i] * T_PHASE
+            for s in _slices(n, {pos: 1}):
+                x0[s], x1[s], x2[s], x3[s] = map(neg, x3[s]), x0[s], x1[s], x2[s]
         else:
-            cbit = 1 << (n - g.qubits[0])
-            tbit = 1 << (n - g.qubits[1])
-            for i in range(size):
-                if (i & cbit) and not (i & tbit):
-                    j = i | tbit
-                    amps[i], amps[j] = amps[j], amps[i]
-    return StateVector(n, tuple(amps))
+            tpos = n - g.qubits[1]
+            for lo in _slices(n, {pos: 1, tpos: 0}):
+                hi = _shifted(lo, 1 << tpos)
+                for xs in coords:
+                    xs[lo], xs[hi] = xs[hi], xs[lo]
+    return StateVector(n, k, tuple(map(tuple, coords)))
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+def _readout(z: tuple[int, int, int, int], e: int) -> FieldElem:
+    """(z0 + z1*w + z2*w^2 + z3*w^3) / 2^e as a field element.
+
+    w = r + i*r and w^3 = -r + i*r with r = 1/sqrt2, which gives the
+    coordinates (z0, z1 - z3, z2, z1 + z3) in the basis 1, r, i, i*r.
+    """
+    z0, z1, z2, z3 = z
+    den = 1 << e
+    return FieldElem(Fraction(z0, den), Fraction(z1 - z3, den),
+                     Fraction(z2, den), Fraction(z1 + z3, den))
+
+
+def _inner(left: list[tuple[int, ...]],
+           right: list[tuple[int, ...]]) -> tuple[int, int, int, int]:
+    """Sum over j of conj(left_j) * right_j in Z[w], as (z0, z1, z2, z3).
+
+    conj(w^i) = w^-i, so the product of coordinates i of left and l of
+    right lands on w^(l - i); w^4 = -1 turns a negative power into a
+    negated one.
+    """
+    z = [0, 0, 0, 0]
+    for i, x in enumerate(left):
+        for l, y in enumerate(right):
+            term = _dot(x, y)
+            z[(l - i) % 4] += term if l >= i else -term
+    return tuple(z)
+
+
+def _accepting(state: StateVector) -> list[tuple[int, ...]]:
+    """The coordinates of the output-1 half of the state."""
+    half = 1 << (state.num_qubits - 1)
+    return [x[half:] for x in state.coords]
 
 
 def p_acc(c: Circuit, basis_input: str | None = None,
           config: Config = Config()) -> FieldElem:
-    """Exact probability of measuring 1 on the output qubit (qubit 1)."""
-    if c.trivial:
-        return ZERO
+    """Exact probability of measuring 1 on the output qubit (qubit 1).
+
+    |a + b*w + c*w^2 + d*w^3|^2 = s1 + sqrt2*s2 with s1 = a^2+b^2+c^2+d^2
+    and s2 = ab + bc + cd - da; summed over the output-1 half, that is
+    (s1, s2, 0, -s2) in the basis 1, w, w^2, w^3 (w - w^3 = sqrt2), over
+    the shared 2^k.
+    """
     if basis_input is None:
         basis_input = "0" * c.total_qubits
     state = simulate(c, basis_input, config)
-    half = 1 << (state.num_qubits - 1)
-    total = ZERO
-    for i in range(half, 2 * half):
-        amp = state.amplitudes[i]
-        if not amp.is_zero():
-            total = total + amp.abs2()
-    return total
+    if c.trivial:
+        return ZERO
+    x0, x1, x2, x3 = _accepting(state)
+    s1 = _dot(x0, x0) + _dot(x1, x1) + _dot(x2, x2) + _dot(x3, x3)
+    s2 = _dot(x0, x1) + _dot(x1, x2) + _dot(x2, x3) - _dot(x3, x0)
+    return _readout((s1, s2, 0, -s2), state.k)
 
 
 def _witness_input(c: Circuit, y: str) -> str:
@@ -219,23 +303,13 @@ def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
         raise DimensionCap(f"2^{m} exceeds cap {cap}")
     if c.trivial:
         return scaled_identity(dim, ZERO)
-    states = [simulate(c, _witness_input(c, y), config).amplitudes
-              for y in words_of_length(m)]
-    half = 1 << (c.total_qubits - 1)
-    size = 1 << c.total_qubits
-    rows = []
-    for yp in range(dim):
-        row = []
-        for y in range(dim):
-            acc = ZERO
-            left, right = states[yp], states[y]
-            for i in range(half, size):
-                if left[i].is_zero() or right[i].is_zero():
-                    continue
-                acc = acc + left[i].conjugate() * right[i]
-            row.append(acc)
-        rows.append(tuple(row))
-    q = ExactMatrix(tuple(rows))
+    runs = [simulate(c, _witness_input(c, y), config)
+            for y in words_of_length(m)]
+    halves = [_accepting(state) for state in runs]
+    k = runs[0].k  # the H count, the same for every run
+    rows = tuple(tuple(_readout(_inner(left, right), k) for right in halves)
+                 for left in halves)
+    q = ExactMatrix(rows)
     if not q.is_hermitian():
         raise AssertionError("acceptance operator failed the Hermiticity check")
     return q

@@ -24,8 +24,7 @@ from . import diagonal, enumeration, ptm, tm
 from .config import Config, load_config
 from .errors import CapExceeded, PromiseLabError
 from .field import FieldElem, decimal_string
-from .promise import (BUILTIN_PROBLEMS, TotalDecider, builtin, karp_check,
-                      marked_union)
+from .promise import TotalDecider, builtin, karp_check, marked_union
 from .words import words_up_to
 
 
@@ -47,16 +46,24 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}")
 
 
+def _builtin(name: str) -> TotalDecider:
+    try:
+        return builtin(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _problem(ref: str) -> Callable[[Config], TotalDecider]:
     """Problem references: builtin:<name> or machine:<file>.
 
-    The syntax is checked while the arguments are parsed; the reference is
-    resolved once the configuration is known, since a machine-backed
-    problem runs under its default fuel.
+    The syntax and builtin names are checked while the arguments are
+    parsed; a machine file is loaded once the configuration is known,
+    since a machine-backed problem runs under its default fuel.
     """
     kind, _, rest = ref.partition(":")
     if kind == "builtin" and rest:
-        return lambda config: builtin(rest)
+        decider = _builtin(rest)
+        return lambda config: decider
     if kind == "machine" and rest:
         return lambda config: TotalDecider.from_machine(
             ref, tm.load_machine_file(rest), lambda n: config.default_fuel)
@@ -69,7 +76,7 @@ def _presentation(spec: str) -> Callable[[Config], enumeration.Enumeration]:
     kind, _, rest = spec.partition(":")
     if kind == "builtins" and rest:
         pres = enumeration.builtins_presentation(
-            [builtin(name) for name in rest.split(",")])
+            [_builtin(name) for name in rest.split(",")])
         return lambda config: pres
     if kind == "family" and rest:
         fam = rest.lower()

@@ -39,7 +39,12 @@ _PARSERS = {f.name: Fraction if f.type == "Fraction" else int
 
 
 def load_config(path: str, base: Config | None = None) -> Config:
+    """Read a key=value file; every error names the file and the line.
+
+    A c < s conflict is reported at the threshold line read last.
+    """
     values = {}
+    threshold_line = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -58,4 +63,14 @@ def load_config(path: str, base: Config | None = None) -> Config:
             except (ValueError, ZeroDivisionError):
                 raise ValueError(
                     f"{path}:{lineno}: bad value {value!r} for {key}") from None
-    return replace(base or Config(), **values)
+            if parse is int:
+                try:  # an integer's range does not depend on the other keys
+                    Config(**{key: values[key]})
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            else:
+                threshold_line = lineno
+    try:
+        return replace(base or Config(), **values)
+    except ValueError as exc:  # c < s, the only check left
+        raise ValueError(f"{path}:{threshold_line}: {exc}") from None

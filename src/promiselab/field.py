@@ -69,10 +69,6 @@ class FieldElem:
     def conjugate(self) -> "FieldElem":
         return FieldElem(self.a, self.b, -self.c, -self.d)
 
-    def mul_sqrt2_inv(self) -> "FieldElem":
-        """Fast multiplication by 1/sqrt(2): (a,b,c,d) -> (b/2, a, d/2, c)."""
-        return FieldElem(self.b * _HALF, self.a, self.d * _HALF, self.c)
-
     def abs2(self) -> "FieldElem":
         """|z|^2, always an element of the real subfield."""
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -110,8 +106,6 @@ class FieldElem:
 ZERO = FieldElem()
 ONE = FieldElem(_ONE)
 SQRT2_INV = FieldElem(_ZERO, _ONE)
-# e^(i*pi/4) = (1 + i)/sqrt(2)
-T_PHASE = FieldElem(_ZERO, _ONE, _ZERO, _ONE)
 
 
 def real_sign(x: FieldElem) -> int:

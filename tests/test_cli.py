@@ -70,6 +70,28 @@ class TestSimulateCommand:
         assert "H q2; T q1; CNOT 2→3; CNOT 1→3" in out
         assert "p_acc" in out
 
+    @pytest.fixture
+    def malformed_circuit_file(self, tmp_path):
+        path = tmp_path / "malformed.qc"
+        path.write_text("0000\n")
+        return str(path)
+
+    def test_trivial_circuit_checks_input(self, malformed_circuit_file, capsys):
+        code = dispatch(["simulate", "--circuit", malformed_circuit_file,
+                         "--input", "01x"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "basis input must be 1 bits" in captured.err
+
+    def test_trivial_circuit_never_accepts(self, malformed_circuit_file, capsys):
+        code = dispatch(["simulate", "--circuit", malformed_circuit_file,
+                         "--input", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "trivial: yes" in out
+        assert "p_acc: 0/1 + 0/1*r + 0/1*i + 0/1*i*r  (~ 0.000000000000)" in out
+
     def test_identical_invocations_are_byte_identical(self, example_circuit_file,
                                                       capsys):
         dispatch(["simulate", "--circuit", example_circuit_file])
@@ -130,6 +152,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             dispatch(["classify", "--problem", "bogus", "--input", "1"])
         assert exc.value.code == 2
+
+    def test_unknown_builtin_problem(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["classify", "--problem", "builtin:bogus", "--input", "1"])
+        assert exc.value.code == 2
+        assert "unknown builtin problem 'bogus'" in capsys.readouterr().err
+
+    def test_unknown_builtin_in_presentation(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["ladner", "--a", "builtin:parity",
+                      "--pres", "builtins:const-yes,bogus"])
+        assert exc.value.code == 2
+        assert "unknown builtin problem 'bogus'" in capsys.readouterr().err
 
 
 class TestGaplangCommand:
@@ -309,8 +344,26 @@ class TestConfigFile:
         cfg = _config_file(tmp_path, "threshold-c = 1/4\n")
         assert dispatch(["--config", cfg] + argv) == 1
         from_file = capsys.readouterr().err
-        assert from_flag == from_file
+        # the file's error is the flag's, located at the file's line
+        assert from_file == from_flag.replace("ValueError: ",
+                                              f"ValueError: {cfg}:1: ")
         assert "threshold c must be at least s" in from_flag
+
+    @pytest.mark.parametrize("text,located", [
+        ("# caps\nmax-qubits = 0\n", ":2: max_qubits must be at least 1"),
+        ("default-fuel = -3\n", ":1: default_fuel must be at least 1"),
+        ("threshold-s = 1/2\nmax-qubits = 3\nthreshold-c = 1/4\n",
+         ":3: threshold c must be at least s"),
+    ])
+    def test_out_of_range_value_names_file_and_line(self, tmp_path, text,
+                                                    located, capsys):
+        cfg = _config_file(tmp_path, text)
+        code = dispatch(["--config", cfg, "classify",
+                         "--problem", "builtin:parity", "--input", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{cfg}{located}" in captured.err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"

@@ -31,6 +31,24 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: ")):
             load_config(path)
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("max-qubits = 0\n", 1),
+        ("threshold-c = 1/2\n\nmax-word-length = -1\n", 3),
+        ("threshold-c = 1/4\nmax-qubits = 3\n", 1),
+        ("threshold-c = 1/4\nmax-qubits = 3\nthreshold-s = 1/2\n", 3),
+    ])
+    def test_out_of_range_value_names_file_and_line(self, tmp_path, text,
+                                                    lineno):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: ")):
+            load_config(path)
+
+    def test_thresholds_are_checked_together(self, tmp_path):
+        # s above the default c is fine once the file also raises c
+        path = _write(tmp_path, "threshold-s = 3/4\nthreshold-c = 4/5\n")
+        assert load_config(path) == Config(threshold_c=Fraction(4, 5),
+                                           threshold_s=Fraction(3, 4))
+
 
 def _readme_keys() -> list[str]:
     caps = README.read_text(encoding="utf-8").split("## Caps", 1)[1]
