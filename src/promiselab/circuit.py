@@ -28,6 +28,7 @@ exact and the threshold trichotomy is decided by integer arithmetic alone.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub
@@ -41,7 +42,14 @@ from .field import (SQRT2_INV, ZERO, ExactMatrix, FieldElem, real_sign,
 from .promise import Verdict, witness_verdict
 from .words import words_of_length
 
-_GATE_KINDS = {"01": "H", "10": "T", "11": "CNOT"}
+_GATE_KINDS = {"01": "H", "10": "T"}
+# Gates are matched one after another, each where the previous one ended.
+# The operand count depends on the opcode, so H/T and CNOT are separate
+# alternatives; gates after the first carry their "0" separator.
+_GATE_BODY = r"(?:(01|10)0(1+)|110(1+)0(1+))"
+_GATE = re.compile(_GATE_BODY)
+_NEXT_GATE = re.compile("0" + _GATE_BODY)
+_WITNESS_HEADER = re.compile(r"(1+)00")
 
 
 @dataclass(frozen=True)
@@ -107,38 +115,30 @@ class StateVector:
         return tuple(amp * SQRT2_INV for amp in amps) if odd else tuple(amps)
 
 
-def _parse_gate(p: tm._Parser) -> Gate:
-    kind = _GATE_KINDS.get(p.bits[p.pos:p.pos + 2])
-    if kind is None:
-        raise tm._ParseError(f"bad opcode at {p.pos}")
-    p.pos += 2
-    p.expect("0")
-    operand = p.read_unary()
-    if kind != "CNOT":
-        return Gate(kind, (operand,))
-    p.expect("0")
-    target = p.read_unary()
-    if target == operand:
-        raise tm._ParseError("CNOT control equals target")
-    return Gate(kind, (operand, target))
-
-
 def parse_circuit(bits: str, expect_witness_header: bool = False) -> Circuit:
     """Total parser; any failure denotes the trivial never-accepting circuit."""
-    try:
-        p = tm._Parser(bits)
-        m = 0
-        if expect_witness_header:
-            m = p.read_unary()
-            p.expect("0")
-            p.expect("0")
-        gates = [_parse_gate(p)]
-        while not p.eof():
-            p.expect("0")
-            gates.append(_parse_gate(p))
-        return Circuit(tuple(gates), witness_qubits=m)
-    except tm._ParseError:
+    if bits.strip("01"):
         return TRIVIAL_CIRCUIT
+    m = pos = 0
+    if expect_witness_header:
+        header = _WITNESS_HEADER.match(bits)
+        if header is None:
+            return TRIVIAL_CIRCUIT
+        m, pos = len(header[1]), header.end()
+    gates = []
+    g = _GATE.match(bits, pos)
+    try:
+        while g is not None:
+            kind, qubit, control, target = g.groups()
+            gates.append(Gate(_GATE_KINDS[kind], (len(qubit),)) if kind
+                         else Gate("CNOT", (len(control), len(target))))
+            pos = g.end()
+            g = _NEXT_GATE.match(bits, pos)
+    except ValueError:  # a CNOT whose control is its target
+        return TRIVIAL_CIRCUIT
+    if not gates or pos != len(bits):
+        return TRIVIAL_CIRCUIT
+    return Circuit(tuple(gates), witness_qubits=m)
 
 
 def encode_circuit(c: Circuit) -> str:

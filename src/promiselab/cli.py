@@ -94,12 +94,27 @@ def _r_spec(text: str) -> diagonal.CostedFunction:
     """Gap function specs: succ, or affine:<slope>:<offset>."""
     if text == "succ":
         return diagonal.affine_costed(1, 1)
+    reason = ""
     if text.startswith("affine:"):
         parts = text.split(":")
         if len(parts) == 3:
-            return diagonal.affine_costed(int(parts[1]), int(parts[2]))
+            try:
+                return diagonal.affine_costed(int(parts[1]), int(parts[2]))
+            except ValueError as exc:
+                reason = f" ({exc})"
     raise argparse.ArgumentTypeError(
-        f"bad gap function spec {text!r}; use succ or affine:<a>:<b>")
+        f"bad gap function spec {text!r}{reason}; use succ or affine:<a>:<b>")
+
+
+def _length(text: str) -> int:
+    """A non-negative integer: a word length or a table bound."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 def _print_exact(label: str, value: FieldElem) -> None:
@@ -284,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="print a presented decider's verdicts")
     p.add_argument("family")
     p.add_argument("index", type=int)
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_length, default=4)
 
     p = sub.add_parser("gaplang", help="gap language membership")
     p.add_argument("--r", type=_r_spec, required=True)
     p.add_argument("--member", default=None)
-    p.add_argument("--table", type=int, default=None,
+    p.add_argument("--table", type=_length, default=None,
                    help="also print intervals up to this length")
 
     p = sub.add_parser("diagonalize", help="run the diagonalization construction")
@@ -301,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
     p.add_argument("--aprime-mode", default=diagonal.PRESENTABLE,
                    choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
-    p.add_argument("--bound", type=int, default=8,
+    p.add_argument("--bound", type=_length, default=8,
                    help="reduction spot-check word length")
     p.add_argument("--witnesses", type=int, default=3)
     p.add_argument("--search-cap", type=int, default=diagonal.DEFAULT_SEARCH_CAP)
-    p.add_argument("--table", type=int, default=16,
+    p.add_argument("--table", type=_length, default=16,
                    help="interval table length bound")
 
     p = sub.add_parser("ladner", help="intermediate problem construction")
@@ -313,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pres", required=True, type=_presentation)
     p.add_argument("--a-mode", default=diagonal.PRESENTABLE,
                    choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_length, default=8)
     p.add_argument("--witnesses", type=int, default=3)
     p.add_argument("--search-cap", type=int, default=diagonal.DEFAULT_SEARCH_CAP)
-    p.add_argument("--table", type=int, default=16)
+    p.add_argument("--table", type=_length, default=16)
 
     return parser
 

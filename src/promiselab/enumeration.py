@@ -16,6 +16,7 @@ every produced decider total.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Callable, Literal
@@ -31,6 +32,7 @@ from .promise import (MAX_WITNESS_SPACE, OracleMachine, ReductionFn,
 from .words import index_to_word, words_up_to
 
 HARDER_SET_CHECK_CAP = 12
+_ORACLE_PREFIX = re.compile(r"(1+)0")  # 1^(o+1) 0, oracle state o
 
 
 def _capped(clock: Polynomial, config: Config) -> Callable[[int], int]:
@@ -341,16 +343,14 @@ def parse_oracle_machine(bits: str) -> tuple[tm.MachineDesc, int]:
     """Oracle grammar: "1"^(o+1) "0" prefix designating the oracle state,
     then the ordinary machine grammar.  Invalid encodings yield the
     trivial machine with a dummy oracle state."""
-    try:
-        p = tm._Parser(bits)
-        o = p.read_unary() - 1
-        p.expect("0")
-        base = tm.decode_godel(bits[p.pos:])
-        if base.trivial or not 0 <= o < base.states:
-            return tm.TRIVIAL_MACHINE, 0
-        return base, o
-    except tm._ParseError:
+    prefix = _ORACLE_PREFIX.match(bits)
+    if prefix is None:
         return tm.TRIVIAL_MACHINE, 0
+    o = len(prefix[1]) - 1
+    base = tm.decode_godel(bits[prefix.end():])
+    if base.trivial or not 0 <= o < base.states:
+        return tm.TRIVIAL_MACHINE, 0
+    return base, o
 
 
 def oracle_machine_series(j: int) -> OracleMachine:

@@ -87,7 +87,7 @@ def decode_ptm(bits: str) -> PTMDesc:
             table.setdefault((s, sym), set()).add((t, wsym, move))
         transitions = {key: tuple(sorted(actions)) for key, actions in table.items()}
         return PTMDesc(states, initial, finals, transitions)
-    except (tm._ParseError, ValueError):
+    except ValueError:
         return TRIVIAL_PTM
 
 

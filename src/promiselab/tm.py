@@ -17,6 +17,8 @@ by "00"):
     quintuple  = 1^(s+1) "0" SYM "0" 1^(t+1) "0" SYM "0" MOVE "00"
     SYM, MOVE  in {1, 10, 11}  meaning  {0, 1, blank} / {L, R, N}
 
+Decoding is one pass over the encoding: a compiled pattern matches the
+header, then one pattern per quintuple, each where the previous ended.
 A string that fails to parse, repeats a (state, symbol) pair, or leaves
 some non-final (state, symbol) pair uncovered denotes the designated
 trivial machine, which halts after exactly one step with output "0" on
@@ -25,6 +27,7 @@ every input.  Its canonical encoding is the empty string.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 BLANK = "_"
@@ -136,123 +139,55 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
     return Halted(output_at(tape, head), steps)
 
 
-class _ParseError(Exception):
-    pass
-
-
-class _Parser:
-    def __init__(self, bits: str):
-        if any(ch not in "01" for ch in bits):
-            raise _ParseError("non-binary character")
-        self.bits = bits
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.bits)
-
-    def peek(self, offset: int = 0) -> str | None:
-        p = self.pos + offset
-        return self.bits[p] if p < len(self.bits) else None
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise _ParseError(f"expected {ch!r} at {self.pos}")
-        self.pos += 1
-
-    def read_unary(self) -> int:
-        n = 0
-        while self.peek() == "1":
-            n += 1
-            self.pos += 1
-        if n == 0:
-            raise _ParseError(f"expected unary run at {self.pos}")
-        return n
-
-    def read_code_mid(self) -> str:
-        """A {1,10,11} code followed by "0" and then a unary run.
-
-        The trailing context disambiguates: after "1" the separator is
-        followed by "1", after "10" by "0" then "1".
-        """
-        if self.peek() != "1":
-            raise _ParseError(f"expected code at {self.pos}")
-        if self.peek(1) == "1":
-            code = "11"
-            self.pos += 2
-        elif self.peek(2) == "1":
-            code = "1"
-            self.pos += 1
-        elif self.peek(2) == "0" and self.peek(3) == "1":
-            code = "10"
-            self.pos += 2
-        else:
-            raise _ParseError(f"ambiguous code at {self.pos}")
-        self.expect("0")
-        return code
-
-    def read_code_end(self) -> str:
-        """A {1,10,11} code followed by "00" and then "1" or end of input."""
-        if self.peek() != "1":
-            raise _ParseError(f"expected code at {self.pos}")
-        if self.peek(1) == "1":
-            code = "11"
-            self.pos += 2
-        elif self.peek(3) in (None, "1"):
-            code = "1"
-            self.pos += 1
-        elif self.peek(3) == "0" and self.peek(4) in (None, "1"):
-            code = "10"
-            self.pos += 2
-        else:
-            raise _ParseError(f"ambiguous code at {self.pos}")
-        self.expect("0")
-        self.expect("0")
-        return code
+# One compiled pattern per grammar unit, each matched where the previous
+# one ended.  A {1, 10, 11} code is told apart by what follows it, so each
+# code is matched together with that context: a symbol code with the "0"
+# and the unary run or move code after it, the move code with its "00"
+# and the "1" or end of string after that.  Given its context at most one
+# alternative of (11|10|1) matches, so backtracking makes the per-bit
+# choice whatever the order.  \Z, not $: $ also matches before a
+# trailing newline.
+_HEADER = re.compile(r"(1+)0(1+)0((?:1+0)*)00")
+_QUINTUPLE = re.compile(r"(1+)0(11|10|1)0(1+)0(11|10|1)0(11|10|1)00(?=1|\Z)")
 
 
 def parse_godel_structure(bits: str):
     """Shared front end: (states, initial, finals, quintuple list).
 
     Quintuples are returned in input order, duplicates included; callers
-    impose their own (deterministic or branching) semantics.
+    impose their own (deterministic or branching) semantics.  A string
+    outside the grammar raises ValueError.
     """
-    p = _Parser(bits)
-    states = p.read_unary()
-    p.expect("0")
-    initial = p.read_unary() - 1
-    p.expect("0")
-    finals = []
-    while p.peek() == "1":
-        finals.append(p.read_unary() - 1)
-        p.expect("0")
-    p.expect("0")
-    p.expect("0")
-    quintuples = []
-    while not p.eof():
-        s = p.read_unary() - 1
-        p.expect("0")
-        sym = _CODE_SYM[p.read_code_mid()]
-        t = p.read_unary() - 1
-        p.expect("0")
-        wsym = _CODE_SYM[p.read_code_mid()]
-        move = _CODE_MOVE[p.read_code_end()]
-        quintuples.append((s, sym, t, wsym, move))
+    header = _HEADER.match(bits)
+    if header is None or bits.strip("01"):
+        raise ValueError("not a machine encoding")
+    states, initial, final_runs = header.groups()
+    finals = [len(run) - 1 for run in final_runs.split("0")[:-1]]
     if len(set(finals)) != len(finals):
-        raise _ParseError("repeated final state")
-    return states, initial, frozenset(finals), quintuples
+        raise ValueError("repeated final state")
+    quintuples = []
+    pos, end = header.end(), len(bits)
+    while pos < end:
+        q = _QUINTUPLE.match(bits, pos)
+        if q is None:
+            raise ValueError(f"no quintuple at {pos}")
+        s, sym, t, wsym, move = q.groups()
+        quintuples.append((len(s) - 1, _CODE_SYM[sym], len(t) - 1,
+                           _CODE_SYM[wsym], _CODE_MOVE[move]))
+        pos = q.end()
+    return len(states), len(initial) - 1, frozenset(finals), quintuples
 
 
 def decode_godel(bits: str) -> MachineDesc:
     """Total decoder: anything invalid denotes the trivial machine."""
     try:
         states, initial, finals, quintuples = parse_godel_structure(bits)
-        transitions: dict[tuple[int, str], Transition] = {}
-        for s, sym, t, wsym, move in quintuples:
-            if (s, sym) in transitions:
-                raise _ParseError("duplicate transition")
-            transitions[(s, sym)] = (t, wsym, move)
+        transitions: dict[tuple[int, str], Transition] = {
+            (s, sym): (t, wsym, move) for s, sym, t, wsym, move in quintuples}
+        if len(transitions) != len(quintuples):
+            return TRIVIAL_MACHINE  # a repeated (state, symbol) pair
         return MachineDesc(states, initial, finals, transitions)
-    except (_ParseError, ValueError):
+    except ValueError:
         return TRIVIAL_MACHINE
 
 

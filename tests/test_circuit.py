@@ -102,7 +102,7 @@ class TestParsing:
         assert encode_circuit(parse_circuit(EXAMPLE_BITS)) == EXAMPLE_BITS
 
     def test_malformed_is_trivial(self):
-        for bits in ("0000", "01", "010", "0101x", "00", "1"):
+        for bits in ("0000", "01", "010", "0101x", "00", "1", "110101"):
             assert parse_circuit(bits) == TRIVIAL_CIRCUIT
 
     def test_single_h_gate(self):

@@ -167,6 +167,47 @@ class TestUsageErrors:
         assert "unknown builtin problem 'bogus'" in capsys.readouterr().err
 
 
+class TestNumericUsageErrors:
+    @pytest.mark.parametrize("spec, reason", [
+        ("affine:x:1", "invalid literal for int() with base 10: 'x'"),
+        ("affine:0:0", "need slope >= 1 and offset >= 1"),
+    ])
+    def test_bad_affine_gap_function(self, spec, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["gaplang", "--r", spec, "--member", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad gap function spec {spec!r} ({reason}); " \
+            "use succ or affine:<a>:<b>" in err
+        assert "_r_spec" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "p", "0", "--max-len", "-2"],
+        ["gaplang", "--r", "succ", "--table", "-1"],
+        ["ladner", "--a", "builtin:parity", "--pres", "builtins:const-yes",
+         "--bound", "-1", "--table", "-1"],
+        ["ladner", "--a", "builtin:parity", "--pres", "builtins:const-yes",
+         "--table", "-1"],
+        ["diagonalize", "--a", "builtin:parity", "--a-pres", "builtins:const-yes",
+         "--aprime", "builtin:const-no", "--aprime-pres", "builtins:parity",
+         "--bound", "-1"],
+        ["diagonalize", "--a", "builtin:parity", "--a-pres", "builtins:const-yes",
+         "--aprime", "builtin:const-no", "--aprime-pres", "builtins:parity",
+         "--table", "x"],
+    ])
+    def test_negative_length_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a non-negative integer" in captured.err
+
+    def test_zero_length_is_accepted(self, capsys):
+        assert dispatch(["enumerate", "p", "0", "--max-len", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "(empty)\tno"
+
+
 class TestGaplangCommand:
     def test_succ_member_odd_length_is_false(self, capsys):
         assert dispatch(["gaplang", "--r", "succ", "--member", "101"]) == 0

@@ -3,15 +3,21 @@
 The integer Z[w] simulator in `promiselab.circuit` is checked against the
 FieldElem simulator kept in `oracle_simulator`: amplitudes, acceptance
 probabilities and the witness-block acceptance operator must be equal as
-exact values, not merely close.
+exact values, not merely close.  The pattern-based decoders of machines,
+PTMs, circuits and oracle-machine prefixes are checked against the
+per-character parsers kept in `oracle_parser`, on valid encodings, on
+encodings one edit away from valid, and on arbitrary strings.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_parser
 import oracle_simulator as ref
+from promiselab import enumeration, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
-                                acceptance_operator, p_acc, simulate)
+                                acceptance_operator, encode_circuit,
+                                p_acc, parse_circuit, simulate)
 from promiselab.field import ZERO, scaled_identity
 
 ALL_KINDS = ("H", "T", "CNOT")
@@ -78,3 +84,128 @@ class TestSimulatorOracle:
         trivial = Circuit((), witness_qubits=2, trivial=True)
         assert acceptance_operator(trivial) == scaled_identity(4, ZERO) == \
             ref.acceptance_operator(trivial)
+
+
+def _tables(draw, states: int, finals: frozenset, branches) -> dict:
+    action = st.tuples(st.integers(0, states - 1), st.sampled_from(tm.SYMBOLS),
+                       st.sampled_from(tm.MOVES))
+    return {(s, sym): draw(branches(action))
+            for s in range(states) if s not in finals for sym in tm.SYMBOLS}
+
+
+@st.composite
+def machines(draw):
+    states = draw(st.integers(1, 4))
+    finals = draw(st.frozensets(st.integers(0, states - 1)))
+    return tm.MachineDesc(states, draw(st.integers(0, states - 1)), finals,
+                          _tables(draw, states, finals, lambda a: a))
+
+
+@st.composite
+def ptms(draw):
+    states = draw(st.integers(1, 4))
+    finals = draw(st.frozensets(st.integers(0, states - 1)))
+    table = _tables(draw, states, finals,
+                    lambda a: st.lists(a, min_size=1, max_size=3).map(tuple))
+    return ptm.PTMDesc(states, draw(st.integers(0, states - 1)), finals, table)
+
+
+# Strings in the shape of the grammar that need not be valid, so that
+# repeated final states, repeated (state, symbol) pairs and CNOTs with
+# control = target all occur.
+_RUN = st.integers(0, 3).map(lambda n: "1" * n)
+
+
+@st.composite
+def godel_shaped(draw):
+    """A PTM's quintuples in any order, after a header that lists its
+    final states in any order, with repeats and other states added."""
+    m = draw(ptms())
+    finals = sorted(m.finals) + draw(st.lists(st.integers(0, m.states - 1),
+                                              max_size=2))
+    quintuples = [tm.encode_quintuple(s, sym, *action)
+                  for (s, sym), actions in m.transitions.items()
+                  for action in actions]
+    return ("1" * m.states + "0" + "1" * (m.initial + 1) + "0"
+            + "".join("1" * (f + 1) + "0" for f in draw(st.permutations(finals)))
+            + "00" + "".join(draw(st.permutations(quintuples))))
+
+
+@st.composite
+def circuit_shaped(draw):
+    gate = st.tuples(st.sampled_from(("01", "10", "11")),
+                     st.lists(_RUN, min_size=1, max_size=2)).map(
+        lambda g: g[0] + "0" + "0".join(g[1]))
+    header = draw(st.sampled_from(("", "00", "100", "11100")))
+    return header + "0".join(draw(st.lists(gate, min_size=1, max_size=4)))
+
+
+@st.composite
+def edited(draw, encodings):
+    """An encoding after one flip, insert, delete or cut."""
+    bits = draw(encodings)
+    i = draw(st.integers(0, len(bits)))
+    edit = draw(st.sampled_from(("flip", "insert", "delete", "cut")))
+    if edit == "flip" and i < len(bits):
+        return bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
+    if edit == "insert":
+        return bits[:i] + draw(st.sampled_from("012\n")) + bits[i:]
+    if edit == "delete":
+        return bits[:i] + bits[i + 1:]
+    return bits[:i]  # cut, or a flip past the end
+
+
+def _words(*encodings):
+    encodings = st.one_of(*encodings)
+    return st.one_of(encodings, edited(encodings),
+                     st.text(alphabet="01", max_size=60),
+                     st.text(alphabet="012\n", max_size=12))
+
+
+GODEL_WORDS = _words(machines().map(tm.encode_godel),
+                     ptms().map(ptm.encode_ptm), godel_shaped())
+CIRCUIT_WORDS = _words(circuits(witness=st.integers(0, 3)).map(encode_circuit),
+                       circuit_shaped())
+
+
+def _outcome(parse, bits: str):
+    try:
+        return parse(bits)
+    except (ValueError, oracle_parser._ParseError):
+        return "rejected"
+
+
+class TestParserOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(GODEL_WORDS)
+    def test_machines_and_ptms(self, bits):
+        assert _outcome(tm.parse_godel_structure, bits) == \
+            _outcome(oracle_parser.parse_godel_structure, bits)
+        assert tm.decode_godel(bits) == oracle_parser.decode_godel(bits)
+        assert ptm.decode_ptm(bits) == oracle_parser.decode_ptm(bits)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(CIRCUIT_WORDS)
+    def test_circuits(self, bits):
+        for header in (False, True):
+            assert parse_circuit(bits, header) == \
+                oracle_parser.parse_circuit(bits, header)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(("", "0", "10", "110", "11110")),
+           GODEL_WORDS)
+    def test_oracle_machines(self, prefix, bits):
+        assert enumeration.parse_oracle_machine(prefix + bits) == \
+            oracle_parser.parse_oracle_machine(prefix + bits)
+
+
+class TestRoundTrips:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(machines())
+    def test_machine(self, m):
+        assert tm.decode_godel(tm.encode_godel(m)) == m
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(ptms())
+    def test_ptm(self, m):
+        assert ptm.decode_ptm(ptm.encode_ptm(m)) == m
