@@ -106,15 +106,19 @@ def _r_spec(text: str) -> diagonal.CostedFunction:
         f"bad gap function spec {text!r}{reason}; use succ or affine:<a>:<b>")
 
 
-def _length(text: str) -> int:
-    """A non-negative integer: a word length or a table bound."""
-    try:
-        if (value := int(text)) >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a non-negative integer, got {text!r}")
+def _at_least(floor: int, name: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            if (value := int(text)) >= floor:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {name}, got {text!r}")
+    return parse
+
+
+_natural = _at_least(0, "a non-negative integer")  # lengths, counts, fuel
+_positive = _at_least(1, "a positive integer")  # search caps
 
 
 def _print_exact(label: str, value: FieldElem) -> None:
@@ -135,7 +139,7 @@ def _cmd_run(args, config: Config) -> int:
 def _cmd_branches(args, config: Config) -> int:
     machine = ptm.load_ptm_file(args.machine)
     fuel = args.fuel if args.fuel is not None else config.default_fuel
-    stats = ptm.enumerate_branches(machine, args.input, fuel)
+    stats = ptm.enumerate_branches(machine, args.input, fuel, config=config)
     print("accepting\trejecting\ttotal\tp_acc\tp_rej")
     print(f"{stats.accepting}\t{stats.rejecting}\t{stats.total}"
           f"\t{stats.p_acc}\t{stats.p_rej}")
@@ -271,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a deterministic machine")
     p.add_argument("--machine", required=True)
     p.add_argument("--input", action="append", default=[])
-    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--fuel", type=_natural, default=None)
 
     p = sub.add_parser("branches", help="enumerate probabilistic branches")
     p.add_argument("--machine", required=True)
     p.add_argument("--input", action="append", default=[])
-    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--fuel", type=_natural, default=None)
 
     p = sub.add_parser("simulate", help="parse and simulate a circuit file")
     p.add_argument("--circuit", required=True)
@@ -298,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="print a presented decider's verdicts")
     p.add_argument("family")
-    p.add_argument("index", type=int)
-    p.add_argument("--max-len", type=_length, default=4)
+    p.add_argument("index", type=_natural)
+    p.add_argument("--max-len", type=_natural, default=4)
 
     p = sub.add_parser("gaplang", help="gap language membership")
     p.add_argument("--r", type=_r_spec, required=True)
     p.add_argument("--member", default=None)
-    p.add_argument("--table", type=_length, default=None,
+    p.add_argument("--table", type=_natural, default=None,
                    help="also print intervals up to this length")
 
     p = sub.add_parser("diagonalize", help="run the diagonalization construction")
@@ -316,11 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
     p.add_argument("--aprime-mode", default=diagonal.PRESENTABLE,
                    choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
-    p.add_argument("--bound", type=_length, default=8,
+    p.add_argument("--bound", type=_natural, default=8,
                    help="reduction spot-check word length")
-    p.add_argument("--witnesses", type=int, default=3)
-    p.add_argument("--search-cap", type=int, default=diagonal.DEFAULT_SEARCH_CAP)
-    p.add_argument("--table", type=_length, default=16,
+    p.add_argument("--witnesses", type=_natural, default=3)
+    p.add_argument("--search-cap", type=_positive,
+                   default=diagonal.DEFAULT_SEARCH_CAP)
+    p.add_argument("--table", type=_natural, default=16,
                    help="interval table length bound")
 
     p = sub.add_parser("ladner", help="intermediate problem construction")
@@ -328,10 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pres", required=True, type=_presentation)
     p.add_argument("--a-mode", default=diagonal.PRESENTABLE,
                    choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
-    p.add_argument("--bound", type=_length, default=8)
-    p.add_argument("--witnesses", type=int, default=3)
-    p.add_argument("--search-cap", type=int, default=diagonal.DEFAULT_SEARCH_CAP)
-    p.add_argument("--table", type=_length, default=16)
+    p.add_argument("--bound", type=_natural, default=8)
+    p.add_argument("--witnesses", type=_natural, default=3)
+    p.add_argument("--search-cap", type=_positive,
+                   default=diagonal.DEFAULT_SEARCH_CAP)
+    p.add_argument("--table", type=_natural, default=16)
 
     return parser
 

@@ -23,6 +23,8 @@ class Config:
     max_enum_index_bits: int = 10 ** 6
     max_word_length: int = 16
     default_fuel: int = 10_000
+    # Configuration steps of one ptm.enumerate_branches walk.
+    max_branch_configs: int = 10 ** 7
     threshold_c: Fraction = Fraction(2, 3)
     threshold_s: Fraction = Fraction(1, 3)
 

@@ -1,4 +1,4 @@
-"""Probabilistic Turing machines by exhaustive branch enumeration.
+"""Probabilistic Turing machines by exact branch counting.
 
 A PTM maps each (state, symbol) pair to a non-empty set of actions; a run
 is a tree of branches and the acceptance probability is the exact fraction
@@ -7,6 +7,12 @@ over leaves regardless of depth (not per-step coin weighting, which
 differs on trees with mixed arities).  A leaf accepts on output "1",
 rejects on output "0"; any other halting output is neither, which for the
 threshold deciders acts as rejection.
+
+The leaves are counted over configurations, not tree paths: branches
+that reach the same (state, head, tape) at the same step are merged and
+carry the number of paths they stand for, as in the path-counting
+argument for BPP in PSPACE.  Every leaf still counts once per path, so
+the counts and the leaf-uniform weighting are those of the full tree.
 
 The Godel grammar is shared with deterministic machines; repeating a
 (state, symbol) pair contributes further actions to its branch set, and
@@ -21,7 +27,7 @@ from typing import Callable, Literal
 
 from . import tm
 from .config import Config
-from .errors import BranchFuelExhausted
+from .errors import BranchFuelExhausted, CapExceeded
 from .promise import MAX_WITNESS_SPACE, Verdict, witness_verdict
 
 Action = tuple[int, str, str]
@@ -108,17 +114,36 @@ def load_ptm_file(path: str) -> PTMDesc:
         return decode_ptm(fh.read().rstrip("\n"))
 
 
+# Configurations stepped together.  Equal configurations merge only
+# within one chunk, so the width trades speed against the size of the
+# merge tables: on 2^12-2^16-leaf complete trees a walk allocates at
+# most 0.16 MB at 256 and 1.7 MB unchunked, and runs about as fast.
+_CHUNK = 256
+
+
 def enumerate_branches(
     m: PTMDesc,
     inputs: list[str] | tuple[str, ...],
     fuel: int,
     on_overrun: Literal["raise", "reject"] = "raise",
+    *,
+    config: Config = Config(),
 ) -> BranchStats:
-    """Depth-first walk of every computation path, exact leaf counts.
+    """Exact leaf counts of the computation tree, over merged configurations.
+
+    The tree is walked one step at a time.  Branches that reach the same
+    configuration (state, head, tape) at the same step merge into one
+    entry that counts the tree paths it stands for, so each leaf is still
+    counted once per path and the fractions stay leaf-uniform.  A frontier
+    wider than _CHUNK is cut into ordered chunks that are walked depth
+    first, and a lone configuration steps on its own until it branches.
 
     A branch that fails to halt within fuel raises BranchFuelExhausted
-    with its choice prefix, or with on_overrun="reject" is counted as a
-    rejecting leaf (the convention used by the class presentations).
+    with the lexicographically least choice sequence of such a path (the
+    first a depth-first walk meets), or with on_overrun="reject" is
+    counted as a rejecting leaf (the convention used by the class
+    presentations).  More than config.max_branch_configs configuration
+    steps raise CapExceeded.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
@@ -126,53 +151,150 @@ def enumerate_branches(
         if fuel < 1 and on_overrun == "raise":
             raise BranchFuelExhausted((), fuel)
         return BranchStats(0, 1, 1, Fraction(0), Fraction(1))
-    accepting = rejecting = total = 0
-    root_tape = tm.tape_from_inputs(inputs)
-    stack: list[tuple[int, dict[int, str], int, int, tuple[int, ...]]] = [
-        (m.initial, root_tape, 0, 0, ())
-    ]
+    base = tm.tape_from_inputs(inputs)
+    finals, table, delta = m.finals, m.transitions, tm._MOVE_DELTA
+    budget = config.max_branch_configs
+    expanded = accepting = rejecting = total = 0
+    # A configuration is (state, head, lo, text): the tape is the input
+    # with the cells lo .. lo + len(text) - 1 replaced by text, trimmed so
+    # both end cells differ from the input (no difference: 0, "").  Its
+    # entry carries the number of tree paths reaching it and the link
+    # (choice, parent link) of the least of them; None is the root.
+    stack = [(0, [((m.initial, 0, 0, ""), 1, None)])]
     while stack:
-        state, tape, head, steps, path = stack.pop()
-        while state not in m.finals:
-            if steps == fuel:
-                if on_overrun == "raise":
-                    raise BranchFuelExhausted(path, fuel)
-                total += 1
-                rejecting += 1
-                break
-            sym = tape.get(head, tm.BLANK)
-            actions = m.transitions[(state, sym)]
-            if len(actions) > 1:
-                for idx in range(len(actions) - 1, 0, -1):
-                    t, wsym, move = actions[idx]
-                    child = dict(tape)
-                    if wsym == tm.BLANK:
-                        child.pop(head, None)
+        steps, frontier = stack.pop()
+        while frontier:
+            if len(frontier) == 1:
+                (key, count, link), = frontier
+                key, ran = _run_alone(table, finals, base, key,
+                                      min(fuel - steps, budget - expanded))
+                steps += ran
+                expanded += ran
+                frontier = [(key, count, link)]
+            # Entries come in the order of their least paths and children
+            # are inserted in choice order, so a configuration's first
+            # insertion carries its least path and the next frontier is
+            # again in that order.
+            counts, links = {}, {}
+            for key, count, link in frontier:
+                state, head, lo, text = key
+                if state in finals:
+                    total += count
+                    output = _output(base, lo, text, head)
+                    if output == "1":
+                        accepting += count
+                    elif output == "0":
+                        rejecting += count
+                    continue
+                if steps == fuel:
+                    if on_overrun == "raise":
+                        raise BranchFuelExhausted(_path(link), fuel)
+                    total += count
+                    rejecting += count
+                    continue
+                expanded += 1
+                if expanded > budget:
+                    raise CapExceeded(f"branch enumeration exceeds {budget} "
+                                      "configuration steps (max-branch-configs)")
+                i = head - lo
+                sym = text[i] if 0 <= i < len(text) else base.get(head, tm.BLANK)
+                actions = table[(state, sym)]
+                branching = len(actions) > 1
+                for idx, (t, wsym, move) in enumerate(actions):
+                    if wsym == sym:
+                        child = (t, head + delta[move], lo, text)
                     else:
-                        child[head] = wsym
-                    stack.append((t, child,
-                                  head + tm._MOVE_DELTA[move],
-                                  steps + 1, path + (idx,)))
-                path = path + (0,)
-            t, wsym, move = actions[0]
-            if wsym == tm.BLANK:
-                tape.pop(head, None)
-            else:
-                tape[head] = wsym
-            head += tm._MOVE_DELTA[move]
-            state = t
+                        child = (t, head + delta[move],
+                                 *_write(base, lo, text, head, wsym))
+                    if child in counts:
+                        counts[child] += count
+                    else:
+                        counts[child] = count
+                        links[child] = (idx, link) if branching else link
             steps += 1
-        else:
-            output = tm.output_at(tape, head)
-            total += 1
-            if output == "1":
-                accepting += 1
-            elif output == "0":
-                rejecting += 1
+            frontier = list(zip(counts, counts.values(), links.values()))
+            if len(frontier) > _CHUNK:
+                stack.extend((steps, frontier[i:i + _CHUNK]) for i in
+                             reversed(range(0, len(frontier), _CHUNK)))
+                break
     if total == 0:
         raise AssertionError("a machine run always produces at least one leaf")
     return BranchStats(accepting, rejecting, total,
                        Fraction(accepting, total), Fraction(rejecting, total))
+
+
+def _run_alone(table, finals, base, key, limit: int):
+    """Step one configuration for at most `limit` steps, up to its first
+    branch or final state; returns it with the number of steps taken."""
+    state, head, lo, text = key
+    cells = dict(zip(range(lo, lo + len(text)), text))
+    steps = 0
+    while steps < limit and state not in finals:
+        sym = cells[head] if head in cells else base.get(head, tm.BLANK)
+        actions = table[(state, sym)]
+        if len(actions) > 1:
+            break
+        state, wsym, move = actions[0]
+        if wsym != sym:
+            cells[head] = wsym
+        head += tm._MOVE_DELTA[move]
+        steps += 1
+    if not steps:
+        return key, 0
+    changed = [p for p, ch in cells.items() if ch != base.get(p, tm.BLANK)]
+    if not changed:
+        return (state, head, 0, ""), steps
+    lo = min(changed)
+    text = "".join(cells[p] if p in cells else base.get(p, tm.BLANK)
+                   for p in range(lo, max(changed) + 1))
+    return (state, head, lo, text), steps
+
+
+def _write(base: dict[int, str], lo: int, text: str, head: int, wsym: str):
+    """The (lo, text) window after writing wsym at head, where the tape
+    holds another symbol."""
+    if not text:
+        return head, wsym
+    i = head - lo
+    if i < 0:
+        return head, wsym + _input(base, head + 1, lo) + text
+    if i >= len(text):
+        return lo, text + _input(base, lo + len(text), head) + wsym
+    end = len(text) - 1
+    text = text[:i] + wsym + text[i + 1:]
+    if (i == 0 or i == end) and wsym == base.get(head, tm.BLANK):
+        while text and text[0] == base.get(lo, tm.BLANK):
+            text = text[1:]
+            lo += 1
+        while text and text[-1] == base.get(lo + len(text) - 1, tm.BLANK):
+            text = text[:-1]
+        if not text:
+            return 0, ""
+    return lo, text
+
+
+def _input(base: dict[int, str], start: int, stop: int) -> str:
+    return "".join(base.get(p, tm.BLANK) for p in range(start, stop))
+
+
+def _output(base: dict[int, str], lo: int, text: str, head: int) -> str:
+    """Symbols from the head rightwards up to the next blank."""
+    out = []
+    while True:
+        i = head - lo
+        sym = text[i] if 0 <= i < len(text) else base.get(head, tm.BLANK)
+        if sym == tm.BLANK:
+            return "".join(out)
+        out.append(sym)
+        head += 1
+
+
+def _path(link) -> tuple[int, ...]:
+    path = []
+    while link is not None:
+        idx, link = link
+        path.append(idx)
+    return tuple(reversed(path))
 
 
 def classify_bpp(
@@ -189,7 +311,8 @@ def classify_bpp(
     the input is outside the promise.  Fuel is runtime(len(x)); a branch
     overrunning it indicates the machine violates its runtime bound.
     """
-    stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun=on_overrun)
+    stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun=on_overrun,
+                               config=config)
     return _trichotomy(stats.p_acc, config)
 
 
@@ -210,7 +333,8 @@ def classify_ma(
     m_len = wit_len(len(x))
     fuel = runtime(len(x))
     return witness_verdict(m_len, MAX_WITNESS_SPACE, lambda y: _trichotomy(
-        enumerate_branches(m, [x, y], fuel, on_overrun=on_overrun).p_acc,
+        enumerate_branches(m, [x, y], fuel, on_overrun=on_overrun,
+                           config=config).p_acc,
         config))
 
 

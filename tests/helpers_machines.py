@@ -142,6 +142,39 @@ def fan_ptm(accepting: int, total: int) -> PTMDesc:
                    transitions=table)
 
 
+def complete_tree_ptm(fan_out: int, depth: int, accepting: int) -> PTMDesc:
+    """Branches `fan_out` ways at each of `depth` levels: fan_out^depth leaves.
+
+    Level d is state d.  Its actions write 0, 1 or blank and move right,
+    then the same moving left, then not moving; with a fan-out up to 3
+    every path leaves a different tape (fan_out^d distinct configurations
+    at depth d), above 3 some paths merge.  At the last
+    level the first `accepting` actions lead to a tail that outputs "1",
+    the others to one that outputs "0": each tail blanks its cell, steps
+    left and writes the verdict there.
+    """
+    actions = [(sym, move) for move in ("R", "L", "N") for sym in SYMBOLS]
+    if not 1 <= fan_out <= len(actions) or depth < 1 \
+            or not 0 <= accepting <= fan_out:
+        raise ValueError("need 1 <= fan_out <= 9, depth >= 1, "
+                         "0 <= accepting <= fan_out")
+    acc, rej, final = depth, depth + 1, depth + 2
+    table = {}
+    for d in range(depth):
+        targets = [d + 1] * fan_out if d < depth - 1 else \
+            [acc if j < accepting else rej for j in range(fan_out)]
+        for sym in SYMBOLS:
+            table[(d, sym)] = tuple((t, w, mv) for t, (w, mv)
+                                    in zip(targets, actions))
+    for sym in SYMBOLS:
+        table[(acc, sym)] = ((final + 1, BLANK, "L"),)
+        table[(rej, sym)] = ((final + 2, BLANK, "L"),)
+        table[(final + 1, sym)] = ((final, "1", "N"),)
+        table[(final + 2, sym)] = ((final, "0", "N"),)
+    return PTMDesc(states=final + 3, initial=0, finals=frozenset({final}),
+                   transitions=table)
+
+
 def unbalanced_ptm() -> PTMDesc:
     """One leaf at depth 1, two at depth 2; leaf-uniform p_acc = 2/3.
 

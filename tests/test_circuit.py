@@ -132,7 +132,7 @@ class TestParsing:
             assert parse_circuit(encode_circuit(circ),
                                  expect_witness_header=m > 0) == circ
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.builds(
         Circuit,
         st.lists(st.one_of(
@@ -146,7 +146,7 @@ class TestParsing:
         assert parse_circuit(encode_circuit(circ),
                              expect_witness_header=circ.witness_qubits > 0) == circ
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.text(alphabet="01", max_size=40), st.booleans())
     def test_parser_is_total(self, bits, header):
         circ = parse_circuit(bits, expect_witness_header=header)

@@ -203,6 +203,29 @@ class TestNumericUsageErrors:
         assert captured.out == ""
         assert "expected a non-negative integer" in captured.err
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["run", "--machine", "m.tm", "--fuel", "-1"], "a non-negative"),
+        (["branches", "--machine", "m.ptm", "--fuel", "-1"], "a non-negative"),
+        (["enumerate", "p", "-1"], "a non-negative"),
+        (["ladner", "--a", "builtin:parity", "--pres", "builtins:const-yes",
+          "--witnesses", "-1"], "a non-negative"),
+        (["ladner", "--a", "builtin:parity", "--pres", "builtins:const-yes",
+          "--search-cap", "-5"], "a positive"),
+        (["diagonalize", "--a", "builtin:parity", "--a-pres", "builtins:const-yes",
+          "--aprime", "builtin:const-no", "--aprime-pres", "builtins:parity",
+          "--witnesses", "-1"], "a non-negative"),
+        (["diagonalize", "--a", "builtin:parity", "--a-pres", "builtins:const-yes",
+          "--aprime", "builtin:const-no", "--aprime-pres", "builtins:parity",
+          "--search-cap", "0"], "a positive"),
+    ])
+    def test_negative_count_is_usage_error(self, argv, expected, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected {expected} integer, got '{argv[-1]}'" in captured.err
+
     def test_zero_length_is_accepted(self, capsys):
         assert dispatch(["enumerate", "p", "0", "--max-len", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "(empty)\tno"
@@ -336,6 +359,20 @@ class TestConfiguredCaps:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_branches_honours_max_branch_configs(self, tmp_path, coin_file,
+                                                 capsys):
+        # the coin walks over "11" and branches: three configuration steps
+        argv = ["branches", "--machine", coin_file, "--input", "11"]
+        code = dispatch(["--config", _config_file(
+            tmp_path, "max-branch-configs = 2\n")] + argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "CapExceeded" in captured.err
+        assert dispatch(["--config", _config_file(
+            tmp_path, "max-branch-configs = 3\n")] + argv) == 0
+        assert "1\t1\t2\t1/2\t1/2" in capsys.readouterr().out
 
     def test_enumerate_word_length_cap(self, capsys):
         code = dispatch(["enumerate", "p", "0", "--max-len", "30"])

@@ -6,18 +6,26 @@ probabilities and the witness-block acceptance operator must be equal as
 exact values, not merely close.  The pattern-based decoders of machines,
 PTMs, circuits and oracle-machine prefixes are checked against the
 per-character parsers kept in `oracle_parser`, on valid encodings, on
-encodings one edit away from valid, and on arbitrary strings.
+encodings one edit away from valid, and on arbitrary strings.  The
+merged-configuration branch counter in `promiselab.ptm` is checked
+against the depth-first tree walk kept in `oracle_ptm`: equal leaf
+counts, and an equal path when a branch runs out of fuel.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_parser
+import oracle_ptm
 import oracle_simulator as ref
+from helpers_machines import complete_tree_ptm
 from promiselab import enumeration, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, encode_circuit,
                                 p_acc, parse_circuit, simulate)
+from promiselab.errors import BranchFuelExhausted
 from promiselab.field import ZERO, scaled_identity
 
 ALL_KINDS = ("H", "T", "CNOT")
@@ -53,13 +61,13 @@ def _assert_matches(c: Circuit, basis: str) -> None:
 
 class TestSimulatorOracle:
     @pytest.mark.parametrize("kinds", [ALL_KINDS, ("H",), ("T",)])
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_amplitudes_and_p_acc(self, kinds, data):
         c = data.draw(circuits(kinds, witness=st.integers(0, 3)))
         _assert_matches(c, _basis(data, c))
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(circuits(witness=st.integers(1, 3)))
     def test_acceptance_operator(self, c):
         assert acceptance_operator(c) == ref.acceptance_operator(c)
@@ -102,8 +110,8 @@ def machines(draw):
 
 
 @st.composite
-def ptms(draw):
-    states = draw(st.integers(1, 4))
+def ptms(draw, max_states=4):
+    states = draw(st.integers(1, max_states))
     finals = draw(st.frozensets(st.integers(0, states - 1)))
     table = _tables(draw, states, finals,
                     lambda a: st.lists(a, min_size=1, max_size=3).map(tuple))
@@ -176,7 +184,7 @@ def _outcome(parse, bits: str):
 
 
 class TestParserOracle:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(GODEL_WORDS)
     def test_machines_and_ptms(self, bits):
         assert _outcome(tm.parse_godel_structure, bits) == \
@@ -184,14 +192,14 @@ class TestParserOracle:
         assert tm.decode_godel(bits) == oracle_parser.decode_godel(bits)
         assert ptm.decode_ptm(bits) == oracle_parser.decode_ptm(bits)
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(CIRCUIT_WORDS)
     def test_circuits(self, bits):
         for header in (False, True):
             assert parse_circuit(bits, header) == \
                 oracle_parser.parse_circuit(bits, header)
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.sampled_from(("", "0", "10", "110", "11110")),
            GODEL_WORDS)
     def test_oracle_machines(self, prefix, bits):
@@ -200,12 +208,53 @@ class TestParserOracle:
 
 
 class TestRoundTrips:
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(machines())
     def test_machine(self, m):
         assert tm.decode_godel(tm.encode_godel(m)) == m
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(ptms())
     def test_ptm(self, m):
         assert ptm.decode_ptm(ptm.encode_ptm(m)) == m
+
+
+def _branch_outcome(enumerate_branches, m, inputs, fuel, on_overrun):
+    try:
+        return enumerate_branches(m, inputs, fuel, on_overrun)
+    except BranchFuelExhausted as exc:
+        return "overrun", exc.path, exc.fuel
+
+
+def _assert_branches_match(m, inputs, fuel, chunks=(2, ptm._CHUNK)) -> None:
+    """Both overrun modes, with chunks of two configurations (a split at
+    nearly every step) and of the shipped width."""
+    for on_overrun in ("raise", "reject"):
+        want = _branch_outcome(oracle_ptm.enumerate_branches, m, inputs,
+                               fuel, on_overrun)
+        for chunk in chunks:
+            with mock.patch.object(ptm, "_CHUNK", chunk):
+                assert _branch_outcome(ptm.enumerate_branches, m, inputs,
+                                       fuel, on_overrun) == want
+
+
+class TestBranchOracle:
+    @settings(max_examples=300)
+    @given(ptms(max_states=5),
+           st.lists(st.text(alphabet="01", max_size=4), max_size=3),
+           st.integers(0, 10))
+    def test_random_machines(self, m, inputs, fuel):
+        _assert_branches_match(m, inputs, fuel)
+
+    @pytest.mark.parametrize("fuel", [0, 3, 6, 7, 8, 9])
+    def test_wide_trees_split_into_chunks(self, fuel):
+        # 3^6 = 729 distinct configurations at depth 6, so the shipped
+        # width splits the frontier too; the tree halts at depth 8
+        m = complete_tree_ptm(3, 6, 2)
+        _assert_branches_match(m, ["0110"], fuel,
+                               chunks=(1, 2, 7, ptm._CHUNK))
+
+    @pytest.mark.parametrize("fan_out, depth", [(4, 5), (9, 3)])
+    def test_merging_trees(self, fan_out, depth):
+        _assert_branches_match(complete_tree_ptm(fan_out, depth, 1), ["1"],
+                               depth + 2)

@@ -111,7 +111,7 @@ def _verdict_tables():
 
 
 class TestWitnessVerdict:
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(_verdict_tables())
     def test_matches_any_all_and_stops_at_first_yes(self, verdicts):
         m = len(verdicts).bit_length() - 1

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_machines import (det_walk_ptm, fan_ptm, fair_coin_ptm,
-                              two_input_fan_ptm, unbalanced_ptm,
+from helpers_machines import (complete_tree_ptm, det_walk_ptm, fan_ptm,
+                              fair_coin_ptm, two_input_fan_ptm, unbalanced_ptm,
                               witness_equals_11_ptm, witness_equals_one_ptm)
 from promiselab.config import Config
-from promiselab.errors import BranchFuelExhausted, WitnessSpaceTooLarge
+from promiselab.errors import (BranchFuelExhausted, CapExceeded,
+                               WitnessSpaceTooLarge)
 from promiselab.ptm import (PTMDesc, TRIVIAL_PTM, classify_bpp, classify_ma,
                             decode_ptm, encode_ptm, enumerate_branches)
 from promiselab.promise import Verdict
@@ -77,6 +78,76 @@ class TestEnumerateBranches:
             stats = enumerate_branches(fan_ptm(accepting, total), ["10"], 10)
             denominator = stats.p_acc.denominator
             assert total % denominator == 0
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("fan_out, depth", [
+        (1, 1), (1, 9), (2, 1), (2, 12), (3, 7), (4, 6), (9, 3)])
+    def test_complete_tree_has_k_to_the_d_leaves(self, fan_out, depth):
+        for accepting in {0, 1, fan_out}:
+            stats = enumerate_branches(
+                complete_tree_ptm(fan_out, depth, accepting), ["0110"], 100)
+            assert stats.total == fan_out ** depth
+            assert stats.accepting == accepting * fan_out ** (depth - 1)
+            assert stats.rejecting == stats.total - stats.accepting
+
+    @pytest.mark.parametrize("total", [1, 2, 3, 5, 8])
+    def test_fan_has_one_leaf_per_branch(self, total):
+        for accepting in range(total + 1):
+            stats = enumerate_branches(fan_ptm(accepting, total), ["101"], 10)
+            assert (stats.accepting, stats.rejecting, stats.total) == \
+                (accepting, total - accepting, total)
+
+
+class TestBranchConfigCap:
+    def test_cap_counts_configuration_steps(self):
+        # four steps over "0110" and one to write the answer
+        m = det_walk_ptm("1")
+        stats = enumerate_branches(m, ["0110"], 10,
+                                   config=Config(max_branch_configs=5))
+        assert stats.p_acc == 1
+        with pytest.raises(CapExceeded, match="max-branch-configs"):
+            enumerate_branches(m, ["0110"], 10,
+                               config=Config(max_branch_configs=4))
+
+    def test_cap_on_a_branching_walk(self):
+        # one configuration steps at depth 0, three at depth 1, and nine
+        # at each of the two tail steps; the nine at depth 4 are leaves
+        m = complete_tree_ptm(3, 2, 1)
+        assert enumerate_branches(
+            m, ["1"], 10, config=Config(max_branch_configs=22)).total == 9
+        with pytest.raises(CapExceeded):
+            enumerate_branches(m, ["1"], 10,
+                               config=Config(max_branch_configs=21))
+
+    @pytest.mark.parametrize("out, back", [("R", "L"), ("L", "R")])
+    def test_equal_configurations_merge(self, out, back):
+        # both branches end with the input's cell 0 and a 1 two cells
+        # away, one by restoring cell 0: the two merge before state 5,
+        # which then steps once, not twice (1 + 2 * 4 + 1 steps)
+        keep = lambda s, t, move: {(s, sym): ((t, sym, move),)
+                                   for sym in ("0", "1", BLANK)}
+        write = lambda s, t, w, move: {(s, sym): ((t, w, move),)
+                                       for sym in ("0", "1", BLANK)}
+        m = PTMDesc(states=7, initial=0, finals=frozenset({6}), transitions={
+            **{(0, sym): ((1, "0", out), (1, "1", out))
+               for sym in ("0", "1", BLANK)},
+            **keep(1, 2, out), **write(2, 3, "1", back), **keep(3, 4, back),
+            **write(4, 5, "0", "N"), **keep(5, 6, "N")})
+        stats = enumerate_branches(m, ["000"], 10,
+                                   config=Config(max_branch_configs=10))
+        assert (stats.accepting, stats.rejecting, stats.total) == (0, 0, 2)
+        with pytest.raises(CapExceeded):
+            enumerate_branches(m, ["000"], 10,
+                               config=Config(max_branch_configs=9))
+
+    def test_deciders_pass_the_config(self):
+        config = Config(max_branch_configs=2)
+        with pytest.raises(CapExceeded):
+            classify_bpp(det_walk_ptm("1"), LINEAR, "0101", config=config)
+        with pytest.raises(CapExceeded):
+            classify_ma(witness_equals_one_ptm(), LINEAR, lambda n: 1, "01",
+                        config=config)
 
 
 class TestClassifyBpp:
