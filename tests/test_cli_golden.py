@@ -4,6 +4,8 @@ Each case runs at the default configuration on input files written from
 the hand-built machines, and compares the SHA-256 of its stdout with a
 recorded digest.  A refactoring that changes no behaviour leaves every
 digest as it is; a deliberate change of output has to re-record them.
+The help texts and the usage errors are pinned the same way, at a fixed
+80-column width, so a rewrite of the argument parser shows any change.
 """
 
 import hashlib
@@ -77,3 +79,75 @@ def test_stdout_digest(command, files, capsys):
     out = capsys.readouterr().out
     assert out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+HELP = {
+    "": "c2c79440bea3c0a16fc86bc296106c3e3a6f8dbfa1a3c3e394a120da7affc8c8",
+    "run": "9d5281653358ce3006fe283461070956a640cc298b4f5529fba564e0de0c9025",
+    "branches": "a9d3136451db67597fb07f1dacba403cda94914d424d0b9ae26709af7a927f0a",
+    "simulate": "762f0d607be4e9b742ef2b2408c26078fb52cb3c49647359a169f89a9a3c711f",
+    "decide": "37ad2e41a7451a5b2e0e5c7ee47c1d201336d0a7039d9e4c1c7ee4d7a361c29b",
+    "classify": "f6ea764778953e86911a408037b6e35d59da2f2d97de3a1d417bf2ace482a39e",
+    "enumerate": "0b263f6f33ea519ac857e0d6f4dad7efaefcde66d4bae768c2b3987b3af13574",
+    "gaplang": "a726089b960b0919cbfd21240af1b24a8f445d11d50090786a0f2c525b4e07db",
+    "diagonalize": "a79ed04d11333f293b69e68094e92b719f945d0dbf122f87004f659bab8e4433",
+    "ladner": "c840632a4aa5e0bdf5a22020aae9f759a326f3c1f779c603b021447a122796f3",
+}
+
+USAGE_ERRORS = [
+    ([], "37d8e15f2f0e95505e22a19e4ae46529f9331c617b81065b194e592b9c0698c8"),
+    (["bogus"], "9b21a1ae1b15d6314736a5d918447b58144121d1470d7da878192556830e9317"),
+    (["--config"], "8332d62492c2ee8cf312614d2d5751cda798271917e1f1bf77c6e1869c82dc8d"),
+    (["run"], "e31af1aaa7cdcdb1eaf6996ad624ed8717516adebd56303a58b460e6090db448"),
+    (["run", "--machine", "m", "--nope"],
+     "2f4023a5659eb133a4c1e2fc0adb76f089071a3d7a37cb35a1622385f440e496"),
+    (["decide", "bpp", "--gen", "g", "--input", "0"],
+     "f30d53649b7b3a218e703184f09746e07f799344e0e90205bac2edab3a0c85c5"),
+    (["enumerate", "p"],
+     "31fe8c039b276a10de9ab0566292d9ad018a44cc59ef41f901b8736e680931ad"),
+    (["gaplang", "--r", "bad"],
+     "ae41ea6d56e4884b65b9022bb27111d0b0c02047f7852ac9ccf8409ec5ac8aae"),
+    (["ladner", "--a", "builtin:parity", "--pres", "builtins:const-yes",
+      "--bound", "-1"],
+     "92da5954d9fc6ffb3afe83c7d35feb79dab8f075469adae38925b78fa3aae7e5"),
+    (["diagonalize", "--a", "builtin:parity"],
+     "2e14b0d4df15bd008ffb8286acd1a60f1a0d6cae1c0cbb6a7951b4f547f1f2a5"),
+]
+
+
+def _exit_code(argv: list[str]) -> int:
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_digest(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code([command, "--help"] if command else ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP[command], out
+
+
+@pytest.mark.parametrize("argv,digest", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "(none)" for argv, _ in USAGE_ERRORS])
+def test_usage_error_digest(argv, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == digest, captured.err
+
+
+def test_option_values_naming_subcommands(tmp_path, monkeypatch, capsys):
+    # the subcommand is the first positional word, whatever the option
+    # values around it spell
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gaplang").write_text("default-fuel = 500\n")
+    (tmp_path / "ladner").write_text(encode_godel(parity_machine()) + "\n")
+    assert dispatch(["--config", "gaplang", "run", "--machine", "ladner",
+                     "--input", "1011"]) == 0
+    assert capsys.readouterr().out == "halted\toutput=1\tsteps=5\n"
+    assert dispatch(["--config=gaplang", "classify", "--problem",
+                     "machine:ladner", "--input", "0111"]) == 0
+    assert capsys.readouterr().out == "yes\n"
