@@ -24,7 +24,8 @@ from . import diagonal, enumeration, ptm, tm
 from .config import Config, load_config
 from .errors import CapExceeded, PromiseLabError
 from .field import FieldElem, decimal_string
-from .promise import TotalDecider, builtin, karp_check, marked_union
+from .promise import (KarpReport, TotalDecider, builtin, karp_check,
+                      marked_union)
 from .words import words_up_to
 
 
@@ -195,31 +196,30 @@ def _cmd_enumerate(args, config: Config) -> int:
     return 0
 
 
+def _print_intervals(r: diagonal.CostedFunction, max_length: int) -> None:
+    print("start\tend\tmember")
+    for start, end, member in diagonal.gap_intervals(r, max_length):
+        print(f"{start}\t{end}\t{'true' if member else 'false'}")
+
+
 def _cmd_gaplang(args, config: Config) -> int:
-    r = args.r
     if args.member is not None:
-        print("true" if diagonal.gap_member(r, args.member) else "false")
+        print("true" if diagonal.gap_member(args.r, args.member) else "false")
     if args.table is not None:
-        print("start\tend\tmember")
-        for start, end, member in diagonal.gap_intervals(r, args.table):
-            print(f"{start}\t{end}\t{'true' if member else 'false'}")
+        _print_intervals(args.r, args.table)
     return 0
 
 
-def _emit_diag_report(result: diagonal.DiagResult, target: TotalDecider,
-                      bound: int, r_table_rows: int) -> None:
-    r = result.r
+def _emit_diag_report(result: diagonal.DiagResult, r_table_rows: int,
+                      checks: dict[str, KarpReport]) -> None:
     print("## r-table")
     print("n\tq\tq_prime\tr")
     for n in range(r_table_rows + 1):
-        q = result.q.value(n) if result.q else ""
-        q_prime = result.q_prime.value(n) if result.q_prime else ""
-        print(f"{n}\t{q}\t{q_prime}\t{r.value(n)}")
+        print(f"{n}\t{result.q.value(n)}\t{result.q_prime.value(n)}"
+              f"\t{result.r.value(n)}")
     print()
     print("## intervals")
-    print("start\tend\tmember")
-    for start, end, member in diagonal.gap_intervals(r, r_table_rows):
-        print(f"{start}\t{end}\t{'true' if member else 'false'}")
+    _print_intervals(result.r, r_table_rows)
     print()
     print("## witnesses")
     print("side\tmachine\tinterval\tstart\tend\tword\ta_verdict\tmachine_verdict")
@@ -227,41 +227,120 @@ def _emit_diag_report(result: diagonal.DiagResult, target: TotalDecider,
         print(f"{w.side}\t{w.machine_index}\t{w.interval_index}"
               f"\t{w.interval_start}\t{w.interval_end}\t{w.word}"
               f"\t{w.a_verdict.value}\t{w.machine_verdict.value}")
-    print()
-    print("## reduction-check")
-    report = karp_check(result.reduction, result.b, target, bound)
-    print("checked\tviolations")
-    print(f"{report.checked}\t{len(report.violations)}")
+    for title, report in checks.items():
+        print()
+        print(f"## {title}")
+        print("checked\tviolations")
+        print(f"{report.checked}\t{len(report.violations)}")
 
+
+# A construction's problems are memoized for the one invocation: the
+# construction, the harder-set presentation and the spot-checks all
+# classify the same words.
 
 def _cmd_diagonalize(args, config: Config) -> int:
-    a = args.a(config)
-    a_prime = args.aprime(config)
+    a = args.a(config).memoized()
+    a_prime = args.aprime(config).memoized()
     inst = diagonal.DiagInstance(
         a, a_prime, args.a_pres(config), args.aprime_pres(config),
         args.a_mode, args.aprime_mode, args.search_cap)
     result = diagonal.diagonalize(inst, witness_bound=args.witnesses)
-    _emit_diag_report(result, marked_union(a, a_prime), args.bound, args.table)
+    check = karp_check(result.reduction, result.b, marked_union(a, a_prime),
+                       args.bound, config=config)
+    _emit_diag_report(result, args.table, {"reduction-check": check})
     return 0
 
 
 def _cmd_ladner(args, config: Config) -> int:
-    a = args.a(config)
+    a = args.a(config).memoized()
     pres_c = args.pres(config)
     pres_harder = enumeration.harder_set_presentation(a, pres_c, "T",
                                                       config=config)
     result = diagonal.ladner(a, pres_c, args.a_mode, pres_harder,
                              search_cap=args.search_cap,
                              witness_bound=args.witnesses)
-    _emit_diag_report(result, marked_union(a, builtin("const-no")),
-                      args.bound, args.table)
-    print()
-    print("## reduction-to-a")
-    assert result.reduction_to_a is not None
-    report = karp_check(result.reduction_to_a, result.b, a, args.bound)
-    print("checked\tviolations")
-    print(f"{report.checked}\t{len(report.violations)}")
+    union = marked_union(a, builtin("const-no"))
+    _emit_diag_report(result, args.table, {
+        "reduction-check": karp_check(result.reduction, result.b, union,
+                                      args.bound, config=config),
+        "reduction-to-a": karp_check(result.reduction_to_a, result.b, a,
+                                     args.bound, config=config)})
     return 0
+
+
+class _Subcommand:
+    """Stands in for a subparser until argparse picks it by position, so
+    the top-level help lists every subcommand but an invocation builds
+    only the parser it runs."""
+
+    def __init__(self, arguments: tuple = (), **kwargs):
+        self.arguments = arguments
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for name, options in self.arguments:
+            parser.add_argument(name, **options)
+        return parser.parse_known_args(args, namespace)
+
+
+_REQUIRED = {"required": True}
+_MACHINE = (("--machine", _REQUIRED),
+            ("--input", {"action": "append", "default": []}),
+            ("--fuel", {"type": _natural, "default": None}))
+
+
+def _construction(*sources: tuple, modes: tuple[str, ...] = ("--a-mode",),
+                  bound_help: str | None = None,
+                  table_help: str | None = None) -> tuple:
+    """--a and the other sources, then the five settings both
+    constructions share (with --aprime-mode for diagonalize)."""
+    mode = {"default": diagonal.PRESENTABLE,
+            "choices": (diagonal.PRESENTABLE, diagonal.REPRESENTABLE)}
+    return (("--a", {**_REQUIRED, "type": _problem}), *sources,
+            *((flag, mode) for flag in modes),
+            ("--bound", {"type": _natural, "default": 8, "help": bound_help}),
+            ("--witnesses", {"type": _natural, "default": 3}),
+            ("--search-cap", {"type": _positive,
+                              "default": diagonal.DEFAULT_SEARCH_CAP}),
+            ("--table", {"type": _natural, "default": 16, "help": table_help}))
+
+
+# name: (handler, help line, arguments as (name, add_argument keywords))
+_SUBCOMMANDS = {
+    "run": (_cmd_run, "run a deterministic machine", _MACHINE),
+    "branches": (_cmd_branches, "enumerate probabilistic branches", _MACHINE),
+    "simulate": (_cmd_simulate, "parse and simulate a circuit file", (
+        ("--circuit", _REQUIRED), ("--witness-header", {"action": "store_true"}),
+        ("--input", {"default": None, "help": "basis input bits"}))),
+    "decide": (_cmd_decide, "decide via a circuit generator", (
+        ("problem_class", {"choices": ("bqp", "qcma", "qma")}),
+        ("--gen", {**_REQUIRED, "help": "generator machine file"}),
+        ("--input", _REQUIRED),
+        ("--gen-runtime", {"type": _polynomial,
+                           "default": enumeration.Polynomial((1000, 100))}),
+        ("--c", {"type": _fraction, "default": None}),
+        ("--s", {"type": _fraction, "default": None}))),
+    "classify": (_cmd_classify, "classify a word under a problem", (
+        ("--problem", {**_REQUIRED, "type": _problem}), ("--input", _REQUIRED))),
+    "enumerate": (_cmd_enumerate, "print a presented decider's verdicts", (
+        ("family", {}), ("index", {"type": _natural}),
+        ("--max-len", {"type": _natural, "default": 4}))),
+    "gaplang": (_cmd_gaplang, "gap language membership", (
+        ("--r", {**_REQUIRED, "type": _r_spec}), ("--member", {"default": None}),
+        ("--table", {"type": _natural, "default": None,
+                     "help": "also print intervals up to this length"}))),
+    "diagonalize": (_cmd_diagonalize, "run the diagonalization construction",
+                    _construction(
+                        ("--a-pres", {**_REQUIRED, "type": _presentation}),
+                        ("--aprime", {**_REQUIRED, "type": _problem}),
+                        ("--aprime-pres", {**_REQUIRED, "type": _presentation}),
+                        modes=("--a-mode", "--aprime-mode"),
+                        bound_help="reduction spot-check word length",
+                        table_help="interval table length bound")),
+    "ladner": (_cmd_ladner, "intermediate problem construction", _construction(
+        ("--pres", {**_REQUIRED, "type": _presentation}))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,83 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact deciders for promise problems and delayed "
                     "diagonalization at desk scale")
     parser.add_argument("--config", help="flat key=value configuration file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run a deterministic machine")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--input", action="append", default=[])
-    p.add_argument("--fuel", type=_natural, default=None)
-
-    p = sub.add_parser("branches", help="enumerate probabilistic branches")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--input", action="append", default=[])
-    p.add_argument("--fuel", type=_natural, default=None)
-
-    p = sub.add_parser("simulate", help="parse and simulate a circuit file")
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--witness-header", action="store_true")
-    p.add_argument("--input", default=None, help="basis input bits")
-
-    p = sub.add_parser("decide", help="decide via a circuit generator")
-    p.add_argument("problem_class", choices=("bqp", "qcma", "qma"))
-    p.add_argument("--gen", required=True, help="generator machine file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--gen-runtime", type=_polynomial,
-                   default=enumeration.Polynomial((1000, 100)))
-    p.add_argument("--c", type=_fraction, default=None)
-    p.add_argument("--s", type=_fraction, default=None)
-
-    p = sub.add_parser("classify", help="classify a word under a problem")
-    p.add_argument("--problem", required=True, type=_problem)
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("enumerate", help="print a presented decider's verdicts")
-    p.add_argument("family")
-    p.add_argument("index", type=_natural)
-    p.add_argument("--max-len", type=_natural, default=4)
-
-    p = sub.add_parser("gaplang", help="gap language membership")
-    p.add_argument("--r", type=_r_spec, required=True)
-    p.add_argument("--member", default=None)
-    p.add_argument("--table", type=_natural, default=None,
-                   help="also print intervals up to this length")
-
-    p = sub.add_parser("diagonalize", help="run the diagonalization construction")
-    p.add_argument("--a", required=True, type=_problem)
-    p.add_argument("--a-pres", required=True, type=_presentation)
-    p.add_argument("--aprime", required=True, type=_problem)
-    p.add_argument("--aprime-pres", required=True, type=_presentation)
-    p.add_argument("--a-mode", default=diagonal.PRESENTABLE,
-                   choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
-    p.add_argument("--aprime-mode", default=diagonal.PRESENTABLE,
-                   choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
-    p.add_argument("--bound", type=_natural, default=8,
-                   help="reduction spot-check word length")
-    p.add_argument("--witnesses", type=_natural, default=3)
-    p.add_argument("--search-cap", type=_positive,
-                   default=diagonal.DEFAULT_SEARCH_CAP)
-    p.add_argument("--table", type=_natural, default=16,
-                   help="interval table length bound")
-
-    p = sub.add_parser("ladner", help="intermediate problem construction")
-    p.add_argument("--a", required=True, type=_problem)
-    p.add_argument("--pres", required=True, type=_presentation)
-    p.add_argument("--a-mode", default=diagonal.PRESENTABLE,
-                   choices=(diagonal.PRESENTABLE, diagonal.REPRESENTABLE))
-    p.add_argument("--bound", type=_natural, default=8)
-    p.add_argument("--witnesses", type=_natural, default=3)
-    p.add_argument("--search-cap", type=_positive,
-                   default=diagonal.DEFAULT_SEARCH_CAP)
-    p.add_argument("--table", type=_natural, default=16)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
+    for name, (_, help_line, arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_line, arguments=arguments)
     return parser
-
-
-_COMMANDS = {"run": _cmd_run, "branches": _cmd_branches,
-             "simulate": _cmd_simulate, "decide": _cmd_decide,
-             "classify": _cmd_classify, "enumerate": _cmd_enumerate,
-             "gaplang": _cmd_gaplang, "diagonalize": _cmd_diagonalize,
-             "ladner": _cmd_ladner}
 
 
 def dispatch(argv: list[str] | None = None) -> int:
@@ -354,7 +361,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config) if args.config else Config()
-        return _COMMANDS[args.command](args, config)
+        return _SUBCOMMANDS[args.command][0](args, config)
     except (PromiseLabError, ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

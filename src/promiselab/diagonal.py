@@ -21,14 +21,16 @@ marked union of A and A'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Literal
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Callable, Literal
 
 from .enumeration import Enumeration
 from .errors import (AccountingError, FuelCap, NoContradictionFound,
                      NoInstanceOfA, NotTimeConstructible)
 from . import tm
-from .promise import ReductionFn, TotalDecider, Verdict
+from .promise import ReductionFn, TotalDecider, Verdict, _memoized
 from .words import words_of_length, words_up_to
 
 REPRESENTABLE = "representable"
@@ -46,19 +48,14 @@ class CostedFunction:
 
     name: str
     eval: Callable[[int], tuple[int, int]]
-    gap_admissible: bool = False
 
     def value(self, n: int) -> int:
         return self.eval(n)[0]
 
-    def __call__(self, n: int) -> tuple[int, int]:
-        return self.eval(n)
 
-
-def costed_toy(name: str, f: Callable[[int], int],
-               gap_admissible: bool = True) -> CostedFunction:
+def costed_toy(name: str, f: Callable[[int], int]) -> CostedFunction:
     """Wrap a plain function with unit evaluation cost."""
-    return CostedFunction(name, lambda n: (f(n), 1), gap_admissible)
+    return CostedFunction(name, lambda n: (f(n), 1))
 
 
 def affine_costed(slope: int, offset: int) -> CostedFunction:
@@ -68,17 +65,6 @@ def affine_costed(slope: int, offset: int) -> CostedFunction:
         raise ValueError("need slope >= 1 and offset >= 1")
     return costed_toy(f"affine({slope},{offset})",
                       lambda n: slope * n + offset)
-
-
-def _memoized(fn: Callable[[int], tuple[int, int]]) -> Callable[[int], tuple[int, int]]:
-    cache: dict[int, tuple[int, int]] = {}
-
-    def wrapped(n: int) -> tuple[int, int]:
-        if n not in cache:
-            cache[n] = fn(n)
-        return cache[n]
-
-    return wrapped
 
 
 def eval_counted(tc: tm.MachineDesc, n: int, fuel_cap: int = 100_000) -> int:
@@ -123,25 +109,19 @@ def time_construct_wrap(f: CostedFunction) -> CostedFunction:
         value, cost = f.eval(n)
         return value + cost + n + 1, cost + 1
 
-    return CostedFunction(f"wrap({f.name})", _memoized(evaluate),
-                          gap_admissible=True)
+    return CostedFunction(f"wrap({f.name})", _memoized(evaluate))
 
 
-def _metered_eval(r: CostedFunction, n: int, budget: int) -> tuple[int, bool]:
-    """Evaluate one iterate under a budget.
-
-    Returns (value, aborted).  An aborted evaluation spent more than the
-    budget; since cost never exceeds value for admissible functions, its
-    value provably exceeds the budget too, so callers may treat it as
-    "too large" without looking at it.
-    """
+def _checked_eval(r: CostedFunction, n: int) -> tuple[int, int]:
+    """r(n) with cost <= value and value > n checked; so an evaluation
+    that spent more than a budget has a value above that budget too."""
     value, cost = r.eval(n)
     if cost > value:
         raise AccountingError(
             f"{r.name}({n}) reports cost {cost} above value {value}")
     if value <= n:
         raise ValueError(f"{r.name}({n}) = {value} is not above {n}")
-    return value, cost > budget
+    return value, cost
 
 
 def gap_member(r: CostedFunction, x: str | int) -> bool:
@@ -153,28 +133,47 @@ def gap_member(r: CostedFunction, x: str | int) -> bool:
     reference on every input, in polynomially many accounting units.
     """
     length = x if isinstance(x, int) else len(x)
-    budget = length + 1
-    limit = 0
-    k = 0
+    limit, k = 0, 0
     while True:
-        value, aborted = _metered_eval(r, limit, budget)
-        if aborted or value > length:
+        value, cost = _checked_eval(r, limit)
+        if cost > length + 1 or value > length:
             return k % 2 == 0
-        limit = value
-        k += 1
+        limit, k = value, k + 1
+
+
+class GapLimits:
+    """The limits 0, r(0), r(r(0)), ... of one gap function, each computed
+    once under gap_member's checks as the list grows on demand; a
+    length's interval is a bisection.  A construction owns its list.
+    """
+
+    def __init__(self, r: CostedFunction):
+        self.r = r
+        self.limits = [0]
+
+    def limit(self, k: int) -> int:
+        """r^k(0), the lower limit of interval k."""
+        limits = self.limits
+        while len(limits) <= k:
+            limits.append(_checked_eval(self.r, limits[-1])[0])
+        return limits[k]
+
+    def interval(self, length: int) -> int:
+        """The index k with limit(k) <= length < limit(k + 1)."""
+        limits = self.limits
+        while limits[-1] <= length:
+            self.limit(len(limits))
+        return bisect_right(limits, length) - 1
+
+    def member(self, x: str | int) -> bool:
+        return self.interval(x if isinstance(x, int) else len(x)) % 2 == 0
 
 
 def gap_intervals(r: CostedFunction, max_length: int) -> list[tuple[int, int, bool]]:
     """(start, end, member) rows of all intervals touching [0, max_length]."""
-    rows = []
-    limit = 0
-    k = 0
-    while limit <= max_length:
-        value, _ = r.eval(limit)
-        rows.append((limit, value, k % 2 == 0))
-        limit = value
-        k += 1
-    return rows
+    gaps = GapLimits(r)
+    return [(gaps.limit(k), gaps.limit(k + 1), k % 2 == 0)
+            for k in range(gaps.interval(max_length) + 1)]
 
 
 def _scan_contradiction(
@@ -252,11 +251,12 @@ class ContradictionWitness:
 class DiagResult:
     b: TotalDecider
     r: CostedFunction
+    gaps: GapLimits
+    q: CostedFunction
+    q_prime: CostedFunction
     reduction: ReductionFn
     witnesses: tuple[ContradictionWitness, ...]
     reduction_to_a: ReductionFn | None = None
-    q: CostedFunction | None = None
-    q_prime: CostedFunction | None = None
 
 
 def build_r_components(inst: DiagInstance) -> tuple[CostedFunction,
@@ -298,38 +298,19 @@ def build_r(inst: DiagInstance) -> CostedFunction:
     return build_r_components(inst)[2]
 
 
-def _interval_starts(r: CostedFunction) -> Iterator[tuple[int, int]]:
-    """Yield (interval index, lower limit) pairs 0, r(0), r(r(0)), ..."""
-    limit = 0
-    k = 0
-    while True:
-        yield k, limit
-        limit = r.value(limit)
-        k += 1
-
-
-def _witness_for(inst: DiagInstance, r: CostedFunction, side: str,
+def _witness_for(inst: DiagInstance, gaps: GapLimits, side: str,
                  i: int) -> ContradictionWitness:
-    want_even = side == "even"
-    for k, start in _interval_starts(r):
-        if (k % 2 == 0) == want_even and start >= i:
-            break
-    a = inst.a if want_even else inst.a_prime
-    pres = inst.pres_c if want_even else inst.pres_c_prime
-    mode = inst.mode_c if want_even else inst.mode_c_prime
+    even = side == "even"
+    a, pres, mode = ((inst.a, inst.pres_c, inst.mode_c) if even else
+                     (inst.a_prime, inst.pres_c_prime, inst.mode_c_prime))
+    k = 0 if even else 1
+    while gaps.limit(k) < i:
+        k += 2
     machine = pres.produce(i)
-    z, _ = _scan_contradiction(a, machine, start, mode, inst.search_cap,
-                               machine_index=i)
-    return ContradictionWitness(
-        side="even" if want_even else "odd",
-        machine_index=i,
-        interval_index=k,
-        interval_start=start,
-        interval_end=r.value(start),
-        word=z,
-        a_verdict=a.classify(z),
-        machine_verdict=machine.classify(z),
-    )
+    z, _ = _scan_contradiction(a, machine, gaps.limit(k), mode,
+                               inst.search_cap, machine_index=i)
+    return ContradictionWitness(side, i, k, gaps.limit(k), gaps.limit(k + 1),
+                                z, a.classify(z), machine.classify(z))
 
 
 def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
@@ -343,21 +324,21 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     parity.
     """
     q, q_prime, r = build_r_components(inst)
+    gaps = GapLimits(r)
+    member = gaps.member
     a, a_prime = inst.a, inst.a_prime
 
     def mix(x: str) -> Verdict:
-        return a.classify(x) if gap_member(r, x) else a_prime.classify(x)
+        return a.classify(x) if member(x) else a_prime.classify(x)
 
     b = TotalDecider(f"diag({a.tag};{a_prime.tag})", fn=mix)
     reduction = ReductionFn(
-        "gap-mark", fn=lambda x: ("0" if gap_member(r, x) else "1") + x)
+        "gap-mark", fn=lambda x: ("0" if member(x) else "1") + x)
     witnesses = []
-    for i in range(witness_bound):
-        witnesses.append(_witness_for(inst, r, "even", i))
-    for i in range(witness_bound):
-        witnesses.append(_witness_for(inst, r, "odd", i))
-    return DiagResult(b, r, reduction, tuple(witnesses),
-                      q=q, q_prime=q_prime)
+    for side in ("even", "odd"):
+        for i in range(witness_bound):
+            witnesses.append(_witness_for(inst, gaps, side, i))
+    return DiagResult(b, r, gaps, q, q_prime, reduction, tuple(witnesses))
 
 
 def ladner(
@@ -382,21 +363,15 @@ def ladner(
     inst = DiagInstance(a, const_no, pres_c, pres_harder,
                         mode_c, PRESENTABLE, search_cap)
     result = diagonalize(inst, witness_bound)
-    no_instance = None
-    for scanned, w in enumerate(words_up_to(no_instance_scan.bit_length() + 1)):
-        if scanned >= no_instance_scan:
-            break
-        if a.classify(w) is Verdict.NO:
-            no_instance = w
-            break
-    if no_instance is None:
+    scanned = islice(words_up_to(no_instance_scan.bit_length() + 1),
+                     no_instance_scan)
+    target = next((w for w in scanned if a.classify(w) is Verdict.NO), None)
+    if target is None:
         raise NoInstanceOfA(f"no no-instance of {a.tag} within {no_instance_scan} words")
-    r = result.r
-    target = no_instance
+    member = result.gaps.member
 
     def to_a(x: str) -> str:
-        return x if gap_member(r, x) else target
+        return x if member(x) else target
 
-    return DiagResult(result.b, result.r, result.reduction, result.witnesses,
-                      reduction_to_a=ReductionFn("gap-or-default", fn=to_a),
-                      q=result.q, q_prime=result.q_prime)
+    return replace(result,
+                   reduction_to_a=ReductionFn("gap-or-default", fn=to_a))

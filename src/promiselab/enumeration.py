@@ -28,7 +28,8 @@ from .config import Config
 from .errors import CapExceeded, FuelExhausted, GeneratorFuelExhausted, \
     NonPromisedQuery
 from .promise import (MAX_WITNESS_SPACE, OracleMachine, ReductionFn,
-                      TotalDecider, Verdict, cook_run, witness_verdict)
+                      TotalDecider, Verdict, _memoized, cook_run,
+                      witness_verdict)
 from .words import index_to_word, words_up_to
 
 HARDER_SET_CHECK_CAP = 12
@@ -202,6 +203,7 @@ def polyset_series(i: int, config: Config = Config()):
     Returns a costed map n -> (value, cost): the machine for index j runs
     on the binary numeral of n under clock p_k, its numeric output is
     clamped to p_l(n), and the cost is the number of simulated steps.
+    Each n is evaluated once; the memo lives as long as the returned map.
     """
     from .diagonal import CostedFunction
 
@@ -220,7 +222,7 @@ def polyset_series(i: int, config: Config = Config()):
             return min(raw, clamp(n)), result.steps
         return min(0, clamp(n)), result.steps
 
-    return CostedFunction(f"polyset[{i}]", evaluate)
+    return CostedFunction(f"polyset[{i}]", _memoized(evaluate))
 
 
 def np_machine(i: int, config: Config = Config()) -> TotalDecider:
@@ -303,9 +305,6 @@ class Enumeration:
 
     family: str
     produce: Callable[[int], TotalDecider]
-
-    def __getitem__(self, i: int) -> TotalDecider:
-        return self.produce(i)
 
 
 def p_presentation(config: Config = Config()) -> Enumeration:

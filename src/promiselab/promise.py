@@ -45,6 +45,20 @@ class Verdict(enum.Enum):
 _OUTPUT_VERDICT = {"1": Verdict.YES, "0": Verdict.NO, "10": Verdict.OUTSIDE}
 
 
+def _memoized(fn: Callable) -> Callable:
+    """fn computing each argument's value once, for the life of the
+    returned function; fn never returns None, and a raise is not kept."""
+    cache: dict = {}
+
+    def wrapped(x):
+        value = cache.get(x)
+        if value is None:
+            value = cache[x] = fn(x)
+        return value
+
+    return wrapped
+
+
 @dataclass(frozen=True)
 class TotalDecider:
     """Total classification map, either built in or backed by a machine.
@@ -58,10 +72,6 @@ class TotalDecider:
     fn: Callable[[str], Verdict] | None = None
     machine: tm.MachineDesc | None = None
     fuel_policy: Callable[[int], int] | None = None
-
-    @staticmethod
-    def from_function(tag: str, fn: Callable[[str], Verdict]) -> "TotalDecider":
-        return TotalDecider(tag, fn=fn)
 
     @staticmethod
     def from_machine(tag: str, machine: tm.MachineDesc,
@@ -79,6 +89,11 @@ class TotalDecider:
         if verdict is None:
             raise NotTotalDecider(result.output)
         return verdict
+
+    def memoized(self) -> "TotalDecider":
+        """The same decider, classifying each word at most once while the
+        returned decider lives; a classification that raises is not kept."""
+        return TotalDecider(self.tag, fn=_memoized(self.classify))
 
 
 def classify(decider: TotalDecider, x: str) -> Verdict:
@@ -198,8 +213,11 @@ class KarpReport:
 
 
 def karp_check(f: ReductionFn, a: TotalDecider, b: TotalDecider,
-               bound: int) -> KarpReport:
+               bound: int, config: Config = Config()) -> KarpReport:
     """Verify yes->yes and no->no on all words of length <= bound."""
+    if bound > config.max_word_length:
+        raise CapExceeded(
+            f"reduction check bound {bound} exceeds cap {config.max_word_length}")
     violations = []
     checked = 0
     for w in words_up_to(bound):

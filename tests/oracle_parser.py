@@ -2,9 +2,10 @@
 
 These are the slow, obviously-correct readers that `promiselab` used
 before its decoders became compiled patterns: a cursor over the string
-with one `peek()` per bit.  The property tests in `test_parsers.py`
-require the pattern-based decoders to agree with them on every input,
-valid or not, so they are kept here verbatim and nowhere in the package.
+with one `peek()` per bit.  The property tests in
+`test_oracles.py::TestParserOracle` require the pattern-based decoders
+to agree with them on every input, valid or not, so they are kept here
+verbatim and nowhere in the package.
 """
 
 from __future__ import annotations

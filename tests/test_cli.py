@@ -1,10 +1,15 @@
+from collections import Counter
+
 import pytest
 
 from helpers_machines import (const_output_machine, fan_ptm, parity_machine)
+from promiselab import cli
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
+from promiselab.promise import TotalDecider, Verdict, builtin
 from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
+from promiselab.words import words_up_to
 
 EXAMPLE_BITS = "01011010010110110111011010111"
 
@@ -294,6 +299,42 @@ class TestDiagonalizeCommand:
         assert final.split("\t")[1] == "0"
 
 
+class TestConstructionWorkCounts:
+    """One invocation classifies each word under a problem at most once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        parity = builtin("parity")
+
+        def counted(x: str) -> Verdict:
+            counts[x] += 1
+            return parity.classify(x)
+
+        def lookup(name: str) -> TotalDecider:
+            if name == "parity":
+                return TotalDecider("parity", fn=counted)
+            return builtin(name)
+
+        monkeypatch.setattr(cli, "builtin", lookup)
+        return counts
+
+    @pytest.mark.parametrize("argv", [
+        ["ladner", "--a", "builtin:parity",
+         "--pres", "builtins:const-yes,const-no,len-even"],
+        ["diagonalize", "--a", "builtin:parity",
+         "--a-pres", "builtins:const-yes,const-no,len-even",
+         "--aprime", "builtin:const-no",
+         "--aprime-pres", "builtins:const-yes,ones-promise"],
+    ], ids=["ladner", "diagonalize"])
+    def test_each_word_classified_once(self, argv, counts, capsys):
+        # the construction and both spot-checks over all words up to 8
+        assert dispatch(argv + ["--bound", "8"]) == 0
+        assert "violations\n511\t0\n" in capsys.readouterr().out
+        assert set(words_up_to(8)) <= set(counts)
+        assert set(counts.values()) == {1}
+
+
 class TestDecideWitnessClasses:
     @pytest.fixture
     def copy_generator_file(self, tmp_path):
@@ -378,6 +419,28 @@ class TestConfiguredCaps:
         code = dispatch(["enumerate", "p", "0", "--max-len", "30"])
         assert code == 1
         assert "CapExceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ladner", "--a", "builtin:parity",
+         "--pres", "builtins:const-yes,len-even"],
+        ["diagonalize", "--a", "builtin:parity",
+         "--a-pres", "builtins:const-yes,len-even",
+         "--aprime", "builtin:const-no", "--aprime-pres", "builtins:parity"],
+    ], ids=["ladner", "diagonalize"])
+    def test_spot_check_bound_honours_max_word_length(self, argv, capsys):
+        code = dispatch(argv + ["--bound", "17"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "CapExceeded" in captured.err
+
+    def test_raised_max_word_length_admits_the_bound(self, tmp_path, capsys):
+        cfg = _config_file(tmp_path, "max-word-length = 17\n")
+        code = dispatch(["--config", cfg, "ladner", "--a", "builtin:parity",
+                         "--pres", "builtins:const-yes,len-even",
+                         "--bound", "17"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("262143\t0\n")
 
     def test_run_uses_default_fuel_from_config(self, tmp_path, parity_file,
                                                capsys):

@@ -1,14 +1,15 @@
 import pytest
 
 from helpers_machines import diverging_machine, identity_machine, parity_machine
-from promiselab.diagonal import (CostedFunction, DiagInstance, PRESENTABLE,
-                                 REPRESENTABLE, affine_costed, build_r,
-                                 diagonalize, eval_counted, find_contradiction,
-                                 gap_intervals, gap_member, ladner,
-                                 time_construct_wrap, time_constructor_costed)
+from promiselab.diagonal import (CostedFunction, DiagInstance, GapLimits,
+                                 PRESENTABLE, REPRESENTABLE, affine_costed,
+                                 build_r, diagonalize, eval_counted,
+                                 find_contradiction, gap_intervals, gap_member,
+                                 ladner, time_construct_wrap,
+                                 time_constructor_costed)
 from promiselab.enumeration import builtins_presentation, harder_set_presentation
-from promiselab.errors import (FuelCap, NoContradictionFound,
-                               NotTimeConstructible)
+from promiselab.errors import (AccountingError, FuelCap,
+                               NoContradictionFound, NotTimeConstructible)
 from promiselab.promise import TotalDecider, Verdict, builtin, karp_check, \
     marked_union
 from promiselab.tm import BLANK, MachineDesc, TRIVIAL_MACHINE
@@ -119,6 +120,25 @@ class TestGapMembership:
             containing = [row for row in rows if row[0] <= length < row[1]]
             assert len(containing) == 1
             assert gap_member(r, length) == containing[0][2]
+
+
+    def test_limits_list_computes_each_limit_once(self):
+        args = []
+        r = CostedFunction("doubling", lambda n: (args.append(n) or 2 * n + 2, 1))
+        gaps = GapLimits(r)
+        for length in (20, 0, 64, 3, 64, 130, 1):
+            assert gaps.member(length) == reference_gap_member(
+                affine_costed(2, 2), length)
+        assert args == [0, 2, 6, 14, 30, 62, 126]
+        assert gaps.limits == [0, 2, 6, 14, 30, 62, 126, 254]
+
+    def test_limits_list_keeps_the_accounting_checks(self):
+        with pytest.raises(AccountingError):
+            GapLimits(CostedFunction("over", lambda n: (n + 2, n + 3))).member(0)
+        gaps = GapLimits(CostedFunction("flat", lambda n: (1, 0)))
+        assert gaps.member("")
+        with pytest.raises(ValueError):
+            gaps.member("1")
 
 
 class TestFindContradiction:

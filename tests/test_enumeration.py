@@ -204,6 +204,27 @@ class TestNpMachine:
             assert (decider.classify(x) is Verdict.YES) == brute
 
 
+    def test_witness_length_evaluated_once_per_length(self, monkeypatch):
+        # the witness-length machine runs on one input, the verifier on two
+        from promiselab import tm
+        run = tm.run
+        lengths = []
+
+        def counted(machine, inputs, fuel):
+            if len(inputs) == 1:
+                lengths.append(int(inputs[0], 2))
+            return run(machine, inputs, fuel)
+
+        monkeypatch.setattr(tm, "run", counted)
+        verifier = _determinize(witness_equals_one_ptm())
+        decider = np_machine(triple(machine_index(verifier),
+                                    clock_index(Polynomial((4, 1))),
+                                    _polyset_index_for_constant(1)))
+        for x in words_up_to(6):
+            assert decider.classify(x) is Verdict.YES
+        assert lengths == list(range(7))
+
+
 def _determinize(ptm_desc):
     """PTMs with singleton branch sets are deterministic machines."""
     from promiselab.tm import MachineDesc

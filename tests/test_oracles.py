@@ -9,9 +9,14 @@ per-character parsers kept in `oracle_parser`, on valid encodings, on
 encodings one edit away from valid, and on arbitrary strings.  The
 merged-configuration branch counter in `promiselab.ptm` is checked
 against the depth-first tree walk kept in `oracle_ptm`: equal leaf
-counts, and an equal path when a branch runs out of fuel.
+counts, and an equal path when a branch runs out of fuel.  The memos
+that let one invocation compute each value once are checked against
+fresh computation: the gap limits list against the direct iteration in
+`test_diagonal.reference_gap_member`, the memoized witness-length map
+and the memoized decider against unmemoized evaluation.
 """
 
+import random
 from unittest import mock
 
 import pytest
@@ -20,8 +25,13 @@ from hypothesis import given, settings, strategies as st
 import oracle_parser
 import oracle_ptm
 import oracle_simulator as ref
-from helpers_machines import complete_tree_ptm
+from helpers_machines import complete_tree_ptm, parity_machine
 from promiselab import enumeration, ptm, tm
+from promiselab.diagonal import (GapLimits, affine_costed, build_r,
+                                 costed_toy, gap_member, time_construct_wrap)
+from promiselab.promise import TotalDecider, builtin
+from promiselab.words import words_up_to
+from test_diagonal import reference_gap_member, toy_instance
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, encode_circuit,
                                 p_acc, parse_circuit, simulate)
@@ -258,3 +268,64 @@ class TestBranchOracle:
     def test_merging_trees(self, fan_out, depth):
         _assert_branches_match(complete_tree_ptm(fan_out, depth, 1), ["1"],
                                depth + 2)
+
+
+GAP_LENGTHS = range(401)
+
+
+def _assert_gaps_match(r, order: list[int]) -> None:
+    """Limits-list membership, asked in the given order and then for
+    every length, equals the direct iteration and the budgeted test."""
+    gaps = GapLimits(r)
+    for length in [*order, *GAP_LENGTHS]:
+        want = reference_gap_member(r, length)
+        assert gaps.member(length) == want == gap_member(r, length)
+        assert gaps.member("1" * length) == want
+
+
+_ORDERS = st.lists(st.sampled_from(GAP_LENGTHS), max_size=20)
+
+
+class TestGapLimitsOracle:
+    @settings(max_examples=60)
+    @given(st.integers(1, 4), st.integers(1, 9), _ORDERS)
+    def test_affine(self, slope, offset, order):
+        _assert_gaps_match(affine_costed(slope, offset), order)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=8), _ORDERS)
+    def test_wrapped_toys(self, table, order):
+        # an arbitrary, non-monotone f; the wrap makes it admissible
+        r = time_construct_wrap(
+            costed_toy("table", lambda n: table[n % len(table)]))
+        _assert_gaps_match(r, order)
+
+    @settings(max_examples=10)
+    @given(_ORDERS)
+    def test_built_r(self, order):
+        _assert_gaps_match(build_r(toy_instance()), order)
+
+
+class TestMemoOracle:
+    @settings(max_examples=40)
+    @given(st.integers(0, 1 << 16),
+           st.lists(st.integers(0, 24), min_size=1, max_size=40))
+    def test_polyset_series(self, i, ns):
+        memo = enumeration.polyset_series(i)
+        for n in ns:
+            assert memo.eval(n) == enumeration.polyset_series(i).eval(n)
+
+    @settings(max_examples=15)
+    @given(st.one_of(
+        st.sampled_from(["parity", "len-even", "ones-promise"]).map(builtin),
+        st.just(TotalDecider.from_machine("parity", parity_machine(),
+                                          lambda n: n + 1)),
+        st.builds(lambda j, k: enumeration.p_machine(enumeration.pair(j, k)),
+                  st.integers(0, 1 << 20), st.integers(0, 12))),
+        st.integers(0, 1 << 32))
+    def test_decider(self, raw, seed):
+        memo = raw.memoized()
+        words = list(words_up_to(10))
+        random.Random(seed).shuffle(words)
+        for w in words + words[:100]:
+            assert memo.classify(w) is raw.classify(w)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from helpers_machines import (always_accept_machine, diverging_machine,
                               emit_outside_machine, identity_machine,
                               parity_machine, prepend_zero_machine)
-from promiselab.errors import (FuelExhausted, NonPromisedQuery,
+from promiselab.config import Config
+from promiselab.errors import (CapExceeded, FuelExhausted, NonPromisedQuery,
                                NotTotalDecider, WitnessSpaceTooLarge)
 from promiselab.promise import (MAX_WITNESS_SPACE, OracleMachine,
                                 ReductionFn, TotalDecider,
@@ -62,6 +63,24 @@ class TestClassify:
                                             lambda n: 100)
         with pytest.raises(NotTotalDecider):
             decider.classify("0")
+
+    def test_memoized_classifies_each_word_once(self):
+        seen = []
+        decider = TotalDecider("parity", fn=lambda x: seen.append(x) or
+                               PARITY.classify(x)).memoized()
+        for x in ("1", "10", "1", "", "10", "1"):
+            assert decider.classify(x) is PARITY.classify(x)
+        assert seen == ["1", "10", ""]
+        assert decider.tag == "parity"
+
+    def test_memoized_does_not_remember_errors(self):
+        fuel = [1]
+        decider = TotalDecider.from_machine(
+            "parity", parity_machine(), lambda n: fuel[0]).memoized()
+        with pytest.raises(NotTotalDecider):
+            decider.classify("101")
+        fuel[0] = 10
+        assert decider.classify("101") is Verdict.NO
 
 
 class TestDifferences:
@@ -172,6 +191,14 @@ class TestKarpCheck:
                         runtime=lambda n: 4)
         union = marked_union(PARITY, CONST_YES)
         assert karp_check(f, PARITY, union, 5).ok
+
+    def test_bound_cap(self):
+        f = ReductionFn("id", fn=lambda x: x)
+        with pytest.raises(CapExceeded):
+            karp_check(f, PARITY, PARITY, 17)
+        report = karp_check(f, PARITY, PARITY, 17,
+                            config=Config(max_word_length=17))
+        assert report.ok and report.checked == 2 ** 18 - 1
 
     def test_reduction_timeout_raises(self):
         f = ReductionFn("slow", machine=diverging_machine(), runtime=lambda n: 3)
