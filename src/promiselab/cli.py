@@ -273,7 +273,7 @@ class _Subcommand:
     the top-level help lists every subcommand but an invocation builds
     only the parser it runs."""
 
-    def __init__(self, arguments: tuple = (), **kwargs):
+    def __init__(self, arguments: tuple, **kwargs):
         self.arguments = arguments
         self.kwargs = kwargs
 

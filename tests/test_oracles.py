@@ -27,16 +27,16 @@ import oracle_ptm
 import oracle_simulator as ref
 from helpers_machines import complete_tree_ptm, parity_machine
 from promiselab import enumeration, ptm, tm
-from promiselab.diagonal import (GapLimits, affine_costed, build_r,
-                                 costed_toy, gap_member, time_construct_wrap)
-from promiselab.promise import TotalDecider, builtin
-from promiselab.words import words_up_to
-from test_diagonal import reference_gap_member, toy_instance
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, encode_circuit,
                                 p_acc, parse_circuit, simulate)
+from promiselab.diagonal import (GapLimits, affine_costed, build_r,
+                                 costed_toy, gap_member, time_construct_wrap)
 from promiselab.errors import BranchFuelExhausted
 from promiselab.field import ZERO, scaled_identity
+from promiselab.promise import TotalDecider, builtin
+from promiselab.words import words_up_to
+from test_diagonal import reference_gap_member, toy_instance
 
 ALL_KINDS = ("H", "T", "CNOT")
 

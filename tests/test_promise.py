@@ -196,9 +196,10 @@ class TestKarpCheck:
         f = ReductionFn("id", fn=lambda x: x)
         with pytest.raises(CapExceeded):
             karp_check(f, PARITY, PARITY, 17)
-        report = karp_check(f, PARITY, PARITY, 17,
-                            config=Config(max_word_length=17))
-        assert report.ok and report.checked == 2 ** 18 - 1
+        config = Config(max_word_length=5)
+        with pytest.raises(CapExceeded):
+            karp_check(f, PARITY, PARITY, 6, config=config)
+        assert karp_check(f, PARITY, PARITY, 5, config=config).checked == 63
 
     def test_reduction_timeout_raises(self):
         f = ReductionFn("slow", machine=diverging_machine(), runtime=lambda n: 3)
