@@ -127,23 +127,19 @@ def _checked_eval(r: CostedFunction, n: int) -> tuple[int, int]:
 def gap_member(r: CostedFunction, x: str | int) -> bool:
     """Budgeted membership of a word (or a bare length) in the gap language.
 
-    Iterates the interval limits 0, r(0), r(r(0)), ... with each
-    evaluation metered against |x| + 1 accounting units; an aborted
-    iterate is treated as exceeding |x|.  Equal to the unbudgeted
-    reference on every input, in polynomially many accounting units.
+    Iterates the interval limits 0, r(0), r(r(0)), ... up to the first
+    one above |x|.  Every evaluation is checked to cost no more than its
+    value, so an iterate that would spend more than |x| + 1 accounting
+    units has a value above |x| and ends the iteration anyway: the budget
+    needs no separate meter.  Equal to the unbudgeted reference on every
+    input, in polynomially many accounting units.
     """
-    length = x if isinstance(x, int) else len(x)
-    limit, k = 0, 0
-    while True:
-        value, cost = _checked_eval(r, limit)
-        if cost > length + 1 or value > length:
-            return k % 2 == 0
-        limit, k = value, k + 1
+    return GapLimits(r).member(x)
 
 
 class GapLimits:
     """The limits 0, r(0), r(r(0)), ... of one gap function, each computed
-    once under gap_member's checks as the list grows on demand; a
+    once under _checked_eval's checks as the list grows on demand; a
     length's interval is a bisection.  A construction owns its list.
     """
 
@@ -250,13 +246,17 @@ class ContradictionWitness:
 @dataclass(frozen=True)
 class DiagResult:
     b: TotalDecider
-    r: CostedFunction
     gaps: GapLimits
     q: CostedFunction
     q_prime: CostedFunction
     reduction: ReductionFn
     witnesses: tuple[ContradictionWitness, ...]
     reduction_to_a: ReductionFn | None = None
+
+    @property
+    def r(self) -> CostedFunction:
+        """The gap function of the construction."""
+        return self.gaps.r
 
 
 def build_r_components(inst: DiagInstance) -> tuple[CostedFunction,
@@ -338,7 +338,7 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     for side in ("even", "odd"):
         for i in range(witness_bound):
             witnesses.append(_witness_for(inst, gaps, side, i))
-    return DiagResult(b, r, gaps, q, q_prime, reduction, tuple(witnesses))
+    return DiagResult(b, gaps, q, q_prime, reduction, tuple(witnesses))
 
 
 def ladner(
