@@ -119,6 +119,33 @@ class TestDecideCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "yes"
 
+    def test_gen_runtime_trailing_zero_coefficients_are_dropped(
+            self, h_generator_file, capsys):
+        outputs = []
+        for runtime in ("8,1,0", "8,1"):
+            assert dispatch(["decide", "bqp", "--gen", h_generator_file,
+                             "--input", "1", "--gen-runtime", runtime]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["outside-promise\n"] * 2
+
+    def test_gen_runtime_bounds_the_generator(self, h_generator_file, capsys):
+        # the generator needs |x| + 4 = 5 steps; 2 + n gives it 3
+        assert dispatch(["decide", "bqp", "--gen", h_generator_file,
+                         "--input", "1", "--gen-runtime", "2,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "GeneratorFuelExhausted" in captured.err
+
+    @pytest.mark.parametrize("runtime", ["1,-1", "x"])
+    def test_bad_gen_runtime_is_usage_error(self, runtime, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["decide", "bqp", "--gen", "g.tm", "--input", "1",
+                      "--gen-runtime", runtime])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad polynomial {runtime!r}" in captured.err
+
 
 class TestClassifyCommand:
     def test_builtin(self, capsys):
@@ -264,6 +291,43 @@ class TestEnumerateCommand:
     def test_unknown_family_is_domain_error(self, capsys):
         code = dispatch(["enumerate", "martians", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, error", [
+        (["enumerate", "martians", "0", "--max-len", "17"],
+         "CapExceeded: --max-len 17 exceeds cap 16"),
+        (["--config", "{config}", "enumerate", "martians", "8"],
+         "CapExceeded: enumeration index must be a natural of at most 3 bits"),
+    ])
+    def test_caps_are_checked_before_the_family_name(self, argv, error,
+                                                     tmp_path, capsys):
+        config = tmp_path / "small.conf"
+        config.write_text("max-enum-index-bits = 3\n")
+        assert dispatch([arg.format(config=config) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+
+class TestFamilyPresentations:
+    LADNER = ["ladner", "--a", "builtin:parity", "--bound", "2", "--table", "2",
+              "--witnesses", "1", "--search-cap", "64"]
+
+    def test_family_name_ignores_case(self, capsys):
+        outputs = []
+        for spec in ("family:P", "family:p"):
+            assert dispatch(self.LADNER + ["--pres", spec]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("spec", ["family:polyfunc", "family:martians",
+                                      "family:"])
+    def test_non_decider_family_is_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(self.LADNER + ["--pres", spec])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad presentation spec {spec!r}" in captured.err
 
 
 class TestDiagonalizeCommand:

@@ -1,4 +1,5 @@
-"""Byte-exact stdout of one invocation of every subcommand.
+"""Byte-exact stdout of one invocation of every subcommand, and of
+`enumerate` on each machine family.
 
 Each case runs at the default configuration on input files written from
 the hand-built machines, and compares the SHA-256 of its stdout with a
@@ -12,17 +13,39 @@ import hashlib
 
 import pytest
 
-from helpers_machines import const_output_machine, fan_ptm, parity_machine
+from helpers_machines import (const_output_machine, fan_ptm, identity_machine,
+                              parity_machine, prepend_zero_machine,
+                              witness_equals_one_ptm)
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
+from promiselab.enumeration import pair, triple
 from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
+from promiselab.words import word_to_index
 
 SIMULATED = Circuit((Gate("H", (2,)), Gate("T", (1,)), Gate("CNOT", (2, 3)),
                      Gate("H", (1,)), Gate("CNOT", (3, 1))))
 # two witness qubits, one of which drives the output through a Hadamard
 DECIDED = Circuit((Gate("H", (1,)), Gate("CNOT", (3, 1)), Gate("T", (2,)),
                    Gate("CNOT", (2, 1))), witness_qubits=2)
+
+# Series indices of hand-built machines.  Index 2^99 of the polynomial
+# series is the constant 100, a clock every machine here keeps; the
+# witness length of np and promisema is min(n, 100) = |x|, the numeral
+# that the identity machine returns.  witness_equals_one_ptm branches
+# nowhere, so its encoding is also a deterministic verifier.
+CLOCK = 1 << 99
+WITNESS_LENGTH = triple(word_to_index(encode_godel(identity_machine())),
+                        CLOCK, CLOCK)
+VERIFIER = word_to_index(encode_ptm(witness_equals_one_ptm()))
+
+
+def _clocked(machine) -> str:
+    return str(pair(word_to_index(encode_godel(machine)), CLOCK))
+
+
+def _generator(circuit: Circuit) -> str:
+    return _clocked(const_output_machine(encode_circuit(circuit)))
 
 
 @pytest.fixture
@@ -55,6 +78,28 @@ CASES = {
                  "5040625b1fb6fa4af07226683f6e6003b29e5e70b16f8cfb24be7a752393f0ee"),
     "enumerate": (["enumerate", "promisebpp", "113102", "--max-len", "3"],
                   "ff59e87813c932efb7e0d6ca8bae92b0fcd3d3b83b2826110df35b42e3cc3cd2"),
+    "enumerate p": (["enumerate", "p", _clocked(parity_machine()),
+                     "--max-len", "3"],
+                    "8a0d48d03c6505e9be3aedf2624600db5a995987af0fcf32d241458adac08476"),
+    "enumerate np": (["enumerate", "np",
+                      str(triple(VERIFIER, CLOCK, WITNESS_LENGTH)),
+                      "--max-len", "3"],
+                     "bc2d4326a6127fd287d351febe67e4e48f27e2169b99075da53aa2b7c8e8e463"),
+    "enumerate polyfunc": (["enumerate", "polyfunc",
+                            _clocked(prepend_zero_machine()), "--max-len", "3"],
+                           "65d134407706668992bd932af0597604306dcbe81c1d4cebd2a6286d184c1caa"),
+    "enumerate promisema": (["enumerate", "promisema",
+                             str(triple(VERIFIER, CLOCK, WITNESS_LENGTH)),
+                             "--max-len", "3"],
+                            "aeae2102f4b6079839dd244d2cbdce02a604c01333510efec775e98c19b1f89f"),
+    "enumerate bqp": (["enumerate", "bqp", _generator(SIMULATED),
+                       "--max-len", "3"],
+                      "9311404e5268bac9cc9e7fa3316f6a71a708b3f107163ef60d5417e0d54c1eb4"),
+    "enumerate qcma": (["enumerate", "qcma", _generator(DECIDED),
+                        "--max-len", "3"],
+                       "249b602b27db89562da1aec146a46c38ee7b83b4888925bd7b80e375c14c4e00"),
+    "enumerate qma": (["enumerate", "qma", _generator(DECIDED), "--max-len", "3"],
+                      "3f3d4404350b4dee1ff763c0a832e9323d056074be63e4ae7e987d8b2cb587cf"),
     "gaplang": (["gaplang", "--r", "affine:2:2", "--member", "0101",
                  "--table", "14"],
                 "3347b70222262043c643e6e7817849b1fcb5713548da5af9baa91e0accba53bc"),

@@ -5,6 +5,7 @@ import pytest
 from helpers_machines import (always_accept_machine, const_output_machine,
                               diverging_machine, identity_machine,
                               parity_machine, prepend_zero_machine)
+from promiselab.ptm import PTMDesc
 from promiselab.tm import (BLANK, FuelExhaustedResult, Halted, MachineDesc,
                            SYMBOLS, TRIVIAL_MACHINE, decode_godel,
                            encode_godel, run)
@@ -164,3 +165,53 @@ class TestMachineValidation:
         with pytest.raises(ValueError):
             MachineDesc(states=1, initial=1, finals=frozenset({0}),
                         transitions={})
+
+
+# A valid two-state description and one way to break each rule of the
+# description check.  TMs and PTMs obey the same rules, so every case runs
+# on both; a PTM gets each transition as a one-action branch set.
+VALID = {"states": 2, "initial": 0, "finals": frozenset({1}), "transitions": {
+    (0, "0"): (0, "0", "R"), (0, "1"): (0, "1", "R"), (0, BLANK): (1, "1", "N")}}
+BROKEN = {
+    "no states": {"states": 0, "finals": frozenset(), "transitions": {}},
+    "initial above range": {"initial": 2},
+    "negative initial": {"initial": -1},
+    "final out of range": {"finals": frozenset({1, 2})},
+    "source state out of range": {"add": {(2, "0"): (1, "0", "N")}},
+    "negative source state": {"add": {(-1, "0"): (1, "0", "N")}},
+    "target state out of range": {"add": {(0, BLANK): (2, "1", "N")}},
+    "read symbol outside the alphabet": {"add": {(0, "2"): (1, "0", "N")}},
+    "written symbol outside the alphabet": {"add": {(0, BLANK): (1, "2", "N")}},
+    "move outside L, R, N": {"add": {(0, BLANK): (1, "1", "U")}},
+    "non-final pair uncovered": {"drop": (0, BLANK)},
+}
+
+
+def _description(kind, change: dict):
+    fields = {**VALID, **change}
+    fields.pop("add", None)
+    fields.pop("drop", None)
+    table = {**fields["transitions"], **change.get("add", {})}
+    table.pop(change.get("drop"), None)
+    if kind is PTMDesc:
+        table = {key: (action,) for key, action in table.items()}
+    return kind(**{**fields, "transitions": table})
+
+
+class TestDescriptionCheck:
+    @pytest.mark.parametrize("kind", [MachineDesc, PTMDesc])
+    def test_valid_description_passes(self, kind):
+        # the final state's pairs need no transition
+        assert _description(kind, {}).states == 2
+
+    @pytest.mark.parametrize("kind", [MachineDesc, PTMDesc])
+    @pytest.mark.parametrize("rule", sorted(BROKEN))
+    def test_each_broken_rule_is_rejected(self, kind, rule):
+        with pytest.raises(ValueError):
+            _description(kind, BROKEN[rule])
+
+    def test_empty_branch_set_is_rejected(self):
+        table = {key: (action,) for key, action in VALID["transitions"].items()}
+        table[(0, BLANK)] = ()
+        with pytest.raises(ValueError):
+            PTMDesc(**{**VALID, "transitions": table})
