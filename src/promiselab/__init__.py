@@ -21,7 +21,7 @@ from .enumeration import (Enumeration, Polynomial, class_presentation,
                           polyset_series, reduction_closure, triple, unpair,
                           untriple)
 from .field import (ExactMatrix, FieldElem, Rational, det, real_sign,
-                    sqrt2_bounds, sylvester_pd, sylvester_psd)
+                    sylvester_pd, sylvester_psd)
 from .promise import (BUILTIN_PROBLEMS, OracleMachine, ReductionFn,
                       TotalDecider, Verdict, builtin, classify, cook_run,
                       differences, karp_check, karp_to_cook, marked_union)

@@ -42,7 +42,8 @@ from .field import (SQRT2_INV, ZERO, ExactMatrix, FieldElem, real_sign,
 from .promise import Verdict, witness_verdict
 from .words import words_of_length
 
-_GATE_KINDS = {"01": "H", "10": "T"}
+_OPCODE = {"H": "01", "T": "10", "CNOT": "11"}
+_GATE_KINDS = {code: kind for kind, code in _OPCODE.items()}
 # Gates are matched one after another, each where the previous one ended.
 # The operand count depends on the opcode, so H/T and CNOT are separate
 # alternatives; gates after the first carry their "0" separator.
@@ -145,19 +146,10 @@ def encode_circuit(c: Circuit) -> str:
     """Canonical encoding; the trivial circuit encodes to the empty string."""
     if c.trivial or not c.gates:
         return ""
-    parts = []
-    if c.witness_qubits > 0:
-        parts.append("1" * c.witness_qubits + "00")
-    for i, g in enumerate(c.gates):
-        if i:
-            parts.append("0")
-        if g.kind == "H":
-            parts.append("01" + "0" + "1" * g.qubits[0])
-        elif g.kind == "T":
-            parts.append("10" + "0" + "1" * g.qubits[0])
-        else:
-            parts.append("11" + "0" + "1" * g.qubits[0] + "0" + "1" * g.qubits[1])
-    return "".join(parts)
+    header = "1" * c.witness_qubits + "00" if c.witness_qubits else ""
+    return header + "0".join(
+        _OPCODE[g.kind] + "".join("0" + "1" * q for q in g.qubits)
+        for g in c.gates)
 
 
 def load_circuit_file(path: str, expect_witness_header: bool = False) -> Circuit:

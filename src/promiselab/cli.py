@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable
@@ -24,8 +25,8 @@ from . import diagonal, enumeration, ptm, tm
 from .config import Config, load_config
 from .errors import CapExceeded, PromiseLabError
 from .field import FieldElem, decimal_string
-from .promise import (KarpReport, TotalDecider, builtin, karp_check,
-                      marked_union)
+from .promise import (KarpReport, ReductionFn, TotalDecider, builtin,
+                      karp_check, marked_union)
 from .words import words_up_to
 
 
@@ -79,14 +80,10 @@ def _presentation(spec: str) -> Callable[[Config], enumeration.Enumeration]:
         pres = enumeration.builtins_presentation(
             [_builtin(name) for name in rest.split(",")])
         return lambda config: pres
-    if kind == "family" and rest:
-        fam = rest.lower()
-        if fam == "p":
-            return enumeration.p_presentation
-        if fam == "np":
-            return enumeration.np_presentation
-        if fam in enumeration._STARRED_FAMILIES:
-            return lambda config: enumeration.starred_presentation(fam, config)
+    if kind == "family" and rest.lower() != "polyfunc":
+        with suppress(ValueError):  # an unknown family is a usage error
+            enumeration.family_series(rest)
+            return lambda config: enumeration.family_series(rest, config)
     raise argparse.ArgumentTypeError(
         f"bad presentation spec {spec!r}; use builtins:a,b,c or family:<name>")
 
@@ -176,23 +173,18 @@ def _cmd_enumerate(args, config: Config) -> int:
     if args.max_len > config.max_word_length:
         raise CapExceeded(
             f"--max-len {args.max_len} exceeds cap {config.max_word_length}")
-    fam = args.family.lower()
-    if fam == "polyfunc":
-        f = enumeration.polyfunc_series(args.index, config)
+    # an oversized index is reported before an unknown family name
+    enumeration._check_index(args.index, config)
+    item = enumeration.family_series(args.family, config).produce(args.index)
+    if isinstance(item, ReductionFn):
         print("word\timage")
         for w in words_up_to(args.max_len):
-            print(f"{w or '(empty)'}\t{f(w) or '(empty)'}")
+            print(f"{w or '(empty)'}\t{item(w) or '(empty)'}")
         return 0
-    if fam == "p":
-        decider = enumeration.p_machine(args.index, config)
-    elif fam == "np":
-        decider = enumeration.np_machine(args.index, config)
-    else:
-        decider = enumeration.class_presentation(fam, args.index, config)
-    print(f"decider: {decider.tag}")
+    print(f"decider: {item.tag}")
     print("word\tverdict")
     for w in words_up_to(args.max_len):
-        print(f"{w or '(empty)'}\t{decider.classify(w).value}")
+        print(f"{w or '(empty)'}\t{item.classify(w).value}")
     return 0
 
 

@@ -36,12 +36,6 @@ HARDER_SET_CHECK_CAP = 12
 _ORACLE_PREFIX = re.compile(r"(1+)0")  # 1^(o+1) 0, oracle state o
 
 
-def _capped(clock: Polynomial, config: Config) -> Callable[[int], int]:
-    """The clock as a fuel policy, cut off at the configured fuel."""
-    ceiling = config.default_fuel
-    return lambda n: min(clock(n), ceiling)
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Non-negative integer coefficients, constant term first."""
@@ -59,21 +53,6 @@ class Polynomial:
         for c in reversed(self.coefficients):
             result = result * n + c
         return result
-
-    def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*n" if c != 1 else "n")
-            else:
-                terms.append(f"{c}*n^{k}" if c != 1 else f"n^{k}")
-        return " + ".join(terms)
 
 
 def pair(j: int, k: int) -> int:
@@ -160,16 +139,26 @@ def ptm_series(j: int) -> ptm_mod.PTMDesc:
     return ptm_mod.decode_ptm(index_to_word(j))
 
 
+def _clocked(i: int, config: Config,
+             series: Callable[[int], tm.MachineDesc | ptm_mod.PTMDesc]
+             = machine_series, arity: int = 2) -> tuple:
+    """Index i of a clocked series, as (machine, clock) or, with arity 3,
+    (machine, clock, l): i is pair(j, k) or triple(j, k, l), the machine
+    is series(j), and the clock is p_k as a fuel policy, cut off at the
+    configured fuel."""
+    _check_index(i, config)
+    j, k, *rest = unpair(i) if arity == 2 else untriple(i)
+    clock, ceiling = poly_series(k), config.default_fuel
+    return (series(j), lambda n: min(clock(n), ceiling), *rest)
+
+
 def p_machine(i: int, config: Config = Config()) -> TotalDecider:
     """Clocked deterministic decision machines: the series for P.
 
     Output "1" is Yes, "0" is No; anything else, including running past
     the clock, defaults to No, so the problem is always a decision one.
     """
-    _check_index(i, config)
-    j, k = unpair(i)
-    machine = machine_series(j)
-    fuel = _capped(poly_series(k), config)
+    machine, fuel = _clocked(i, config)
 
     def decide(x: str) -> Verdict:
         result = tm.run(machine, [x], fuel(len(x)))
@@ -185,10 +174,7 @@ def polyfunc_series(i: int, config: Config = Config()) -> ReductionFn:
 
     A run that exceeds its clock yields the empty word.
     """
-    _check_index(i, config)
-    j, k = unpair(i)
-    machine = machine_series(j)
-    fuel = _capped(poly_series(k), config)
+    machine, fuel = _clocked(i, config)
 
     def apply(x: str) -> str:
         result = tm.run(machine, [x], fuel(len(x)))
@@ -207,10 +193,7 @@ def polyset_series(i: int, config: Config = Config()):
     """
     from .diagonal import CostedFunction
 
-    _check_index(i, config)
-    j, k, l = untriple(i)
-    machine = machine_series(j)
-    fuel = _capped(poly_series(k), config)
+    machine, fuel, l = _clocked(i, config, arity=3)
     clamp = poly_series(l)
 
     def evaluate(n: int) -> tuple[int, int]:
@@ -227,10 +210,7 @@ def polyset_series(i: int, config: Config = Config()):
 
 def np_machine(i: int, config: Config = Config()) -> TotalDecider:
     """Existential witness loop over a clocked verifier: the series for NP."""
-    _check_index(i, config)
-    j, k, l = untriple(i)
-    verifier = machine_series(j)
-    fuel = _capped(poly_series(k), config)
+    verifier, fuel, l = _clocked(i, config, arity=3)
     wit_len = polyset_series(l, config)
 
     def decide(x: str) -> Verdict:
@@ -248,7 +228,7 @@ def np_machine(i: int, config: Config = Config()) -> TotalDecider:
     return TotalDecider(f"np[{i}]", fn=decide)
 
 
-_STARRED_FAMILIES = ("promisebpp", "promisema", "bqp", "qcma", "qma")
+_QUANTUM = ("bqp", "qcma", "qma")
 
 
 def class_presentation(family: str, i: int,
@@ -260,35 +240,27 @@ def class_presentation(family: str, i: int,
     presentations of extremal promise problems, not decision problems.
     """
     fam = family.lower()
-    _check_index(i, config)
-    if fam == "promisebpp":
-        j, k = unpair(i)
-        machine = ptm_series(j)
-        fuel = _capped(poly_series(k), config)
-        return TotalDecider(
-            f"promisebpp*[{i}]",
-            fn=lambda x: ptm_mod.classify_bpp(
-                machine, fuel, x, on_overrun="reject", config=config))
     if fam == "promisema":
-        j, k, l = untriple(i)
-        machine = ptm_series(j)
-        fuel = _capped(poly_series(k), config)
+        machine, fuel, l = _clocked(i, config, ptm_series, 3)
         wit_len = polyset_series(l, config)
         return TotalDecider(
             f"promisema*[{i}]",
             fn=lambda x: ptm_mod.classify_ma(
                 machine, fuel, lambda n: wit_len.eval(n)[0], x,
                 on_overrun="reject", config=config))
-    if fam in ("bqp", "qcma", "qma"):
-        j, k = unpair(i)
-        gen = machine_series(j)
-        fuel = _capped(poly_series(k), config)
-        classify = {"bqp": qc.classify_bqp, "qcma": qc.classify_qcma,
-                    "qma": qc.classify_qma}[fam]
+    machine, fuel = _clocked(
+        i, config, ptm_series if fam == "promisebpp" else machine_series)
+    if fam == "promisebpp":
+        return TotalDecider(
+            f"promisebpp*[{i}]",
+            fn=lambda x: ptm_mod.classify_bpp(
+                machine, fuel, x, on_overrun="reject", config=config))
+    if fam in _QUANTUM:
+        classify = getattr(qc, f"classify_{fam}")
 
         def decide(x: str) -> Verdict:
             try:
-                return classify(gen, fuel, x, config)
+                return classify(machine, fuel, x, config)
             except GeneratorFuelExhausted:
                 # an overrunning generator counts as emitting the trivial
                 # circuit, which never accepts
@@ -296,7 +268,7 @@ def class_presentation(family: str, i: int,
 
         return TotalDecider(f"{fam}*[{i}]", fn=decide)
     raise ValueError(f"unknown presentation family {family!r}; "
-                     f"known: {', '.join(_STARRED_FAMILIES)}")
+                     f"known: promisebpp, promisema, {', '.join(_QUANTUM)}")
 
 
 @dataclass(frozen=True)
@@ -304,22 +276,34 @@ class Enumeration:
     """A computable series index -> total decider (or word function)."""
 
     family: str
-    produce: Callable[[int], TotalDecider]
+    produce: Callable[[int], TotalDecider | ReductionFn]
 
 
-def p_presentation(config: Config = Config()) -> Enumeration:
-    return Enumeration("P", lambda i: p_machine(i, config))
+# Family name -> (presentation label, series).  Each series looks its
+# factory up by name when called, so a module global rebound after import
+# is the one that runs.
+_FAMILIES = {
+    "p": ("P", lambda i, config: p_machine(i, config)),
+    "np": ("NP", lambda i, config: np_machine(i, config)),
+    "polyfunc": ("polyfunc", lambda i, config: polyfunc_series(i, config)),
+    **{fam: (f"{fam}*",
+             lambda i, config, fam=fam: class_presentation(fam, i, config))
+       for fam in ("promisebpp", "promisema", *_QUANTUM)},
+}
 
 
-def np_presentation(config: Config = Config()) -> Enumeration:
-    return Enumeration("NP", lambda i: np_machine(i, config))
+def family_series(name: str, config: Config = Config()) -> Enumeration:
+    """The series of a named family, the name matched ignoring case.
 
-
-def starred_presentation(family: str, config: Config = Config()) -> Enumeration:
-    fam = family.lower()
-    if fam not in _STARRED_FAMILIES:
-        raise ValueError(f"unknown starred family {family!r}")
-    return Enumeration(fam + "*", lambda i: class_presentation(fam, i, config))
+    p, np and the starred families present deciders; polyfunc's series
+    is one of word functions.
+    """
+    fam = name.lower()
+    if fam not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; "
+                         f"known: {', '.join(_FAMILIES)}")
+    label, series = _FAMILIES[fam]
+    return Enumeration(label, lambda i: series(i, config))
 
 
 def builtins_presentation(deciders: list[TotalDecider] | tuple[TotalDecider, ...]) -> Enumeration:

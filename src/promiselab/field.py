@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt, lcm
 
 from .errors import NonRealInput, NotHermitian
 
@@ -39,10 +40,6 @@ class FieldElem:
     b: Fraction = _ZERO
     c: Fraction = _ZERO
     d: Fraction = _ZERO
-
-    @staticmethod
-    def from_rational(x: Fraction | int) -> "FieldElem":
-        return FieldElem(Fraction(x))
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         return FieldElem(self.a + other.a, self.b + other.b,
@@ -84,9 +81,6 @@ class FieldElem:
         denom = e * e - _HALF * f * f  # rational, nonzero for nonzero input
         inv_norm = FieldElem(e / denom, -f / denom)
         return self.conjugate() * inv_norm
-
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        return self * other.inverse()
 
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
@@ -137,48 +131,26 @@ def real_sign(x: FieldElem) -> int:
     raise ArithmeticError("2a^2 = b^2 is impossible for nonzero rationals")
 
 
-def sqrt2_bounds(precision: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket for 1/sqrt(2) of width at most 2^-precision.
-
-    Babylonian iteration for sqrt(1/2) starting at 1; the upper iterates
-    decrease monotonically, the paired lower bounds (1/2)/hi increase, so
-    calls with growing precision return nested intervals.
-    """
-    if precision < 0:
-        raise ValueError("precision must be non-negative")
-    hi = _ONE
-    lo = _HALF
-    width = Fraction(1, 2 ** precision)
-    while hi - lo > width:
-        hi = (hi + _HALF / hi) / 2
-        lo = _HALF / hi
-    return lo, hi
-
-
 def decimal_string(x: FieldElem, digits: int = 12) -> str:
     """Decimal rendering of a real field element, correct to `digits` places.
 
-    The bracket from sqrt2_bounds is tightened until both interval ends
-    round to the same decimal string; the exact fraction stays the
-    authoritative value.
+    Over one denominator d, a*10^digits + 1/2 = p/2d and b*10^digits = w/d,
+    so the value in last-place units is (p + sign(w)*sqrt(2w^2)) / 2d and
+    its floor takes one integer square root.  2w^2 is never a square for
+    w != 0, so its ceiling root is isqrt + 1.  The exact fraction stays
+    the authoritative value.
     """
     if not x.is_real():
         raise NonRealInput(f"element has imaginary part: {x}")
     scale = 10 ** digits
-    precision = digits * 4 + 8
-    while True:
-        lo, hi = sqrt2_bounds(precision)
-        if x.b >= 0:
-            low, high = x.a + x.b * lo, x.a + x.b * hi
-        else:
-            low, high = x.a + x.b * hi, x.a + x.b * lo
-        lo_ticks = (low * scale + _HALF).__floor__()
-        hi_ticks = (high * scale + _HALF).__floor__()
-        if lo_ticks == hi_ticks:
-            sign = "-" if lo_ticks < 0 else ""
-            whole, frac = divmod(abs(lo_ticks), scale)
-            return f"{sign}{whole}.{frac:0{digits}d}"
-        precision *= 2
+    u, v = x.a * scale + _HALF, x.b * scale
+    d = lcm(u.denominator, v.denominator)
+    p, w = int(2 * u * d), int(v * d)
+    root = isqrt(2 * w * w)
+    ticks = (p + root if w >= 0 else p - root - 1) // (2 * d)
+    sign = "-" if ticks < 0 else ""
+    whole, frac = divmod(abs(ticks), scale)
+    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 def format_field_elem(x: FieldElem) -> str:

@@ -61,39 +61,36 @@ def _memoized(fn: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class TotalDecider:
-    """Total classification map, either built in or backed by a machine.
-
-    Machine-backed deciders run under their fuel policy; an output other
-    than "1"/"0"/"10" (or running out of fuel) raises NotTotalDecider
-    instead of silently looping or defaulting.
-    """
+    """Total classification map: fn gives every word its verdict."""
 
     tag: str
-    fn: Callable[[str], Verdict] | None = None
-    machine: tm.MachineDesc | None = None
-    fuel_policy: Callable[[int], int] | None = None
+    fn: Callable[[str], Verdict]
 
     @staticmethod
     def from_machine(tag: str, machine: tm.MachineDesc,
                      fuel_policy: Callable[[int], int]) -> "TotalDecider":
-        return TotalDecider(tag, machine=machine, fuel_policy=fuel_policy)
+        """The machine's output "1"/"0"/"10" as the verdict, under its fuel
+        policy; any other output, or running out of fuel, raises
+        NotTotalDecider instead of silently looping or defaulting."""
+
+        def decide(x: str) -> Verdict:
+            result = tm.run(machine, [x], fuel_policy(len(x)))
+            if isinstance(result, tm.FuelExhaustedResult):
+                raise NotTotalDecider(f"<no output within fuel on {x!r}>")
+            verdict = _OUTPUT_VERDICT.get(result.output)
+            if verdict is None:
+                raise NotTotalDecider(result.output)
+            return verdict
+
+        return TotalDecider(tag, fn=decide)
 
     def classify(self, x: str) -> Verdict:
-        if self.fn is not None:
-            return self.fn(x)
-        assert self.machine is not None and self.fuel_policy is not None
-        result = tm.run(self.machine, [x], self.fuel_policy(len(x)))
-        if isinstance(result, tm.FuelExhaustedResult):
-            raise NotTotalDecider(f"<no output within fuel on {x!r}>")
-        verdict = _OUTPUT_VERDICT.get(result.output)
-        if verdict is None:
-            raise NotTotalDecider(result.output)
-        return verdict
+        return self.fn(x)
 
     def memoized(self) -> "TotalDecider":
         """The same decider, classifying each word at most once while the
         returned decider lives; a classification that raises is not kept."""
-        return TotalDecider(self.tag, fn=_memoized(self.classify))
+        return TotalDecider(self.tag, fn=_memoized(self.fn))
 
 
 def classify(decider: TotalDecider, x: str) -> Verdict:

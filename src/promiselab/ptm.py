@@ -42,33 +42,18 @@ class PTMDesc:
     trivial: bool = False
 
     def __post_init__(self):
-        if self.trivial:
-            return
-        # branch sets are sets: canonicalize order and drop repeats
-        object.__setattr__(self, "transitions", {
-            key: tuple(sorted(set(actions)))
-            for key, actions in self.transitions.items()})
-        if self.states < 1:
-            raise ValueError("machine needs at least one state")
-        if not 0 <= self.initial < self.states:
-            raise ValueError("initial state out of range")
-        if any(not 0 <= f < self.states for f in self.finals):
-            raise ValueError("final state out of range")
-        for (s, sym), actions in self.transitions.items():
-            if not actions:
-                raise ValueError("empty branch set")
-            if not 0 <= s < self.states or sym not in tm.SYMBOLS:
-                raise ValueError("bad transition key")
-            for (t, wsym, move) in actions:
-                if not 0 <= t < self.states or wsym not in tm.SYMBOLS \
-                        or move not in tm.MOVES:
-                    raise ValueError("bad action")
-        for s in range(self.states):
-            if s in self.finals:
-                continue
-            for sym in tm.SYMBOLS:
-                if (s, sym) not in self.transitions:
-                    raise ValueError(f"missing branch set for ({s}, {sym!r})")
+        if not self.trivial:
+            # branch sets are sets: canonicalize order and drop repeats
+            object.__setattr__(self, "transitions", {
+                key: tuple(sorted(set(actions)))
+                for key, actions in self.transitions.items()})
+        tm.check_description(self)
+
+    def rules(self) -> list[tuple[tuple[int, str], Action]]:
+        """The (state, symbol) -> action rules, one per action of a branch
+        set, in the set's canonical order."""
+        return [(key, action) for key, actions in self.transitions.items()
+                for action in actions]
 
 
 TRIVIAL_PTM = PTMDesc(states=1, initial=0, finals=frozenset(),
@@ -88,25 +73,16 @@ def decode_ptm(bits: str) -> PTMDesc:
     """Total decoder; invalid strings denote the trivial (rejecting) machine."""
     try:
         states, initial, finals, quintuples = tm.parse_godel_structure(bits)
-        table: dict[tuple[int, str], set[Action]] = {}
+        table: dict[tuple[int, str], list[Action]] = {}
         for s, sym, t, wsym, move in quintuples:
-            table.setdefault((s, sym), set()).add((t, wsym, move))
-        transitions = {key: tuple(sorted(actions)) for key, actions in table.items()}
-        return PTMDesc(states, initial, finals, transitions)
+            table.setdefault((s, sym), []).append((t, wsym, move))
+        return PTMDesc(states, initial, finals, table)
     except ValueError:
         return TRIVIAL_PTM
 
 
-def encode_ptm(m: PTMDesc) -> str:
-    if m.trivial:
-        return ""
-    parts = [tm._encode_header(m.states, m.initial, m.finals)]
-    for (s, sym), actions in sorted(
-            m.transitions.items(),
-            key=lambda kv: (kv[0][0], tm.SYMBOLS.index(kv[0][1]))):
-        for (t, wsym, move) in actions:
-            parts.append(tm.encode_quintuple(s, sym, t, wsym, move))
-    return "".join(parts)
+# The grammar is shared: a PTM encodes as its quintuples in canonical order.
+encode_ptm = tm.encode_godel
 
 
 def load_ptm_file(path: str) -> PTMDesc:

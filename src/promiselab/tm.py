@@ -28,6 +28,7 @@ every input.  Its canonical encoding is the empty string.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 BLANK = "_"
@@ -52,25 +53,38 @@ class MachineDesc:
     trivial: bool = False
 
     def __post_init__(self):
-        if self.trivial:
-            return
-        if self.states < 1:
-            raise ValueError("machine needs at least one state")
-        if not 0 <= self.initial < self.states:
-            raise ValueError("initial state out of range")
-        if any(not 0 <= f < self.states for f in self.finals):
-            raise ValueError("final state out of range")
-        for (s, sym), (t, wsym, move) in self.transitions.items():
-            if not (0 <= s < self.states and 0 <= t < self.states):
-                raise ValueError("transition state out of range")
-            if sym not in SYMBOLS or wsym not in SYMBOLS or move not in MOVES:
-                raise ValueError("bad transition alphabet")
-        for s in range(self.states):
-            if s in self.finals:
-                continue
-            for sym in SYMBOLS:
-                if (s, sym) not in self.transitions:
-                    raise ValueError(f"missing transition for ({s}, {sym!r})")
+        check_description(self)
+
+    def rules(self) -> Iterable[tuple[tuple[int, str], Transition]]:
+        """The (state, symbol) -> action rules, one per pair."""
+        return self.transitions.items()
+
+
+def check_description(m) -> None:
+    """Raise ValueError unless m, a MachineDesc or a ptm.PTMDesc, is well
+    formed: states and symbols in range, no empty branch set, and a branch
+    set for every (state, symbol) pair of a non-final state."""
+    if m.trivial:
+        return
+    if m.states < 1:
+        raise ValueError("machine needs at least one state")
+    if not 0 <= m.initial < m.states:
+        raise ValueError("initial state out of range")
+    if any(not 0 <= f < m.states for f in m.finals):
+        raise ValueError("final state out of range")
+    if not all(m.transitions.values()):  # a TM's action is never empty
+        raise ValueError("empty branch set")
+    for (s, sym), (t, wsym, move) in m.rules():
+        if not (0 <= s < m.states and 0 <= t < m.states):
+            raise ValueError("transition state out of range")
+        if sym not in SYMBOLS or wsym not in SYMBOLS or move not in MOVES:
+            raise ValueError("bad transition alphabet")
+    for s in range(m.states):
+        if s in m.finals:
+            continue
+        for sym in SYMBOLS:
+            if (s, sym) not in m.transitions:
+                raise ValueError(f"missing transition for ({s}, {sym!r})")
 
 
 TRIVIAL_MACHINE = MachineDesc(states=1, initial=0, finals=frozenset(),
@@ -191,29 +205,25 @@ def decode_godel(bits: str) -> MachineDesc:
         return TRIVIAL_MACHINE
 
 
-def _encode_header(states: int, initial: int, finals: frozenset[int]) -> str:
-    parts = ["1" * states, "0", "1" * (initial + 1), "0"]
-    for f in sorted(finals):
-        parts.append("1" * (f + 1))
-        parts.append("0")
-    parts.append("00")
-    return "".join(parts)
-
-
 def encode_quintuple(s: int, sym: str, t: int, wsym: str, move: str) -> str:
     return ("1" * (s + 1) + "0" + _SYM_CODE[sym] + "0"
             + "1" * (t + 1) + "0" + _SYM_CODE[wsym] + "0"
             + _MOVE_CODE[move] + "00")
 
 
-def encode_godel(m: MachineDesc) -> str:
-    """Canonical encoding; decode_godel(encode_godel(m)) equals m."""
+def encode_godel(m) -> str:
+    """Canonical encoding of a MachineDesc or a ptm.PTMDesc: the header,
+    then one quintuple per rule, ordered by state, then symbol in SYMBOLS
+    order, then action; decode_godel(encode_godel(m)) equals m for a
+    MachineDesc."""
     if m.trivial:
         return ""
-    parts = [_encode_header(m.states, m.initial, m.finals)]
-    for (s, sym), (t, wsym, move) in sorted(
-            m.transitions.items(), key=lambda kv: (kv[0][0], SYMBOLS.index(kv[0][1]))):
-        parts.append(encode_quintuple(s, sym, t, wsym, move))
+    parts = ["1" * m.states, "0", "1" * (m.initial + 1), "0"]
+    parts.extend("1" * (f + 1) + "0" for f in sorted(m.finals))
+    parts.append("00")
+    for (s, sym), action in sorted(
+            m.rules(), key=lambda rule: (rule[0][0], SYMBOLS.index(rule[0][1]))):
+        parts.append(encode_quintuple(s, sym, *action))
     return "".join(parts)
 
 

@@ -292,6 +292,14 @@ class TestEnumerateCommand:
         code = dispatch(["enumerate", "martians", "0"])
         assert code == 1
 
+    def test_unknown_family_lists_every_family(self, capsys):
+        assert dispatch(["enumerate", "martians", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ValueError: unknown family 'martians'; known: p, np, "
+            "polyfunc, promisebpp, promisema, bqp, qcma, qma\n")
+
     @pytest.mark.parametrize("argv, error", [
         (["enumerate", "martians", "0", "--max-len", "17"],
          "CapExceeded: --max-len 17 exceeds cap 16"),

@@ -9,12 +9,14 @@ from helpers_machines import (always_accept_machine, always_reject_machine,
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.enumeration import (Enumeration, Polynomial,
                                     builtins_presentation, class_presentation,
+                                    family_series,
                                     harder_set, harder_set_presentation,
                                     machine_series, np_machine, p_machine,
                                     pair, parse_oracle_machine, poly_series,
                                     polyfunc_series, polyset_series,
                                     reduction_closure, triple, unpair,
                                     untriple)
+from promiselab.config import Config
 from promiselab.errors import CapExceeded
 from promiselab.promise import TotalDecider, Verdict, builtin
 from promiselab.ptm import encode_ptm
@@ -302,6 +304,30 @@ class TestClassPresentations:
                 for x in words_up_to(6):
                     assert decider.classify(x) in (
                         Verdict.YES, Verdict.NO, Verdict.OUTSIDE)
+
+
+class TestFamilySeries:
+    @pytest.mark.parametrize("name, label, tag", [
+        ("p", "P", "p[7]"), ("NP", "NP", "np[7]"), ("polyfunc", "polyfunc", "f[7]"),
+        ("promisebpp", "promisebpp*", "promisebpp*[7]"),
+        ("PromiseMA", "promisema*", "promisema*[7]"),
+        ("bqp", "bqp*", "bqp*[7]"), ("qcma", "qcma*", "qcma*[7]"),
+        ("QMA", "qma*", "qma*[7]")])
+    def test_label_and_tag(self, name, label, tag):
+        series = family_series(name)
+        assert series.family == label
+        assert series.produce(7).tag == tag
+
+    def test_series_use_the_configuration(self):
+        series = family_series("p", Config(max_enum_index_bits=2))
+        series.produce(3)
+        with pytest.raises(CapExceeded):
+            series.produce(4)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="known: p, np, polyfunc, "
+                           "promisebpp, promisema, bqp, qcma, qma"):
+            family_series("martians")
 
 
 class TestReductionClosure:

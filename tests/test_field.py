@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from promiselab.errors import NonRealInput, NotHermitian
+from oracle_decimal import sqrt2_bounds
 from oracle_simulator import T_PHASE
 from promiselab.field import (ExactMatrix, FieldElem, ONE, SQRT2_INV, ZERO,
                               decimal_string, det, format_field_elem,
                               parse_field_elem, real_sign, scaled_identity,
-                              sqrt2_bounds, sylvester_pd, sylvester_psd)
+                              sylvester_pd, sylvester_psd)
 
 SQRT2_INV_FLOAT = 2 ** -0.5
 
@@ -118,6 +119,8 @@ class TestRealSign:
 
 
 class TestSqrt2Bounds:
+    """The bracket behind the reference rendering in oracle_decimal."""
+
     def test_precision_zero_brackets(self):
         lo, hi = sqrt2_bounds(0)
         assert lo <= hi and hi - lo <= 1

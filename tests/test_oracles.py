@@ -13,15 +13,19 @@ counts, and an equal path when a branch runs out of fuel.  The memos
 that let one invocation compute each value once are checked against
 fresh computation: the gap limits list against the direct iteration in
 `test_diagonal.reference_gap_member`, the memoized witness-length map
-and the memoized decider against unmemoized evaluation.
+and the memoized decider against unmemoized evaluation.  The integer
+square-root rendering in `promiselab.field.decimal_string` is checked
+against the shrinking 1/sqrt(2) bracket kept in `oracle_decimal`.
 """
 
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_decimal
 import oracle_parser
 import oracle_ptm
 import oracle_simulator as ref
@@ -33,7 +37,7 @@ from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
 from promiselab.diagonal import (GapLimits, affine_costed, build_r,
                                  costed_toy, gap_member, time_construct_wrap)
 from promiselab.errors import BranchFuelExhausted
-from promiselab.field import ZERO, scaled_identity
+from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
 from promiselab.promise import TotalDecider, builtin
 from promiselab.words import words_up_to
 from test_diagonal import reference_gap_member, toy_instance
@@ -329,3 +333,27 @@ class TestMemoOracle:
         random.Random(seed).shuffle(words)
         for w in words + words[:100]:
             assert memo.classify(w) is raw.classify(w)
+
+
+_RATIONALS = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40)))
+
+
+class TestDecimalOracle:
+    @settings(max_examples=400)
+    @given(_RATIONALS, _RATIONALS, st.integers(0, 30))
+    def test_rendering(self, a, b, digits):
+        x = FieldElem(a, b)
+        assert decimal_string(x, digits) == \
+            oracle_decimal.decimal_string(x, digits)
+
+    @pytest.mark.parametrize("a, b", [
+        (0, 0), (0, 1), (0, -1), (Fraction(-1, 2), 0), (-1, 1),
+        (Fraction(1, 2), Fraction(-1, 2)),
+        (Fraction(1, 2 * 10 ** 12), 0), (Fraction(-1, 2 * 10 ** 12), 0),
+        (Fraction(1, 3 ** 50), Fraction(-1, 7 ** 40))])
+    def test_rendering_at_edges(self, a, b):
+        x = FieldElem(Fraction(a), Fraction(b))
+        assert decimal_string(x) == oracle_decimal.decimal_string(x)
