@@ -9,8 +9,8 @@ from helpers_machines import (always_accept_machine, always_reject_machine,
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.enumeration import (Enumeration, Polynomial,
                                     builtins_presentation, class_presentation,
-                                    family_series,
-                                    harder_set, harder_set_presentation,
+                                    family_series, harder_set,
+                                    harder_set_presentation,
                                     machine_series, np_machine, p_machine,
                                     pair, parse_oracle_machine, poly_series,
                                     polyfunc_series, polyset_series,
@@ -323,11 +323,6 @@ class TestFamilySeries:
         series.produce(3)
         with pytest.raises(CapExceeded):
             series.produce(4)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="known: p, np, polyfunc, "
-                           "promisebpp, promisema, bqp, qcma, qma"):
-            family_series("martians")
 
 
 class TestReductionClosure:
