@@ -20,10 +20,10 @@ from .enumeration import (Enumeration, Polynomial, class_presentation,
                           p_machine, pair, poly_series, polyfunc_series,
                           polyset_series, reduction_closure, triple, unpair,
                           untriple)
-from .field import (ExactMatrix, FieldElem, Rational, det, real_sign,
-                    sylvester_pd, sylvester_psd)
+from .field import (ExactMatrix, FieldElem, det, real_sign, sylvester_pd,
+                    sylvester_psd)
 from .promise import (BUILTIN_PROBLEMS, OracleMachine, ReductionFn,
-                      TotalDecider, Verdict, builtin, classify, cook_run,
+                      TotalDecider, Verdict, builtin, cook_run,
                       differences, karp_check, karp_to_cook, marked_union)
 from .ptm import (BranchStats, PTMDesc, TRIVIAL_PTM, classify_bpp,
                   classify_ma, decode_ptm, encode_ptm, enumerate_branches)

@@ -119,6 +119,12 @@ _natural = _at_least(0, "a non-negative integer")  # lengths, counts, fuel
 _positive = _at_least(1, "a positive integer")  # search caps
 
 
+def _word(text: str) -> str:
+    if text.strip("01"):  # the empty word is a word
+        raise argparse.ArgumentTypeError(f"expected a binary word, got {text!r}")
+    return text
+
+
 def _print_exact(label: str, value: FieldElem) -> None:
     print(f"{label}: {value}  (~ {decimal_string(value)})")
 
@@ -314,12 +320,14 @@ _SUBCOMMANDS = {
         ("--c", {"type": _fraction, "default": None}),
         ("--s", {"type": _fraction, "default": None}))),
     "classify": (_cmd_classify, "classify a word under a problem", (
-        ("--problem", {**_REQUIRED, "type": _problem}), ("--input", _REQUIRED))),
+        ("--problem", {**_REQUIRED, "type": _problem}),
+        ("--input", {**_REQUIRED, "type": _word}))),
     "enumerate": (_cmd_enumerate, "print a presented decider's verdicts", (
         ("family", {}), ("index", {"type": _natural}),
         ("--max-len", {"type": _natural, "default": 4}))),
     "gaplang": (_cmd_gaplang, "gap language membership", (
-        ("--r", {**_REQUIRED, "type": _r_spec}), ("--member", {"default": None}),
+        ("--r", {**_REQUIRED, "type": _r_spec}),
+        ("--member", {"type": _word, "default": None}),
         ("--table", {"type": _natural, "default": None,
                      "help": "also print intervals up to this length"}))),
     "diagonalize": (_cmd_diagonalize, "run the diagonalization construction",

@@ -1,4 +1,4 @@
-"""Every cap and threshold of the package, in one frozen object.
+"""Every settable cap and threshold of the package, in one frozen object.
 
 Library functions that read a cap or a threshold take a single
 ``config: Config = Config()`` keyword.  The command line tool builds one
@@ -9,7 +9,7 @@ defaults below.  Unknown keys are rejected so typos surface immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 
@@ -40,7 +40,7 @@ _PARSERS = {f.name: Fraction if f.type == "Fraction" else int
             for f in fields(Config)}
 
 
-def load_config(path: str, base: Config | None = None) -> Config:
+def load_config(path: str) -> Config:
     """Read a key=value file; every error names the file and the line.
 
     A c < s conflict is reported at the threshold line read last.
@@ -73,6 +73,6 @@ def load_config(path: str, base: Config | None = None) -> Config:
             else:
                 threshold_line = lineno
     try:
-        return replace(base or Config(), **values)
+        return Config(**values)
     except ValueError as exc:  # c < s, the only check left
         raise ValueError(f"{path}:{threshold_line}: {exc}") from None

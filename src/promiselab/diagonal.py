@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import islice
-from typing import Callable, Literal
+from typing import Callable, Iterator, Literal
 
-from .enumeration import Enumeration
+from .enumeration import CostedFunction, Enumeration
 from .errors import (AccountingError, FuelCap, NoContradictionFound,
                      NoInstanceOfA, NotTimeConstructible)
 from . import tm
-from .promise import ReductionFn, TotalDecider, Verdict, _memoized
+from .promise import ReductionFn, TotalDecider, Verdict
 from .words import words_of_length, words_up_to
 
 REPRESENTABLE = "representable"
@@ -40,17 +41,8 @@ PRESENTABLE = "presentable"
 # total number of words examined before giving up.
 DEFAULT_SEARCH_CAP = 8
 WORD_SCAN_BUDGET = 1 << 14
-
-
-@dataclass(frozen=True)
-class CostedFunction:
-    """A map on the naturals together with exact cost accounting."""
-
-    name: str
-    eval: Callable[[int], tuple[int, int]]
-
-    def value(self, n: int) -> int:
-        return self.eval(n)[0]
+TIME_CONSTRUCTOR_FUEL = 100_000  # steps of a time constructor on one input
+NO_INSTANCE_SCAN = 1 << 12  # words ladner scans for a no-instance of a
 
 
 def costed_toy(name: str, f: Callable[[int], int]) -> CostedFunction:
@@ -67,7 +59,7 @@ def affine_costed(slope: int, offset: int) -> CostedFunction:
                       lambda n: slope * n + offset)
 
 
-def eval_counted(tc: tm.MachineDesc, n: int, fuel_cap: int = 100_000) -> int:
+def eval_counted(tc: tm.MachineDesc, n: int) -> int:
     """Step count of a time-constructing machine on length-n inputs.
 
     Verified on two inputs of that length (all zeros and all ones);
@@ -77,9 +69,9 @@ def eval_counted(tc: tm.MachineDesc, n: int, fuel_cap: int = 100_000) -> int:
     samples = ["0" * n] if n == 0 else ["0" * n, "1" * n]
     counts = []
     for word in samples:
-        result = tm.run(tc, [word], fuel_cap)
+        result = tm.run(tc, [word], TIME_CONSTRUCTOR_FUEL)
         if isinstance(result, tm.FuelExhaustedResult):
-            raise FuelCap(f"time constructor ran past {fuel_cap} steps")
+            raise FuelCap(f"time constructor ran past {TIME_CONSTRUCTOR_FUEL} steps")
         counts.append(result.steps)
     if len(set(counts)) != 1:
         raise NotTimeConstructible(
@@ -87,15 +79,14 @@ def eval_counted(tc: tm.MachineDesc, n: int, fuel_cap: int = 100_000) -> int:
     return counts[0]
 
 
-def time_constructor_costed(tc: tm.MachineDesc,
-                            fuel_cap: int = 100_000) -> CostedFunction:
+def time_constructor_costed(tc: tm.MachineDesc) -> CostedFunction:
     """Costed view of a step-counting machine: cost = steps simulated."""
 
     def evaluate(n: int) -> tuple[int, int]:
-        value = eval_counted(tc, n, fuel_cap)
+        value = eval_counted(tc, n)
         return value, value * (1 if n == 0 else 2)
 
-    return CostedFunction("counted-machine", _memoized(evaluate))
+    return CostedFunction("counted-machine", cache(evaluate))
 
 
 def time_construct_wrap(f: CostedFunction) -> CostedFunction:
@@ -109,7 +100,7 @@ def time_construct_wrap(f: CostedFunction) -> CostedFunction:
         value, cost = f.eval(n)
         return value + cost + n + 1, cost + 1
 
-    return CostedFunction(f"wrap({f.name})", _memoized(evaluate))
+    return CostedFunction(f"wrap({f.name})", cache(evaluate))
 
 
 def _checked_eval(r: CostedFunction, n: int) -> tuple[int, int]:
@@ -165,11 +156,14 @@ class GapLimits:
         return self.interval(x if isinstance(x, int) else len(x)) % 2 == 0
 
 
-def gap_intervals(r: CostedFunction, max_length: int) -> list[tuple[int, int, bool]]:
-    """(start, end, member) rows of all intervals touching [0, max_length]."""
-    gaps = GapLimits(r)
-    return [(gaps.limit(k), gaps.limit(k + 1), k % 2 == 0)
-            for k in range(gaps.interval(max_length) + 1)]
+def gap_intervals(r: CostedFunction, max_length: int) -> Iterator[tuple[int, int, bool]]:
+    """(start, end, member) rows of all intervals touching [0, max_length],
+    yielded one at a time, so memory does not grow with max_length."""
+    start, member = 0, True
+    while start <= max_length:
+        end = _checked_eval(r, start)[0]
+        yield start, end, member
+        start, member = end, not member
 
 
 def _scan_contradiction(
@@ -282,8 +276,8 @@ def build_r_components(inst: DiagInstance) -> tuple[CostedFunction,
             return best + 1, cost
         return evaluate
 
-    q = CostedFunction("q", _memoized(q_eval(inst.pres_c, inst.a, inst.mode_c)))
-    q_prime = CostedFunction("q'", _memoized(
+    q = CostedFunction("q", cache(q_eval(inst.pres_c, inst.a, inst.mode_c)))
+    q_prime = CostedFunction("q'", cache(
         q_eval(inst.pres_c_prime, inst.a_prime, inst.mode_c_prime)))
 
     def combined(n: int) -> tuple[int, int]:
@@ -348,7 +342,6 @@ def ladner(
     pres_harder: Enumeration,
     search_cap: int = DEFAULT_SEARCH_CAP,
     witness_bound: int = 3,
-    no_instance_scan: int = 1 << 12,
 ) -> DiagResult:
     """Intermediate-problem construction below a.
 
@@ -363,11 +356,11 @@ def ladner(
     inst = DiagInstance(a, const_no, pres_c, pres_harder,
                         mode_c, PRESENTABLE, search_cap)
     result = diagonalize(inst, witness_bound)
-    scanned = islice(words_up_to(no_instance_scan.bit_length() + 1),
-                     no_instance_scan)
+    scanned = islice(words_up_to(NO_INSTANCE_SCAN.bit_length() + 1),
+                     NO_INSTANCE_SCAN)
     target = next((w for w in scanned if a.classify(w) is Verdict.NO), None)
     if target is None:
-        raise NoInstanceOfA(f"no no-instance of {a.tag} within {no_instance_scan} words")
+        raise NoInstanceOfA(f"no no-instance of {a.tag} within {NO_INSTANCE_SCAN} words")
     member = result.gaps.member
 
     def to_a(x: str) -> str:

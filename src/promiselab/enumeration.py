@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from math import comb, isqrt
 from typing import Callable, Literal
 
@@ -28,12 +29,22 @@ from .config import Config
 from .errors import CapExceeded, FuelExhausted, GeneratorFuelExhausted, \
     NonPromisedQuery
 from .promise import (MAX_WITNESS_SPACE, OracleMachine, ReductionFn,
-                      TotalDecider, Verdict, _memoized, cook_run,
-                      witness_verdict)
+                      TotalDecider, Verdict, cook_run, witness_verdict)
 from .words import index_to_word, words_up_to
 
 HARDER_SET_CHECK_CAP = 12
 _ORACLE_PREFIX = re.compile(r"(1+)0")  # 1^(o+1) 0, oracle state o
+
+
+@dataclass(frozen=True)
+class CostedFunction:
+    """A map on the naturals together with exact cost accounting."""
+
+    name: str
+    eval: Callable[[int], tuple[int, int]]
+
+    def value(self, n: int) -> int:
+        return self.eval(n)[0]
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,13 @@ def _clocked(i: int, config: Config,
     return (series(j), lambda n: min(clock(n), ceiling), *rest)
 
 
+def _accepts(machine: tm.MachineDesc, inputs: list[str], fuel: int) -> Verdict:
+    """Yes iff the run halts within fuel with output "1", otherwise No."""
+    result = tm.run(machine, inputs, fuel)
+    accepted = isinstance(result, tm.Halted) and result.output == "1"
+    return Verdict.YES if accepted else Verdict.NO
+
+
 def p_machine(i: int, config: Config = Config()) -> TotalDecider:
     """Clocked deterministic decision machines: the series for P.
 
@@ -161,10 +179,7 @@ def p_machine(i: int, config: Config = Config()) -> TotalDecider:
     machine, fuel = _clocked(i, config)
 
     def decide(x: str) -> Verdict:
-        result = tm.run(machine, [x], fuel(len(x)))
-        if isinstance(result, tm.Halted) and result.output == "1":
-            return Verdict.YES
-        return Verdict.NO
+        return _accepts(machine, [x], fuel(len(x)))
 
     return TotalDecider(f"p[{i}]", fn=decide)
 
@@ -183,7 +198,7 @@ def polyfunc_series(i: int, config: Config = Config()) -> ReductionFn:
     return ReductionFn(f"f[{i}]", fn=apply, machine=machine, runtime=fuel)
 
 
-def polyset_series(i: int, config: Config = Config()):
+def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
     """Clocked, clamped numeric functions; lands in the polynomial set.
 
     Returns a costed map n -> (value, cost): the machine for index j runs
@@ -191,8 +206,6 @@ def polyset_series(i: int, config: Config = Config()):
     clamped to p_l(n), and the cost is the number of simulated steps.
     Each n is evaluated once; the memo lives as long as the returned map.
     """
-    from .diagonal import CostedFunction
-
     machine, fuel, l = _clocked(i, config, arity=3)
     clamp = poly_series(l)
 
@@ -205,7 +218,7 @@ def polyset_series(i: int, config: Config = Config()):
             return min(raw, clamp(n)), result.steps
         return min(0, clamp(n)), result.steps
 
-    return CostedFunction(f"polyset[{i}]", _memoized(evaluate))
+    return CostedFunction(f"polyset[{i}]", cache(evaluate))
 
 
 def np_machine(i: int, config: Config = Config()) -> TotalDecider:
@@ -215,15 +228,8 @@ def np_machine(i: int, config: Config = Config()) -> TotalDecider:
 
     def decide(x: str) -> Verdict:
         steps = fuel(len(x))
-
-        def verify(y: str) -> Verdict:
-            result = tm.run(verifier, [x, y], steps)
-            if isinstance(result, tm.Halted) and result.output == "1":
-                return Verdict.YES
-            return Verdict.NO
-
         return witness_verdict(wit_len.eval(len(x))[0], MAX_WITNESS_SPACE,
-                               verify)
+                               lambda y: _accepts(verifier, [x, y], steps))
 
     return TotalDecider(f"np[{i}]", fn=decide)
 
@@ -348,17 +354,17 @@ def harder_set(
     c_pres: Enumeration,
     mode: Literal["M", "T"],
     i: int,
-    check_cap: int = HARDER_SET_CHECK_CAP,
+    *,
     config: Config = Config(),
 ) -> TotalDecider:
     """Presentation of the problems of a class that a reduces to.
 
     Index i decodes to (j, k).  On input x the decider re-verifies, for
-    every word y up to length min(|x|, check_cap), that reduction j maps
-    a correctly into the k-th presented problem (mode M: the two Karp
-    implications; mode T: oracle machine j with that problem as oracle
-    stays inside the promise and answers correctly).  If all checks pass
-    it answers like the presented problem, otherwise like a.
+    every word y up to length min(|x|, HARDER_SET_CHECK_CAP), that
+    reduction j maps a correctly into the k-th presented problem (mode M:
+    the two Karp implications; mode T: oracle machine j with that problem
+    as oracle stays inside the promise and answers correctly).  If all
+    checks pass it answers like the presented problem, otherwise like a.
     """
     _check_index(i, config)
     j, k = unpair(i)
@@ -383,7 +389,7 @@ def harder_set(
         raise ValueError("mode must be 'M' or 'T'")
 
     def decide(x: str) -> Verdict:
-        for y in words_up_to(min(len(x), check_cap)):
+        for y in words_up_to(min(len(x), HARDER_SET_CHECK_CAP)):
             va = a.classify(y)
             if va is Verdict.OUTSIDE:
                 continue
@@ -398,9 +404,9 @@ def harder_set_presentation(
     a: TotalDecider,
     c_pres: Enumeration,
     mode: Literal["M", "T"] = "T",
-    check_cap: int = HARDER_SET_CHECK_CAP,
+    *,
     config: Config = Config(),
 ) -> Enumeration:
     return Enumeration(
         f"harder[{mode}]({a.tag};{c_pres.family})",
-        lambda i: harder_set(a, c_pres, mode, i, check_cap, config))
+        lambda i: harder_set(a, c_pres, mode, i, config=config))

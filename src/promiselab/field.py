@@ -23,10 +23,6 @@ from math import isqrt, lcm
 
 from .errors import NonRealInput, NotHermitian
 
-# Exact rationals are plain stdlib fractions; they already enforce the
-# canonical form (reduced, positive denominator).
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -45,20 +46,6 @@ class Verdict(enum.Enum):
 _OUTPUT_VERDICT = {"1": Verdict.YES, "0": Verdict.NO, "10": Verdict.OUTSIDE}
 
 
-def _memoized(fn: Callable) -> Callable:
-    """fn computing each argument's value once, for the life of the
-    returned function; fn never returns None, and a raise is not kept."""
-    cache: dict = {}
-
-    def wrapped(x):
-        value = cache.get(x)
-        if value is None:
-            value = cache[x] = fn(x)
-        return value
-
-    return wrapped
-
-
 @dataclass(frozen=True)
 class TotalDecider:
     """Total classification map: fn gives every word its verdict."""
@@ -90,11 +77,7 @@ class TotalDecider:
     def memoized(self) -> "TotalDecider":
         """The same decider, classifying each word at most once while the
         returned decider lives; a classification that raises is not kept."""
-        return TotalDecider(self.tag, fn=_memoized(self.fn))
-
-
-def classify(decider: TotalDecider, x: str) -> Verdict:
-    return decider.classify(x)
+        return TotalDecider(self.tag, fn=cache(self.fn))
 
 
 @dataclass(frozen=True)
@@ -229,16 +212,14 @@ def karp_check(f: ReductionFn, a: TotalDecider, b: TotalDecider,
     return KarpReport(checked, tuple(violations))
 
 
-def cook_run(o: OracleMachine, oracle: TotalDecider, x: str,
-             fuel: int | None = None) -> bool:
+def cook_run(o: OracleMachine, oracle: TotalDecider, x: str) -> bool:
     """Run an oracle machine; True means it accepts (outputs "1").
 
     Queries outside the oracle's promise raise NonPromisedQuery; running
     beyond the machine's own runtime bound raises FuelExhausted.
     """
     m = o.base
-    if fuel is None:
-        fuel = o.runtime(len(x))
+    fuel = o.runtime(len(x))
     if m.trivial:
         if fuel < 1:
             _raise_fuel(o, x)

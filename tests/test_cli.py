@@ -153,6 +153,11 @@ class TestClassifyCommand:
                          "--input", "101"]) == 0
         assert capsys.readouterr().out.strip() == "no"
 
+    def test_empty_word(self, capsys):
+        assert dispatch(["classify", "--problem", "builtin:len-even",
+                         "--input", ""]) == 0
+        assert capsys.readouterr().out == "yes\n"
+
     def test_machine_backed(self, parity_file, capsys):
         assert dispatch(["classify", "--problem", f"machine:{parity_file}",
                          "--input", "011"]) == 0
@@ -190,6 +195,18 @@ class TestUsageErrors:
             dispatch(["classify", "--problem", "builtin:bogus", "--input", "1"])
         assert exc.value.code == 2
         assert "unknown builtin problem 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--problem", "builtin:parity", "--input", "abc"],
+        ["gaplang", "--r", "succ", "--member", "xyz"],
+    ])
+    def test_non_binary_word(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected a binary word, got '{argv[-1]}'" in captured.err
 
     def test_unknown_builtin_in_presentation(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from helpers_machines import diverging_machine, identity_machine, parity_machine
@@ -60,7 +62,7 @@ class TestEvalCounted:
 
     def test_fuel_cap(self):
         with pytest.raises(FuelCap):
-            eval_counted(diverging_machine(), 2, fuel_cap=50)
+            eval_counted(diverging_machine(), 2)
 
 
 class TestTimeConstructWrap:
@@ -115,12 +117,18 @@ class TestGapMembership:
 
     def test_interval_partition(self):
         r = affine_costed(2, 2)
-        rows = gap_intervals(r, 64)
+        rows = list(gap_intervals(r, 64))
         for length in range(65):
             containing = [row for row in rows if row[0] <= length < row[1]]
             assert len(containing) == 1
             assert gap_member(r, length) == containing[0][2]
 
+    def test_intervals_evaluate_r_once_per_row_taken(self):
+        args = []
+        r = CostedFunction("doubling", lambda n: (args.append(n) or 2 * n + 2, 1))
+        rows = list(islice(gap_intervals(r, 10 ** 9), 3))
+        assert rows == [(0, 2, True), (2, 6, False), (6, 14, True)]
+        assert args == [0, 2, 6]
 
     def test_limits_list_computes_each_limit_once(self):
         args = []

@@ -390,7 +390,7 @@ class TestHarderSet:
         # equal the presented machine's
         pres = builtins_presentation([PARITY])
         i = pair(pair(machine_index(identity_machine()), 0), 0)
-        decider = harder_set(PARITY, pres, "M", i, check_cap=8)
+        decider = harder_set(PARITY, pres, "M", i)
         report_words = list(words_up_to(8))
         assert all(decider.classify(x) is PARITY.classify(x)
                    for x in report_words)

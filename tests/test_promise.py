@@ -11,7 +11,7 @@ from promiselab.errors import (CapExceeded, FuelExhausted, NonPromisedQuery,
                                NotTotalDecider, WitnessSpaceTooLarge)
 from promiselab.promise import (MAX_WITNESS_SPACE, OracleMachine,
                                 ReductionFn, TotalDecider,
-                                Verdict, builtin, classify, cook_run,
+                                Verdict, builtin, cook_run,
                                 differences, karp_check, karp_to_cook,
                                 marked_union, witness_verdict)
 from promiselab.tm import BLANK, MachineDesc, SYMBOLS
@@ -35,10 +35,10 @@ def query_echo_machine() -> OracleMachine:
 
 class TestClassify:
     def test_builtin_verdicts(self):
-        assert classify(CONST_NO, "0") is Verdict.NO
-        assert classify(CONST_NO, "") is Verdict.NO
-        assert classify(PARITY, "101") is Verdict.NO
-        assert classify(PARITY, "100") is Verdict.YES
+        assert CONST_NO.classify("0") is Verdict.NO
+        assert CONST_NO.classify("") is Verdict.NO
+        assert PARITY.classify("101") is Verdict.NO
+        assert PARITY.classify("100") is Verdict.YES
 
     def test_machine_backed_decider(self):
         decider = TotalDecider.from_machine("parity", parity_machine(),
