@@ -12,9 +12,9 @@ from .circuit import (Circuit, Gate, StateVector, TRIVIAL_CIRCUIT,
                       classify_qma, encode_circuit, p_acc, parse_circuit,
                       simulate)
 from .diagonal import (CostedFunction, DiagInstance, DiagResult,
-                       PRESENTABLE, REPRESENTABLE, affine_costed, build_r,
-                       diagonalize, eval_counted, find_contradiction,
-                       gap_member, ladner, time_construct_wrap)
+                       PRESENTABLE, REPRESENTABLE, affine_costed, diagonalize,
+                       eval_counted, find_contradiction, gap_member, ladner,
+                       time_construct_wrap)
 from .enumeration import (Enumeration, Polynomial, class_presentation,
                           harder_set, harder_set_presentation, np_machine,
                           p_machine, pair, poly_series, polyfunc_series,

@@ -370,8 +370,8 @@ def classify_qma_operator(q: ExactMatrix, config: Config = Config()) -> Verdict:
 
 
 def _trichotomy(p: FieldElem, config: Config) -> Verdict:
-    if real_sign(p - FieldElem(config.threshold_c)) >= 0:
-        return Verdict.YES
     if real_sign(p - FieldElem(config.threshold_s)) <= 0:
         return Verdict.NO
+    if real_sign(p - FieldElem(config.threshold_c)) >= 0:
+        return Verdict.YES
     return Verdict.OUTSIDE

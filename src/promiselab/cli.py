@@ -284,7 +284,7 @@ class _Subcommand:
 
 _REQUIRED = {"required": True}
 _MACHINE = (("--machine", _REQUIRED),
-            ("--input", {"action": "append", "default": []}),
+            ("--input", {"action": "append", "default": [], "type": _word}),
             ("--fuel", {"type": _natural, "default": None}))
 
 
@@ -314,7 +314,7 @@ _SUBCOMMANDS = {
     "decide": (_cmd_decide, "decide via a circuit generator", (
         ("problem_class", {"choices": ("bqp", "qcma", "qma")}),
         ("--gen", {**_REQUIRED, "help": "generator machine file"}),
-        ("--input", _REQUIRED),
+        ("--input", {**_REQUIRED, "type": _word}),
         ("--gen-runtime", {"type": _polynomial,
                            "default": enumeration.Polynomial((1000, 100))}),
         ("--c", {"type": _fraction, "default": None}),

@@ -166,16 +166,22 @@ def gap_intervals(r: CostedFunction, max_length: int) -> Iterator[tuple[int, int
         start, member = end, not member
 
 
-def _scan_contradiction(
+def find_contradiction(
     a: TotalDecider,
     machine: TotalDecider,
     n: int,
     mode: str,
-    cap: int,
+    cap: int = DEFAULT_SEARCH_CAP,
     machine_index: int = -1,
 ) -> tuple[str, int]:
-    """Smallest word z (canonical order) with |z| > n separating a from
-    the machine's problem; returns (word, accounting cost)."""
+    """The smallest word z (canonical order) with |z| > n witnessing that
+    the machine does not capture a above n; returns (word, accounting
+    cost).
+
+    In representable mode the word separates a one-sidedly (a's verdict
+    is committed, the machine's differs); in presentable mode either
+    side's committed verdict may do the separating.
+    """
     representable = mode == REPRESENTABLE
     if mode not in (REPRESENTABLE, PRESENTABLE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -192,22 +198,6 @@ def _scan_contradiction(
             if va.separates(vm) or (not representable and vm.separates(va)):
                 return z, cost
     raise NoContradictionFound(machine_index, n, cap)
-
-
-def find_contradiction(
-    a: TotalDecider,
-    machine: TotalDecider,
-    n: int,
-    mode: str,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> str:
-    """The word witnessing that the machine does not capture a above n.
-
-    In representable mode the word separates a one-sidedly (a's verdict
-    is committed, the machine's differs); in presentable mode either
-    side's committed verdict may do the separating.
-    """
-    return _scan_contradiction(a, machine, n, mode, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -269,8 +259,8 @@ def build_r_components(inst: DiagInstance) -> tuple[CostedFunction,
             best = 0
             cost = 0
             for i in range(n + 1):
-                z, c = _scan_contradiction(a, pres.produce(i), n, mode,
-                                           inst.search_cap, machine_index=i)
+                z, c = find_contradiction(a, pres.produce(i), n, mode,
+                                          inst.search_cap, machine_index=i)
                 cost += c + 1  # classification bookkeeping per machine
                 best = max(best, len(z))
             return best + 1, cost
@@ -288,10 +278,6 @@ def build_r_components(inst: DiagInstance) -> tuple[CostedFunction,
     return q, q_prime, time_construct_wrap(CostedFunction("max(q,q')", combined))
 
 
-def build_r(inst: DiagInstance) -> CostedFunction:
-    return build_r_components(inst)[2]
-
-
 def _witness_for(inst: DiagInstance, gaps: GapLimits, side: str,
                  i: int) -> ContradictionWitness:
     even = side == "even"
@@ -301,8 +287,8 @@ def _witness_for(inst: DiagInstance, gaps: GapLimits, side: str,
     while gaps.limit(k) < i:
         k += 2
     machine = pres.produce(i)
-    z, _ = _scan_contradiction(a, machine, gaps.limit(k), mode,
-                               inst.search_cap, machine_index=i)
+    z, _ = find_contradiction(a, machine, gaps.limit(k), mode,
+                              inst.search_cap, machine_index=i)
     return ContradictionWitness(side, i, k, gaps.limit(k), gaps.limit(k + 1),
                                 z, a.classify(z), machine.classify(z))
 

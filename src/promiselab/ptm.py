@@ -92,8 +92,9 @@ def load_ptm_file(path: str) -> PTMDesc:
 
 # Configurations stepped together.  Equal configurations merge only
 # within one chunk, so the width trades speed against the size of the
-# merge tables: on 2^12-2^16-leaf complete trees a walk allocates at
-# most 0.16 MB at 256 and 1.7 MB unchunked, and runs about as fast.
+# merge tables: on 2^12-2^16-leaf complete trees traced allocations peak
+# at 0.32 MB (16-bit inputs) and 0.58 MB (256-bit) at 256, and at up to
+# 1.5 and 6.5 MB unchunked, for a walk about 8% slower than unchunked.
 _CHUNK = 256
 
 
@@ -127,22 +128,22 @@ def enumerate_branches(
         if fuel < 1 and on_overrun == "raise":
             raise BranchFuelExhausted((), fuel)
         return BranchStats(0, 1, 1, Fraction(0), Fraction(1))
-    base = tm.tape_from_inputs(inputs)
+    tm.tape_from_inputs(inputs)  # raises ValueError on a non-binary symbol
     finals, table, delta = m.finals, m.transitions, tm._MOVE_DELTA
     budget = config.max_branch_configs
     expanded = accepting = rejecting = total = 0
-    # A configuration is (state, head, lo, text): the tape is the input
-    # with the cells lo .. lo + len(text) - 1 replaced by text, trimmed so
-    # both end cells differ from the input (no difference: 0, "").  Its
-    # entry carries the number of tree paths reaching it and the link
-    # (choice, parent link) of the least of them; None is the root.
-    stack = [(0, [((m.initial, 0, 0, ""), 1, None)])]
+    # A configuration is (state, head, lo, text): text is the tape from
+    # its first non-blank cell, lo, through its last (see _tape), so equal
+    # tapes have equal keys.  Its entry carries the number of tree paths
+    # reaching it and the link (choice, parent link) of the least of them;
+    # None is the root.
+    stack = [(0, [((m.initial, 0, *_tape(0, tm.BLANK.join(inputs))), 1, None)])]
     while stack:
         steps, frontier = stack.pop()
         while frontier:
             if len(frontier) == 1:
                 (key, count, link), = frontier
-                key, ran = _run_alone(table, finals, base, key,
+                key, ran = _run_alone(table, finals, key,
                                       min(fuel - steps, budget - expanded))
                 steps += ran
                 expanded += ran
@@ -154,9 +155,10 @@ def enumerate_branches(
             counts, links = {}, {}
             for key, count, link in frontier:
                 state, head, lo, text = key
+                i = head - lo
                 if state in finals:
                     total += count
-                    output = _output(base, lo, text, head)
+                    output = text[i:].partition(tm.BLANK)[0] if i >= 0 else ""
                     if output == "1":
                         accepting += count
                     elif output == "0":
@@ -172,16 +174,14 @@ def enumerate_branches(
                 if expanded > budget:
                     raise CapExceeded(f"branch enumeration exceeds {budget} "
                                       "configuration steps (max-branch-configs)")
-                i = head - lo
-                sym = text[i] if 0 <= i < len(text) else base.get(head, tm.BLANK)
+                sym = text[i] if 0 <= i < len(text) else tm.BLANK
                 actions = table[(state, sym)]
                 branching = len(actions) > 1
                 for idx, (t, wsym, move) in enumerate(actions):
                     if wsym == sym:
                         child = (t, head + delta[move], lo, text)
                     else:
-                        child = (t, head + delta[move],
-                                 *_write(base, lo, text, head, wsym))
+                        child = (t, head + delta[move], *_tape(lo, text, i, wsym))
                     if child in counts:
                         counts[child] += count
                     else:
@@ -199,70 +199,47 @@ def enumerate_branches(
                        Fraction(accepting, total), Fraction(rejecting, total))
 
 
-def _run_alone(table, finals, base, key, limit: int):
+def _run_alone(table, finals, key, limit: int):
     """Step one configuration for at most `limit` steps, up to its first
     branch or final state; returns it with the number of steps taken."""
     state, head, lo, text = key
-    cells = dict(zip(range(lo, lo + len(text)), text))
+    cells = list(text)  # padded with blanks at either end on demand
+    i, delta = head - lo, tm._MOVE_DELTA
     steps = 0
     while steps < limit and state not in finals:
-        sym = cells[head] if head in cells else base.get(head, tm.BLANK)
+        if not 0 <= i < len(cells):
+            pad = [tm.BLANK] * (len(cells) + abs(i) + 1)
+            if i < 0:
+                cells[:0] = pad
+                lo -= len(pad)
+                i += len(pad)
+            else:
+                cells += pad
+        sym = cells[i]
         actions = table[(state, sym)]
         if len(actions) > 1:
             break
-        state, wsym, move = actions[0]
-        if wsym != sym:
-            cells[head] = wsym
-        head += tm._MOVE_DELTA[move]
+        state, cells[i], move = actions[0]
+        i += delta[move]
         steps += 1
     if not steps:
         return key, 0
-    changed = [p for p, ch in cells.items() if ch != base.get(p, tm.BLANK)]
-    if not changed:
-        return (state, head, 0, ""), steps
-    lo = min(changed)
-    text = "".join(cells[p] if p in cells else base.get(p, tm.BLANK)
-                   for p in range(lo, max(changed) + 1))
-    return (state, head, lo, text), steps
+    return (state, lo + i, *_tape(lo, "".join(cells))), steps
 
 
-def _write(base: dict[int, str], lo: int, text: str, head: int, wsym: str):
-    """The (lo, text) window after writing wsym at head, where the tape
-    holds another symbol."""
-    if not text:
-        return head, wsym
-    i = head - lo
-    if i < 0:
-        return head, wsym + _input(base, head + 1, lo) + text
-    if i >= len(text):
-        return lo, text + _input(base, lo + len(text), head) + wsym
-    end = len(text) - 1
-    text = text[:i] + wsym + text[i + 1:]
-    if (i == 0 or i == end) and wsym == base.get(head, tm.BLANK):
-        while text and text[0] == base.get(lo, tm.BLANK):
-            text = text[1:]
-            lo += 1
-        while text and text[-1] == base.get(lo + len(text) - 1, tm.BLANK):
-            text = text[:-1]
-        if not text:
-            return 0, ""
-    return lo, text
-
-
-def _input(base: dict[int, str], start: int, stop: int) -> str:
-    return "".join(base.get(p, tm.BLANK) for p in range(start, stop))
-
-
-def _output(base: dict[int, str], lo: int, text: str, head: int) -> str:
-    """Symbols from the head rightwards up to the next blank."""
-    out = []
-    while True:
-        i = head - lo
-        sym = text[i] if 0 <= i < len(text) else base.get(head, tm.BLANK)
-        if sym == tm.BLANK:
-            return "".join(out)
-        out.append(sym)
-        head += 1
+def _tape(lo: int, text: str, i: int = 0, sym: str = "") -> tuple[int, str]:
+    """The canonical (lo, text) of the tape holding text from cell lo,
+    after writing sym, if given, at index i of text, which may lie outside
+    it.  Neither end of the canonical text is a blank, and the blank tape
+    is (0, "")."""
+    if sym:
+        if i < 0:
+            text, lo, i = tm.BLANK * -i + text, lo + i, 0
+        text = text.ljust(i, tm.BLANK)[:i] + sym + text[i + 1:]
+    body = text.lstrip(tm.BLANK)
+    if not body:
+        return 0, ""
+    return lo + len(text) - len(body), body.rstrip(tm.BLANK)
 
 
 def _path(link) -> tuple[int, ...]:
@@ -283,9 +260,10 @@ def classify_bpp(
 ) -> Verdict:
     """Threshold trichotomy on the exact acceptance fraction.
 
-    Yes iff p_acc >= c, No iff p_acc <= s (both non-strict), otherwise
-    the input is outside the promise.  Fuel is runtime(len(x)); a branch
-    overrunning it indicates the machine violates its runtime bound.
+    No iff p_acc <= s, else Yes iff p_acc >= c (both non-strict, so at
+    c = s Yes means p_acc > s), else outside the promise.  Fuel is
+    runtime(len(x)); a branch overrunning it indicates the machine
+    violates its runtime bound.
     """
     stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun=on_overrun,
                                config=config)
@@ -303,8 +281,8 @@ def classify_ma(
 ) -> Verdict:
     """Existential/universal witness loop over the second tape input.
 
-    Yes iff some witness of the prescribed length reaches p_acc >= c,
-    No iff all stay <= s, otherwise outside the promise.
+    Yes iff some witness of the prescribed length gets classify_bpp's
+    Yes, No iff all get its No, otherwise outside the promise.
     """
     m_len = wit_len(len(x))
     fuel = runtime(len(x))
@@ -315,8 +293,8 @@ def classify_ma(
 
 
 def _trichotomy(p: Fraction, config: Config) -> Verdict:
-    if p >= config.threshold_c:
-        return Verdict.YES
     if p <= config.threshold_s:
         return Verdict.NO
+    if p >= config.threshold_c:
+        return Verdict.YES
     return Verdict.OUTSIDE

@@ -22,9 +22,6 @@ def word_to_index(w: str) -> int:
 
 def words_of_length(length: int) -> Iterator[str]:
     """Yield all words of the given length in lexicographic order, lazily."""
-    if length == 0:
-        yield ""
-        return
     for bits in product("01", repeat=length):
         yield "".join(bits)
 

@@ -302,6 +302,18 @@ class TestClassifiers:
         circ = Circuit((Gate("H", (1,)), Gate("T", (2,))), witness_qubits=1)
         assert classify_qma(generator_for(circ), GENEROUS, "0") is Verdict.OUTSIDE
 
+    def test_c_equals_s_tests_no_first(self):
+        # Q = I/2 on this circuit (the scalar-half one above), so the best
+        # acceptance is exactly 1/2; at c = s = 1/2 p <= s wins, as in PP
+        circ = Circuit((Gate("H", (1,)), Gate("T", (2,))), witness_qubits=1)
+        gen = generator_for(circ)
+        assert encode_circuit(circ) == "1000101010011"
+        config = Config(threshold_c=Fraction(1, 2), threshold_s=Fraction(1, 2))
+        assert {decide(gen, GENEROUS, "0", config) for decide in
+                (classify_bqp, classify_qcma, classify_qma)} == {Verdict.NO}
+        half = generator_for(Circuit((Gate("H", (1,)),)))
+        assert classify_bqp(half, GENEROUS, "", config) is Verdict.NO
+
     def test_qma_agrees_with_float_eigenvalues(self):
         rng = random.Random(251)
         checked = 0

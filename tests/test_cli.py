@@ -208,6 +208,21 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"expected a binary word, got '{argv[-1]}'" in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--machine"], ["branches", "--machine"], ["decide", "bqp", "--gen"]])
+    def test_non_binary_machine_input(self, tmp_path, command, capsys):
+        # the empty file is the trivial machine, which reads no input
+        path = tmp_path / "empty.tm"
+        path.write_text("")
+        argv = [*command, str(path), "--input"]
+        with pytest.raises(SystemExit) as exc:
+            dispatch([*argv, "a2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a binary word, got 'a2'" in captured.err
+        assert dispatch([*argv, ""]) == 0
+
     def test_unknown_builtin_in_presentation(self, capsys):
         with pytest.raises(SystemExit) as exc:
             dispatch(["ladner", "--a", "builtin:parity",

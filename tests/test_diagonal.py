@@ -5,7 +5,7 @@ import pytest
 from helpers_machines import diverging_machine, identity_machine, parity_machine
 from promiselab.diagonal import (CostedFunction, DiagInstance, GapLimits,
                                  PRESENTABLE, REPRESENTABLE, affine_costed,
-                                 build_r, diagonalize, eval_counted,
+                                 build_r_components, diagonalize, eval_counted,
                                  find_contradiction, gap_intervals, gap_member,
                                  ladner, time_construct_wrap,
                                  time_constructor_costed)
@@ -151,7 +151,7 @@ class TestGapMembership:
 
 class TestFindContradiction:
     def test_parity_versus_constant_yes(self):
-        z = find_contradiction(PARITY, CONST_YES, 2, PRESENTABLE)
+        z = find_contradiction(PARITY, CONST_YES, 2, PRESENTABLE)[0]
         assert z == "000"
 
     def test_no_difference_raises(self):
@@ -159,7 +159,7 @@ class TestFindContradiction:
             find_contradiction(PARITY, PARITY, 0, PRESENTABLE, cap=3)
 
     def test_representable_counts_noncommittal_machines(self):
-        z = find_contradiction(PARITY, OUTSIDE_EVERYWHERE, 0, REPRESENTABLE)
+        z = find_contradiction(PARITY, OUTSIDE_EVERYWHERE, 0, REPRESENTABLE)[0]
         assert z == "0"
 
     def test_representable_ignores_machine_side_surplus(self):
@@ -168,7 +168,7 @@ class TestFindContradiction:
         with pytest.raises(NoContradictionFound):
             find_contradiction(OUTSIDE_EVERYWHERE, PARITY, 0, REPRESENTABLE,
                                cap=2)
-        z = find_contradiction(OUTSIDE_EVERYWHERE, PARITY, 0, PRESENTABLE)
+        z = find_contradiction(OUTSIDE_EVERYWHERE, PARITY, 0, PRESENTABLE)[0]
         assert z == "0"
 
 
@@ -190,12 +190,12 @@ class TestBuildR:
         inst = toy_instance()
         for n in range(6):
             lengths = [len(find_contradiction(PARITY, inst.pres_c.produce(i),
-                                              n, PRESENTABLE))
+                                              n, PRESENTABLE)[0])
                        for i in range(n + 1)]
             assert max(lengths) + 1 == n + 2
 
     def test_r_dominates_and_accounts(self):
-        r = build_r(toy_instance())
+        r = build_r_components(toy_instance())[2]
         for n in range(11):
             value, cost = r.eval(n)
             assert value > n
@@ -209,7 +209,7 @@ class TestBuildR:
             pres_c_prime=builtins_presentation([CONST_YES]),
             search_cap=3)
         with pytest.raises(NoContradictionFound):
-            build_r(inst).eval(0)
+            build_r_components(inst)[2].eval(0)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle_decimal
 import oracle_parser
@@ -34,9 +34,11 @@ from promiselab import enumeration, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, encode_circuit,
                                 p_acc, parse_circuit, simulate)
-from promiselab.diagonal import (GapLimits, affine_costed, build_r,
-                                 costed_toy, gap_member, time_construct_wrap)
-from promiselab.errors import BranchFuelExhausted
+from promiselab.config import Config
+from promiselab.diagonal import (GapLimits, affine_costed,
+                                 build_r_components, costed_toy, gap_member,
+                                 time_construct_wrap)
+from promiselab.errors import BranchFuelExhausted, CapExceeded
 from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
 from promiselab.promise import TotalDecider, builtin
 from promiselab.words import words_up_to
@@ -252,12 +254,26 @@ def _assert_branches_match(m, inputs, fuel, chunks=(2, ptm._CHUNK)) -> None:
                                        fuel, on_overrun) == want
 
 
+# The oracle walks every tree path, so the random machines are kept to
+# trees of at most this many leaves.
+ORACLE_LEAVES = 1024
+
+
 class TestBranchOracle:
     @settings(max_examples=300)
     @given(ptms(max_states=5),
-           st.lists(st.text(alphabet="01", max_size=4), max_size=3),
-           st.integers(0, 10))
+           st.lists(st.text(alphabet="01", max_size=12), max_size=3),
+           st.integers(0, 40))
     def test_random_machines(self, m, inputs, fuel):
+        # fuel up to 40 over inputs up to 12 bits: lone configurations
+        # write past both ends of the input before the tree branches again
+        try:
+            leaves = ptm.enumerate_branches(
+                m, inputs, fuel, "reject",
+                config=Config(max_branch_configs=40 * ORACLE_LEAVES)).total
+        except CapExceeded:
+            leaves = ORACLE_LEAVES + 1
+        assume(leaves <= ORACLE_LEAVES)
         _assert_branches_match(m, inputs, fuel)
 
     @pytest.mark.parametrize("fuel", [0, 3, 6, 7, 8, 9])
@@ -307,7 +323,7 @@ class TestGapLimitsOracle:
     @settings(max_examples=10)
     @given(_ORDERS)
     def test_built_r(self, order):
-        _assert_gaps_match(build_r(toy_instance()), order)
+        _assert_gaps_match(build_r_components(toy_instance())[2], order)
 
 
 class TestMemoOracle:

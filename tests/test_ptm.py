@@ -47,6 +47,12 @@ class TestEnumerateBranches:
         assert stats.p_acc == Fraction(2, 3)
         assert stats.p_rej == Fraction(1, 3)
 
+    @pytest.mark.parametrize("inputs", [["0a1"], ["01", "2"], ["1" + BLANK]])
+    def test_non_binary_input_raises(self, inputs):
+        # a blank inside an input word would read as a separator
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            enumerate_branches(fair_coin_ptm(), inputs, 10)
+
     def test_fuel_exhaustion_raises_with_path(self):
         with pytest.raises(BranchFuelExhausted):
             enumerate_branches(diverging_ptm(), ["1"], 8)
@@ -175,6 +181,12 @@ class TestClassifyBpp:
                              config=Config(threshold_c=Fraction(1, 2)))
         assert strict is Verdict.YES
         assert loose is Verdict.YES
+
+    def test_c_equals_s_half_is_no(self):
+        # p = 1/2 exactly at c = s = 1/2: No is tested first, as in PP
+        config = Config(threshold_c=Fraction(1, 2), threshold_s=Fraction(1, 2))
+        assert classify_bpp(fair_coin_ptm(), LINEAR, "1",
+                            config=config) is Verdict.NO
 
     def test_unreachable_states_do_not_matter(self):
         base = fan_ptm(2, 3)
