@@ -310,7 +310,8 @@ _SUBCOMMANDS = {
     "branches": (_cmd_branches, "enumerate probabilistic branches", _MACHINE),
     "simulate": (_cmd_simulate, "parse and simulate a circuit file", (
         ("--circuit", _REQUIRED), ("--witness-header", {"action": "store_true"}),
-        ("--input", {"default": None, "help": "basis input bits"}))),
+        ("--input", {"default": None, "type": _word,
+                     "help": "basis input bits"}))),
     "decide": (_cmd_decide, "decide via a circuit generator", (
         ("problem_class", {"choices": ("bqp", "qcma", "qma")}),
         ("--gen", {**_REQUIRED, "help": "generator machine file"}),

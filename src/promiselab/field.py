@@ -7,10 +7,11 @@ sign decisions on the real subfield a + b/sqrt(2) reduce to the integer
 comparison of 2*a^2 against b^2.  No floating point is ever consulted.
 
 The module also provides exact Hermitian linear algebra on matrices over
-the field: determinants by Gaussian elimination and definiteness tests by
-Sylvester's criterion (positive definite iff all leading principal minors
-are positive; positive semi-definite iff all principal minors are
-non-negative).
+the field: determinants by fraction-free (Bareiss) elimination over the
+integers of Z[sqrt(2)][i], whose one division is exact division by an
+integer norm, and definiteness tests by Sylvester's criterion (positive
+definite iff all leading principal minors are positive; positive
+semi-definite iff all principal minors are non-negative).
 """
 
 from __future__ import annotations
@@ -62,25 +63,6 @@ class FieldElem:
     def conjugate(self) -> "FieldElem":
         return FieldElem(self.a, self.b, -self.c, -self.d)
 
-    def abs2(self) -> "FieldElem":
-        """|z|^2, always an element of the real subfield."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return FieldElem(a * a + c * c + _HALF * (b * b + d * d),
-                         2 * (a * b + c * d))
-
-    def inverse(self) -> "FieldElem":
-        """Multiplicative inverse of a nonzero element."""
-        if self.is_zero():
-            raise ZeroDivisionError("field element is zero")
-        norm = self.abs2()  # real: e + f/sqrt(2)
-        e, f = norm.a, norm.b
-        denom = e * e - _HALF * f * f  # rational, nonzero for nonzero input
-        inv_norm = FieldElem(e / denom, -f / denom)
-        return self.conjugate() * inv_norm
-
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
-
     def is_real(self) -> bool:
         return not (self.c or self.d)
 
@@ -101,30 +83,14 @@ SQRT2_INV = FieldElem(_ZERO, _ONE)
 def real_sign(x: FieldElem) -> int:
     """Exact sign of a + b/sqrt(2); raises NonRealInput off the real line.
 
-    Decided without iteration: when a and b disagree in sign, the side
-    with the larger squared magnitude wins, and 2*a^2 = b^2 has no
+    Decided without iteration: the term of larger magnitude has the sign,
+    a's when 2*a^2 > b^2 and b's otherwise, since 2*a^2 = b^2 has no
     nonzero rational solutions.
     """
     if x.c or x.d:
         raise NonRealInput(f"element has imaginary part: {x}")
-    a, b = x.a, x.b
-    if a == 0 and b == 0:
-        return 0
-    if a == 0:
-        return 1 if b > 0 else -1
-    if b == 0:
-        return 1 if a > 0 else -1
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    lhs = 2 * a * a
-    rhs = b * b
-    if lhs > rhs:
-        return sa
-    if lhs < rhs:
-        return sb
-    raise ArithmeticError("2a^2 = b^2 is impossible for nonzero rationals")
+    lead = x.a if 2 * x.a * x.a > x.b * x.b else x.b
+    return (lead > 0) - (lead < 0)
 
 
 def decimal_string(x: FieldElem, digits: int = 12) -> str:
@@ -209,29 +175,68 @@ def scaled_identity(dim: int, value: FieldElem) -> ExactMatrix:
         for j in range(dim)))
 
 
+_NIL = (0, 0, 0, 0)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product in Z[sqrt2][i]; (u, v, w, z) is (u + v*sqrt2) + i(w + z*sqrt2)."""
+    xu, xv, xw, xz = x
+    yu, yv, yw, yz = y
+    return (xu * yu - xw * yw + 2 * (xv * yv - xz * yz),
+            xu * yv + xv * yu - xw * yz - xz * yw,
+            xu * yw + xw * yu + 2 * (xv * yz + xz * yv),
+            xu * yz + xz * yu + xv * yw + xw * yv)
+
+
 def det(m: ExactMatrix) -> FieldElem:
-    """Exact determinant by Gaussian elimination, first-nonzero pivoting."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Scaled by sqrt2*D, D the lcm of all denominators, the entries lie in
+    Z[sqrt2][i].  Step k sets a_ij <- (p*a_ij - a_ik*a_kj) / prev, with p
+    the first nonzero entry of column k (a row swap flips the sign) and
+    prev the pivot before it.  The quotient is a minor, so dividing is
+    exact: for prev*conj(prev) = e + f*sqrt2, multiply by
+    conj(prev)*(e - f*sqrt2) and divide the integers by e^2 - 2f^2.
+    """
     n = m.dim
-    a = [list(row) for row in m.entries]
-    sign_flip = False
-    result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+    qs = [q for row in m.entries for x in row for q in (x.b, x.a, x.d, x.c)]
+    scale = lcm(*(q.denominator for q in qs))
+    ints = iter([q.numerator * (scale // q.denominator) for q in qs])
+    cells = list(zip(ints, ints, ints, ints))
+    a = [cells[i:i + n] for i in range(0, n * n, n)]
+    negate, norm = False, None  # no division in the first step
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k] != _NIL), None)
         if pivot is None:
             return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign_flip = not sign_flip
-        pivot_value = a[col][col]
-        result = result * pivot_value
-        inv = pivot_value.inverse()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            factor = a[r][col] * inv
-            for k in range(col, n):
-                a[r][k] = a[r][k] - factor * a[col][k]
-    return -result if sign_flip else result
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            negate = not negate
+        row_k = a[k]
+        p = row_k[k]
+        for row in a[k + 1:]:
+            a_ik = row[k]
+            for j in range(k + 1, n):
+                x = _mul(p, row[j])
+                if a_ik != _NIL and row_k[j] != _NIL:
+                    y = _mul(a_ik, row_k[j])
+                    x = (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
+                if norm is not None:
+                    x, rems = zip(*(divmod(c, norm) for c in _mul(x, conj)))
+                    if any(rems):
+                        raise ArithmeticError("inexact Bareiss division")
+                row[j] = x
+        pu, pv, pw, pz = p
+        e = pu * pu + pw * pw + 2 * (pv * pv + pz * pz)
+        f = 2 * (pu * pv + pw * pz)
+        conj = (pu * e - 2 * pv * f, pv * e - pu * f,
+                2 * pz * f - pw * e, pw * f - pz * e)
+        norm = e * e - 2 * f * f
+    # The last entry is det * (sqrt2*scale)^n; sqrt2^n = 2^(n//2)*sqrt2^(n%2).
+    u, v, w, z = (-c for c in a[-1][-1]) if negate else a[-1][-1]
+    coords = (v, u, z, w) if n % 2 else (u, 2 * v, w, 2 * z)
+    den = (1 << n // 2) * scale ** n
+    return FieldElem(*(Fraction(c, den) for c in coords))
 
 
 def _principal_minor(m: ExactMatrix, idx: tuple[int, ...]) -> FieldElem:

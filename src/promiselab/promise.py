@@ -221,6 +221,7 @@ def cook_run(o: OracleMachine, oracle: TotalDecider, x: str) -> bool:
     m = o.base
     fuel = o.runtime(len(x))
     if m.trivial:
+        tm._check_inputs([x])
         if fuel < 1:
             _raise_fuel(o, x)
         return False

@@ -124,11 +124,11 @@ def enumerate_branches(
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
+    tm._check_inputs(inputs)
     if m.trivial:
         if fuel < 1 and on_overrun == "raise":
             raise BranchFuelExhausted((), fuel)
         return BranchStats(0, 1, 1, Fraction(0), Fraction(1))
-    tm.tape_from_inputs(inputs)  # raises ValueError on a non-binary symbol
     finals, table, delta = m.finals, m.transitions, tm._MOVE_DELTA
     budget = config.max_branch_configs
     expanded = accepting = rejecting = total = 0

@@ -105,17 +105,21 @@ class FuelExhaustedResult:
 RunResult = Halted | FuelExhaustedResult
 
 
+def _check_inputs(inputs: list[str] | tuple[str, ...]) -> None:
+    """Raise ValueError at the first input symbol that is not 0 or 1."""
+    for word in inputs:
+        if rest := word.strip("01"):
+            raise ValueError(f"input symbol {rest[0]!r} is not 0 or 1")
+
+
 def tape_from_inputs(inputs: list[str] | tuple[str, ...]) -> dict[int, str]:
     """Sparse tape with the inputs written from cell 0, blank-separated."""
+    _check_inputs(inputs)
     tape: dict[int, str] = {}
     pos = 0
     for word in inputs:
-        for ch in word:
-            if ch not in ("0", "1"):
-                raise ValueError(f"input symbol {ch!r} is not 0 or 1")
-            tape[pos] = ch
-            pos += 1
-        pos += 1  # separating blank
+        tape.update(enumerate(word, pos))
+        pos += len(word) + 1  # separating blank
     return tape
 
 
@@ -134,6 +138,7 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     if m.trivial:
+        _check_inputs(inputs)
         return Halted("0", 1) if fuel >= 1 else FuelExhaustedResult(0)
     tape = tape_from_inputs(inputs)
     head = 0

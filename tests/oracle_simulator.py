@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from oracle_field import abs2
 from promiselab.circuit import Circuit, _witness_input
 from promiselab.field import (ExactMatrix, FieldElem, ONE, SQRT2_INV, ZERO,
                               scaled_identity)
@@ -59,7 +60,7 @@ def p_acc(c: Circuit, basis_input: str | None = None) -> FieldElem:
         return ZERO
     total = ZERO
     for amp in amps[len(amps) // 2:]:
-        total = total + amp.abs2()
+        total = total + abs2(amp)
     return total
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")
 
 from helpers_machines import const_output_machine, diverging_machine
+from oracle_field import abs2
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, classify_bqp,
                                 classify_qcma, classify_qma, encode_circuit,
@@ -191,7 +192,7 @@ class TestSimulation:
             state = simulate(circ, basis)
             norm = ZERO
             for amp in state.amplitudes:
-                norm = norm + amp.abs2()
+                norm = norm + abs2(amp)
             assert norm == FieldElem(Fraction(1))
 
     def test_matches_float_simulator(self):

@@ -83,11 +83,21 @@ class TestSimulateCommand:
 
     def test_trivial_circuit_checks_input(self, malformed_circuit_file, capsys):
         code = dispatch(["simulate", "--circuit", malformed_circuit_file,
-                         "--input", "01x"])
+                         "--input", "01"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert "basis input must be 1 bits" in captured.err
+
+    def test_non_binary_input_is_usage_error(self, malformed_circuit_file,
+                                             capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["simulate", "--circuit", malformed_circuit_file,
+                      "--input", "01x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a binary word, got '01x'" in captured.err
 
     def test_trivial_circuit_never_accepts(self, malformed_circuit_file, capsys):
         code = dispatch(["simulate", "--circuit", malformed_circuit_file,

@@ -15,7 +15,12 @@ fresh computation: the gap limits list against the direct iteration in
 `test_diagonal.reference_gap_member`, the memoized witness-length map
 and the memoized decider against unmemoized evaluation.  The integer
 square-root rendering in `promiselab.field.decimal_string` is checked
-against the shrinking 1/sqrt(2) bracket kept in `oracle_decimal`.
+against the shrinking 1/sqrt(2) bracket kept in `oracle_decimal`.  The
+fraction-free determinant `promiselab.field.det` is checked against the
+`Fraction` Gaussian elimination kept in `oracle_field`: equal exact
+values on general and Hermitian matrices up to dimension 8, singular
+ones and ones that need a row swap included, and equal Sylvester
+verdicts when the oracle computes every principal minor.
 """
 
 import random
@@ -26,11 +31,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle_decimal
+import oracle_field
 import oracle_parser
 import oracle_ptm
 import oracle_simulator as ref
 from helpers_machines import complete_tree_ptm, parity_machine
-from promiselab import enumeration, ptm, tm
+from promiselab import enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, encode_circuit,
                                 p_acc, parse_circuit, simulate)
@@ -39,7 +45,8 @@ from promiselab.diagonal import (GapLimits, affine_costed,
                                  build_r_components, costed_toy, gap_member,
                                  time_construct_wrap)
 from promiselab.errors import BranchFuelExhausted, CapExceeded
-from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
+from promiselab.field import (ZERO, ExactMatrix, FieldElem, decimal_string,
+                              scaled_identity)
 from promiselab.promise import TotalDecider, builtin
 from promiselab.words import words_up_to
 from test_diagonal import reference_gap_member, toy_instance
@@ -373,3 +380,78 @@ class TestDecimalOracle:
     def test_rendering_at_edges(self, a, b):
         x = FieldElem(Fraction(a), Fraction(b))
         assert decimal_string(x) == oracle_decimal.decimal_string(x)
+
+
+# Denominators 3 and 2^k together give D = 3*2^k, as the threshold 1/3
+# does for sI - Q on the QMA path.
+_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.one_of(
+    st.sampled_from([1, 2, 3]), st.integers(2, 12).map(lambda k: 1 << k)))
+_ELEMS = st.builds(FieldElem, _COEFFS, _COEFFS, _COEFFS, _COEFFS)
+_ENTRIES = st.one_of(st.just(ZERO), _ELEMS, _ELEMS, _ELEMS)  # 1/4 zero
+
+
+def _rows(draw, count: int, n: int) -> list[list[FieldElem]]:
+    cells = draw(st.lists(_ENTRIES, min_size=count * n, max_size=count * n))
+    return [cells[i:i + n] for i in range(0, count * n, n)]
+
+
+def _hermitian(rows: list[list[FieldElem]]) -> list[list[FieldElem]]:
+    n = len(rows)
+    return [[FieldElem(rows[i][i].a, rows[i][i].b) if i == j else
+             rows[i][j] if i < j else rows[j][i].conjugate()
+             for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def det_matrices(draw):
+    n = draw(st.integers(1, 8))
+    rows = _rows(draw, n, n)
+    if draw(st.booleans()):
+        rows = _hermitian(rows)
+    shape = draw(st.sampled_from(
+        ["plain", "repeated row", "zero column", "zero pivot"]))
+    if shape == "repeated row" and n > 1:
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+        rows[dst] = list(rows[src])
+    elif shape == "zero column":
+        col = draw(st.integers(0, n - 1))
+        rows = [[ZERO if j == col else x for j, x in enumerate(row)]
+                for row in rows]
+    elif shape == "zero pivot" and n > 1:
+        rows[0][0] = ZERO  # the elimination must swap or stop at once
+        rows[draw(st.integers(1, n - 1))][0] = draw(_ELEMS.filter(
+            lambda x: x != ZERO))
+    return ExactMatrix.from_rows(rows)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Random Hermitian matrices and Gram matrices of at most dim vectors
+    (rank-deficient when fewer), shifted by a real multiple of I."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rows = _hermitian(_rows(draw, n, n))
+    else:
+        vectors = _rows(draw, draw(st.integers(1, n)), n)
+        rows = [[sum((v[i] * v[j].conjugate() for v in vectors), ZERO)
+                 for j in range(n)] for i in range(n)]
+    shift = draw(st.one_of(st.just(ZERO), st.builds(FieldElem, _COEFFS,
+                                                    _COEFFS)))
+    return ExactMatrix.from_rows(
+        [[x - shift if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(rows)])
+
+
+class TestDeterminantOracle:
+    @settings(max_examples=100)
+    @given(det_matrices())
+    def test_det(self, m):
+        assert field.det(m) == oracle_field.det(m)
+
+    @settings(max_examples=80)
+    @given(hermitian_matrices())
+    def test_sylvester_verdicts(self, m):
+        with mock.patch.object(field, "det", oracle_field.det):
+            want = (field.sylvester_pd(m), field.sylvester_psd(m))
+        assert (field.sylvester_pd(m), field.sylvester_psd(m)) == want

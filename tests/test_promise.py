@@ -14,7 +14,7 @@ from promiselab.promise import (MAX_WITNESS_SPACE, OracleMachine,
                                 Verdict, builtin, cook_run,
                                 differences, karp_check, karp_to_cook,
                                 marked_union, witness_verdict)
-from promiselab.tm import BLANK, MachineDesc, SYMBOLS
+from promiselab.tm import BLANK, MachineDesc, SYMBOLS, TRIVIAL_MACHINE
 from promiselab.words import words_of_length, words_up_to
 
 PARITY = builtin("parity")
@@ -224,6 +224,11 @@ class TestCookRun:
         om = OracleMachine(base, base.states + 5, lambda n: n + 2)
         # the oracle state is unreachable, so the oracle is never consulted
         assert cook_run(om, builtin("ones-promise"), "000") is True
+
+    def test_trivial_machine_checks_input_word(self):
+        om = OracleMachine(TRIVIAL_MACHINE, 1, lambda n: n + 1)
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            cook_run(om, PARITY, "a2")
 
     def test_runtime_enforced(self):
         om = OracleMachine(diverging_machine(), 7, lambda n: 4)

@@ -66,6 +66,10 @@ class TestEnumerateBranches:
         stats = enumerate_branches(TRIVIAL_PTM, ["101"], 5)
         assert stats.p_acc == 0 and stats.p_rej == 1
 
+    def test_trivial_ptm_checks_input_words(self):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            enumerate_branches(TRIVIAL_PTM, ["a2"], 5)
+
     def test_fraction_sum_bounded(self):
         # a leaf emitting "10" is neither accepting nor rejecting
         m = PTMDesc(states=3, initial=0, finals=frozenset({1, 2}), transitions={

@@ -51,6 +51,10 @@ class TestTrivialMachine:
     def test_zero_fuel(self):
         assert run(TRIVIAL_MACHINE, ["1"], 0) == FuelExhaustedResult(0)
 
+    def test_checks_input_words(self):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            run(TRIVIAL_MACHINE, ["a2"], 5)
+
     def test_canonical_encoding_is_empty(self):
         assert encode_godel(TRIVIAL_MACHINE) == ""
 
