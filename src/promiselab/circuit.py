@@ -16,22 +16,27 @@ starts in the all-zero state.  H is the standard unitary
 
 Every amplitude of such a circuit lies in the ring Z[w, 1/sqrt2] with
 w = e^(i*pi/4) = (1+i)/sqrt2.  The simulator stores amplitude j as four
-integers (a, b, c, d) meaning (a + b*w + c*w^2 + d*w^3) / sqrt2^k, where
-k is the number of H gates applied so far, shared by the whole vector.
-H is then an integer sum and difference, T the signed rotation
-(a, b, c, d) -> (-d, a, b, c) (multiplication by w, as w^4 = -1), and
-CNOT a swap; no rational is formed while the gates run.  Amplitudes enter
-the field Q(1/sqrt2, i) of `promiselab.field` only at readout, so
+integers (a, b, c, d) meaning (a + b*w + c*w^2 + d*w^3) / sqrt2^k, k the
+H count, shared by the whole vector.  Each coordinate vector is one int
+of lanes of `width` bits: lane j holds coordinate j plus the bias
+2^(width-1), so no lane is negative or carries into the next.  H at most
+doubles a coordinate, so width is the least of 8, 16, 32 and 64 with
+k + 2 <= width (a multiple of 64 beyond that).  A gate is a few shifts
+and masks of whole vectors: H adds and subtracts lanes 2^p apart, T
+rotates (a, b, c, d) -> (-d, a, b, c), multiplying by w (w^4 = -1), on
+lanes whose bit p is 1, CNOT swaps lanes; no rational is formed.  Values
+enter the field Q(1/sqrt2, i) of `promiselab.field` only at readout, so
 acceptance probabilities and the witness-block acceptance operator are
-exact and the threshold trichotomy is decided by integer arithmetic alone.
+exact and the threshold trichotomy is decided by integer arithmetic.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from operator import mul
 from typing import Callable
 
 from . import tm
@@ -51,6 +56,7 @@ _GATE_BODY = r"(?:(01|10)0(1+)|110(1+)0(1+))"
 _GATE = re.compile(_GATE_BODY)
 _NEXT_GATE = re.compile("0" + _GATE_BODY)
 _WITNESS_HEADER = re.compile(r"(1+)00")
+_SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"}  # memoryview formats by width
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,19 @@ TRIVIAL_CIRCUIT = Circuit(gates=(), witness_qubits=0, trivial=True)
 
 @dataclass(frozen=True)
 class StateVector:
-    """Amplitude j is (a + b*w + c*w^2 + d*w^3) / sqrt2^k, w = e^(i*pi/4),
-    with (a, b, c, d) = (coords[0][j], coords[1][j], coords[2][j], coords[3][j])."""
+    """Amplitude j is (a + b*w + c*w^2 + d*w^3) / sqrt2^k, w = e^(i*pi/4);
+    packed[0..3] hold a, b, c, d + 2^(width-1) in their j-th width-bit lane."""
 
     num_qubits: int
     k: int
-    coords: tuple[tuple[int, ...], ...]
+    width: int
+    packed: tuple[int, int, int, int]
+
+    @property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        """The four coordinate vectors (a_j), (b_j), (c_j), (d_j)."""
+        size = 1 << self.num_qubits
+        return tuple(tuple(_unpack(x, size, self.width)) for x in self.packed)
 
     @property
     def amplitudes(self) -> tuple[FieldElem, ...]:
@@ -157,29 +170,18 @@ def load_circuit_file(path: str, expect_witness_header: bool = False) -> Circuit
         return parse_circuit(fh.read().rstrip("\n"), expect_witness_header)
 
 
-def _slices(n: int, fixed: dict[int, int]) -> list[slice]:
-    """Slices covering, once each, the indices < 2^n whose bits at the
-    positions in `fixed` hold the given values.
-
-    Each slice steps through the longest run of free bit positions, and
-    the slices enumerate the other free bits, so there are few of them:
-    at most 2^(n/2) for one fixed bit.
-    """
-    lo = hi = run = 0  # run: first position of the current free run
-    for p in range(n):
-        if p in fixed:
-            run = p + 1
-        elif p + 1 - run > hi - lo:
-            lo, hi = run, p + 1
-    starts = [sum(v << p for p, v in fixed.items())]
-    for p in range(n):
-        if p not in fixed and not lo <= p < hi:
-            starts += [s | 1 << p for s in starts]
-    return [slice(s, s + (1 << hi), 1 << lo) for s in starts]
+def _lane_width(h: int) -> int:
+    """Bits per lane after h H gates: every coordinate has |v| <= 2^h, so
+    v + 2^(width-1) lies in [0, 2^width) once h + 2 <= width."""
+    return next((b for b in (8, 16, 32, 64) if h + 2 <= b), (h + 65) // 64 * 64)
 
 
-def _shifted(s: slice, offset: int) -> slice:
-    return slice(s.start + offset, s.stop + offset, s.step)
+def _lanes(n: int, p: int, lane: bytes, bit: int) -> int:
+    """The little-endian `lane` in each of 2^n lanes whose index has `bit`
+    at position p, zero in the others."""
+    run = lane * (1 << p)
+    pair = bytes(len(run)) + run if bit else run + bytes(len(run))
+    return int.from_bytes(pair * (1 << n - p - 1), "little")
 
 
 def simulate(c: Circuit, basis_input: str,
@@ -190,30 +192,47 @@ def simulate(c: Circuit, basis_input: str,
         raise ValueError(f"basis input must be {n} bits")
     if n > config.max_qubits:
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
-    coords = [[0] * (1 << n) for _ in range(4)]
-    coords[0][int(basis_input, 2)] = 1
-    x0, x1, x2, x3 = coords
-    k = 0
+    k = sum(g.kind == "H" for g in c.gates)
+    width = _lane_width(k)
+    ones, bias = b"\xff" * (width // 8), bytes(width // 8 - 1) + b"\x80"
+    xs = [int.from_bytes(bias * (1 << n), "little")] * 4  # the zero vector
+    xs[0] += 1 << int(basis_input, 2) * width
     for g in c.gates:
-        pos = n - g.qubits[0]
-        if g.kind == "H":
-            for lo in _slices(n, {pos: 0}):
-                hi = _shifted(lo, 1 << pos)
-                for xs in coords:
-                    u, v = xs[lo], xs[hi]
-                    xs[lo] = map(add, u, v)
-                    xs[hi] = map(sub, u, v)
-            k += 1
-        elif g.kind == "T":
-            for s in _slices(n, {pos: 1}):
-                x0[s], x1[s], x2[s], x3[s] = map(neg, x3[s]), x0[s], x1[s], x2[s]
-        else:
-            tpos = n - g.qubits[1]
-            for lo in _slices(n, {pos: 1, tpos: 0}):
-                hi = _shifted(lo, 1 << tpos)
-                for xs in coords:
-                    xs[lo], xs[hi] = xs[hi], xs[lo]
-    return StateVector(n, k, tuple(map(tuple, coords)))
+        p = n - g.qubits[0]
+        if g.kind == "H":  # (u, v) <- (u + v, u - v) on lane pairs 2^p apart
+            low, low_bias, shift = (_lanes(n, p, ones, 0),
+                                    _lanes(n, p, bias, 0), width << p)
+            for i, x in enumerate(xs):  # u - v + B = 2u - (u + v - B)
+                u = x & low
+                lo = u + (x >> shift & low) - low_bias
+                xs[i] = lo | ((u << 1) - lo) << shift
+        elif g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c) where bit p is 1
+            high = _lanes(n, p, ones, 1)
+            # -d stored: 2^width - (d + 2^(width-1)) in each lane of `high`
+            neg_d = (_lanes(n, p, bias, 1) << 1) - (xs[3] & high)
+            for i in (3, 2, 1):
+                xs[i] ^= (xs[i] ^ xs[i - 1]) & high
+            xs[0] ^= xs[0] & high ^ neg_d
+        else:  # swap the control-1 lanes of target 0 and target 1
+            tp = n - g.qubits[1]
+            src = _lanes(n, p, ones, 1) & _lanes(n, tp, ones, 0)
+            shift = width << tp
+            for i, x in enumerate(xs):
+                moved = (x >> shift ^ x) & src
+                xs[i] = x ^ moved ^ moved << shift
+    return StateVector(n, k, width, tuple(xs))
+
+
+def _unpack(x: int, count: int, width: int) -> list[int]:
+    """The lowest `count` lanes of x as signed coordinates, lowest first:
+    without its bias a lane is the two's complement of its value."""
+    nbytes = width // 8
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+    raw = memoryview((x ^ bias).to_bytes(count * nbytes, sys.byteorder))
+    values = (raw.cast(_SIGNED[width]).tolist() if width in _SIGNED else
+              [int.from_bytes(raw[i:i + nbytes], sys.byteorder, signed=True)
+               for i in range(0, len(raw), nbytes)])
+    return values[::-1] if sys.byteorder == "big" else values
 
 
 def _dot(x, y) -> int:
@@ -232,8 +251,8 @@ def _readout(z: tuple[int, int, int, int], e: int) -> FieldElem:
                      Fraction(z2, den), Fraction(z1 + z3, den))
 
 
-def _inner(left: list[tuple[int, ...]],
-           right: list[tuple[int, ...]]) -> tuple[int, int, int, int]:
+def _inner(left: list[list[int]],
+           right: list[list[int]]) -> tuple[int, int, int, int]:
     """Sum over j of conj(left_j) * right_j in Z[w], as (z0, z1, z2, z3).
 
     conj(w^i) = w^-i, so the product of coordinates i of left and l of
@@ -248,10 +267,11 @@ def _inner(left: list[tuple[int, ...]],
     return tuple(z)
 
 
-def _accepting(state: StateVector) -> list[tuple[int, ...]]:
+def _accepting(state: StateVector) -> list[list[int]]:
     """The coordinates of the output-1 half of the state."""
     half = 1 << (state.num_qubits - 1)
-    return [x[half:] for x in state.coords]
+    return [_unpack(x >> half * state.width, half, state.width)
+            for x in state.packed]
 
 
 def p_acc(c: Circuit, basis_input: str | None = None,

@@ -1,15 +1,22 @@
-"""Reference exact simulator: one FieldElem per amplitude, gate by gate.
+"""Reference exact simulators for `promiselab.circuit.simulate`.
 
-This is the straightforward simulator over Q(1/sqrt2, i) that
-`promiselab.circuit.simulate` replaces; it builds a field element for
-every amplitude update, so it is slow, and it shares no arithmetic with
-the integer Z[w] path except the FieldElem type.  The tests require the
-two to agree bit for bit.
+`simulate` is the straightforward simulator over Q(1/sqrt2, i): it builds
+a field element for every amplitude update, so it is slow, and it shares
+no arithmetic with the integer Z[w] path except the FieldElem type.
+
+`simulate_coords` is the slow twin of the packed-lane simulator: the same
+integer coordinates (a, b, c, d) of each amplitude over sqrt2^k, kept as
+four Python lists and updated with list slices and `map`.  It needs no
+lane width, bias or mask, so it checks those of the fast path on circuits
+with as many H gates as a test likes.
+
+The tests require each to agree with the package bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 
 from oracle_field import abs2
 from promiselab.circuit import Circuit, _witness_input
@@ -50,6 +57,76 @@ def simulate(c: Circuit, basis_input: str) -> tuple[FieldElem, ...]:
                     j = i | tbit
                     amps[i], amps[j] = amps[j], amps[i]
     return tuple(amps)
+
+
+def _slices(n: int, fixed: dict[int, int]) -> list[slice]:
+    """Slices covering, once each, the indices < 2^n whose bits at the
+    positions in `fixed` hold the given values.
+
+    Each slice steps through the longest run of free bit positions, and
+    the slices enumerate the other free bits, so there are few of them:
+    at most 2^(n/2) for one fixed bit.
+    """
+    lo = hi = run = 0  # run: first position of the current free run
+    for p in range(n):
+        if p in fixed:
+            run = p + 1
+        elif p + 1 - run > hi - lo:
+            lo, hi = run, p + 1
+    starts = [sum(v << p for p, v in fixed.items())]
+    for p in range(n):
+        if p not in fixed and not lo <= p < hi:
+            starts += [s | 1 << p for s in starts]
+    return [slice(s, s + (1 << hi), 1 << lo) for s in starts]
+
+
+def _shifted(s: slice, offset: int) -> slice:
+    return slice(s.start + offset, s.stop + offset, s.step)
+
+
+def simulate_coords(c: Circuit, basis_input: str
+                    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(k, coords): amplitude j is (a + b*w + c*w^2 + d*w^3) / sqrt2^k with
+    (a, b, c, d) = (coords[0][j], ..., coords[3][j]) and k the H count."""
+    n = c.total_qubits
+    assert len(basis_input) == n and set(basis_input) <= {"0", "1"}
+    coords = [[0] * (1 << n) for _ in range(4)]
+    coords[0][int(basis_input, 2)] = 1
+    x0, x1, x2, x3 = coords
+    k = 0
+    for g in c.gates:
+        pos = n - g.qubits[0]
+        if g.kind == "H":
+            for lo in _slices(n, {pos: 0}):
+                hi = _shifted(lo, 1 << pos)
+                for xs in coords:
+                    u, v = xs[lo], xs[hi]
+                    xs[lo] = map(add, u, v)
+                    xs[hi] = map(sub, u, v)
+            k += 1
+        elif g.kind == "T":
+            for s in _slices(n, {pos: 1}):
+                x0[s], x1[s], x2[s], x3[s] = map(neg, x3[s]), x0[s], x1[s], x2[s]
+        else:
+            tpos = n - g.qubits[1]
+            for lo in _slices(n, {pos: 1, tpos: 0}):
+                hi = _shifted(lo, 1 << tpos)
+                for xs in coords:
+                    xs[lo], xs[hi] = xs[hi], xs[lo]
+    return k, tuple(map(tuple, coords))
+
+
+def amplitudes(k: int, coords) -> tuple[FieldElem, ...]:
+    """The field elements (a + b*w + c*w^2 + d*w^3) / sqrt2^k, with
+    w = (1 + i)/sqrt2 and w^3 = (-1 + i)/sqrt2 expanded directly."""
+    scale = ONE
+    for _ in range(k):
+        scale = scale * SQRT2_INV
+    w3 = FieldElem(Fraction(0), Fraction(-1), Fraction(0), Fraction(1))
+    return tuple((FieldElem(Fraction(a)) + FieldElem(Fraction(b)) * T_PHASE
+                  + FieldElem(Fraction(0), Fraction(0), Fraction(c))
+                  + FieldElem(Fraction(d)) * w3) * scale
+                 for a, b, c, d in zip(*coords))
 
 
 def p_acc(c: Circuit, basis_input: str | None = None) -> FieldElem:

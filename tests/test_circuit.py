@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 classify_qcma, classify_qma, encode_circuit,
                                 p_acc, parse_circuit, simulate)
 from promiselab.config import Config
-from promiselab.errors import GeneratorFuelExhausted
+from promiselab.errors import DimensionCap, GeneratorFuelExhausted
 from promiselab.field import FieldElem, ZERO
 from promiselab.promise import Verdict
 
@@ -213,6 +214,36 @@ class TestSimulation:
             p = p_acc(circ, "0" * circ.total_qubits)
             assert real_sign(p) >= 0
             assert real_sign(ONE - p) >= 0
+
+
+class TestQubitCap:
+    # qubit 21 is one past the default cap; its 2^21 lanes would take
+    # at least 2 MB per coordinate vector
+    WIDE = Circuit((Gate("H", (21,)), Gate("CNOT", (1, 21))))
+
+    def _refused_without_lanes(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCap):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_simulate_refuses_before_building_lanes(self):
+        self._refused_without_lanes(lambda: simulate(self.WIDE, "0" * 21))
+
+    def test_p_acc_refuses_before_building_lanes(self):
+        self._refused_without_lanes(lambda: p_acc(self.WIDE))
+        self._refused_without_lanes(lambda: p_acc(self.WIDE, "1" * 21))
+
+    def test_cap_comes_from_config(self):
+        assert Config().max_qubits == 20
+        circ = Circuit((Gate("H", (3,)),))
+        with pytest.raises(DimensionCap):
+            simulate(circ, "000", Config(max_qubits=2))
+        assert p_acc(circ, config=Config(max_qubits=3)) == ZERO
 
 
 class TestAcceptanceOperator:

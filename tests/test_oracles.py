@@ -1,9 +1,12 @@
 """Exact fast paths against their slow exact oracles, bit for bit.
 
-The integer Z[w] simulator in `promiselab.circuit` is checked against the
-FieldElem simulator kept in `oracle_simulator`: amplitudes, acceptance
+The packed-lane Z[w] simulator in `promiselab.circuit` is checked against
+the FieldElem simulator kept in `oracle_simulator`: amplitudes, acceptance
 probabilities and the witness-block acceptance operator must be equal as
-exact values, not merely close.  The pattern-based decoders of machines,
+exact values, not merely close.  It is also checked against its slow twin
+there, the list-slice simulator of the same integer coordinates, on
+circuits of up to 80 gates, and on H counts either side of every change
+of lane width.  The pattern-based decoders of machines,
 PTMs, circuits and oracle-machine prefixes are checked against the
 per-character parsers kept in `oracle_parser`, on valid encodings, on
 encodings one edit away from valid, and on arbitrary strings.  The
@@ -55,12 +58,14 @@ ALL_KINDS = ("H", "T", "CNOT")
 
 
 @st.composite
-def circuits(draw, kinds=ALL_KINDS, witness=st.just(0)):
-    n = draw(st.integers(1, 6))
+def circuits(draw, kinds=ALL_KINDS, witness=st.just(0), max_qubits=6,
+             min_gates=0, max_gates=12):
+    n = draw(st.integers(1, max_qubits))
     m = min(draw(witness), n)
     usable = [k for k in kinds if k != "CNOT" or n > 1]
     gates = []
-    for kind in draw(st.lists(st.sampled_from(usable), max_size=12)):
+    for kind in draw(st.lists(st.sampled_from(usable), min_size=min_gates,
+                              max_size=max_gates)):
         if kind == "CNOT":
             pair = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
                                  unique=True))
@@ -104,6 +109,49 @@ class TestSimulatorOracle:
         c = Circuit(tuple(gates), witness_qubits=1)
         for basis in ("00", "01", "10", "11"):
             _assert_matches(c, basis)
+        assert acceptance_operator(c) == ref.acceptance_operator(c)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_lanes_against_slice_twin(self, data):
+        # up to 80 gates: lanes of 8, 16, 32 and 64 bits
+        gates = data.draw(st.integers(0, 80))
+        c = data.draw(circuits(max_qubits=8, min_gates=gates, max_gates=gates))
+        basis = _basis(data, c)
+        k, coords = ref.simulate_coords(c, basis)
+        state = simulate(c, basis)
+        assert (state.k, state.coords) == (k, coords)
+        amps = ref.amplitudes(k, coords)
+        assert state.amplitudes == amps
+        accept = ZERO
+        for amp in amps[len(amps) // 2:]:
+            accept = accept + oracle_field.abs2(amp)
+        assert p_acc(c, basis) == accept
+
+    @pytest.mark.parametrize("h_count, width", [
+        (6, 8), (7, 16), (14, 16), (15, 32), (30, 32), (31, 64), (62, 64),
+        (63, 128), (64, 128), (70, 128)])
+    def test_lane_width_boundaries(self, h_count, width):
+        gates = []
+        for i in range(h_count):
+            gates += [Gate("H", (1 + i % 3,)), Gate("T", (1 + (i + 1) % 3,)),
+                      Gate("CNOT", (1 + i % 3, 1 + (i + 2) % 3))]
+        c = Circuit(tuple(gates), witness_qubits=1)
+        for basis in ("000", "011", "101"):
+            state = simulate(c, basis)
+            assert (state.k, state.width) == (h_count, width)
+            assert state.amplitudes == ref.simulate(c, basis)
+            assert p_acc(c, basis) == ref.p_acc(c, basis)
+        assert acceptance_operator(c) == ref.acceptance_operator(c)
+
+    def test_h_to_the_64(self):
+        # H^2 is 2I over sqrt2^2, so H^64|0> is 2^32|0> over sqrt2^64
+        c = Circuit((Gate("H", (1,)),) * 64, witness_qubits=1)
+        state = simulate(c, "0")
+        assert state.width == 128
+        assert state.coords == ((1 << 32, 0), (0, 0), (0, 0), (0, 0))
+        assert state.amplitudes == ref.simulate(c, "0") == (field.ONE, ZERO)
+        assert p_acc(c, "0") == ZERO == ref.p_acc(c, "0")
         assert acceptance_operator(c) == ref.acceptance_operator(c)
 
     def test_trivial_circuit(self):
