@@ -19,9 +19,10 @@ w = e^(i*pi/4) = (1+i)/sqrt2.  The simulator stores amplitude j as four
 integers (a, b, c, d) meaning (a + b*w + c*w^2 + d*w^3) / sqrt2^k, k the
 H count, shared by the whole vector.  Each coordinate vector is one int
 of lanes of `width` bits: lane j holds coordinate j plus the bias
-2^(width-1), so no lane is negative or carries into the next.  H at most
-doubles a coordinate, so width is the least of 8, 16, 32 and 64 with
-k + 2 <= width (a multiple of 64 beyond that).  A gate is a few shifts
+2^(width-1), so no lane is negative or carries into the next.  The
+squares of all coordinates sum to exactly 2^k, so |coordinate| <= 2^(k/2)
+and width is the least of 8, 16, 32 and 64 with k + 4 <= 2*width (a
+multiple of 64 beyond that).  A gate is a few shifts
 and masks of whole vectors: H adds and subtracts lanes 2^p apart, T
 rotates (a, b, c, d) -> (-d, a, b, c), multiplying by w (w^4 = -1), on
 lanes whose bit p is 1, CNOT swaps lanes; no rational is formed.  Values
@@ -171,17 +172,19 @@ def load_circuit_file(path: str, expect_witness_header: bool = False) -> Circuit
 
 
 def _lane_width(h: int) -> int:
-    """Bits per lane after h H gates: every coordinate has |v| <= 2^h, so
-    v + 2^(width-1) lies in [0, 2^width) once h + 2 <= width."""
-    return next((b for b in (8, 16, 32, 64) if h + 2 <= b), (h + 65) // 64 * 64)
+    """Bits per lane after h H gates: H doubles u^2 + v^2 on each lane
+    pair and T and CNOT permute and negate, so the squares of all
+    coordinates sum to exactly 2^h, |v| <= 2^(h/2), and v + 2^(width-1)
+    lies in [0, 2^width) once h + 4 <= 2*width."""
+    return next((b for b in (8, 16, 32, 64) if h + 4 <= 2 * b),
+                (h + 131) // 128 * 64)
 
 
-def _lanes(n: int, p: int, lane: bytes, bit: int) -> int:
-    """The little-endian `lane` in each of 2^n lanes whose index has `bit`
-    at position p, zero in the others."""
-    run = lane * (1 << p)
-    pair = bytes(len(run)) + run if bit else run + bytes(len(run))
-    return int.from_bytes(pair * (1 << n - p - 1), "little")
+def _low_lanes(n: int, p: int, width: int) -> int:
+    """Ones in each of 2^n width-bit lanes whose index has bit p clear;
+    shifted up by width << p, ones in the lanes whose bit p is set."""
+    run = b"\xff" * (width // 8 << p)
+    return int.from_bytes((run + bytes(len(run))) * (1 << n - p - 1), "little")
 
 
 def simulate(c: Circuit, basis_input: str,
@@ -194,28 +197,29 @@ def simulate(c: Circuit, basis_input: str,
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
     k = sum(g.kind == "H" for g in c.gates)
     width = _lane_width(k)
-    ones, bias = b"\xff" * (width // 8), bytes(width // 8 - 1) + b"\x80"
-    xs = [int.from_bytes(bias * (1 << n), "little")] * 4  # the zero vector
+    zero = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (1 << n), "little")
+    xs = [zero] * 4  # every lane holds the bias 2^(width-1)
     xs[0] += 1 << int(basis_input, 2) * width
     for g in c.gates:
         p = n - g.qubits[0]
+        shift = width << p
         if g.kind == "H":  # (u, v) <- (u + v, u - v) on lane pairs 2^p apart
-            low, low_bias, shift = (_lanes(n, p, ones, 0),
-                                    _lanes(n, p, bias, 0), width << p)
+            low = _low_lanes(n, p, width)
+            low_bias = low & zero
             for i, x in enumerate(xs):  # u - v + B = 2u - (u + v - B)
                 u = x & low
                 lo = u + (x >> shift & low) - low_bias
                 xs[i] = lo | ((u << 1) - lo) << shift
         elif g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c) where bit p is 1
-            high = _lanes(n, p, ones, 1)
+            high = _low_lanes(n, p, width) << shift
             # -d stored: 2^width - (d + 2^(width-1)) in each lane of `high`
-            neg_d = (_lanes(n, p, bias, 1) << 1) - (xs[3] & high)
+            neg_d = ((high & zero) << 1) - (xs[3] & high)
             for i in (3, 2, 1):
                 xs[i] ^= (xs[i] ^ xs[i - 1]) & high
             xs[0] ^= xs[0] & high ^ neg_d
         else:  # swap the control-1 lanes of target 0 and target 1
             tp = n - g.qubits[1]
-            src = _lanes(n, p, ones, 1) & _lanes(n, tp, ones, 0)
+            src = _low_lanes(n, p, width) << shift & _low_lanes(n, tp, width)
             shift = width << tp
             for i, x in enumerate(xs):
                 moved = (x >> shift ^ x) & src

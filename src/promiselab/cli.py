@@ -25,8 +25,8 @@ from . import diagonal, enumeration, ptm, tm
 from .config import Config, load_config
 from .errors import CapExceeded, PromiseLabError
 from .field import FieldElem, decimal_string
-from .promise import (KarpReport, ReductionFn, TotalDecider, builtin,
-                      karp_check, marked_union)
+from .promise import (ReductionFn, TotalDecider, builtin, karp_check,
+                      marked_union)
 from .words import words_up_to
 
 
@@ -208,16 +208,24 @@ def _cmd_gaplang(args, config: Config) -> int:
     return 0
 
 
-def _emit_diag_report(result: diagonal.DiagResult, r_table_rows: int,
-                      checks: dict[str, KarpReport]) -> None:
+def _report_construction(result: diagonal.DiagResult, args,
+                         config: Config) -> int:
+    """Run every spot-check of the construction, then print its report."""
+    inst = result.inst
+    checks = {"reduction-check": karp_check(
+        result.reduction, result.b, marked_union(inst.a, inst.a_prime),
+        args.bound, config=config)}
+    if result.reduction_to_a is not None:
+        checks["reduction-to-a"] = karp_check(
+            result.reduction_to_a, result.b, inst.a, args.bound, config=config)
     print("## r-table")
     print("n\tq\tq_prime\tr")
-    for n in range(r_table_rows + 1):
+    for n in range(args.table + 1):
         print(f"{n}\t{result.q.value(n)}\t{result.q_prime.value(n)}"
               f"\t{result.r.value(n)}")
     print()
     print("## intervals")
-    _print_intervals(result.r, r_table_rows)
+    _print_intervals(result.r, args.table)
     print()
     print("## witnesses")
     print("side\tmachine\tinterval\tstart\tend\tword\ta_verdict\tmachine_verdict")
@@ -230,6 +238,7 @@ def _emit_diag_report(result: diagonal.DiagResult, r_table_rows: int,
         print(f"## {title}")
         print("checked\tviolations")
         print(f"{report.checked}\t{len(report.violations)}")
+    return 0
 
 
 # A construction's problems are memoized for the one invocation: the
@@ -237,33 +246,19 @@ def _emit_diag_report(result: diagonal.DiagResult, r_table_rows: int,
 # classify the same words.
 
 def _cmd_diagonalize(args, config: Config) -> int:
-    a = args.a(config).memoized()
-    a_prime = args.aprime(config).memoized()
     inst = diagonal.DiagInstance(
-        a, a_prime, args.a_pres(config), args.aprime_pres(config),
+        args.a(config).memoized(), args.aprime(config).memoized(),
+        args.a_pres(config), args.aprime_pres(config),
         args.a_mode, args.aprime_mode, args.search_cap)
     result = diagonal.diagonalize(inst, witness_bound=args.witnesses)
-    check = karp_check(result.reduction, result.b, marked_union(a, a_prime),
-                       args.bound, config=config)
-    _emit_diag_report(result, args.table, {"reduction-check": check})
-    return 0
+    return _report_construction(result, args, config)
 
 
 def _cmd_ladner(args, config: Config) -> int:
-    a = args.a(config).memoized()
-    pres_c = args.pres(config)
-    pres_harder = enumeration.harder_set_presentation(a, pres_c, "T",
-                                                      config=config)
-    result = diagonal.ladner(a, pres_c, args.a_mode, pres_harder,
-                             search_cap=args.search_cap,
-                             witness_bound=args.witnesses)
-    union = marked_union(a, builtin("const-no"))
-    _emit_diag_report(result, args.table, {
-        "reduction-check": karp_check(result.reduction, result.b, union,
-                                      args.bound, config=config),
-        "reduction-to-a": karp_check(result.reduction_to_a, result.b, a,
-                                     args.bound, config=config)})
-    return 0
+    result = diagonal.ladner(args.a(config).memoized(), args.pres(config),
+                             args.a_mode, search_cap=args.search_cap,
+                             witness_bound=args.witnesses, config=config)
+    return _report_construction(result, args, config)
 
 
 class _Subcommand:

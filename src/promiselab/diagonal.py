@@ -27,11 +27,12 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Iterator, Literal
 
-from .enumeration import CostedFunction, Enumeration
+from .config import Config
+from .enumeration import CostedFunction, Enumeration, harder_set_presentation
 from .errors import (AccountingError, FuelCap, NoContradictionFound,
                      NoInstanceOfA, NotTimeConstructible)
 from . import tm
-from .promise import ReductionFn, TotalDecider, Verdict
+from .promise import ReductionFn, TotalDecider, Verdict, builtin
 from .words import words_of_length, words_up_to
 
 REPRESENTABLE = "representable"
@@ -229,6 +230,7 @@ class ContradictionWitness:
 
 @dataclass(frozen=True)
 class DiagResult:
+    inst: DiagInstance
     b: TotalDecider
     gaps: GapLimits
     q: CostedFunction
@@ -318,28 +320,28 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     for side in ("even", "odd"):
         for i in range(witness_bound):
             witnesses.append(_witness_for(inst, gaps, side, i))
-    return DiagResult(b, gaps, q, q_prime, reduction, tuple(witnesses))
+    return DiagResult(inst, b, gaps, q, q_prime, reduction, tuple(witnesses))
 
 
 def ladner(
     a: TotalDecider,
     pres_c: Enumeration,
     mode_c: str,
-    pres_harder: Enumeration,
     search_cap: int = DEFAULT_SEARCH_CAP,
     witness_bound: int = 3,
+    config: Config = Config(),
 ) -> DiagResult:
     """Intermediate-problem construction below a.
 
     Diagonalizes a against pres_c and the constant-no problem against
-    pres_harder (the presentation of the problems a Cook-reduces to),
-    then post-composes the marked-union reduction with the map sending
-    "0"+x to x and "1"+w to a fixed no-instance of a, so the produced
-    problem reduces to a directly.  Its odd intervals blow no-instance
-    holes into a.
+    the Cook harder set of a (the presentation of the problems of pres_c
+    that a Cook-reduces to), then post-composes the marked-union
+    reduction with the map sending "0"+x to x and "1"+w to a fixed
+    no-instance of a, so the produced problem reduces to a directly.
+    Its odd intervals blow no-instance holes into a.
     """
-    const_no = TotalDecider("const-no", fn=lambda x: Verdict.NO)
-    inst = DiagInstance(a, const_no, pres_c, pres_harder,
+    pres_harder = harder_set_presentation(a, pres_c, "T", config=config)
+    inst = DiagInstance(a, builtin("const-no"), pres_c, pres_harder,
                         mode_c, PRESENTABLE, search_cap)
     result = diagonalize(inst, witness_bound)
     scanned = islice(words_up_to(NO_INSTANCE_SCAN.bit_length() + 1),

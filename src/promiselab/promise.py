@@ -129,8 +129,7 @@ def differences(a: TotalDecider, b: TotalDecider, bound: int,
     sym, one_sided, total = set(), set(), set()
     for w in words_up_to(bound):
         va, vb = a.classify(w), b.classify(w)
-        if (va is Verdict.YES and vb is Verdict.NO) or \
-           (va is Verdict.NO and vb is Verdict.YES):
+        if va.separates(vb) and vb.separates(va):
             sym.add(w)
         if va.separates(vb):
             one_sided.add(w)

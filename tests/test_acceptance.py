@@ -23,8 +23,7 @@ from promiselab.circuit import (Gate, acceptance_operator, classify_bqp,
                                 parse_circuit)
 from promiselab.diagonal import (PRESENTABLE, affine_costed, diagonalize,
                                  gap_member, ladner)
-from promiselab.enumeration import (builtins_presentation,
-                                    harder_set_presentation, pair,
+from promiselab.enumeration import (builtins_presentation, pair,
                                     poly_series, unpair)
 from promiselab.promise import Verdict, builtin, karp_check, marked_union
 from promiselab.ptm import classify_bpp, enumerate_branches
@@ -140,8 +139,7 @@ def diag_result():
 def ladner_result():
     pres_c = builtins_presentation(
         [builtin("const-yes"), builtin("const-no"), builtin("len-even")])
-    pres_harder = harder_set_presentation(builtin("parity"), pres_c, "T")
-    return ladner(builtin("parity"), pres_c, PRESENTABLE, pres_harder)
+    return ladner(builtin("parity"), pres_c, PRESENTABLE)
 
 
 def test_criterion_7_diagonalization_toy(diag_result):

@@ -6,7 +6,7 @@ from helpers_machines import (const_output_machine, fan_ptm, parity_machine)
 from promiselab import cli
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
-from promiselab.promise import TotalDecider, Verdict, builtin
+from promiselab.promise import TotalDecider, Verdict, builtin, karp_check
 from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
 from promiselab.words import words_up_to
@@ -411,6 +411,30 @@ class TestDiagonalizeCommand:
         assert "## reduction-to-a" in out
         final = out.strip().splitlines()[-1]
         assert final.split("\t")[1] == "0"
+
+    def test_ladner_spot_checks_through_shared_report(self, capsys,
+                                                      monkeypatch):
+        # the report works out both checks from the result: the reduction
+        # into the marked union with const-no, and the one into a
+        calls = []
+
+        def spy(f, a, b, bound, config):
+            calls.append((f.tag, a.tag, b.tag, bound))
+            return karp_check(f, a, b, bound, config=config)
+
+        monkeypatch.setattr(cli, "karp_check", spy)
+        code = dispatch(["ladner", "--a", "builtin:parity",
+                         "--pres", "builtins:const-yes,const-no,len-even",
+                         "--bound", "8"])
+        out = capsys.readouterr().out
+        assert code == 0
+        b_tag = "diag(parity;const-no)"
+        assert calls == [
+            ("gap-mark", b_tag, "(parity)(+)(const-no)", 8),
+            ("gap-or-default", b_tag, "parity", 8)]
+        assert out.split("\n\n")[-2:] == [
+            "## reduction-check\nchecked\tviolations\n511\t0",
+            "## reduction-to-a\nchecked\tviolations\n511\t0\n"]
 
 
 class TestConstructionWorkCounts:

@@ -9,7 +9,7 @@ from promiselab.diagonal import (CostedFunction, DiagInstance, GapLimits,
                                  find_contradiction, gap_intervals, gap_member,
                                  ladner, time_construct_wrap,
                                  time_constructor_costed)
-from promiselab.enumeration import builtins_presentation, harder_set_presentation
+from promiselab.enumeration import builtins_presentation
 from promiselab.errors import (AccountingError, FuelCap,
                                NoContradictionFound, NotTimeConstructible)
 from promiselab.promise import TotalDecider, Verdict, builtin, karp_check, \
@@ -220,8 +220,7 @@ def diag_result():
 @pytest.fixture(scope="module")
 def ladner_result():
     pres_c = builtins_presentation([CONST_YES, CONST_NO, builtin("len-even")])
-    pres_harder = harder_set_presentation(PARITY, pres_c, "T")
-    return ladner(PARITY, pres_c, PRESENTABLE, pres_harder)
+    return ladner(PARITY, pres_c, PRESENTABLE)
 
 
 class TestDiagonalize:
@@ -319,6 +318,20 @@ class TestLadner:
         assert len(result.witnesses) == 6
         for w in result.witnesses:
             assert w.interval_start < len(w.word) < w.interval_end
+
+    def test_builds_its_own_parts(self, result):
+        # a' is the constant-no problem, diagonalized against the Cook
+        # harder set of a
+        inst = result.inst
+        assert inst.a is PARITY and inst.a_prime is builtin("const-no")
+        assert inst.pres_c_prime.family == \
+            "harder[T](parity;cycle(const-yes,const-no,len-even))"
+        assert inst.mode_c_prime == PRESENTABLE
+
+
+def test_diagonalize_records_its_instance():
+    inst = toy_instance()
+    assert diagonalize(inst, witness_bound=0).inst is inst
 
 
 def enumerate_interval_starts(r):

@@ -129,8 +129,8 @@ class TestSimulatorOracle:
         assert p_acc(c, basis) == accept
 
     @pytest.mark.parametrize("h_count, width", [
-        (6, 8), (7, 16), (14, 16), (15, 32), (30, 32), (31, 64), (62, 64),
-        (63, 128), (64, 128), (70, 128)])
+        (6, 8), (12, 8), (13, 16), (14, 16), (28, 16), (29, 32), (30, 32),
+        (60, 32), (61, 64), (62, 64), (124, 64), (125, 128), (130, 128)])
     def test_lane_width_boundaries(self, h_count, width):
         gates = []
         for i in range(h_count):
@@ -148,11 +148,29 @@ class TestSimulatorOracle:
         # H^2 is 2I over sqrt2^2, so H^64|0> is 2^32|0> over sqrt2^64
         c = Circuit((Gate("H", (1,)),) * 64, witness_qubits=1)
         state = simulate(c, "0")
-        assert state.width == 128
+        assert state.width == 64
         assert state.coords == ((1 << 32, 0), (0, 0), (0, 0), (0, 0))
         assert state.amplitudes == ref.simulate(c, "0") == (field.ONE, ZERO)
         assert p_acc(c, "0") == ZERO == ref.p_acc(c, "0")
         assert acceptance_operator(c) == ref.acceptance_operator(c)
+
+    @pytest.mark.parametrize("h_count, width", [
+        (12, 8), (28, 16), (60, 32), (124, 64)])
+    def test_largest_coordinate_fits_narrowest_lane(self, h_count, width):
+        # the squares of all coordinates sum to 2^h, so no coordinate
+        # exceeds 2^(h/2), which H^h|0> = 2^(h/2)|0> over sqrt2^h reaches
+        c = Circuit((Gate("H", (1,)),) * h_count)
+        state = simulate(c, "0")
+        assert state.width == width
+        assert state.coords == ((1 << h_count // 2, 0), (0, 0), (0, 0), (0, 0))
+        assert state.amplitudes == ref.simulate(c, "0") == (field.ONE, ZERO)
+
+    def test_every_power_of_h_is_exact(self):
+        # H^h|0> reaches the largest coordinate on every lane width h gets
+        for h_count in range(131):
+            top = 1 << h_count // 2
+            state = simulate(Circuit((Gate("H", (1,)),) * h_count), "0")
+            assert state.coords[0] == ((top, top) if h_count % 2 else (top, 0))
 
     def test_trivial_circuit(self):
         for basis in ("0", "1"):
