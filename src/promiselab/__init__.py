@@ -16,10 +16,9 @@ from .diagonal import (CostedFunction, DiagInstance, DiagResult,
                        eval_counted, find_contradiction, gap_member, ladner,
                        time_construct_wrap)
 from .enumeration import (Enumeration, Polynomial, class_presentation,
-                          harder_set, harder_set_presentation, np_machine,
-                          p_machine, pair, poly_series, polyfunc_series,
-                          polyset_series, reduction_closure, triple, unpair,
-                          untriple)
+                          harder_set, harder_set_presentation, pair,
+                          poly_series, polyfunc_series, polyset_series,
+                          reduction_closure, triple, unpair, untriple)
 from .field import (ExactMatrix, FieldElem, det, real_sign, sylvester_pd,
                     sylvester_psd)
 from .promise import (BUILTIN_PROBLEMS, OracleMachine, ReductionFn,

@@ -2,10 +2,10 @@
 
 Everything here is an index-to-object map on the naturals: Cantor
 pairing, the series of all non-negative-coefficient polynomials, clocked
-machine series for the deterministic classes, and wrappers that turn the
-probabilistic and quantum deciders into presentations of their extremal
-problems.  Indices decode as (machine, clock[, witness]) tuples; machines
-come from the word bijection, clocks from the polynomial series.
+machine series, and class_presentation, whose table of families presents
+P, NP and the extremal problems of the starred classes.  Indices decode
+as (machine, clock[, witness length]) tuples; machines come from the word
+bijection, clocks from the polynomial series cut off at the fuel ceiling.
 
 Machines that break their clock are absorbed rather than reported: a
 clocked decision machine defaults to No, a clocked function machine to
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import comb, isqrt
 from typing import Callable, Literal
 
@@ -151,8 +151,8 @@ def ptm_series(j: int) -> ptm_mod.PTMDesc:
 
 
 def _clocked(i: int, config: Config,
-             series: Callable[[int], tm.MachineDesc | ptm_mod.PTMDesc]
-             = machine_series, arity: int = 2) -> tuple:
+             series: Callable[[int], object] = machine_series,
+             arity: int = 2) -> tuple:
     """Index i of a clocked series, as (machine, clock) or, with arity 3,
     (machine, clock, l): i is pair(j, k) or triple(j, k, l), the machine
     is series(j), and the clock is p_k as a fuel policy, cut off at the
@@ -168,20 +168,6 @@ def _accepts(machine: tm.MachineDesc, inputs: list[str], fuel: int) -> Verdict:
     result = tm.run(machine, inputs, fuel)
     accepted = isinstance(result, tm.Halted) and result.output == "1"
     return Verdict.YES if accepted else Verdict.NO
-
-
-def p_machine(i: int, config: Config = Config()) -> TotalDecider:
-    """Clocked deterministic decision machines: the series for P.
-
-    Output "1" is Yes, "0" is No; anything else, including running past
-    the clock, defaults to No, so the problem is always a decision one.
-    """
-    machine, fuel = _clocked(i, config)
-
-    def decide(x: str) -> Verdict:
-        return _accepts(machine, [x], fuel(len(x)))
-
-    return TotalDecider(f"p[{i}]", fn=decide)
 
 
 def polyfunc_series(i: int, config: Config = Config()) -> ReductionFn:
@@ -221,60 +207,81 @@ def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
     return CostedFunction(f"polyset[{i}]", cache(evaluate))
 
 
-def np_machine(i: int, config: Config = Config()) -> TotalDecider:
-    """Existential witness loop over a clocked verifier: the series for NP."""
-    verifier, fuel, l = _clocked(i, config, arity=3)
-    wit_len = polyset_series(l, config)
+# Verdict builders: each turns (machine, clock, witness length, config)
+# into the verdict function of one presented decider.
+def _p_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
+    # output "1" is Yes; anything else, running past the clock included,
+    # is No, so the problem is always a decision one
+    return lambda x: _accepts(machine, [x], fuel(len(x)))
 
+
+def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
     def decide(x: str) -> Verdict:
         steps = fuel(len(x))
-        return witness_verdict(wit_len.eval(len(x))[0], MAX_WITNESS_SPACE,
+        return witness_verdict(wit_len(len(x)), MAX_WITNESS_SPACE,
                                lambda y: _accepts(verifier, [x, y], steps))
 
-    return TotalDecider(f"np[{i}]", fn=decide)
+    return decide
 
 
-_QUANTUM = ("bqp", "qcma", "qma")
+def _bpp_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
+    return lambda x: ptm_mod.classify_bpp(machine, fuel, x,
+                                          on_overrun="reject", config=config)
+
+
+def _ma_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
+    return lambda x: ptm_mod.classify_ma(machine, fuel, wit_len, x,
+                                         on_overrun="reject", config=config)
+
+
+def _quantum_verdict(fam, gen, fuel, wit_len,
+                     config) -> Callable[[str], Verdict]:
+    classify = getattr(qc, f"classify_{fam}")
+
+    def decide(x: str) -> Verdict:
+        try:
+            return classify(gen, fuel, x, config)
+        except GeneratorFuelExhausted:
+            # an overrunning generator counts as emitting the trivial
+            # circuit, which never accepts
+            return Verdict.NO
+
+    return decide
+
+
+# Family -> (label, machine series, index carries a witness-length index,
+# verdict builder).  The series is named, and looked up when a decider is
+# built, so that a module global rebound after import is the one that runs.
+_PRESENTED = {
+    "p": ("P", "machine_series", False, _p_verdict),
+    "np": ("NP", "machine_series", True, _np_verdict),
+    "promisebpp": ("promisebpp*", "ptm_series", False, _bpp_verdict),
+    "promisema": ("promisema*", "ptm_series", True, _ma_verdict),
+    **{fam: (f"{fam}*", "machine_series", False,
+             partial(_quantum_verdict, fam)) for fam in ("bqp", "qcma", "qma")},
+}
 
 
 def class_presentation(family: str, i: int,
                        config: Config = Config()) -> TotalDecider:
-    """Total deciders for the extremal problems of the starred classes.
+    """Decider i of a presented family: P, NP or a starred promise class.
 
-    The index decodes to (machine, clock) and for promisema additionally
-    a witness-length index.  Verdicts may be OutsidePromise: these are
-    presentations of extremal promise problems, not decision problems.
+    The family's row of _PRESENTED names its machine series and whether i
+    decodes to (machine, clock) or (machine, clock, l), l indexing a
+    witness length in the polynomial set; its builder makes the verdict
+    function.  Starred verdicts may be OutsidePromise: these present
+    extremal promise problems.  The tag is the lower-cased label and i.
     """
     fam = family.lower()
-    if fam == "promisema":
-        machine, fuel, l = _clocked(i, config, ptm_series, 3)
-        wit_len = polyset_series(l, config)
-        return TotalDecider(
-            f"promisema*[{i}]",
-            fn=lambda x: ptm_mod.classify_ma(
-                machine, fuel, lambda n: wit_len.eval(n)[0], x,
-                on_overrun="reject", config=config))
-    machine, fuel = _clocked(
-        i, config, ptm_series if fam == "promisebpp" else machine_series)
-    if fam == "promisebpp":
-        return TotalDecider(
-            f"promisebpp*[{i}]",
-            fn=lambda x: ptm_mod.classify_bpp(
-                machine, fuel, x, on_overrun="reject", config=config))
-    if fam in _QUANTUM:
-        classify = getattr(qc, f"classify_{fam}")
-
-        def decide(x: str) -> Verdict:
-            try:
-                return classify(machine, fuel, x, config)
-            except GeneratorFuelExhausted:
-                # an overrunning generator counts as emitting the trivial
-                # circuit, which never accepts
-                return Verdict.NO
-
-        return TotalDecider(f"{fam}*[{i}]", fn=decide)
-    raise ValueError(f"unknown presentation family {family!r}; "
-                     f"known: promisebpp, promisema, {', '.join(_QUANTUM)}")
+    if fam not in _PRESENTED:
+        raise ValueError(f"unknown presentation family {family!r}; "
+                         f"known: {', '.join(_PRESENTED)}")
+    label, series, witness, build = _PRESENTED[fam]
+    machine, fuel, *rest = _clocked(i, config, globals()[series],
+                                    3 if witness else 2)
+    wit_len = polyset_series(rest[0], config).value if witness else None
+    return TotalDecider(f"{label.lower()}[{i}]",
+                        fn=build(machine, fuel, wit_len, config))
 
 
 @dataclass(frozen=True)
@@ -285,31 +292,22 @@ class Enumeration:
     produce: Callable[[int], TotalDecider | ReductionFn]
 
 
-# Family name -> (presentation label, series).  Each series looks its
-# factory up by name when called, so a module global rebound after import
-# is the one that runs.
-_FAMILIES = {
-    "p": ("P", lambda i, config: p_machine(i, config)),
-    "np": ("NP", lambda i, config: np_machine(i, config)),
-    "polyfunc": ("polyfunc", lambda i, config: polyfunc_series(i, config)),
-    **{fam: (f"{fam}*",
-             lambda i, config, fam=fam: class_presentation(fam, i, config))
-       for fam in ("promisebpp", "promisema", *_QUANTUM)},
-}
-
-
 def family_series(name: str, config: Config = Config()) -> Enumeration:
     """The series of a named family, the name matched ignoring case.
 
-    p, np and the starred families present deciders; polyfunc's series
-    is one of word functions.
+    polyfunc's series is one of word functions; every other family
+    presents deciders through class_presentation.  Both factories are
+    looked up by name when a member is produced.
     """
     fam = name.lower()
-    if fam not in _FAMILIES:
-        raise ValueError(f"unknown family {name!r}; "
-                         f"known: {', '.join(_FAMILIES)}")
-    label, series = _FAMILIES[fam]
-    return Enumeration(label, lambda i: series(i, config))
+    if fam == "polyfunc":
+        return Enumeration(fam, lambda i: polyfunc_series(i, config))
+    if fam not in _PRESENTED:
+        p, np, *starred = _PRESENTED
+        raise ValueError(f"unknown family {name!r}; known: "
+                         f"{', '.join((p, np, 'polyfunc', *starred))}")
+    return Enumeration(_PRESENTED[fam][0],
+                       lambda i: class_presentation(fam, i, config))
 
 
 def builtins_presentation(deciders: list[TotalDecider] | tuple[TotalDecider, ...]) -> Enumeration:
@@ -342,11 +340,11 @@ def parse_oracle_machine(bits: str) -> tuple[tm.MachineDesc, int]:
     return base, o
 
 
-def oracle_machine_series(j: int) -> OracleMachine:
-    """The series of all polynomial-time oracle machines."""
-    a, b = unpair(j)
-    base, oracle_state = parse_oracle_machine(index_to_word(a))
-    return OracleMachine(base, oracle_state, poly_series(b))
+def oracle_machine_series(j: int, config: Config = Config()) -> OracleMachine:
+    """The series of all polynomial-time oracle machines, clocked."""
+    (base, oracle_state), runtime = _clocked(
+        j, config, lambda a: parse_oracle_machine(index_to_word(a)))
+    return OracleMachine(base, oracle_state, runtime)
 
 
 def harder_set(
@@ -376,7 +374,7 @@ def harder_set(
             return m_k.classify(f_j(y)) is expected
 
     elif mode == "T":
-        o_j = oracle_machine_series(j)
+        o_j = oracle_machine_series(j, config)
 
         def check(y: str, expected: Verdict) -> bool:
             try:

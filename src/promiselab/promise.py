@@ -148,7 +148,7 @@ def witness_verdict(m: int, cap: int,
     iff every witness gives No, otherwise outside the promise.  More than
     cap witnesses raise WitnessSpaceTooLarge before any is tried.
     """
-    if 2 ** m > cap:
+    if m >= cap.bit_length():  # 2^m > cap, without computing 2^m
         raise WitnessSpaceTooLarge(f"2^{m} witnesses exceed cap {cap}")
     verdict = Verdict.NO
     for y in words_of_length(m):

@@ -6,12 +6,13 @@ from helpers_machines import (always_accept_machine, always_reject_machine,
                               const_output_machine, diverging_machine,
                               fan_ptm, identity_machine, parity_machine,
                               two_input_fan_ptm, witness_equals_one_ptm)
+from promiselab import enumeration
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.enumeration import (Enumeration, Polynomial,
                                     builtins_presentation, class_presentation,
                                     family_series, harder_set,
                                     harder_set_presentation,
-                                    machine_series, np_machine, p_machine,
+                                    machine_series, oracle_machine_series,
                                     pair, parse_oracle_machine, poly_series,
                                     polyfunc_series, polyset_series,
                                     reduction_closure, triple, unpair,
@@ -44,6 +45,7 @@ def clock_index(target: Polynomial) -> int:
 
 
 LINEAR_CLOCK = Polynomial((2, 1))  # n + 2
+SEVEN_FAMILIES = ("p", "np", "promisebpp", "promisema", "bqp", "qcma", "qma")
 
 
 class TestWordBijection:
@@ -120,34 +122,34 @@ class TestPMachine:
     def test_always_accept_is_constant_yes(self):
         i = pair(machine_index(always_accept_machine()),
                  clock_index(LINEAR_CLOCK))
-        decider = p_machine(i)
+        decider = class_presentation("p", i)
         for x in ("", "0", "1101"):
             assert decider.classify(x) is Verdict.YES
 
     def test_diverging_machine_defaults_to_no(self):
         i = pair(machine_index(diverging_machine()), clock_index(LINEAR_CLOCK))
-        decider = p_machine(i)
+        decider = class_presentation("p", i)
         for x in ("", "01"):
             assert decider.classify(x) is Verdict.NO
 
     def test_parity_machine_with_sufficient_clock(self):
         i = pair(machine_index(parity_machine()), clock_index(LINEAR_CLOCK))
-        decider = p_machine(i)
+        decider = class_presentation("p", i)
         for x in words_up_to(8):
             assert decider.classify(x) is PARITY.classify(x)
 
     def test_never_outside_promise(self):
         rng = random.Random(337)
         for _ in range(50):
-            decider = p_machine(rng.randrange(500))
+            decider = class_presentation("p", rng.randrange(500))
             for x in words_up_to(4):
                 assert decider.classify(x) in (Verdict.YES, Verdict.NO)
 
     def test_index_cap(self):
         with pytest.raises(CapExceeded):
-            p_machine(1 << (10 ** 6 + 1))
+            class_presentation("p", 1 << (10 ** 6 + 1))
         with pytest.raises(CapExceeded):
-            p_machine(-1)
+            class_presentation("p", -1)
 
 
 class TestPolyFuncSeries:
@@ -180,14 +182,14 @@ class TestNpMachine:
         verifier = _determinize(witness_equals_one_ptm())
         i = triple(machine_index(verifier), clock_index(Polynomial((4, 1))),
                    _polyset_index_for_constant(1))
-        decider = np_machine(i)
+        decider = class_presentation("np", i)
         for x in ("", "1", "010"):
             assert decider.classify(x) is Verdict.YES
 
     def test_always_reject_is_constant_no(self):
         i = triple(machine_index(always_reject_machine()),
                    clock_index(LINEAR_CLOCK), _polyset_index_for_constant(1))
-        decider = np_machine(i)
+        decider = class_presentation("np", i)
         for x in ("", "0", "11"):
             assert decider.classify(x) is Verdict.NO
 
@@ -197,7 +199,7 @@ class TestNpMachine:
         verifier = _determinize(witness_equals_one_ptm())
         i = triple(machine_index(verifier), clock_index(Polynomial((4, 1))),
                    _polyset_index_for_constant(1))
-        decider = np_machine(i)
+        decider = class_presentation("np", i)
         for x in words_up_to(3):
             brute = any(
                 isinstance(r := tm.run(verifier, [x, y], len(x) + 4), tm.Halted)
@@ -219,9 +221,9 @@ class TestNpMachine:
 
         monkeypatch.setattr(tm, "run", counted)
         verifier = _determinize(witness_equals_one_ptm())
-        decider = np_machine(triple(machine_index(verifier),
-                                    clock_index(Polynomial((4, 1))),
-                                    _polyset_index_for_constant(1)))
+        decider = class_presentation("np", triple(
+            machine_index(verifier), clock_index(Polynomial((4, 1))),
+            _polyset_index_for_constant(1)))
         for x in words_up_to(6):
             assert decider.classify(x) is Verdict.YES
         assert lengths == list(range(7))
@@ -295,12 +297,9 @@ class TestClassPresentations:
         assert decider.classify("0") is Verdict.NO
 
     def test_every_index_is_total_at_small_scale(self):
-        families = [lambda i, f=f: class_presentation(f, i)
-                    for f in ("promisebpp", "promisema", "bqp", "qcma", "qma")]
-        families += [p_machine, np_machine]
-        for produce in families:
+        for family in SEVEN_FAMILIES:
             for i in range(0, 51, 5):
-                decider = produce(i)
+                decider = class_presentation(family, i)
                 for x in words_up_to(6):
                     assert decider.classify(x) in (
                         Verdict.YES, Verdict.NO, Verdict.OUTSIDE)
@@ -323,6 +322,36 @@ class TestFamilySeries:
         series.produce(3)
         with pytest.raises(CapExceeded):
             series.produce(4)
+
+    @pytest.mark.parametrize("family", SEVEN_FAMILIES)
+    def test_factory_is_looked_up_when_producing(self, family, monkeypatch):
+        # a span wrapper installed on the module global after import must
+        # see every decider the series produces
+        series = family_series(family)
+        produced = []
+        monkeypatch.setattr(enumeration, "class_presentation",
+                            lambda *args: produced.append(args) or PARITY)
+        assert series.produce(9) is PARITY
+        assert produced == [(family, 9, Config())]
+
+    @pytest.mark.parametrize("family", SEVEN_FAMILIES)
+    def test_machine_series_is_looked_up_when_building(self, family,
+                                                       monkeypatch):
+        seen = []
+        for name in ("machine_series", "ptm_series"):
+            original = getattr(enumeration, name)
+            monkeypatch.setattr(
+                enumeration, name,
+                lambda j, name=name, original=original:
+                    seen.append(name) or original(j))
+        class_presentation(family, 9)
+        probabilistic = family in ("promisebpp", "promisema")
+        assert seen == ["ptm_series" if probabilistic else "machine_series"]
+
+    def test_unknown_presentation_family(self):
+        with pytest.raises(ValueError, match="known: p, np, promisebpp, "
+                                             "promisema, bqp, qcma, qma"):
+            class_presentation("polyfunc", 0)
 
 
 class TestReductionClosure:
@@ -418,3 +447,15 @@ class TestOracleMachineSeries:
         bits = "1" * 9 + "0" + encode_godel(m)
         base, state = parse_oracle_machine(bits)
         assert base.trivial
+
+    def test_clock_is_cut_off_at_the_fuel_ceiling(self):
+        clock = Polynomial((3, 0, 1))  # n^2 + 3
+        j = pair(0, clock_index(clock))
+        assert [oracle_machine_series(j).runtime(n) for n in range(6)] == \
+            [clock(n) for n in range(6)]
+        capped = oracle_machine_series(j, Config(default_fuel=7))
+        assert [capped.runtime(n) for n in range(6)] == [3, 4, 7, 7, 7, 7]
+
+    def test_index_cap(self):
+        with pytest.raises(CapExceeded):
+            oracle_machine_series(8, Config(max_enum_index_bits=3))

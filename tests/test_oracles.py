@@ -413,7 +413,8 @@ class TestMemoOracle:
         st.sampled_from(["parity", "len-even", "ones-promise"]).map(builtin),
         st.just(TotalDecider.from_machine("parity", parity_machine(),
                                           lambda n: n + 1)),
-        st.builds(lambda j, k: enumeration.p_machine(enumeration.pair(j, k)),
+        st.builds(lambda j, k: enumeration.class_presentation(
+                      "p", enumeration.pair(j, k)),
                   st.integers(0, 1 << 20), st.integers(0, 12))),
         st.integers(0, 1 << 32))
     def test_decider(self, raw, seed):

@@ -158,6 +158,18 @@ class TestWitnessVerdict:
             witness_verdict(3, 7, asked.append)
         assert asked == []
 
+    def test_witness_space_equal_to_cap_is_walked(self):
+        asked = []
+        assert witness_verdict(3, 8, lambda y: asked.append(y)
+                               or Verdict.NO) is Verdict.NO
+        assert len(asked) == 8
+
+    def test_huge_witness_length_is_refused_at_once(self):
+        # 2^(2^64) is never computed, so this neither stalls nor runs out
+        # of memory
+        with pytest.raises(WitnessSpaceTooLarge):
+            witness_verdict(2 ** 64, MAX_WITNESS_SPACE, lambda y: Verdict.YES)
+
 
 class TestMarkedUnion:
     def test_routing(self):
