@@ -154,7 +154,11 @@ class GapLimits:
         return bisect_right(limits, length) - 1
 
     def member(self, x: str | int) -> bool:
-        return self.interval(x if isinstance(x, int) else len(x)) % 2 == 0
+        length = x if isinstance(x, int) else len(x)
+        limits = self.limits
+        if limits[-1] > length:  # covered: interval k is bisect_right - 1
+            return bisect_right(limits, length) % 2 == 1
+        return self.interval(length) % 2 == 0
 
 
 def gap_intervals(r: CostedFunction, max_length: int) -> Iterator[tuple[int, int, bool]]:

@@ -151,16 +151,18 @@ def ptm_series(j: int) -> ptm_mod.PTMDesc:
 
 
 def _clocked(i: int, config: Config,
-             series: Callable[[int], object] = machine_series,
+             series: Callable[[int], object] | None = None,
              arity: int = 2) -> tuple:
     """Index i of a clocked series, as (machine, clock) or, with arity 3,
     (machine, clock, l): i is pair(j, k) or triple(j, k, l), the machine
-    is series(j), and the clock is p_k as a fuel policy, cut off at the
-    configured fuel."""
+    is series(j), machine_series(j) by default (looked up at each call),
+    and the clock is p_k as a fuel policy, cut off at the configured
+    fuel."""
     _check_index(i, config)
     j, k, *rest = unpair(i) if arity == 2 else untriple(i)
     clock, ceiling = poly_series(k), config.default_fuel
-    return (series(j), lambda n: min(clock(n), ceiling), *rest)
+    return ((series or machine_series)(j), lambda n: min(clock(n), ceiling),
+            *rest)
 
 
 def _accepts(machine: tm.MachineDesc, inputs: list[str], fuel: int) -> Verdict:

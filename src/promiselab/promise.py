@@ -219,35 +219,40 @@ def cook_run(o: OracleMachine, oracle: TotalDecider, x: str) -> bool:
     """
     m = o.base
     fuel = o.runtime(len(x))
+    tm._check_inputs([x])
     if m.trivial:
-        tm._check_inputs([x])
         if fuel < 1:
             _raise_fuel(o, x)
         return False
-    tape = tm.tape_from_inputs([x])
+    rows, query = m.rows, o.oracle_state
+    tape = list(x)
+    tape.append(tm.BLANK)
+    end = len(tape)
     head = 0
     state = m.initial
-    steps = 0
-    while state not in m.finals:
-        if steps == fuel:
-            _raise_fuel(o, x)
-        sym = tape.get(head, tm.BLANK)
-        state, wsym, move = m.transitions[(state, sym)]
-        if wsym == tm.BLANK:
-            tape.pop(head, None)
-        else:
-            tape[head] = wsym
-        head += tm._MOVE_DELTA[move]
-        steps += 1
-        if state == o.oracle_state:
-            word = tm.output_at(tape, head)
+    for _ in range(fuel):
+        row = rows[state]
+        if row is None:
+            return tm._output(tape, head) == "1"
+        state, tape[head], delta = row[tape[head]]
+        head += delta
+        if head == end:
+            tape.append(tm.BLANK)
+            end += 1
+        elif head < 0:
+            tape[:0] = [tm.BLANK] * end
+            head += end
+            end += end
+        if state == query:
+            word = tm._output(tape, head)
             answer = oracle.classify(word)
             if answer is Verdict.OUTSIDE:
                 raise NonPromisedQuery(word)
-            for pos in range(head, head + len(word)):
-                tape.pop(pos, None)
+            tape[head:head + len(word)] = [tm.BLANK] * len(word)
             tape[head] = "1" if answer is Verdict.YES else "0"
-    return tm.output_at(tape, head) == "1"
+    if rows[state] is None:
+        return tm._output(tape, head) == "1"
+    _raise_fuel(o, x)
 
 
 def _raise_fuel(o: OracleMachine, x: str):

@@ -7,6 +7,14 @@ output is the symbol string from the head position rightwards up to the
 next blank.  One step is one transition application; building the initial
 configuration is free.
 
+A run steps over the machine's rows table, built once per machine:
+rows[state] is None for a final state and otherwise maps each symbol to
+(next state, written symbol, head delta).  The tape is a list that
+covers every cell the head has visited; a written blank stays in its
+cell.  The list grows by one blank on the right, and on the left by a
+block of blanks as long as itself, so a machine that walks far left
+still runs in linear time.
+
 Encoding grammar (every section terminated by "0", the final list closed
 by "00"):
 
@@ -30,6 +38,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -42,6 +51,7 @@ _CODE_MOVE = {v: k for k, v in _MOVE_CODE.items()}
 _MOVE_DELTA = {"L": -1, "R": 1, "N": 0}
 
 Transition = tuple[int, str, str]  # (next state, written symbol, move)
+Row = dict[str, tuple[int, str, int]]  # symbol -> (next state, written, delta)
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,19 @@ class MachineDesc:
     def rules(self) -> Iterable[tuple[tuple[int, str], Transition]]:
         """The (state, symbol) -> action rules, one per pair."""
         return self.transitions.items()
+
+    @cached_property
+    def rows(self) -> list[Row | None]:
+        """rows[state]: None for a final state, otherwise the state's
+        symbol -> (next state, written symbol, head delta) map."""
+        finals = self.finals
+        rows: list[Row | None] = [None if s in finals else {}
+                                  for s in range(self.states)]
+        for (s, sym), (t, wsym, move) in self.transitions.items():
+            row = rows[s]
+            if row is not None:
+                row[sym] = (t, wsym, _MOVE_DELTA[move])
+        return rows
 
 
 def check_description(m) -> None:
@@ -112,50 +135,40 @@ def _check_inputs(inputs: list[str] | tuple[str, ...]) -> None:
             raise ValueError(f"input symbol {rest[0]!r} is not 0 or 1")
 
 
-def tape_from_inputs(inputs: list[str] | tuple[str, ...]) -> dict[int, str]:
-    """Sparse tape with the inputs written from cell 0, blank-separated."""
-    _check_inputs(inputs)
-    tape: dict[int, str] = {}
-    pos = 0
-    for word in inputs:
-        tape.update(enumerate(word, pos))
-        pos += len(word) + 1  # separating blank
-    return tape
-
-
-def output_at(tape: dict[int, str], head: int) -> str:
+def _output(tape: list[str], head: int) -> str:
     """Symbols from the head rightwards up to the next blank."""
-    out = []
-    pos = head
-    while pos in tape:
-        out.append(tape[pos])
-        pos += 1
-    return "".join(out)
+    return "".join(tape[head:]).partition(BLANK)[0]
 
 
 def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunResult:
     """Fuel-bounded deterministic run; pure in all arguments."""
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
+    _check_inputs(inputs)
     if m.trivial:
-        _check_inputs(inputs)
         return Halted("0", 1) if fuel >= 1 else FuelExhaustedResult(0)
-    tape = tape_from_inputs(inputs)
+    rows = m.rows
+    tape = list(BLANK.join(inputs))
+    tape.append(BLANK)
+    end = len(tape)
     head = 0
     state = m.initial
-    steps = 0
-    while state not in m.finals:
-        if steps == fuel:
-            return FuelExhaustedResult(steps)
-        sym = tape.get(head, BLANK)
-        state, wsym, move = m.transitions[(state, sym)]
-        if wsym == BLANK:
-            tape.pop(head, None)
-        else:
-            tape[head] = wsym
-        head += _MOVE_DELTA[move]
-        steps += 1
-    return Halted(output_at(tape, head), steps)
+    for steps in range(fuel):
+        row = rows[state]
+        if row is None:
+            return Halted(_output(tape, head), steps)
+        state, tape[head], delta = row[tape[head]]
+        head += delta
+        if head == end:
+            tape.append(BLANK)
+            end += 1
+        elif head < 0:
+            tape[:0] = [BLANK] * end
+            head += end
+            end += end
+    if rows[state] is None:
+        return Halted(_output(tape, head), fuel)
+    return FuelExhaustedResult(fuel)
 
 
 # One compiled pattern per grammar unit, each matched where the previous

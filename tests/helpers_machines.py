@@ -45,6 +45,18 @@ def prepend_zero_machine() -> MachineDesc:
                        transitions=table)
 
 
+def erase_left_machine() -> MachineDesc:
+    """Walks right over the input, back left erasing it, then writes "0"
+    and "1" in cells -1 and -2; outputs "10" after 2|x| + 3 steps."""
+    table = {(0, "0"): (0, "0", "R"), (0, "1"): (0, "1", "R"),
+             (0, BLANK): (1, BLANK, "L"),
+             (1, "0"): (1, BLANK, "L"), (1, "1"): (1, BLANK, "L"),
+             (1, BLANK): (2, "0", "L")}
+    table.update({(2, sym): (3, "1", "N") for sym in SYMBOLS})
+    return MachineDesc(states=4, initial=0, finals=frozenset({3}),
+                       transitions=table)
+
+
 def always_accept_machine() -> MachineDesc:
     """Walks right and writes "1" after the input."""
     return MachineDesc(**total_walk(

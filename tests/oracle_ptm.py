@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal
 
+from oracle_tm import output_at, tape_from_inputs
 from promiselab import tm
 from promiselab.errors import BranchFuelExhausted
 from promiselab.ptm import BranchStats, PTMDesc
@@ -32,7 +33,7 @@ def enumerate_branches(
             raise BranchFuelExhausted((), fuel)
         return BranchStats(0, 1, 1, Fraction(0), Fraction(1))
     accepting = rejecting = total = 0
-    root_tape = tm.tape_from_inputs(inputs)
+    root_tape = tape_from_inputs(inputs)
     stack: list[tuple[int, dict[int, str], int, int, tuple[int, ...]]] = [
         (m.initial, root_tape, 0, 0, ())
     ]
@@ -68,7 +69,7 @@ def enumerate_branches(
             state = t
             steps += 1
         else:
-            output = tm.output_at(tape, head)
+            output = output_at(tape, head)
             total += 1
             if output == "1":
                 accepting += 1

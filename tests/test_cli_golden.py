@@ -13,8 +13,8 @@ import hashlib
 
 import pytest
 
-from helpers_machines import (const_output_machine, fan_ptm, identity_machine,
-                              parity_machine, prepend_zero_machine,
+from helpers_machines import (const_output_machine, erase_left_machine,
+                              fan_ptm, identity_machine, parity_machine, prepend_zero_machine,
                               witness_equals_one_ptm)
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
@@ -52,6 +52,7 @@ def _generator(circuit: Circuit) -> str:
 def files(tmp_path):
     contents = {
         "parity": encode_godel(parity_machine()) + "\n",
+        "eraser": encode_godel(erase_left_machine()),
         "fan": encode_ptm(fan_ptm(2, 3)),
         "circuit": encode_circuit(SIMULATED) + "\n",
         "gen": encode_godel(const_output_machine(encode_circuit(DECIDED))),
@@ -67,6 +68,15 @@ def files(tmp_path):
 CASES = {
     "run": (["run", "--machine", "{parity}", "--input", "1011"],
             "00e0ae47f4c73c6b40dc4b9ad1602e98c1f9ca4400230ef3a9ce4df05f4e84bd"),
+    # past cell 0 to the left, over cells it blanked
+    "run left": (["run", "--machine", "{eraser}", "--input", "0110"],
+                 "65a55c29a151aee5a6d5c398759cf2ff681a16967952bfafb9c9a503c30570c9"),
+    "run two inputs": (["run", "--machine", "{eraser}", "--input", "101",
+                        "--input", "11"],
+                       "2bf1ae7d89ab2cb2f1304fee90a03703b9be4ce71fda080805c990575491142c"),
+    "run fuel": (["run", "--machine", "{parity}", "--input", "1011",
+                  "--fuel", "3"],
+                 "784e5aa67cead9671bc1503ee401c4bea05c87cfd8bf724dc4a716c69f7fa08b"),
     "branches": (["branches", "--machine", "{fan}", "--input", "01"],
                  "dc52756717ff026f6875b5301b03b217e4584c66911bff1c482be07374f59220"),
     "simulate": (["simulate", "--circuit", "{circuit}"],

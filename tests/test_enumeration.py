@@ -346,7 +346,24 @@ class TestFamilySeries:
                     seen.append(name) or original(j))
         class_presentation(family, 9)
         probabilistic = family in ("promisebpp", "promisema")
-        assert seen == ["ptm_series" if probabilistic else "machine_series"]
+        # the witness length of np and promisema is a polyset_series
+        # machine, decoded through the module global too
+        witness = family in ("np", "promisema")
+        assert seen == (["ptm_series" if probabilistic else "machine_series"]
+                        + ["machine_series"] * witness)
+
+    @pytest.mark.parametrize("series,i", [(polyfunc_series, pair(7, 2)),
+                                          (polyset_series, triple(7, 2, 3))])
+    def test_clocked_series_look_up_machine_series_when_decoding(
+            self, series, i, monkeypatch):
+        # a span wrapper installed on the module global after import must
+        # see the decodes of the clocked function series as well
+        seen = []
+        original = enumeration.machine_series
+        monkeypatch.setattr(enumeration, "machine_series",
+                            lambda j: seen.append(j) or original(j))
+        series(i)
+        assert seen == [7]
 
     def test_unknown_presentation_family(self):
         with pytest.raises(ValueError, match="known: p, np, promisebpp, "

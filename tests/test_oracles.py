@@ -10,7 +10,11 @@ of lane width.  The pattern-based decoders of machines,
 PTMs, circuits and oracle-machine prefixes are checked against the
 per-character parsers kept in `oracle_parser`, on valid encodings, on
 encodings one edit away from valid, and on arbitrary strings.  The
-merged-configuration branch counter in `promiselab.ptm` is checked
+list-tape machine run in `promiselab.tm` and the oracle machine run in
+`promiselab.promise.cook_run` are checked against the sparse dict-tape
+runs kept in `oracle_tm`: equal results on random complete machines, on
+a walk 5,000 cells left of cell 0, and with and without oracle queries.
+The merged-configuration branch counter in `promiselab.ptm` is checked
 against the depth-first tree walk kept in `oracle_ptm`: equal leaf
 counts, and an equal path when a branch runs out of fuel.  The memos
 that let one invocation compute each value once are checked against
@@ -38,6 +42,7 @@ import oracle_field
 import oracle_parser
 import oracle_ptm
 import oracle_simulator as ref
+import oracle_tm
 from helpers_machines import complete_tree_ptm, parity_machine
 from promiselab import enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
@@ -47,10 +52,11 @@ from promiselab.config import Config
 from promiselab.diagonal import (GapLimits, affine_costed,
                                  build_r_components, costed_toy, gap_member,
                                  time_construct_wrap)
-from promiselab.errors import BranchFuelExhausted, CapExceeded
+from promiselab.errors import (BranchFuelExhausted, CapExceeded,
+                               FuelExhausted, NonPromisedQuery)
 from promiselab.field import (ZERO, ExactMatrix, FieldElem, decimal_string,
                               scaled_identity)
-from promiselab.promise import TotalDecider, builtin
+from promiselab.promise import OracleMachine, TotalDecider, builtin, cook_run
 from promiselab.words import words_up_to
 from test_diagonal import reference_gap_member, toy_instance
 
@@ -191,8 +197,8 @@ def _tables(draw, states: int, finals: frozenset, branches) -> dict:
 
 
 @st.composite
-def machines(draw):
-    states = draw(st.integers(1, 4))
+def machines(draw, max_states=4):
+    states = draw(st.integers(1, max_states))
     finals = draw(st.frozensets(st.integers(0, states - 1)))
     return tm.MachineDesc(states, draw(st.integers(0, states - 1)), finals,
                           _tables(draw, states, finals, lambda a: a))
@@ -306,6 +312,77 @@ class TestRoundTrips:
     @given(ptms())
     def test_ptm(self, m):
         assert ptm.decode_ptm(ptm.encode_ptm(m)) == m
+
+
+_INPUTS = st.lists(st.text(alphabet="01", max_size=6), max_size=3)
+# never consulted: the oracle state of the runs that use it is m.states,
+# which no transition enters
+_UNASKED = TotalDecider("unasked", fn=lambda w: pytest.fail(f"queried {w!r}"))
+
+
+def _left_walk_machine(n: int) -> tm.MachineDesc:
+    """Blanks cell 0, writes 1 and 0 in turn over the n - 1 cells to its
+    left, then 1 in cell -n, and halts there after n + 1 steps."""
+    table = {(i, sym): (i + 1, "01"[i % 2] if i else tm.BLANK, "L")
+             for i in range(n) for sym in tm.SYMBOLS}
+    table.update({(n, sym): (n + 1, "1", "N") for sym in tm.SYMBOLS})
+    return tm.MachineDesc(n + 2, 0, frozenset({n + 1}), table)
+
+
+def _cook_outcome(cook_run, o: OracleMachine, oracle: TotalDecider, x: str):
+    try:
+        return cook_run(o, oracle, x)
+    except FuelExhausted:
+        return "fuel"
+    except NonPromisedQuery as exc:
+        return "outside", exc.word
+
+
+class TestRunOracle:
+    @settings(max_examples=500)
+    @given(machines(max_states=6), _INPUTS, st.integers(0, 300))
+    def test_random_machines(self, m, inputs, fuel):
+        assert tm.run(m, inputs, fuel) == oracle_tm.run(m, inputs, fuel)
+
+    @pytest.mark.parametrize("fuel", [0, 4999, 5000, 5001, 10000])
+    def test_far_left_walk(self, fuel):
+        # the list tape grows left ten times, doubling each time
+        m = _left_walk_machine(5000)
+        got = tm.run(m, ["0110"], fuel)
+        assert got == oracle_tm.run(m, ["0110"], fuel)
+        if fuel > 5000:
+            assert got.steps == 5001 and got.output == "1" + "10" * 2499 + "1"
+
+    @pytest.mark.parametrize("m", [tm.TRIVIAL_MACHINE, parity_machine()])
+    @pytest.mark.parametrize("inputs", [["0a"], ["1", "_"], ["", "01", "2"]])
+    def test_input_checks(self, m, inputs):
+        with pytest.raises(ValueError) as want:
+            oracle_tm.run(m, inputs, 5)
+        with pytest.raises(ValueError) as got:
+            tm.run(m, inputs, 5)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=300)
+    @given(machines(max_states=6), st.text(alphabet="01", max_size=6),
+           st.integers(0, 300))
+    def test_cook_run_without_queries(self, m, x, fuel):
+        o = OracleMachine(m, m.states, lambda n: fuel)
+        result = tm.run(m, [x], fuel)
+        if isinstance(result, tm.FuelExhaustedResult):
+            with pytest.raises(FuelExhausted):
+                cook_run(o, _UNASKED, x)
+        else:
+            assert cook_run(o, _UNASKED, x) is (result.output == "1")
+
+    @settings(max_examples=300)
+    @given(machines(max_states=6), st.data(),
+           st.text(alphabet="01", max_size=6), st.integers(0, 300),
+           st.sampled_from(["parity", "ones-promise", "const-yes"]))
+    def test_cook_run_with_queries(self, m, data, x, fuel, oracle):
+        o = OracleMachine(m, data.draw(st.integers(0, m.states - 1)),
+                          lambda n: fuel)
+        assert _cook_outcome(cook_run, o, builtin(oracle), x) == \
+            _cook_outcome(oracle_tm.cook_run, o, builtin(oracle), x)
 
 
 def _branch_outcome(enumerate_branches, m, inputs, fuel, on_overrun):
