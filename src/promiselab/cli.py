@@ -182,15 +182,16 @@ def _cmd_enumerate(args, config: Config) -> int:
     # an oversized index is reported before an unknown family name
     enumeration._check_index(args.index, config)
     item = enumeration.family_series(args.family, config).produce(args.index)
+    # each table is streamed, one line per word, never held whole
+    out, words = sys.stdout, words_up_to(args.max_len)
     if isinstance(item, ReductionFn):
-        print("word\timage")
-        for w in words_up_to(args.max_len):
-            print(f"{w or '(empty)'}\t{item(w) or '(empty)'}")
+        out.write("word\timage\n")
+        out.writelines(f"{w or '(empty)'}\t{item(w) or '(empty)'}\n"
+                       for w in words)
         return 0
-    print(f"decider: {item.tag}")
-    print("word\tverdict")
-    for w in words_up_to(args.max_len):
-        print(f"{w or '(empty)'}\t{item.classify(w).value}")
+    out.write(f"decider: {item.tag}\nword\tverdict\n")
+    verdict = item.fn
+    out.writelines(f"{w or '(empty)'}\t{verdict(w)._value_}\n" for w in words)
     return 0
 
 
@@ -212,12 +213,12 @@ def _report_construction(result: diagonal.DiagResult, args,
                          config: Config) -> int:
     """Run every spot-check of the construction, then print its report."""
     inst = result.inst
-    checks = {"reduction-check": karp_check(
-        result.reduction, result.b, marked_union(inst.a, inst.a_prime),
-        args.bound, config=config)}
+    checks = {"reduction-check": (result.reduction,
+                                  marked_union(inst.a, inst.a_prime))}
     if result.reduction_to_a is not None:
-        checks["reduction-to-a"] = karp_check(
-            result.reduction_to_a, result.b, inst.a, args.bound, config=config)
+        checks["reduction-to-a"] = (result.reduction_to_a, inst.a)
+    reports = karp_check(result.b, tuple(checks.values()), args.bound,
+                         config=config)
     print("## r-table")
     print("n\tq\tq_prime\tr")
     for n in range(args.table + 1):
@@ -233,7 +234,7 @@ def _report_construction(result: diagonal.DiagResult, args,
         print(f"{w.side}\t{w.machine_index}\t{w.interval_index}"
               f"\t{w.interval_start}\t{w.interval_end}\t{w.word}"
               f"\t{w.a_verdict.value}\t{w.machine_verdict.value}")
-    for title, report in checks.items():
+    for title, report in zip(checks, reports):
         print()
         print(f"## {title}")
         print("checked\tviolations")

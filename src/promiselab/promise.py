@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import tm
 from .config import Config
@@ -191,24 +191,37 @@ class KarpReport:
         return not self.violations
 
 
-def karp_check(f: ReductionFn, a: TotalDecider, b: TotalDecider,
-               bound: int, config: Config = Config()) -> KarpReport:
-    """Verify yes->yes and no->no on all words of length <= bound."""
+def karp_check(a: TotalDecider,
+               checks: Sequence[tuple[ReductionFn, TotalDecider]],
+               bound: int, config: Config = Config()) -> tuple[KarpReport, ...]:
+    """Verify yes->yes and no->no of each reduction f from a to its target
+    b, for every (f, b) in checks, on all words of length <= bound.
+
+    One walk serves every pair: each word is classified under a once, and
+    a word outside a's promise is skipped for every pair.  Returns one
+    report per pair, in order; each counts every word walked as checked.
+    """
     if bound > config.max_word_length:
         raise CapExceeded(
             f"reduction check bound {bound} exceeds cap {config.max_word_length}")
-    violations = []
+    # bound once: the walk calls the word maps directly, not through
+    # classify or ReductionFn.__call__ (a machine-backed f needs the latter)
+    classify = a.fn
+    pairs = [(f.fn or f, b.fn, []) for f, b in checks]
+    outside = Verdict.OUTSIDE
     checked = 0
     for w in words_up_to(bound):
         checked += 1
-        va = a.classify(w)
-        if va is Verdict.OUTSIDE:
+        va = classify(w)
+        if va is outside:
             continue
-        image = f(w)
-        vb = b.classify(image)
-        if vb is not va:
-            violations.append(KarpViolation(w, va, image, vb))
-    return KarpReport(checked, tuple(violations))
+        for f, b, violations in pairs:
+            image = f(w)
+            vb = b(image)
+            if vb is not va:
+                violations.append(KarpViolation(w, va, image, vb))
+    return tuple(KarpReport(checked, tuple(violations))
+                 for _, _, violations in pairs)
 
 
 def cook_run(o: OracleMachine, oracle: TotalDecider, x: str) -> bool:

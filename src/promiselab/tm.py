@@ -89,25 +89,27 @@ def check_description(m) -> None:
     set for every (state, symbol) pair of a non-final state."""
     if m.trivial:
         return
-    if m.states < 1:
+    states, finals, table = m.states, m.finals, m.transitions
+    if states < 1:
         raise ValueError("machine needs at least one state")
-    if not 0 <= m.initial < m.states:
+    if not 0 <= m.initial < states:
         raise ValueError("initial state out of range")
-    if any(not 0 <= f < m.states for f in m.finals):
+    if any(not 0 <= f < states for f in finals):
         raise ValueError("final state out of range")
-    if not all(m.transitions.values()):  # a TM's action is never empty
+    if not all(table.values()):  # a TM's action is never empty
         raise ValueError("empty branch set")
     for (s, sym), (t, wsym, move) in m.rules():
-        if not (0 <= s < m.states and 0 <= t < m.states):
+        if not (0 <= s < states and 0 <= t < states):
             raise ValueError("transition state out of range")
         if sym not in SYMBOLS or wsym not in SYMBOLS or move not in MOVES:
             raise ValueError("bad transition alphabet")
-    for s in range(m.states):
-        if s in m.finals:
-            continue
-        for sym in SYMBOLS:
-            if (s, sym) not in m.transitions:
-                raise ValueError(f"missing transition for ({s}, {sym!r})")
+    # every key is in range, so the keys of non-final states cover all
+    # their pairs exactly when there are 3 per non-final state
+    final_keys = sum((f, sym) in table for f in finals for sym in SYMBOLS)
+    if len(table) - final_keys != len(SYMBOLS) * (states - len(finals)):
+        s, sym = next((s, sym) for s in range(states) if s not in finals
+                      for sym in SYMBOLS if (s, sym) not in table)
+        raise ValueError(f"missing transition for ({s}, {sym!r})")
 
 
 TRIVIAL_MACHINE = MachineDesc(states=1, initial=0, finals=frozenset(),

@@ -1,12 +1,13 @@
 """Binary words in canonical order: by length, then lexicographically.
 
 The bijection with the naturals sends 0 to the empty word, 1 to "0",
-2 to "1", 3 to "00" and so on.
+2 to "1", 3 to "00" and so on: word i is the binary numeral of i + 1
+without its leading 1.  The generators below walk that bijection over a
+range of indices, so canonical order has this one definition.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 
@@ -20,13 +21,19 @@ def word_to_index(w: str) -> int:
     return int("1" + w, 2) - 1
 
 
+def _words(lo: int, hi: int) -> Iterator[str]:
+    """Words with index i for lo <= i + 1 < hi, in order, lazily."""
+    for i in range(lo, hi):
+        yield bin(i)[3:]
+
+
 def words_of_length(length: int) -> Iterator[str]:
-    """Yield all words of the given length in lexicographic order, lazily."""
-    for bits in product("01", repeat=length):
-        yield "".join(bits)
+    """Yield all words of the given length in lexicographic order, lazily:
+    indices 2^length - 1 up to 2^(length+1) - 2."""
+    return _words(1 << length, 2 << length)
 
 
 def words_up_to(max_length: int) -> Iterator[str]:
-    """Yield all words of length 0..max_length in canonical order."""
-    for length in range(max_length + 1):
-        yield from words_of_length(length)
+    """Yield all words of length 0..max_length in canonical order, lazily:
+    indices 0 up to 2^(max_length+1) - 2, none for a negative length."""
+    return _words(1, 2 << max_length if max_length >= 0 else 1)

@@ -154,7 +154,8 @@ def test_criterion_7_diagonalization_toy(diag_result):
         assert diag_result.b.classify(x) is expected
     # (b) reduction into the marked union, zero violations to length 10
     target = marked_union(parity, const_no)
-    assert karp_check(diag_result.reduction, diag_result.b, target, 10).ok
+    assert karp_check(diag_result.b, [(diag_result.reduction, target)],
+                      10)[0].ok
     # (c) a re-verified contradiction inside the correct parity interval
     # for every presented machine
     assert len(diag_result.witnesses) == 6
@@ -178,8 +179,8 @@ def test_criterion_8_ladner_holes(ladner_result):
     started = time.monotonic()
     parity = builtin("parity")
     assert ladner_result.reduction_to_a is not None
-    assert karp_check(ladner_result.reduction_to_a, ladner_result.b,
-                      parity, 10).ok
+    assert karp_check(ladner_result.b,
+                      [(ladner_result.reduction_to_a, parity)], 10)[0].ok
     # an odd-interval word where the source problem answers Yes but the
     # constructed problem answers No
     limit, k = 0, 0

@@ -414,13 +414,14 @@ class TestDiagonalizeCommand:
 
     def test_ladner_spot_checks_through_shared_report(self, capsys,
                                                       monkeypatch):
-        # the report works out both checks from the result: the reduction
-        # into the marked union with const-no, and the one into a
+        # the report works out both checks from the result, and runs them
+        # in one walk: the reduction into the marked union with const-no,
+        # and the one into a
         calls = []
 
-        def spy(f, a, b, bound, config):
-            calls.append((f.tag, a.tag, b.tag, bound))
-            return karp_check(f, a, b, bound, config=config)
+        def spy(a, checks, bound, config):
+            calls.append([(f.tag, a.tag, b.tag, bound) for f, b in checks])
+            return karp_check(a, checks, bound, config=config)
 
         monkeypatch.setattr(cli, "karp_check", spy)
         code = dispatch(["ladner", "--a", "builtin:parity",
@@ -429,9 +430,9 @@ class TestDiagonalizeCommand:
         out = capsys.readouterr().out
         assert code == 0
         b_tag = "diag(parity;const-no)"
-        assert calls == [
+        assert calls == [[
             ("gap-mark", b_tag, "(parity)(+)(const-no)", 8),
-            ("gap-or-default", b_tag, "parity", 8)]
+            ("gap-or-default", b_tag, "parity", 8)]]
         assert out.split("\n\n")[-2:] == [
             "## reduction-check\nchecked\tviolations\n511\t0",
             "## reduction-to-a\nchecked\tviolations\n511\t0\n"]

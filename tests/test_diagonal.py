@@ -247,7 +247,7 @@ class TestDiagonalize:
 
     def test_reduction_into_marked_union(self, result):
         target = marked_union(PARITY, CONST_NO)
-        report = karp_check(result.reduction, result.b, target, 10)
+        (report,) = karp_check(result.b, [(result.reduction, target)], 10)
         assert report.ok
 
     def test_witnesses_lie_in_correct_intervals(self, result):
@@ -290,7 +290,8 @@ class TestLadner:
 
     def test_reduction_to_a_has_no_violations(self, result):
         assert result.reduction_to_a is not None
-        report = karp_check(result.reduction_to_a, result.b, PARITY, 10)
+        (report,) = karp_check(result.b, [(result.reduction_to_a, PARITY)],
+                                10)
         assert report.ok
 
     def test_reduction_lands_in_promise(self, result):

@@ -27,7 +27,11 @@ fraction-free determinant `promiselab.field.det` is checked against the
 `Fraction` Gaussian elimination kept in `oracle_field`: equal exact
 values on general and Hermitian matrices up to dimension 8, singular
 ones and ones that need a row swap included, and equal Sylvester
-verdicts when the oracle computes every principal minor.
+verdicts when the oracle computes every principal minor.  The one-walk
+`promiselab.promise.karp_check` is checked against the single-pair walk
+kept in `oracle_promise`, one call per pair: equal reports on random
+verdict tables and word maps, and the index walks of `promiselab.words`
+against the `itertools.product` walks kept there.
 """
 
 import random
@@ -40,10 +44,12 @@ from hypothesis import assume, given, settings, strategies as st
 import oracle_decimal
 import oracle_field
 import oracle_parser
+import oracle_promise
 import oracle_ptm
 import oracle_simulator as ref
 import oracle_tm
-from helpers_machines import complete_tree_ptm, parity_machine
+from helpers_machines import complete_tree_ptm, identity_machine, \
+    parity_machine
 from promiselab import enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, encode_circuit,
@@ -56,8 +62,9 @@ from promiselab.errors import (BranchFuelExhausted, CapExceeded,
                                FuelExhausted, NonPromisedQuery)
 from promiselab.field import (ZERO, ExactMatrix, FieldElem, decimal_string,
                               scaled_identity)
-from promiselab.promise import OracleMachine, TotalDecider, builtin, cook_run
-from promiselab.words import words_up_to
+from promiselab.promise import (OracleMachine, ReductionFn, TotalDecider,
+                                Verdict, builtin, cook_run, karp_check)
+from promiselab.words import words_of_length, words_up_to
 from test_diagonal import reference_gap_member, toy_instance
 
 ALL_KINDS = ("H", "T", "CNOT")
@@ -500,6 +507,52 @@ class TestMemoOracle:
         random.Random(seed).shuffle(words)
         for w in words + words[:100]:
             assert memo.classify(w) is raw.classify(w)
+
+
+_TABLE_WORDS = list(oracle_promise.words_up_to(6))
+
+
+@st.composite
+def verdict_tables(draw, tag: str) -> TotalDecider:
+    """A decider given by a random verdict table on the words up to length
+    6, OUTSIDE included."""
+    verdicts = draw(st.lists(st.sampled_from(list(Verdict)),
+                             min_size=len(_TABLE_WORDS),
+                             max_size=len(_TABLE_WORDS)))
+    return TotalDecider(tag, fn=dict(zip(_TABLE_WORDS, verdicts)).__getitem__)
+
+
+@st.composite
+def word_maps(draw) -> ReductionFn:
+    """A reduction given by a random map of the words up to length 6 into
+    themselves, or the machine-backed identity."""
+    if draw(st.integers(0, 4)) == 0:
+        return ReductionFn("id-machine", machine=identity_machine(),
+                           runtime=lambda n: 1)
+    images = draw(st.lists(st.sampled_from(_TABLE_WORDS),
+                           min_size=len(_TABLE_WORDS),
+                           max_size=len(_TABLE_WORDS)))
+    return ReductionFn("map", fn=dict(zip(_TABLE_WORDS, images)).__getitem__)
+
+
+class TestKarpCheckOracle:
+    @settings(max_examples=200)
+    @given(verdict_tables("a"),
+           st.lists(st.tuples(word_maps(), verdict_tables("b")),
+                    min_size=1, max_size=3),
+           st.integers(0, 6))
+    def test_one_walk_equals_one_check_per_pair(self, a, pairs, bound):
+        got = karp_check(a, pairs, bound)
+        assert got == tuple(oracle_promise.karp_check(f, a, b, bound)
+                            for f, b in pairs)
+
+
+class TestWordsOracle:
+    @pytest.mark.parametrize("n", range(13))
+    def test_index_walks_equal_product_walks(self, n):
+        assert list(words_of_length(n)) == \
+            list(oracle_promise.words_of_length(n))
+        assert list(words_up_to(n)) == list(oracle_promise.words_up_to(n))
 
 
 _RATIONALS = st.one_of(

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,15 +186,15 @@ class TestMarkedUnion:
 class TestKarpCheck:
     def test_identity_self_reduction(self):
         f = ReductionFn("id", fn=lambda x: x)
-        assert karp_check(f, PARITY, PARITY, 5).ok
+        assert karp_check(PARITY, [(f, PARITY)], 5)[0].ok
 
     def test_constant_no_instance_against_empty_yes(self):
         f = ReductionFn("const", fn=lambda x: "0")
-        assert karp_check(f, CONST_NO, PARITY, 5).ok
+        assert karp_check(CONST_NO, [(f, PARITY)], 5)[0].ok
 
     def test_violation_is_reported(self):
         f = ReductionFn("flip", fn=lambda x: x + "1")
-        report = karp_check(f, PARITY, PARITY, 4)
+        (report,) = karp_check(PARITY, [(f, PARITY)], 4)
         assert not report.ok
         bad = report.violations[0]
         assert PARITY.classify(bad.word) is not PARITY.classify(bad.image)
@@ -202,16 +203,38 @@ class TestKarpCheck:
         f = ReductionFn("prepend0", machine=prepend_zero_machine(),
                         runtime=lambda n: 4)
         union = marked_union(PARITY, CONST_YES)
-        assert karp_check(f, PARITY, union, 5).ok
+        assert karp_check(PARITY, [(f, union)], 5)[0].ok
+
+    def test_pairs_share_one_walk(self):
+        # ones-promise leaves the non-empty all-zero words outside for
+        # every pair; the source classifies each of the 31 words once
+        seen = Counter()
+        source = builtin("ones-promise")
+
+        def counted(x: str) -> Verdict:
+            seen[x] += 1
+            return source.classify(x)
+
+        ident = ReductionFn("id", fn=lambda x: x)
+        flip = ReductionFn("flip", fn=lambda x: x + "1")
+        reports = karp_check(TotalDecider("counted", fn=counted),
+                             [(ident, PARITY), (flip, PARITY)], 4)
+        assert set(seen.values()) == {1} and len(seen) == 31
+        assert [r.checked for r in reports] == [31, 31]
+        assert reports[0].ok
+        assert [v.word for v in reports[1].violations] == [
+            w for w in words_up_to(4) if "1" in w or not w]
+        assert karp_check(PARITY, [], 4) == ()
 
     def test_bound_cap(self):
         f = ReductionFn("id", fn=lambda x: x)
         with pytest.raises(CapExceeded):
-            karp_check(f, PARITY, PARITY, 17)
+            karp_check(PARITY, [(f, PARITY)], 17)
         config = Config(max_word_length=5)
         with pytest.raises(CapExceeded):
-            karp_check(f, PARITY, PARITY, 6, config=config)
-        assert karp_check(f, PARITY, PARITY, 5, config=config).checked == 63
+            karp_check(PARITY, [(f, PARITY)], 6, config=config)
+        assert karp_check(PARITY, [(f, PARITY)], 5,
+                          config=config)[0].checked == 63
 
     def test_reduction_timeout_raises(self):
         f = ReductionFn("slow", machine=diverging_machine(), runtime=lambda n: 3)
@@ -277,7 +300,7 @@ class TestKarpToCook:
         f = ReductionFn("prepend0", machine=prepend_zero_machine(),
                         runtime=lambda n: 4)
         union = marked_union(PARITY, CONST_YES)
-        assert karp_check(f, PARITY, union, 6).ok
+        assert karp_check(PARITY, [(f, union)], 6)[0].ok
         om = karp_to_cook(f)
         for x in words_up_to(6):
             assert cook_run(om, union, x) is (PARITY.classify(x) is Verdict.YES)

@@ -219,3 +219,35 @@ class TestDescriptionCheck:
         table[(0, BLANK)] = ()
         with pytest.raises(ValueError):
             PTMDesc(**{**VALID, "transitions": table})
+
+    @pytest.mark.parametrize("kind", [MachineDesc, PTMDesc])
+    def test_final_state_pairs_do_not_cover_a_missing_one(self, kind):
+        # the final state's own pair brings the count back to three
+        change = {"add": {(1, "0"): (1, "0", "N")}, "drop": (0, "1")}
+        with pytest.raises(ValueError,
+                           match=r"^missing transition for \(0, '1'\)$"):
+            _description(kind, change)
+
+    @pytest.mark.parametrize("kind", [MachineDesc, PTMDesc])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_missing_pair_is_named(self, kind, seed):
+        # random partial tables over up to four states, final states'
+        # pairs included; the message names the first uncovered pair of a
+        # non-final state, by state and then symbol order
+        rng = random.Random(seed)
+        states = rng.randint(1, 4)
+        finals = frozenset(s for s in range(states) if rng.random() < 0.3)
+        table = {(s, sym): (rng.randrange(states), "1", "R")
+                 for s in range(states) for sym in SYMBOLS
+                 if rng.random() < 0.8}
+        missing = [(s, sym) for s in range(states) if s not in finals
+                   for sym in SYMBOLS if (s, sym) not in table]
+        if kind is PTMDesc:
+            table = {key: (action,) for key, action in table.items()}
+        if not missing:
+            assert kind(states, 0, finals, table).states == states
+            return
+        s, sym = missing[0]
+        with pytest.raises(ValueError) as got:
+            kind(states, 0, finals, table)
+        assert str(got.value) == f"missing transition for ({s}, {sym!r})"
