@@ -29,6 +29,13 @@ lanes whose bit p is 1, CNOT swaps lanes; no rational is formed.  Values
 enter the field Q(1/sqrt2, i) of `promiselab.field` only at readout, so
 acceptance probabilities and the witness-block acceptance operator are
 exact and the threshold trichotomy is decided by integer arithmetic.
+
+The witnesses of a QMA or QCMA instance share packed runs: lane-index
+bits above the circuit's n qubits number blocks of 2^n lanes that no
+gate touches, so one run evolves a block per witness with the masks and
+lane width of a single run, and no run exceeds 2^max_qubits lanes.  The
+witness-block operator is the Gram matrix of the blocks' output-1
+halves, formed from its upper triangle.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import tm
 from .config import Config
@@ -46,7 +53,6 @@ from .errors import DimensionCap, GeneratorFuelExhausted
 from .field import (SQRT2_INV, ZERO, ExactMatrix, FieldElem, real_sign,
                     scaled_identity, sylvester_pd, sylvester_psd)
 from .promise import Verdict, witness_verdict
-from .words import words_of_length
 
 _OPCODE = {"H": "01", "T": "10", "CNOT": "11"}
 _GATE_KINDS = {code: kind for kind, code in _OPCODE.items()}
@@ -120,7 +126,8 @@ class StateVector:
     def coords(self) -> tuple[tuple[int, ...], ...]:
         """The four coordinate vectors (a_j), (b_j), (c_j), (d_j)."""
         size = 1 << self.num_qubits
-        return tuple(tuple(_unpack(x, size, self.width)) for x in self.packed)
+        return tuple(tuple(_signed(raw, self.width))
+                     for raw in _lane_bytes(self.packed, size, self.width))
 
     @property
     def amplitudes(self) -> tuple[FieldElem, ...]:
@@ -195,23 +202,38 @@ def simulate(c: Circuit, basis_input: str,
         raise ValueError(f"basis input must be {n} bits")
     if n > config.max_qubits:
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
+    k, width, xs = _evolve(c, n, n, [int(basis_input, 2)])
+    return StateVector(n, k, width, tuple(xs))
+
+
+def _evolve(c: Circuit, n: int, size: int,
+            ones: list[int]) -> tuple[int, int, list[int]]:
+    """(k, width, xs): the gate list applied to 2^size lanes at once, each
+    lane in `ones` starting with coordinate 1 and every other lane with 0.
+
+    Gates touch only the n = c.total_qubits low bits of a lane index, so
+    the bits above them number blocks of 2^n lanes that evolve apart, as
+    runs of their own would: a block that starts on one basis state ends
+    in that run's state.
+    """
     k = sum(g.kind == "H" for g in c.gates)
     width = _lane_width(k)
-    zero = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (1 << n), "little")
+    zero = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (1 << size),
+                          "little")
     xs = [zero] * 4  # every lane holds the bias 2^(width-1)
-    xs[0] += 1 << int(basis_input, 2) * width
+    xs[0] += sum(1 << lane * width for lane in ones)
     for g in c.gates:
         p = n - g.qubits[0]
         shift = width << p
         if g.kind == "H":  # (u, v) <- (u + v, u - v) on lane pairs 2^p apart
-            low = _low_lanes(n, p, width)
+            low = _low_lanes(size, p, width)
             low_bias = low & zero
             for i, x in enumerate(xs):  # u - v + B = 2u - (u + v - B)
                 u = x & low
                 lo = u + (x >> shift & low) - low_bias
                 xs[i] = lo | ((u << 1) - lo) << shift
         elif g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c) where bit p is 1
-            high = _low_lanes(n, p, width) << shift
+            high = _low_lanes(size, p, width) << shift
             # -d stored: 2^width - (d + 2^(width-1)) in each lane of `high`
             neg_d = ((high & zero) << 1) - (xs[3] & high)
             for i in (3, 2, 1):
@@ -219,24 +241,31 @@ def simulate(c: Circuit, basis_input: str,
             xs[0] ^= xs[0] & high ^ neg_d
         else:  # swap the control-1 lanes of target 0 and target 1
             tp = n - g.qubits[1]
-            src = _low_lanes(n, p, width) << shift & _low_lanes(n, tp, width)
+            src = _low_lanes(size, p, width) << shift & _low_lanes(size, tp, width)
             shift = width << tp
             for i, x in enumerate(xs):
                 moved = (x >> shift ^ x) & src
                 xs[i] = x ^ moved ^ moved << shift
-    return StateVector(n, k, width, tuple(xs))
+    return k, width, xs
 
 
-def _unpack(x: int, count: int, width: int) -> list[int]:
-    """The lowest `count` lanes of x as signed coordinates, lowest first:
-    without its bias a lane is the two's complement of its value."""
+def _lane_bytes(xs, count: int, width: int) -> list[memoryview]:
+    """The `count` lanes of each x in xs, lowest first, as little-endian
+    width-bit two's complement coordinates: without its bias a lane is
+    exactly that."""
     nbytes = width // 8
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
-    raw = memoryview((x ^ bias).to_bytes(count * nbytes, sys.byteorder))
-    values = (raw.cast(_SIGNED[width]).tolist() if width in _SIGNED else
-              [int.from_bytes(raw[i:i + nbytes], sys.byteorder, signed=True)
-               for i in range(0, len(raw), nbytes)])
-    return values[::-1] if sys.byteorder == "big" else values
+    return [memoryview((x ^ bias).to_bytes(count * nbytes, "little"))
+            for x in xs]
+
+
+def _signed(raw: memoryview, width: int) -> list[int]:
+    """The coordinates in a stretch of `_lane_bytes`, lowest first."""
+    if sys.byteorder == "little" and width in _SIGNED:
+        return raw.cast(_SIGNED[width]).tolist()
+    nbytes = width // 8
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+            for i in range(0, len(raw), nbytes)]
 
 
 def _dot(x, y) -> int:
@@ -271,44 +300,76 @@ def _inner(left: list[list[int]],
     return tuple(z)
 
 
-def _accepting(state: StateVector) -> list[list[int]]:
-    """The coordinates of the output-1 half of the state."""
-    half = 1 << (state.num_qubits - 1)
-    return [_unpack(x >> half * state.width, half, state.width)
-            for x in state.packed]
+def _accepting(xs: list[int], n: int, blocks: int,
+               width: int) -> list[list[list[int]]]:
+    """Per block of 2^n lanes in xs, the four coordinate lists of its
+    output-1 half: the lanes whose bit n - 1 is set.  The first block's
+    output-0 half is shifted off before any lane is read."""
+    half = 1 << n - 1
+    step = width // 8 * half  # bytes in half a block
+    raws = _lane_bytes([x >> half * width for x in xs],
+                       (2 * blocks - 1) * half, width)
+    return [[_signed(raw[i:i + step], width) for raw in raws]
+            for i in range(0, len(raws[0]), 2 * step)]
+
+
+def _probability(half: list[list[int]], k: int) -> FieldElem:
+    """The probability mass of an output-1 half over sqrt2^k.
+
+    |a + b*w + c*w^2 + d*w^3|^2 = s1 + sqrt2*s2 with s1 = a^2+b^2+c^2+d^2
+    and s2 = ab + bc + cd - da; summed over the half, that is
+    (s1, s2, 0, -s2) in the basis 1, w, w^2, w^3 (w - w^3 = sqrt2), over
+    the shared 2^k.
+    """
+    x0, x1, x2, x3 = half
+    s1 = _dot(x0, x0) + _dot(x1, x1) + _dot(x2, x2) + _dot(x3, x3)
+    s2 = _dot(x0, x1) + _dot(x1, x2) + _dot(x2, x3) - _dot(x3, x0)
+    return _readout((s1, s2, 0, -s2), k)
 
 
 def p_acc(c: Circuit, basis_input: str | None = None,
           config: Config = Config()) -> FieldElem:
-    """Exact probability of measuring 1 on the output qubit (qubit 1).
-
-    |a + b*w + c*w^2 + d*w^3|^2 = s1 + sqrt2*s2 with s1 = a^2+b^2+c^2+d^2
-    and s2 = ab + bc + cd - da; summed over the output-1 half, that is
-    (s1, s2, 0, -s2) in the basis 1, w, w^2, w^3 (w - w^3 = sqrt2), over
-    the shared 2^k.
-    """
+    """Exact probability of measuring 1 on the output qubit (qubit 1)."""
     if basis_input is None:
         basis_input = "0" * c.total_qubits
     state = simulate(c, basis_input, config)
     if c.trivial:
         return ZERO
-    x0, x1, x2, x3 = _accepting(state)
-    s1 = _dot(x0, x0) + _dot(x1, x1) + _dot(x2, x2) + _dot(x3, x3)
-    s2 = _dot(x0, x1) + _dot(x1, x2) + _dot(x2, x3) - _dot(x3, x0)
-    return _readout((s1, s2, 0, -s2), state.k)
+    half, = _accepting(state.packed, state.num_qubits, 1, state.width)
+    return _probability(half, state.k)
 
 
-def _witness_input(c: Circuit, y: str) -> str:
-    k = c.total_qubits - c.witness_qubits
-    return "0" * k + y
+def _witness_runs(c: Circuit, config: Config
+                  ) -> Iterator[tuple[int, list[list[int]]]]:
+    """(k, output-1 half) of the run on each witness y with zeroed
+    workspace, in canonical order, lazily.
+
+    The workspace is the high qubits, so witness y is basis state y.
+    One packed run evolves a chunk of up to 2^(max_qubits - n) witnesses;
+    witness y of the chunk from y0 starts at lane (y - y0)*2^n + y.
+    """
+    n, m = c.total_qubits, c.witness_qubits
+    if n > config.max_qubits:
+        raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
+    bits = min(m, config.max_qubits - n)
+    for y0 in range(0, 1 << m, 1 << bits):
+        chunk = range(y0, y0 + (1 << bits))
+        k, width, xs = _evolve(c, n, n + bits,
+                               [(y - y0 << n) + y for y in chunk])
+        for half in _accepting(xs, n, len(chunk), width):
+            yield k, half
 
 
 def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
-    """Exact 2^m x 2^m operator of the witness block, Hermitian by check.
+    """Exact 2^m x 2^m operator of the witness block, Hermitian by
+    construction.
 
     Entry (y', y) is the overlap of the output-1 components of the runs
     on witnesses y' and y with zeroed workspace; its diagonal reproduces
-    the per-witness acceptance probabilities.
+    the per-witness acceptance probabilities.  Entries on and above the
+    diagonal are inner products; each one below is the Z[w] conjugate of
+    its mirror, conj(z0 + z1*w + z2*w^2 + z3*w^3) having coordinates
+    (z0, -z3, -z2, -z1) since conj(w^j) = -w^(4-j).
     """
     m = c.witness_qubits
     if m < 1:
@@ -319,16 +380,16 @@ def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
         raise DimensionCap(f"2^{m} exceeds cap {cap}")
     if c.trivial:
         return scaled_identity(dim, ZERO)
-    runs = [simulate(c, _witness_input(c, y), config)
-            for y in words_of_length(m)]
-    halves = [_accepting(state) for state in runs]
-    k = runs[0].k  # the H count, the same for every run
-    rows = tuple(tuple(_readout(_inner(left, right), k) for right in halves)
-                 for left in halves)
-    q = ExactMatrix(rows)
-    if not q.is_hermitian():
-        raise AssertionError("acceptance operator failed the Hermiticity check")
-    return q
+    ks, halves = zip(*_witness_runs(c, config))
+    k = ks[0]  # the H count, the same for every run
+    rows = [[ZERO] * dim for _ in range(dim)]
+    for j, left in enumerate(halves):
+        for l in range(j, dim):
+            z0, z1, z2, z3 = z = _inner(left, halves[l])
+            rows[j][l] = _readout(z, k)
+            if l > j:
+                rows[l][j] = _readout((z0, -z3, -z2, -z1), k)
+    return ExactMatrix(tuple(map(tuple, rows)))
 
 
 def _generate(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],
@@ -357,12 +418,15 @@ def classify_qcma(
     x: str,
     config: Config = Config(),
 ) -> Verdict:
-    """Trichotomy over the best classical (basis) witness."""
+    """Trichotomy over the best classical (basis) witness.
+
+    The witness quantifier asks for the witnesses in canonical order, the
+    order in which the packed runs yield their acceptance probabilities.
+    """
     circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
-    return witness_verdict(
-        circ.witness_qubits, 1 << config.max_witness_qubits,
-        lambda y: _trichotomy(p_acc(circ, _witness_input(circ, y), config),
-                              config))
+    accept = (_probability(half, k) for k, half in _witness_runs(circ, config))
+    return witness_verdict(circ.witness_qubits, 1 << config.max_witness_qubits,
+                           lambda y: _trichotomy(next(accept), config))
 
 
 def classify_qma(

@@ -16,7 +16,6 @@ semi-definite iff all principal minors are non-negative).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -65,11 +64,6 @@ class FieldElem:
 
     def is_real(self) -> bool:
         return not (self.c or self.d)
-
-    def to_complex(self) -> complex:
-        s = 2 ** -0.5
-        return complex(float(self.a) + float(self.b) * s,
-                       float(self.c) + float(self.d) * s)
 
     def __str__(self) -> str:
         return format_field_elem(self)
@@ -124,19 +118,6 @@ def format_field_elem(x: FieldElem) -> str:
     return f"{frac(x.a)} + {frac(x.b)}*r + {frac(x.c)}*i + {frac(x.d)}*i*r"
 
 
-_ELEM_RE = re.compile(
-    r"^(-?\d+/\d+) \+ (-?\d+/\d+)\*r \+ (-?\d+/\d+)\*i \+ (-?\d+/\d+)\*i\*r$"
-)
-
-
-def parse_field_elem(text: str) -> FieldElem:
-    """Inverse of format_field_elem, bit-exact."""
-    m = _ELEM_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not a field element rendering: {text!r}")
-    return FieldElem(*(Fraction(g) for g in m.groups()))
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
     """Square matrix over the field, stored as a tuple of row tuples."""
@@ -151,10 +132,6 @@ class ExactMatrix:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    @staticmethod
-    def from_rows(rows) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(row) for row in rows))
 
     def is_hermitian(self) -> bool:
         n = self.dim

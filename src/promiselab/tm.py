@@ -26,7 +26,8 @@ by "00"):
     SYM, MOVE  in {1, 10, 11}  meaning  {0, 1, blank} / {L, R, N}
 
 Decoding is one pass over the encoding: a compiled pattern matches the
-header, then one pattern per quintuple, each where the previous ended.
+header, one validating match checks that the rest is a run of
+quintuples, and one findall reads them.
 A string that fails to parse, repeats a (state, symbol) pair, or leaves
 some non-final (state, symbol) pair uncovered denotes the designated
 trivial machine, which halts after exactly one step with output "0" on
@@ -173,16 +174,19 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
     return FuelExhaustedResult(fuel)
 
 
-# One compiled pattern per grammar unit, each matched where the previous
-# one ended.  A {1, 10, 11} code is told apart by what follows it, so each
-# code is matched together with that context: a symbol code with the "0"
-# and the unary run or move code after it, the move code with its "00"
-# and the "1" or end of string after that.  Given its context at most one
-# alternative of (11|10|1) matches, so backtracking makes the per-bit
-# choice whatever the order.  \Z, not $: $ also matches before a
-# trailing newline.
+# One compiled pattern per grammar unit.  A {1, 10, 11} code is told
+# apart by what follows it, so each code is matched together with that
+# context: a symbol code with the "0" and the unary run or move code after
+# it, the move code with its "00" and the "1" or end of string after that.
+# Given its context at most one alternative of (11|10|1) matches, so
+# backtracking makes the per-bit choice whatever the order, and a string
+# splits into quintuples in at most one way.  \Z, not $: $ also matches
+# before a trailing newline.
 _HEADER = re.compile(r"(1+)0(1+)0((?:1+0)*)00")
 _QUINTUPLE = re.compile(r"(1+)0(11|10|1)0(1+)0(11|10|1)0(11|10|1)00(?=1|\Z)")
+# The same quintuple without captures, repeated up to the end of the string.
+_BODY = re.compile(
+    r"(?:1+0(?:11|10|1)01+0(?:11|10|1)0(?:11|10|1)00(?=1|\Z))*\Z")
 
 
 def parse_godel_structure(bits: str):
@@ -190,25 +194,21 @@ def parse_godel_structure(bits: str):
 
     Quintuples are returned in input order, duplicates included; callers
     impose their own (deterministic or branching) semantics.  A string
-    outside the grammar raises ValueError.
+    outside the grammar raises ValueError.  One match checks the whole
+    body after the header; one findall then reads its quintuples, each
+    where the previous one ended.
     """
     header = _HEADER.match(bits)
-    if header is None or bits.strip("01"):
+    if header is None or _BODY.match(bits, header.end()) is None:
         raise ValueError("not a machine encoding")
     states, initial, final_runs = header.groups()
     finals = [len(run) - 1 for run in final_runs.split("0")[:-1]]
     if len(set(finals)) != len(finals):
         raise ValueError("repeated final state")
-    quintuples = []
-    pos, end = header.end(), len(bits)
-    while pos < end:
-        q = _QUINTUPLE.match(bits, pos)
-        if q is None:
-            raise ValueError(f"no quintuple at {pos}")
-        s, sym, t, wsym, move = q.groups()
-        quintuples.append((len(s) - 1, _CODE_SYM[sym], len(t) - 1,
-                           _CODE_SYM[wsym], _CODE_MOVE[move]))
-        pos = q.end()
+    quintuples = [(len(s) - 1, _CODE_SYM[sym], len(t) - 1, _CODE_SYM[wsym],
+                   _CODE_MOVE[move])
+                  for s, sym, t, wsym, move in
+                  _QUINTUPLE.findall(bits, header.end())]
     return len(states), len(initial) - 1, frozenset(finals), quintuples
 
 

@@ -17,10 +17,6 @@ def index_to_word(i: int) -> str:
     return bin(i + 1)[3:]
 
 
-def word_to_index(w: str) -> int:
-    return int("1" + w, 2) - 1
-
-
 def _words(lo: int, hi: int) -> Iterator[str]:
     """Words with index i for lo <= i + 1 < hi, in order, lazily."""
     for i in range(lo, hi):

@@ -10,6 +10,12 @@ four Python lists and updated with list slices and `map`.  It needs no
 lane width, bias or mask, so it checks those of the fast path on circuits
 with as many H gates as a test likes.
 
+`acceptance_operator_per_witness` and `classify_qcma_per_witness` are
+the slow twins of the witness path: one packed simulation per witness,
+the full Gram matrix with its Hermiticity checked at run time, and one
+acceptance probability per witness, where the package packs every
+witness of a chunk into one run and forms only the upper triangle.
+
 The tests require each to agree with the package bit for bit.
 """
 
@@ -19,9 +25,13 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from oracle_field import abs2
-from promiselab.circuit import Circuit, _witness_input
+from promiselab import circuit
+from promiselab.circuit import Circuit
+from promiselab.config import Config
+from promiselab.errors import DimensionCap
 from promiselab.field import (ExactMatrix, FieldElem, ONE, SQRT2_INV, ZERO,
                               scaled_identity)
+from promiselab.promise import witness_verdict
 from promiselab.words import words_of_length
 
 # e^(i*pi/4) = (1 + i)/sqrt(2), the phase T applies to |1>
@@ -157,3 +167,45 @@ def acceptance_operator(c: Circuit) -> ExactMatrix:
             row.append(acc)
         rows.append(tuple(row))
     return ExactMatrix(tuple(rows))
+
+
+def _witness_input(c: Circuit, y: str) -> str:
+    k = c.total_qubits - c.witness_qubits
+    return "0" * k + y
+
+
+def acceptance_operator_per_witness(c: Circuit,
+                                    config: Config = Config()) -> ExactMatrix:
+    """One `simulate` per witness, all dim^2 Gram entries, and a run-time
+    Hermiticity check."""
+    m = c.witness_qubits
+    if m < 1:
+        raise ValueError("circuit has no witness register")
+    dim = 1 << m
+    cap = 1 << config.max_witness_qubits
+    if dim > cap:
+        raise DimensionCap(f"2^{m} exceeds cap {cap}")
+    if c.trivial:
+        return scaled_identity(dim, ZERO)
+    runs = [circuit.simulate(c, _witness_input(c, y), config)
+            for y in words_of_length(m)]
+    half = 1 << c.total_qubits - 1
+    halves = [[list(xs[half:]) for xs in state.coords] for state in runs]
+    k = runs[0].k
+    rows = tuple(tuple(circuit._readout(circuit._inner(left, right), k)
+                       for right in halves) for left in halves)
+    q = ExactMatrix(rows)
+    if not q.is_hermitian():
+        raise AssertionError("acceptance operator failed the Hermiticity check")
+    return q
+
+
+def classify_qcma_per_witness(gen, gen_runtime, x: str,
+                              config: Config = Config()):
+    """One `p_acc` per witness, under the package's witness quantifier."""
+    circ = circuit.parse_circuit(circuit._generate(gen, gen_runtime, x),
+                                 expect_witness_header=True)
+    return witness_verdict(
+        circ.witness_qubits, 1 << config.max_witness_qubits,
+        lambda y: circuit._trichotomy(
+            circuit.p_acc(circ, _witness_input(circ, y), config), config))

@@ -16,6 +16,7 @@ np = pytest.importorskip("numpy")
 from helpers_machines import (const_output_machine, det_walk_ptm, fan_ptm,
                               two_input_fan_ptm, unbalanced_ptm,
                               witness_equals_11_ptm, witness_equals_one_ptm)
+from helpers_values import to_complex
 from test_circuit import float_p_acc, random_circuit
 from test_diagonal import reference_gap_member, toy_instance
 from promiselab.circuit import (Gate, acceptance_operator, classify_bqp,
@@ -65,7 +66,7 @@ def test_criterion_2_exact_versus_float_simulation():
 def parse_and_p(circ):
     from promiselab.circuit import p_acc
     value = p_acc(circ, "0" * circ.total_qubits)
-    return value.to_complex().real
+    return to_complex(value).real
 
 
 def test_criterion_3_sylvester_trichotomy():
@@ -76,7 +77,7 @@ def test_criterion_3_sylvester_trichotomy():
         m = rng.randint(1, 3)
         circ = random_circuit(rng, max_qubits=5, max_gates=20, witness_qubits=m)
         q = acceptance_operator(circ)
-        matrix = np.array([[e.to_complex() for e in row] for row in q.entries])
+        matrix = np.array([[to_complex(e) for e in row] for row in q.entries])
         top = float(np.linalg.eigvalsh(matrix).max())
         if min(abs(top - 2 / 3), abs(top - 1 / 3)) < 1e-6:
             continue

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")
 
 from helpers_machines import const_output_machine, diverging_machine
+from helpers_values import to_complex
 from oracle_field import abs2
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, classify_bqp,
@@ -204,7 +205,7 @@ class TestSimulation:
             exact = simulate(circ, basis)
             oracle = float_simulate(circ, basis)
             for exact_amp, oracle_amp in zip(exact.amplitudes, oracle):
-                assert abs(exact_amp.to_complex() - oracle_amp) < 1e-9
+                assert abs(to_complex(exact_amp) - oracle_amp) < 1e-9
 
     def test_p_acc_in_unit_interval(self):
         from promiselab.field import real_sign, ONE
@@ -270,7 +271,7 @@ class TestAcceptanceOperator:
             circ = random_circuit(rng, max_qubits=4, max_gates=15,
                                   witness_qubits=2)
             q = acceptance_operator(circ)
-            matrix = np.array([[e.to_complex() for e in row]
+            matrix = np.array([[to_complex(e) for e in row]
                                for row in q.entries])
             assert np.allclose(matrix, matrix.conj().T)
             eigenvalues = np.linalg.eigvalsh(matrix)
@@ -353,7 +354,7 @@ class TestClassifiers:
             circ = random_circuit(rng, max_qubits=4, max_gates=15,
                                   witness_qubits=rng.randint(1, 2))
             q = acceptance_operator(circ)
-            matrix = np.array([[e.to_complex() for e in row]
+            matrix = np.array([[to_complex(e) for e in row]
                                for row in q.entries])
             top = np.linalg.eigvalsh(matrix).max()
             if min(abs(top - 2 / 3), abs(top - 1 / 3)) < 1e-6:

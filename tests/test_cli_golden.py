@@ -16,18 +16,22 @@ import pytest
 from helpers_machines import (const_output_machine, erase_left_machine,
                               fan_ptm, identity_machine, parity_machine, prepend_zero_machine,
                               witness_equals_one_ptm)
+from helpers_values import word_to_index
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
 from promiselab.enumeration import pair, triple
 from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
-from promiselab.words import word_to_index
 
 SIMULATED = Circuit((Gate("H", (2,)), Gate("T", (1,)), Gate("CNOT", (2, 3)),
                      Gate("H", (1,)), Gate("CNOT", (3, 1))))
 # two witness qubits, one of which drives the output through a Hadamard
 DECIDED = Circuit((Gate("H", (1,)), Gate("CNOT", (3, 1)), Gate("T", (2,)),
                    Gate("CNOT", (2, 1))), witness_qubits=2)
+# two witness qubits whose operator has complex off-diagonal entries: a
+# superposed witness reaches 2/3, no basis witness leaves (1/3, 2/3)
+ENTANGLED = Circuit((Gate("H", (2,)), Gate("CNOT", (2, 1)), Gate("T", (3,)),
+                     Gate("H", (3,)), Gate("CNOT", (3, 1))), witness_qubits=2)
 
 # Series indices of hand-built machines.  Index 2^99 of the polynomial
 # series is the constant 100, a clock every machine here keeps; the
@@ -56,6 +60,8 @@ def files(tmp_path):
         "fan": encode_ptm(fan_ptm(2, 3)),
         "circuit": encode_circuit(SIMULATED) + "\n",
         "gen": encode_godel(const_output_machine(encode_circuit(DECIDED))),
+        "simgen": encode_godel(const_output_machine(encode_circuit(SIMULATED))),
+        "entgen": encode_godel(const_output_machine(encode_circuit(ENTANGLED))),
     }
     paths = {}
     for name, text in contents.items():
@@ -83,6 +89,24 @@ CASES = {
                  "b5881583c438fb0f460b10edc5913c62ad4c3503ac154eae0a9a545484940b4a"),
     "decide": (["decide", "qma", "--gen", "{gen}", "--input", "0"],
                "1cb8a342a530a0d3ef82e2f007b5e9241992a48e6976a657014f73b6474ac9fe"),
+    "decide bqp": (["decide", "bqp", "--gen", "{simgen}", "--input", "0"],
+                   "1cb8a342a530a0d3ef82e2f007b5e9241992a48e6976a657014f73b6474ac9fe"),
+    "decide qcma": (["decide", "qcma", "--gen", "{gen}", "--input", "0"],
+                    "1cb8a342a530a0d3ef82e2f007b5e9241992a48e6976a657014f73b6474ac9fe"),
+    "decide qcma yes": (["decide", "qcma", "--gen", "{gen}", "--input", "01",
+                         "--c", "1/2"],
+                        "5040625b1fb6fa4af07226683f6e6003b29e5e70b16f8cfb24be7a752393f0ee"),
+    "decide qcma quantum witness": (["decide", "qcma", "--gen", "{entgen}",
+                                     "--input", "0"],
+                                    "1cb8a342a530a0d3ef82e2f007b5e9241992a48e6976a657014f73b6474ac9fe"),
+    "decide qcma no": (["decide", "qcma", "--gen", "{gen}", "--input", "0",
+                        "--s", "1/2"],
+                       "564739ea8fa5926d4fa5c9734fed462061960a22e6b8d5c06e94969d97891bf2"),
+    "decide qma yes": (["decide", "qma", "--gen", "{entgen}", "--input", "0"],
+                       "5040625b1fb6fa4af07226683f6e6003b29e5e70b16f8cfb24be7a752393f0ee"),
+    "decide qma no": (["decide", "qma", "--gen", "{entgen}", "--input", "0",
+                       "--c", "1", "--s", "1"],
+                      "564739ea8fa5926d4fa5c9734fed462061960a22e6b8d5c06e94969d97891bf2"),
     "classify": (["classify", "--problem", "machine:{parity}",
                   "--input", "0111"],
                  "5040625b1fb6fa4af07226683f6e6003b29e5e70b16f8cfb24be7a752393f0ee"),

@@ -6,6 +6,7 @@ from helpers_machines import (always_accept_machine, always_reject_machine,
                               const_output_machine, diverging_machine,
                               fan_ptm, identity_machine, parity_machine,
                               two_input_fan_ptm, witness_equals_one_ptm)
+from helpers_values import word_to_index
 from promiselab import enumeration
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.enumeration import (Enumeration, Polynomial,
@@ -22,7 +23,7 @@ from promiselab.errors import CapExceeded
 from promiselab.promise import TotalDecider, Verdict, builtin
 from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
-from promiselab.words import index_to_word, word_to_index, words_up_to
+from promiselab.words import index_to_word, words_up_to
 
 PARITY = builtin("parity")
 

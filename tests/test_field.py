@@ -7,10 +7,11 @@ from promiselab.errors import NonRealInput, NotHermitian
 from oracle_decimal import sqrt2_bounds
 from oracle_field import _inverse, abs2
 from oracle_simulator import T_PHASE
+from helpers_values import from_rows, parse_field_elem, to_complex
 from promiselab.field import (ExactMatrix, FieldElem, ONE, SQRT2_INV, ZERO,
                               decimal_string, det, format_field_elem,
-                              parse_field_elem, real_sign, scaled_identity,
-                              sylvester_pd, sylvester_psd)
+                              real_sign, scaled_identity, sylvester_pd,
+                              sylvester_psd)
 
 SQRT2_INV_FLOAT = 2 ** -0.5
 
@@ -88,7 +89,7 @@ class TestArithmetic:
         rng = random.Random(19)
         for _ in range(50):
             x, y = random_elem(rng), random_elem(rng)
-            assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-9
+            assert abs(to_complex(x * y) - to_complex(x) * to_complex(y)) < 1e-9
 
 
 class TestRealSign:
@@ -176,14 +177,14 @@ class TestDeterminant:
         assert det(scaled_identity(3, ONE)) == ONE
 
     def test_antidiagonal_sqrt2(self):
-        m = ExactMatrix.from_rows([[ZERO, SQRT2_INV], [SQRT2_INV, ZERO]])
+        m = from_rows([[ZERO, SQRT2_INV], [SQRT2_INV, ZERO]])
         assert det(m) == fe(Fraction(-1, 2))
 
     def test_matches_cofactor_oracle(self):
         rng = random.Random(31)
         for _ in range(25):
             rows = [[random_elem(rng, 3) for _ in range(4)] for _ in range(4)]
-            m = ExactMatrix.from_rows(rows)
+            m = from_rows(rows)
             assert det(m) == cofactor_det(rows)
 
     def test_multiplicative(self):
@@ -193,26 +194,26 @@ class TestDeterminant:
             b = [[random_elem(rng, 3) for _ in range(3)] for _ in range(3)]
             product = [[sum((a[i][k] * b[k][j] for k in range(3)), ZERO)
                         for j in range(3)] for i in range(3)]
-            lhs = det(ExactMatrix.from_rows(product))
-            rhs = det(ExactMatrix.from_rows(a)) * det(ExactMatrix.from_rows(b))
+            lhs = det(from_rows(product))
+            rhs = det(from_rows(a)) * det(from_rows(b))
             assert lhs == rhs
 
 
 def random_hermitian(rng, dim, span=3):
     m = [[random_elem(rng, span) for _ in range(dim)] for _ in range(dim)]
-    return ExactMatrix.from_rows(
+    return from_rows(
         [[m[i][j] + m[j][i].conjugate() for j in range(dim)]
          for i in range(dim)])
 
 
 def to_numpy(m: ExactMatrix):
     import numpy as np
-    return np.array([[e.to_complex() for e in row] for row in m.entries])
+    return np.array([[to_complex(e) for e in row] for row in m.entries])
 
 
 class TestSylvester:
     def test_positive_diagonal(self):
-        m = ExactMatrix.from_rows([
+        m = from_rows([
             [fe(Fraction(1, 3)), ZERO],
             [ZERO, fe(Fraction(1, 6))]])
         assert sylvester_pd(m)
@@ -226,12 +227,12 @@ class TestSylvester:
     def test_corrected_criterion_counterexample(self):
         # diag(0, -1): leading minors are 0 and 0, yet the matrix is not
         # semi-definite; the principal minor {-1} catches it.
-        m = ExactMatrix.from_rows([[ZERO, ZERO], [ZERO, -ONE]])
+        m = from_rows([[ZERO, ZERO], [ZERO, -ONE]])
         assert not sylvester_psd(m)
         assert not sylvester_pd(m)
 
     def test_rejects_non_hermitian(self):
-        m = ExactMatrix.from_rows([[ZERO, ONE], [ZERO, ZERO]])
+        m = from_rows([[ZERO, ONE], [ZERO, ZERO]])
         with pytest.raises(NotHermitian):
             sylvester_pd(m)
         with pytest.raises(NotHermitian):
@@ -259,7 +260,7 @@ class TestSylvester:
         for _ in range(20):
             dim = rng.randint(2, 4)
             v = [random_elem(rng, 3) for _ in range(dim)]
-            m = ExactMatrix.from_rows(
+            m = from_rows(
                 [[v[i] * v[j].conjugate() for j in range(dim)]
                  for i in range(dim)])
             assert sylvester_psd(m)

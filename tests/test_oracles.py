@@ -6,10 +6,17 @@ probabilities and the witness-block acceptance operator must be equal as
 exact values, not merely close.  It is also checked against its slow twin
 there, the list-slice simulator of the same integer coordinates, on
 circuits of up to 80 gates, and on H counts either side of every change
-of lane width.  The pattern-based decoders of machines,
-PTMs, circuits and oracle-machine prefixes are checked against the
-per-character parsers kept in `oracle_parser`, on valid encodings, on
-encodings one edit away from valid, and on arbitrary strings.  The
+of lane width.  The packed witness runs are checked against the
+per-witness twins there: equal operators and QCMA verdicts for 0 to 4
+witness qubits, with `max_qubits` set so that the witness block splits
+into runs of every size from one witness to all of them, and the caps
+raised in the same order with the same messages.  The pattern-based
+decoders of machines, PTMs, circuits and oracle-machine prefixes are
+checked against the per-character parsers kept in `oracle_parser`, and
+the one-match machine decoder also against the quintuple-at-a-time loop
+kept in `oracle_quintuples`, on valid encodings (some with states above
+100), on encodings one edit or one flipped bit away from valid, and on
+arbitrary strings.  The
 list-tape machine run in `promiselab.tm` and the oracle machine run in
 `promiselab.promise.cook_run` are checked against the sparse dict-tape
 runs kept in `oracle_tm`: equal results on random complete machines, on
@@ -46,22 +53,26 @@ import oracle_field
 import oracle_parser
 import oracle_promise
 import oracle_ptm
+import oracle_quintuples
 import oracle_simulator as ref
 import oracle_tm
-from helpers_machines import complete_tree_ptm, identity_machine, \
-    parity_machine
-from promiselab import enumeration, field, ptm, tm
+from helpers_machines import complete_tree_ptm, const_output_machine, \
+    identity_machine, parity_machine
+from helpers_values import from_rows
+from promiselab import circuit, enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
-                                acceptance_operator, encode_circuit,
-                                p_acc, parse_circuit, simulate)
+                                acceptance_operator, classify_qcma,
+                                encode_circuit, p_acc, parse_circuit,
+                                simulate)
 from promiselab.config import Config
 from promiselab.diagonal import (GapLimits, affine_costed,
                                  build_r_components, costed_toy, gap_member,
                                  time_construct_wrap)
+from promiselab.enumeration import Polynomial
 from promiselab.errors import (BranchFuelExhausted, CapExceeded,
-                               FuelExhausted, NonPromisedQuery)
-from promiselab.field import (ZERO, ExactMatrix, FieldElem, decimal_string,
-                              scaled_identity)
+                               DimensionCap, FuelExhausted, NonPromisedQuery,
+                               WitnessSpaceTooLarge)
+from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
 from promiselab.promise import (OracleMachine, ReductionFn, TotalDecider,
                                 Verdict, builtin, cook_run, karp_check)
 from promiselab.words import words_of_length, words_up_to
@@ -196,6 +207,100 @@ class TestSimulatorOracle:
             ref.acceptance_operator(trivial)
 
 
+_GEN_RUNTIME = Polynomial((10 ** 6,))
+# (c, s) pairs: the defaults, and thresholds at the common values 1/2, 1/4
+# and 3/4 of small circuits, so that No, Yes and outside all occur
+_THRESHOLDS = st.sampled_from([
+    (Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(3, 4), Fraction(1, 4)), (Fraction(1), Fraction(1, 2))])
+
+
+def _chunk_configs(c: Circuit, **fields):
+    """One config per packed-run size: max_qubits from n, one witness
+    per run, up to n + m, the whole block in one run."""
+    n = c.total_qubits
+    return [Config(max_qubits=n + bits, **fields)
+            for bits in range(c.witness_qubits + 1)]
+
+
+class TestWitnessBlockOracle:
+    @settings(max_examples=40)
+    @given(circuits(witness=st.integers(1, 4), max_gates=40))
+    def test_operator_at_every_chunk_size(self, c):
+        # up to 40 gates: lanes of 8, 16 and 32 bits
+        want = ref.acceptance_operator_per_witness(c)
+        evolve = circuit._evolve
+        for bits, config in enumerate(_chunk_configs(c)):
+            sizes = []
+
+            def spy(c, n, size, ones):
+                sizes.append(size)
+                return evolve(c, n, size, ones)
+
+            with mock.patch.object(circuit, "_evolve", spy):
+                assert acceptance_operator(c, config) == want
+            # 2^(m - bits) runs, each of exactly 2^max_qubits lanes
+            assert sizes == [config.max_qubits] * (1 << c.witness_qubits - bits)
+
+    @pytest.mark.parametrize("h_count, width", [(29, 32), (61, 64), (125, 128)])
+    def test_wide_lanes_at_every_chunk_size(self, h_count, width):
+        gates = []
+        for i in range(h_count):
+            gates += [Gate("H", (1 + i % 3,)), Gate("T", (1 + (i + 1) % 3,)),
+                      Gate("CNOT", (1 + i % 3, 1 + (i + 2) % 3))]
+        c = Circuit(tuple(gates), witness_qubits=2)
+        assert simulate(c, "000").width == width
+        want = ref.acceptance_operator_per_witness(c)
+        for config in _chunk_configs(c):
+            assert acceptance_operator(c, config) == want
+
+    @settings(max_examples=40)
+    @given(circuits(witness=st.integers(0, 4)), _THRESHOLDS)
+    def test_qcma_verdicts_at_every_chunk_size(self, c, thresholds):
+        # m = 0 encodes without a witness header: the trivial circuit
+        gen = const_output_machine(encode_circuit(c))
+        threshold_c, threshold_s = thresholds
+        for config in _chunk_configs(c, threshold_c=threshold_c,
+                                     threshold_s=threshold_s):
+            assert classify_qcma(gen, _GEN_RUNTIME, "", config) == \
+                ref.classify_qcma_per_witness(gen, _GEN_RUNTIME, "", config)
+
+    def test_witness_cap_before_any_simulation(self):
+        # three witness qubits over a cap of two, on four qubits over a
+        # cap of three: the witness cap is named, and nothing is simulated
+        c = Circuit((Gate("H", (4,)), Gate("CNOT", (4, 1))), witness_qubits=3)
+        gen = const_output_machine(encode_circuit(c))
+        config = Config(max_qubits=3, max_witness_qubits=2)
+        with mock.patch.object(circuit, "_evolve", side_effect=AssertionError):
+            for decide in (classify_qcma, ref.classify_qcma_per_witness):
+                with pytest.raises(WitnessSpaceTooLarge,
+                                   match=r"^2\^3 witnesses exceed cap 4$"):
+                    decide(gen, _GEN_RUNTIME, "", config)
+            for operator in (acceptance_operator,
+                             ref.acceptance_operator_per_witness):
+                with pytest.raises(DimensionCap,
+                                   match=r"^2\^3 exceeds cap 4$"):
+                    operator(c, config)
+
+    def test_qubit_cap_message(self):
+        c = Circuit((Gate("H", (4,)), Gate("CNOT", (4, 1))), witness_qubits=2)
+        gen = const_output_machine(encode_circuit(c))
+        config = Config(max_qubits=3)
+        for decide in (classify_qcma, ref.classify_qcma_per_witness):
+            with pytest.raises(DimensionCap, match=r"^4 qubits exceed cap 3$"):
+                decide(gen, _GEN_RUNTIME, "", config)
+        for operator in (acceptance_operator,
+                         ref.acceptance_operator_per_witness):
+            with pytest.raises(DimensionCap, match=r"^4 qubits exceed cap 3$"):
+                operator(c, config)
+
+    def test_no_witness_register(self):
+        for operator in (acceptance_operator,
+                         ref.acceptance_operator_per_witness):
+            with pytest.raises(ValueError, match="no witness register"):
+                operator(Circuit((Gate("H", (1,)),)))
+
+
 def _tables(draw, states: int, finals: frozenset, branches) -> dict:
     action = st.tuples(st.integers(0, states - 1), st.sampled_from(tm.SYMBOLS),
                        st.sampled_from(tm.MOVES))
@@ -241,6 +346,29 @@ def godel_shaped(draw):
             + "00" + "".join(draw(st.permutations(quintuples))))
 
 
+def _padded(m, pad: int, shift_action):
+    """m with pad final states placed before its own, so that every
+    unary run of its quintuples is longer than pad."""
+    table = {(s + pad, sym): shift_action(action, pad)
+             for (s, sym), action in m.transitions.items()}
+    return type(m)(m.states + pad, m.initial + pad,
+                   frozenset(range(pad)) | {f + pad for f in m.finals}, table)
+
+
+def _shift(action, pad):
+    t, wsym, move = action
+    return t + pad, wsym, move
+
+
+_PADS = st.integers(101, 130)
+# long unary runs: every rule's states are above 100
+PADDED_MACHINES = st.builds(lambda m, pad: _padded(m, pad, _shift),
+                            machines(), _PADS)
+PADDED_PTMS = st.builds(
+    lambda m, pad: _padded(m, pad, lambda actions, pad: tuple(
+        _shift(a, pad) for a in actions)), ptms(max_states=3), _PADS)
+
+
 @st.composite
 def circuit_shaped(draw):
     gate = st.tuples(st.sampled_from(("01", "10", "11")),
@@ -265,15 +393,25 @@ def edited(draw, encodings):
     return bits[:i]  # cut, or a flip past the end
 
 
+@st.composite
+def flipped(draw, encodings):
+    """An encoding with exactly one of its bits flipped."""
+    bits = draw(encodings.filter(bool))
+    i = draw(st.integers(0, len(bits) - 1))
+    return bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
+
+
 def _words(*encodings):
     encodings = st.one_of(*encodings)
-    return st.one_of(encodings, edited(encodings),
+    return st.one_of(encodings, edited(encodings), flipped(encodings),
                      st.text(alphabet="01", max_size=60),
                      st.text(alphabet="012\n", max_size=12))
 
 
 GODEL_WORDS = _words(machines().map(tm.encode_godel),
-                     ptms().map(ptm.encode_ptm), godel_shaped())
+                     ptms().map(ptm.encode_ptm), godel_shaped(),
+                     PADDED_MACHINES.map(tm.encode_godel),
+                     PADDED_PTMS.map(ptm.encode_ptm))
 CIRCUIT_WORDS = _words(circuits(witness=st.integers(0, 3)).map(encode_circuit),
                        circuit_shaped())
 
@@ -289,8 +427,9 @@ class TestParserOracle:
     @settings(max_examples=300)
     @given(GODEL_WORDS)
     def test_machines_and_ptms(self, bits):
-        assert _outcome(tm.parse_godel_structure, bits) == \
-            _outcome(oracle_parser.parse_godel_structure, bits)
+        got = _outcome(tm.parse_godel_structure, bits)
+        assert got == _outcome(oracle_quintuples.parse_godel_structure, bits)
+        assert got == _outcome(oracle_parser.parse_godel_structure, bits)
         assert tm.decode_godel(bits) == oracle_parser.decode_godel(bits)
         assert ptm.decode_ptm(bits) == oracle_parser.decode_ptm(bits)
 
@@ -311,12 +450,12 @@ class TestParserOracle:
 
 class TestRoundTrips:
     @settings(max_examples=100)
-    @given(machines())
+    @given(st.one_of(machines(), PADDED_MACHINES))
     def test_machine(self, m):
         assert tm.decode_godel(tm.encode_godel(m)) == m
 
     @settings(max_examples=100)
-    @given(ptms())
+    @given(st.one_of(ptms(), PADDED_PTMS))
     def test_ptm(self, m):
         assert ptm.decode_ptm(ptm.encode_ptm(m)) == m
 
@@ -619,7 +758,7 @@ def det_matrices(draw):
         rows[0][0] = ZERO  # the elimination must swap or stop at once
         rows[draw(st.integers(1, n - 1))][0] = draw(_ELEMS.filter(
             lambda x: x != ZERO))
-    return ExactMatrix.from_rows(rows)
+    return from_rows(rows)
 
 
 @st.composite
@@ -635,7 +774,7 @@ def hermitian_matrices(draw):
                  for j in range(n)] for i in range(n)]
     shift = draw(st.one_of(st.just(ZERO), st.builds(FieldElem, _COEFFS,
                                                     _COEFFS)))
-    return ExactMatrix.from_rows(
+    return from_rows(
         [[x - shift if i == j else x for j, x in enumerate(row)]
          for i, row in enumerate(rows)])
 
