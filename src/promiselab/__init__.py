@@ -13,17 +13,17 @@ from .circuit import (Circuit, Gate, StateVector, TRIVIAL_CIRCUIT,
                       simulate)
 from .diagonal import (CostedFunction, DiagInstance, DiagResult,
                        PRESENTABLE, REPRESENTABLE, affine_costed, diagonalize,
-                       eval_counted, find_contradiction, gap_member, ladner,
+                       find_contradiction, gap_member, ladner,
                        time_construct_wrap)
 from .enumeration import (Enumeration, Polynomial, class_presentation,
                           harder_set, harder_set_presentation, pair,
                           poly_series, polyfunc_series, polyset_series,
-                          reduction_closure, triple, unpair, untriple)
+                          triple, unpair, untriple)
 from .field import (ExactMatrix, FieldElem, det, real_sign, sylvester_pd,
                     sylvester_psd)
 from .promise import (BUILTIN_PROBLEMS, OracleMachine, ReductionFn,
                       TotalDecider, Verdict, builtin, cook_run,
-                      differences, karp_check, karp_to_cook, marked_union)
+                      differences, karp_check, marked_union)
 from .ptm import (BranchStats, PTMDesc, TRIVIAL_PTM, classify_bpp,
                   classify_ma, decode_ptm, encode_ptm, enumerate_branches)
 from .tm import (MachineDesc, RunResult, Halted, FuelExhaustedResult,

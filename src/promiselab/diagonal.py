@@ -29,9 +29,7 @@ from typing import Callable, Iterator, Literal
 
 from .config import Config
 from .enumeration import CostedFunction, Enumeration, harder_set_presentation
-from .errors import (AccountingError, FuelCap, NoContradictionFound,
-                     NoInstanceOfA, NotTimeConstructible)
-from . import tm
+from .errors import AccountingError, NoContradictionFound, NoInstanceOfA
 from .promise import ReductionFn, TotalDecider, Verdict, builtin
 from .words import words_of_length, words_up_to
 
@@ -42,13 +40,7 @@ PRESENTABLE = "presentable"
 # total number of words examined before giving up.
 DEFAULT_SEARCH_CAP = 8
 WORD_SCAN_BUDGET = 1 << 14
-TIME_CONSTRUCTOR_FUEL = 100_000  # steps of a time constructor on one input
 NO_INSTANCE_SCAN = 1 << 12  # words ladner scans for a no-instance of a
-
-
-def costed_toy(name: str, f: Callable[[int], int]) -> CostedFunction:
-    """Wrap a plain function with unit evaluation cost."""
-    return CostedFunction(name, lambda n: (f(n), 1))
 
 
 def affine_costed(slope: int, offset: int) -> CostedFunction:
@@ -56,38 +48,8 @@ def affine_costed(slope: int, offset: int) -> CostedFunction:
     r(n) > n."""
     if slope < 1 or offset < 1:
         raise ValueError("need slope >= 1 and offset >= 1")
-    return costed_toy(f"affine({slope},{offset})",
-                      lambda n: slope * n + offset)
-
-
-def eval_counted(tc: tm.MachineDesc, n: int) -> int:
-    """Step count of a time-constructing machine on length-n inputs.
-
-    Verified on two inputs of that length (all zeros and all ones);
-    disagreement raises NotTimeConstructible, exceeding the hard cap
-    raises FuelCap.
-    """
-    samples = ["0" * n] if n == 0 else ["0" * n, "1" * n]
-    counts = []
-    for word in samples:
-        result = tm.run(tc, [word], TIME_CONSTRUCTOR_FUEL)
-        if isinstance(result, tm.FuelExhaustedResult):
-            raise FuelCap(f"time constructor ran past {TIME_CONSTRUCTOR_FUEL} steps")
-        counts.append(result.steps)
-    if len(set(counts)) != 1:
-        raise NotTimeConstructible(
-            f"step counts {counts} differ on length-{n} inputs")
-    return counts[0]
-
-
-def time_constructor_costed(tc: tm.MachineDesc) -> CostedFunction:
-    """Costed view of a step-counting machine: cost = steps simulated."""
-
-    def evaluate(n: int) -> tuple[int, int]:
-        value = eval_counted(tc, n)
-        return value, value * (1 if n == 0 else 2)
-
-    return CostedFunction("counted-machine", cache(evaluate))
+    return CostedFunction(f"affine({slope},{offset})",
+                          lambda n: (slope * n + offset, 1))
 
 
 def time_construct_wrap(f: CostedFunction) -> CostedFunction:
@@ -344,7 +306,7 @@ def ladner(
     no-instance of a, so the produced problem reduces to a directly.
     Its odd intervals blow no-instance holes into a.
     """
-    pres_harder = harder_set_presentation(a, pres_c, "T", config=config)
+    pres_harder = harder_set_presentation(a, pres_c, config=config)
     inst = DiagInstance(a, builtin("const-no"), pres_c, pres_harder,
                         mode_c, PRESENTABLE, search_cap)
     result = diagonalize(inst, witness_bound)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb, isqrt
-from typing import Callable, Literal
+from typing import Callable
 
 from . import circuit as qc
 from . import ptm as ptm_mod
@@ -183,7 +183,7 @@ def polyfunc_series(i: int, config: Config = Config()) -> ReductionFn:
         result = tm.run(machine, [x], fuel(len(x)))
         return result.output if isinstance(result, tm.Halted) else ""
 
-    return ReductionFn(f"f[{i}]", fn=apply, machine=machine, runtime=fuel)
+    return ReductionFn(f"f[{i}]", fn=apply)
 
 
 def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
@@ -201,10 +201,8 @@ def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
         numeral = format(n, "b")
         result = tm.run(machine, [numeral], fuel(len(numeral)))
         if isinstance(result, tm.Halted):
-            raw = int(result.output, 2) if result.output and \
-                all(ch in "01" for ch in result.output) else 0
-            return min(raw, clamp(n)), result.steps
-        return min(0, clamp(n)), result.steps
+            return min(int(result.output or "0", 2), clamp(n)), result.steps
+        return 0, result.steps
 
     return CostedFunction(f"polyset[{i}]", cache(evaluate))
 
@@ -321,13 +319,6 @@ def builtins_presentation(deciders: list[TotalDecider] | tuple[TotalDecider, ...
     return Enumeration(f"cycle({names})", lambda i: pool[i % len(pool)])
 
 
-def reduction_closure(a: TotalDecider, i: int,
-                      config: Config = Config()) -> TotalDecider:
-    """Decider i of the closure of a under polynomial-time reductions."""
-    f = polyfunc_series(i, config)
-    return TotalDecider(f"{a.tag}<=m[{i}]", fn=lambda x: a.classify(f(x)))
-
-
 def parse_oracle_machine(bits: str) -> tuple[tm.MachineDesc, int]:
     """Oracle grammar: "1"^(o+1) "0" prefix designating the oracle state,
     then the ordinary machine grammar.  Invalid encodings yield the
@@ -352,41 +343,30 @@ def oracle_machine_series(j: int, config: Config = Config()) -> OracleMachine:
 def harder_set(
     a: TotalDecider,
     c_pres: Enumeration,
-    mode: Literal["M", "T"],
     i: int,
     *,
     config: Config = Config(),
 ) -> TotalDecider:
-    """Presentation of the problems of a class that a reduces to.
+    """Presentation of the problems of a class that a Cook-reduces to.
 
     Index i decodes to (j, k).  On input x the decider re-verifies, for
-    every word y up to length min(|x|, HARDER_SET_CHECK_CAP), that
-    reduction j maps a correctly into the k-th presented problem (mode M:
-    the two Karp implications; mode T: oracle machine j with that problem
-    as oracle stays inside the promise and answers correctly).  If all
-    checks pass it answers like the presented problem, otherwise like a.
+    every word y up to length min(|x|, HARDER_SET_CHECK_CAP) inside a's
+    promise, that oracle machine j with the k-th presented problem as
+    oracle stays inside the oracle's promise, halts in time and answers
+    like a.  If all checks pass it answers like the presented problem,
+    otherwise like a.
     """
     _check_index(i, config)
     j, k = unpair(i)
     m_k = c_pres.produce(k)
-    if mode == "M":
-        f_j = polyfunc_series(j, config)
+    o_j = oracle_machine_series(j, config)
 
-        def check(y: str, expected: Verdict) -> bool:
-            return m_k.classify(f_j(y)) is expected
-
-    elif mode == "T":
-        o_j = oracle_machine_series(j, config)
-
-        def check(y: str, expected: Verdict) -> bool:
-            try:
-                accepted = cook_run(o_j, m_k, y)
-            except (NonPromisedQuery, FuelExhausted):
-                return False
-            return accepted is (expected is Verdict.YES)
-
-    else:
-        raise ValueError("mode must be 'M' or 'T'")
+    def check(y: str, expected: Verdict) -> bool:
+        try:
+            accepted = cook_run(o_j, m_k, y)
+        except (NonPromisedQuery, FuelExhausted):
+            return False
+        return accepted is (expected is Verdict.YES)
 
     def decide(x: str) -> Verdict:
         for y in words_up_to(min(len(x), HARDER_SET_CHECK_CAP)):
@@ -397,16 +377,10 @@ def harder_set(
                 return a.classify(x)
         return m_k.classify(x)
 
-    return TotalDecider(f"harder[{mode},{i}]({a.tag})", fn=decide)
+    return TotalDecider(f"harder[T,{i}]({a.tag})", fn=decide)
 
 
-def harder_set_presentation(
-    a: TotalDecider,
-    c_pres: Enumeration,
-    mode: Literal["M", "T"] = "T",
-    *,
-    config: Config = Config(),
-) -> Enumeration:
-    return Enumeration(
-        f"harder[{mode}]({a.tag};{c_pres.family})",
-        lambda i: harder_set(a, c_pres, mode, i, config=config))
+def harder_set_presentation(a: TotalDecider, c_pres: Enumeration, *,
+                            config: Config = Config()) -> Enumeration:
+    return Enumeration(f"harder[T]({a.tag};{c_pres.family})",
+                       lambda i: harder_set(a, c_pres, i, config=config))

@@ -78,14 +78,6 @@ class NoContradictionFound(PromiseLabError):
         )
 
 
-class NotTimeConstructible(PromiseLabError):
-    """Two same-length inputs produced different step counts."""
-
-
-class FuelCap(PromiseLabError):
-    """A step-counting run exceeded the configured hard cap."""
-
-
 class NoInstanceOfA(PromiseLabError):
     """No no-instance of the target problem found within the scan cap."""
 

@@ -82,22 +82,13 @@ class TotalDecider:
 
 @dataclass(frozen=True)
 class ReductionFn:
-    """Total word function, built in or a fuel-clocked machine."""
+    """Total word function with a tag."""
 
     tag: str
-    fn: Callable[[str], str] | None = None
-    machine: tm.MachineDesc | None = None
-    runtime: Callable[[int], int] | None = None
+    fn: Callable[[str], str]
 
     def __call__(self, x: str) -> str:
-        if self.fn is not None:
-            return self.fn(x)
-        assert self.machine is not None and self.runtime is not None
-        result = tm.run(self.machine, [x], self.runtime(len(x)))
-        if isinstance(result, tm.FuelExhaustedResult):
-            raise FuelExhausted(
-                f"reduction {self.tag} exceeded its runtime on {x!r}")
-        return result.output
+        return self.fn(x)
 
 
 @dataclass(frozen=True)
@@ -205,9 +196,9 @@ def karp_check(a: TotalDecider,
         raise CapExceeded(
             f"reduction check bound {bound} exceeds cap {config.max_word_length}")
     # bound once: the walk calls the word maps directly, not through
-    # classify or ReductionFn.__call__ (a machine-backed f needs the latter)
+    # classify or ReductionFn.__call__
     classify = a.fn
-    pairs = [(f.fn or f, b.fn, []) for f, b in checks]
+    pairs = [(f.fn, b.fn, []) for f, b in checks]
     outside = Verdict.OUTSIDE
     checked = 0
     for w in words_up_to(bound):
@@ -270,34 +261,6 @@ def cook_run(o: OracleMachine, oracle: TotalDecider, x: str) -> bool:
 
 def _raise_fuel(o: OracleMachine, x: str):
     raise FuelExhausted(f"oracle machine exceeded its runtime on {x!r}")
-
-
-def karp_to_cook(f: ReductionFn) -> OracleMachine:
-    """Turn a machine-backed reduction into a one-query oracle machine.
-
-    The machine simulates f, queries the oracle on the output, and echoes
-    the answer; with oracle B it decides A on promised words whenever f
-    Karp-reduces A to B.
-    """
-    if f.machine is None or f.runtime is None:
-        raise ValueError("karp_to_cook needs a machine-backed reduction")
-    base = f.machine
-    query = base.states
-    echo = base.states + 1
-    transitions = dict(base.transitions)
-    for s in base.finals:
-        for sym in tm.SYMBOLS:
-            transitions[(s, sym)] = (query, sym, "N")
-    for sym in tm.SYMBOLS:
-        transitions[(query, sym)] = (echo, sym, "N")
-    composed = tm.MachineDesc(
-        states=base.states + 2,
-        initial=base.initial,
-        finals=frozenset({echo}),
-        transitions=transitions,
-    )
-    runtime = f.runtime
-    return OracleMachine(composed, query, lambda n: runtime(n) + 2)
 
 
 def _parity(x: str) -> Verdict:

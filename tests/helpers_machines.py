@@ -1,10 +1,18 @@
-"""Hand-built machines shared across the test modules.
+"""Hand-built machines shared across the test modules, and the reductions,
+oracle machines and costed functions that tests build from machines.
 
 All deciders follow the same scaffold: walk right over the input, then
 emit the answer in the blank region after it, so the head ends on the
 first answer symbol with a blank to its right.
 """
 
+from typing import Callable
+
+from promiselab import tm
+from promiselab.config import Config
+from promiselab.enumeration import CostedFunction, polyfunc_series
+from promiselab.errors import FuelExhausted
+from promiselab.promise import OracleMachine, ReductionFn, TotalDecider
 from promiselab.tm import BLANK, MachineDesc, SYMBOLS
 from promiselab.ptm import PTMDesc
 
@@ -119,6 +127,87 @@ def const_output_machine(word: str) -> MachineDesc:
 
 def runtime_poly(offset: int, slope: int = 1):
     return lambda n: slope * n + offset
+
+
+# -- reductions, oracle machines and costed functions built from machines ----
+
+
+def machine_reduction(tag: str, machine: MachineDesc,
+                      runtime: Callable[[int], int]) -> ReductionFn:
+    """The machine's output as a word function; a run that passes its
+    runtime raises FuelExhausted."""
+
+    def apply(x: str) -> str:
+        result = tm.run(machine, [x], runtime(len(x)))
+        if isinstance(result, tm.FuelExhaustedResult):
+            raise FuelExhausted(f"reduction {tag} exceeded its runtime on {x!r}")
+        return result.output
+
+    return ReductionFn(tag, fn=apply)
+
+
+def karp_to_cook(machine: MachineDesc,
+                 runtime: Callable[[int], int]) -> OracleMachine:
+    """A reduction machine as a one-query oracle machine.
+
+    The machine runs the reduction, queries the oracle on its output, and
+    echoes the answer; with oracle B it decides A on promised words
+    whenever the reduction Karp-reduces A to B.
+    """
+    query, echo = machine.states, machine.states + 1
+    transitions = dict(machine.transitions)
+    for s in machine.finals:
+        for sym in SYMBOLS:
+            transitions[(s, sym)] = (query, sym, "N")
+    for sym in SYMBOLS:
+        transitions[(query, sym)] = (echo, sym, "N")
+    composed = MachineDesc(states=machine.states + 2, initial=machine.initial,
+                           finals=frozenset({echo}), transitions=transitions)
+    return OracleMachine(composed, query, lambda n: runtime(n) + 2)
+
+
+def query_echo_machine() -> OracleMachine:
+    """Queries the oracle on its whole input, halts on the answer.
+
+    Oracle state 1, clock n + 5.
+    """
+    table = {}
+    for sym in SYMBOLS:
+        table[(0, sym)] = (1, sym, "N")   # step into the oracle state
+        table[(1, sym)] = (2, sym, "N")   # read the answer, halt
+    base = MachineDesc(states=3, initial=0, finals=frozenset({2}),
+                       transitions=table)
+    return OracleMachine(base, 1, lambda n: n + 5)
+
+
+def reduction_closure(a: TotalDecider, i: int,
+                      config: Config = Config()) -> TotalDecider:
+    """Decider i of the closure of a under polynomial-time reductions."""
+    f = polyfunc_series(i, config)
+    return TotalDecider(f"{a.tag}<=m[{i}]", fn=lambda x: a.classify(f(x)))
+
+
+def costed_toy(name: str, f: Callable[[int], int]) -> CostedFunction:
+    """A plain function with unit evaluation cost."""
+    return CostedFunction(name, lambda n: (f(n), 1))
+
+
+def eval_counted(machine: MachineDesc, n: int) -> int:
+    """Steps the machine takes on the all-zeros word of length n."""
+    result = tm.run(machine, ["0" * n], 100_000)
+    assert isinstance(result, tm.Halted), "no halt within 100000 steps"
+    return result.steps
+
+
+def step_counted(machine: MachineDesc) -> CostedFunction:
+    """n -> (steps on 0^n, steps): a machine-backed costed function whose
+    cost is the number of steps simulated."""
+
+    def evaluate(n: int) -> tuple[int, int]:
+        steps = eval_counted(machine, n)
+        return steps, steps
+
+    return CostedFunction("counted-machine", evaluate)
 
 
 # -- probabilistic machines ---------------------------------------------------

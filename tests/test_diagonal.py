@@ -2,19 +2,18 @@ from itertools import islice
 
 import pytest
 
-from helpers_machines import diverging_machine, identity_machine, parity_machine
+from helpers_machines import (eval_counted, identity_machine, parity_machine,
+                              step_counted)
 from promiselab.diagonal import (CostedFunction, DiagInstance, GapLimits,
                                  PRESENTABLE, REPRESENTABLE, affine_costed,
-                                 build_r_components, diagonalize, eval_counted,
+                                 build_r_components, diagonalize,
                                  find_contradiction, gap_intervals, gap_member,
-                                 ladner, time_construct_wrap,
-                                 time_constructor_costed)
+                                 ladner, time_construct_wrap)
 from promiselab.enumeration import builtins_presentation
-from promiselab.errors import (AccountingError, FuelCap,
-                               NoContradictionFound, NotTimeConstructible)
+from promiselab.errors import AccountingError, NoContradictionFound
 from promiselab.promise import TotalDecider, Verdict, builtin, karp_check, \
     marked_union
-from promiselab.tm import BLANK, MachineDesc, TRIVIAL_MACHINE
+from promiselab.tm import TRIVIAL_MACHINE
 from promiselab.words import words_up_to
 
 PARITY = builtin("parity")
@@ -31,18 +30,6 @@ def reference_gap_member(r: CostedFunction, length: int) -> bool:
     return (len(limits) - 2) % 2 == 0
 
 
-def input_dependent_machine() -> MachineDesc:
-    """Takes one step per 0 but two steps per 1: not time-constructible."""
-    return MachineDesc(states=3, initial=0, finals=frozenset({2}), transitions={
-        (0, "0"): (0, "0", "R"),
-        (0, "1"): (1, "1", "N"),
-        (0, BLANK): (2, BLANK, "N"),
-        (1, "1"): (0, "1", "R"),
-        (1, "0"): (0, "0", "R"),
-        (1, BLANK): (2, BLANK, "N"),
-    })
-
-
 class TestEvalCounted:
     def test_one_step_machine(self):
         for n in range(6):
@@ -55,14 +42,6 @@ class TestEvalCounted:
     def test_sweep_machine_counts_length_plus_one(self):
         for n in range(8):
             assert eval_counted(parity_machine(), n) == n + 1
-
-    def test_input_dependent_runtime_raises(self):
-        with pytest.raises(NotTimeConstructible):
-            eval_counted(input_dependent_machine(), 3)
-
-    def test_fuel_cap(self):
-        with pytest.raises(FuelCap):
-            eval_counted(diverging_machine(), 2)
 
 
 class TestTimeConstructWrap:
@@ -83,7 +62,7 @@ class TestTimeConstructWrap:
             assert cost <= value
 
     def test_accounting_audit_on_machine_backed_function(self):
-        counted = time_constructor_costed(parity_machine())
+        counted = step_counted(parity_machine())
         r = time_construct_wrap(counted)
         for n in range(12):
             value, cost = r.eval(n)

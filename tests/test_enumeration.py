@@ -5,6 +5,7 @@ import pytest
 from helpers_machines import (always_accept_machine, always_reject_machine,
                               const_output_machine, diverging_machine,
                               fan_ptm, identity_machine, parity_machine,
+                              query_echo_machine, reduction_closure,
                               two_input_fan_ptm, witness_equals_one_ptm)
 from helpers_values import word_to_index
 from promiselab import enumeration
@@ -16,8 +17,7 @@ from promiselab.enumeration import (Enumeration, Polynomial,
                                     machine_series, oracle_machine_series,
                                     pair, parse_oracle_machine, poly_series,
                                     polyfunc_series, polyset_series,
-                                    reduction_closure, triple, unpair,
-                                    untriple)
+                                    triple, unpair, untriple)
 from promiselab.config import Config
 from promiselab.errors import CapExceeded
 from promiselab.promise import TotalDecider, Verdict, builtin
@@ -395,23 +395,34 @@ class TestReductionClosure:
             assert decider.classify(x) is PARITY.classify(f(x))
 
 
+def query_echo_index() -> int:
+    """Index of the query-echo oracle machine under its n + 5 clock."""
+    om = query_echo_machine()
+    bits = "1" * (om.oracle_state + 1) + "0" + encode_godel(om.base)
+    return pair(word_to_index(bits), clock_index(Polynomial((5, 1))))
+
+
 class TestHarderSet:
     def test_failed_checks_fall_back_to_base_problem(self):
-        # index 0: both the reduction and the presented machine are junk,
-        # so the checks fail on short witnesses and the decider equals
-        # the base problem beyond them
-        pres = builtins_presentation([builtin("const-no"), builtin("const-yes")])
-        decider = harder_set(PARITY, pres, "M", 0)
-        for x in words_up_to(5):
-            if len(x) >= 1:
-                assert decider.classify(x) is PARITY.classify(x)
+        # the query-echo machine with const-yes as its oracle accepts every
+        # word, but ones-promise rejects the empty word: the check fails
+        # there, so the decider answers like a everywhere
+        a = builtin("ones-promise")
+        pres = builtins_presentation([builtin("const-yes")])
+        decider = harder_set(a, pres, pair(query_echo_index(), 0))
+        for x in words_up_to(8):
+            assert decider.classify(x) is a.classify(x)
 
     def test_passing_checks_follow_presented_machine(self):
-        # identity reduction onto the problem itself: all checks pass
-        pres = builtins_presentation([PARITY])
-        i = pair(pair(machine_index(identity_machine()), 0), 0)
-        decider = harder_set(PARITY, pres, "M", i)
-        for x in words_up_to(6):
+        # the query-echo machine with parity as its oracle decides
+        # ones-promise on its promise: every check goes through cook_run and
+        # passes, so the decider is parity, on "00" (outside a's promise)
+        # as well
+        a = builtin("ones-promise")
+        decider = harder_set(a, builtins_presentation([PARITY]),
+                             pair(query_echo_index(), 0))
+        assert a.classify("00") is Verdict.OUTSIDE
+        for x in words_up_to(8):
             assert decider.classify(x) is PARITY.classify(x)
 
     def test_mode_t_with_trivial_oracle_machine(self):
@@ -420,32 +431,35 @@ class TestHarderSet:
         # presented machine.  j = pair(0, 1): trivial machine under the
         # constant-1 clock, which is just enough fuel for its single step.
         pres = builtins_presentation([builtin("len-even")])
-        decider = harder_set(builtin("const-no"), pres, "T", pair(pair(0, 1), 0))
+        decider = harder_set(builtin("const-no"), pres, pair(pair(0, 1), 0))
         for x in words_up_to(4):
             assert decider.classify(x) is builtin("len-even").classify(x)
 
     def test_mode_t_falls_back_when_oracle_machine_wrong(self):
         pres = builtins_presentation([builtin("len-even")])
-        decider = harder_set(builtin("const-yes"), pres, "T", 0)
+        decider = harder_set(builtin("const-yes"), pres, 0)
         # trivial oracle machine rejects, but const-yes demands accepts:
         # checks fail from the empty word on
         for x in words_up_to(4):
             assert decider.classify(x) is Verdict.YES
 
     def test_soundness_on_presented_problem(self):
-        # whenever all embedded checks pass up to the bound, verdicts
-        # equal the presented machine's
-        pres = builtins_presentation([PARITY])
-        i = pair(pair(machine_index(identity_machine()), 0), 0)
-        decider = harder_set(PARITY, pres, "M", i)
-        report_words = list(words_up_to(8))
-        assert all(decider.classify(x) is PARITY.classify(x)
-                   for x in report_words)
+        # a query outside the oracle's promise fails its check: with
+        # ones-promise as the oracle the query-echo machine decides parity
+        # on "", but its query on "0" is non-promised, so the decider
+        # follows the presented problem only on the empty word
+        pres = builtins_presentation([builtin("ones-promise")])
+        decider = harder_set(PARITY, pres, pair(query_echo_index(), 0))
+        assert decider.classify("") is Verdict.NO
+        for x in words_up_to(6):
+            if x:
+                assert decider.classify(x) is PARITY.classify(x)
 
     def test_presentation_wrapper(self):
-        pres = harder_set_presentation(PARITY, builtins_presentation([PARITY]),
-                                       "M")
+        pres = harder_set_presentation(PARITY, builtins_presentation([PARITY]))
+        assert pres.family == "harder[T](parity;cycle(parity))"
         decider = pres.produce(3)
+        assert decider.tag == "harder[T,3](parity)"
         assert decider.classify("1") in (Verdict.YES, Verdict.NO)
 
 

@@ -3,7 +3,10 @@
 Every module imports at module level only, so the import graph is
 visible at a glance and has no function-local cycle, and every name a
 module imports is used in it.  The package ``__init__`` is exempt from
-the second rule: its imports are the public re-exports.
+the second rule: its imports are the public re-exports.  Every public
+module-level function has a caller in the package, outside its own
+definition and outside ``__init__``: code only tests call lives under
+``tests/``.
 """
 
 import ast
@@ -63,3 +66,47 @@ def test_every_imported_name_is_used(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert unused == {}, f"{path.name}: imported but unused {unused}"
+
+
+# Public functions kept on purpose although nothing in the package calls
+# them: name -> why.
+CALLERLESS_API = {
+    "encode_circuit": "inverse of parse_circuit, for writing circuit files",
+    "classify_bqp": "reached by getattr(circuit, f'classify_{family}')",
+    "classify_qcma": "reached by getattr(circuit, f'classify_{family}')",
+    "classify_qma": "reached by getattr(circuit, f'classify_{family}')",
+    "triple": "inverse of untriple, for naming witness-carrying deciders",
+    "differences": "the difference sets of two deciders, for the paper's "
+                   "second implication",
+}
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and strings quoted under node; a
+    quoted name counts because presentation tables name functions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    defined, referenced = {}, []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined[node] = f"{path.stem}.{node.name}"
+            referenced.append((node, _referenced_names(node)))
+    uncalled = sorted(
+        qualified for node, qualified in defined.items()
+        if node.name not in CALLERLESS_API
+        and not any(node.name in names
+                    for owner, names in referenced if owner is not node))
+    assert uncalled == [], f"public functions with no caller: {uncalled}"

@@ -57,7 +57,7 @@ import oracle_quintuples
 import oracle_simulator as ref
 import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
-    identity_machine, parity_machine
+    costed_toy, identity_machine, machine_reduction, parity_machine
 from helpers_values import from_rows
 from promiselab import circuit, enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
@@ -66,7 +66,7 @@ from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 simulate)
 from promiselab.config import Config
 from promiselab.diagonal import (GapLimits, affine_costed,
-                                 build_r_components, costed_toy, gap_member,
+                                 build_r_components, gap_member,
                                  time_construct_wrap)
 from promiselab.enumeration import Polynomial
 from promiselab.errors import (BranchFuelExhausted, CapExceeded,
@@ -666,8 +666,8 @@ def word_maps(draw) -> ReductionFn:
     """A reduction given by a random map of the words up to length 6 into
     themselves, or the machine-backed identity."""
     if draw(st.integers(0, 4)) == 0:
-        return ReductionFn("id-machine", machine=identity_machine(),
-                           runtime=lambda n: 1)
+        return machine_reduction("id-machine", identity_machine(),
+                                 lambda n: 1)
     images = draw(st.lists(st.sampled_from(_TABLE_WORDS),
                            min_size=len(_TABLE_WORDS),
                            max_size=len(_TABLE_WORDS)))

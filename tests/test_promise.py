@@ -6,32 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from helpers_machines import (always_accept_machine, diverging_machine,
                               emit_outside_machine, identity_machine,
-                              parity_machine, prepend_zero_machine)
+                              karp_to_cook, machine_reduction,
+                              parity_machine, prepend_zero_machine,
+                              query_echo_machine)
 from promiselab.config import Config
 from promiselab.errors import (CapExceeded, FuelExhausted, NonPromisedQuery,
                                NotTotalDecider, WitnessSpaceTooLarge)
 from promiselab.promise import (MAX_WITNESS_SPACE, OracleMachine,
                                 ReductionFn, TotalDecider,
                                 Verdict, builtin, cook_run,
-                                differences, karp_check, karp_to_cook,
+                                differences, karp_check,
                                 marked_union, witness_verdict)
-from promiselab.tm import BLANK, MachineDesc, SYMBOLS, TRIVIAL_MACHINE
+from promiselab.tm import TRIVIAL_MACHINE
 from promiselab.words import words_of_length, words_up_to
 
 PARITY = builtin("parity")
 CONST_YES = builtin("const-yes")
 CONST_NO = builtin("const-no")
-
-
-def query_echo_machine() -> OracleMachine:
-    """Queries the oracle on its whole input, halts on the answer."""
-    table = {}
-    for sym in SYMBOLS:
-        table[(0, sym)] = (1, sym, "N")   # step into the oracle state
-        table[(1, sym)] = (2, sym, "N")   # read the answer, halt
-    base = MachineDesc(states=3, initial=0, finals=frozenset({2}),
-                       transitions=table)
-    return OracleMachine(base, 1, lambda n: n + 5)
 
 
 class TestClassify:
@@ -200,8 +191,8 @@ class TestKarpCheck:
         assert PARITY.classify(bad.word) is not PARITY.classify(bad.image)
 
     def test_machine_backed_reduction(self):
-        f = ReductionFn("prepend0", machine=prepend_zero_machine(),
-                        runtime=lambda n: 4)
+        f = machine_reduction("prepend0", prepend_zero_machine(),
+                              lambda n: 4)
         union = marked_union(PARITY, CONST_YES)
         assert karp_check(PARITY, [(f, union)], 5)[0].ok
 
@@ -237,7 +228,7 @@ class TestKarpCheck:
                           config=config)[0].checked == 63
 
     def test_reduction_timeout_raises(self):
-        f = ReductionFn("slow", machine=diverging_machine(), runtime=lambda n: 3)
+        f = machine_reduction("slow", diverging_machine(), lambda n: 3)
         with pytest.raises(FuelExhausted):
             f("01")
 
@@ -279,16 +270,13 @@ class TestCookRun:
 
 class TestKarpToCook:
     def test_identity_reduction(self):
-        f = ReductionFn("id", machine=identity_machine(), runtime=lambda n: 2)
-        om = karp_to_cook(f)
+        om = karp_to_cook(identity_machine(), lambda n: 2)
         for x in words_up_to(5):
             expected = PARITY.classify(x) is Verdict.YES
             assert cook_run(om, PARITY, x) is expected
 
     def test_prefix_reduction_queries_marked_word(self):
-        f = ReductionFn("prepend0", machine=prepend_zero_machine(),
-                        runtime=lambda n: 4)
-        om = karp_to_cook(f)
+        om = karp_to_cook(prepend_zero_machine(), lambda n: 4)
         union = marked_union(PARITY, CONST_YES)
         for x in words_up_to(5):
             expected = PARITY.classify(x) is Verdict.YES
@@ -297,14 +285,10 @@ class TestKarpToCook:
     def test_agreement_follows_karp_check(self):
         # whenever karp_check passes, the one-query machine agrees with
         # the source problem on all promised words
-        f = ReductionFn("prepend0", machine=prepend_zero_machine(),
-                        runtime=lambda n: 4)
+        machine, runtime = prepend_zero_machine(), lambda n: 4
+        f = machine_reduction("prepend0", machine, runtime)
         union = marked_union(PARITY, CONST_YES)
         assert karp_check(PARITY, [(f, union)], 6)[0].ok
-        om = karp_to_cook(f)
+        om = karp_to_cook(machine, runtime)
         for x in words_up_to(6):
             assert cook_run(om, union, x) is (PARITY.classify(x) is Verdict.YES)
-
-    def test_requires_machine_backing(self):
-        with pytest.raises(ValueError):
-            karp_to_cook(ReductionFn("fn-only", fn=lambda x: x))
