@@ -15,15 +15,14 @@ from .diagonal import (CostedFunction, DiagInstance, DiagResult,
                        PRESENTABLE, REPRESENTABLE, affine_costed, diagonalize,
                        find_contradiction, gap_member, ladner,
                        time_construct_wrap)
-from .enumeration import (Enumeration, Polynomial, class_presentation,
-                          harder_set, harder_set_presentation, pair,
+from .enumeration import (Polynomial, class_presentation, harder_set, pair,
                           poly_series, polyfunc_series, polyset_series,
                           triple, unpair, untriple)
 from .field import (ExactMatrix, FieldElem, det, real_sign, sylvester_pd,
                     sylvester_psd)
-from .promise import (BUILTIN_PROBLEMS, OracleMachine, ReductionFn,
-                      TotalDecider, Verdict, builtin, cook_run,
-                      differences, karp_check, marked_union)
+from .promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider, Verdict,
+                      builtin, cook_run, differences, karp_check,
+                      marked_union)
 from .ptm import (BranchStats, PTMDesc, TRIVIAL_PTM, classify_bpp,
                   classify_ma, decode_ptm, encode_ptm, enumerate_branches)
 from .tm import (MachineDesc, RunResult, Halted, FuelExhaustedResult,

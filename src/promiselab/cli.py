@@ -25,8 +25,7 @@ from . import diagonal, enumeration, ptm, tm
 from .config import Config, load_config
 from .errors import CapExceeded, PromiseLabError
 from .field import FieldElem, decimal_string
-from .promise import (ReductionFn, TotalDecider, builtin, karp_check,
-                      marked_union)
+from .promise import TotalDecider, builtin, karp_check, marked_union
 from .words import words_up_to
 
 
@@ -73,7 +72,7 @@ def _problem(ref: str) -> Callable[[Config], TotalDecider]:
         f"bad problem reference {ref!r}; use builtin:<name> or machine:<file>")
 
 
-def _presentation(spec: str) -> Callable[[Config], enumeration.Enumeration]:
+def _presentation(spec: str) -> Callable[[Config], enumeration.Presentation]:
     """Presentation specs: builtins:<name>,<name>,... or family:<name>."""
     kind, _, rest = spec.partition(":")
     if kind == "builtins" and rest:
@@ -181,10 +180,10 @@ def _cmd_enumerate(args, config: Config) -> int:
             f"--max-len {args.max_len} exceeds cap {config.max_word_length}")
     # an oversized index is reported before an unknown family name
     enumeration._check_index(args.index, config)
-    item = enumeration.family_series(args.family, config).produce(args.index)
+    item = enumeration.family_series(args.family, config)(args.index)
     # each table is streamed, one line per word, never held whole
     out, words = sys.stdout, words_up_to(args.max_len)
-    if isinstance(item, ReductionFn):
+    if not isinstance(item, TotalDecider):  # a polyfunc word function
         out.write("word\timage\n")
         out.writelines(f"{w or '(empty)'}\t{item(w) or '(empty)'}\n"
                        for w in words)

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Iterator, Literal
 
 from .config import Config
-from .enumeration import CostedFunction, Enumeration, harder_set_presentation
+from .enumeration import CostedFunction, Presentation, harder_set
 from .errors import AccountingError, NoContradictionFound, NoInstanceOfA
-from .promise import ReductionFn, TotalDecider, Verdict, builtin
+from .promise import TotalDecider, Verdict, builtin
 from .words import words_of_length, words_up_to
 
 REPRESENTABLE = "representable"
@@ -171,8 +171,8 @@ def find_contradiction(
 class DiagInstance:
     a: TotalDecider
     a_prime: TotalDecider
-    pres_c: Enumeration
-    pres_c_prime: Enumeration
+    pres_c: Presentation
+    pres_c_prime: Presentation
     mode_c: str = PRESENTABLE
     mode_c_prime: str = PRESENTABLE
     search_cap: int = DEFAULT_SEARCH_CAP
@@ -201,9 +201,9 @@ class DiagResult:
     gaps: GapLimits
     q: CostedFunction
     q_prime: CostedFunction
-    reduction: ReductionFn
+    reduction: Callable[[str], str]
     witnesses: tuple[ContradictionWitness, ...]
-    reduction_to_a: ReductionFn | None = None
+    reduction_to_a: Callable[[str], str] | None = None
 
     @property
     def r(self) -> CostedFunction:
@@ -222,12 +222,12 @@ def build_r_components(inst: DiagInstance) -> tuple[CostedFunction,
     r(n) > n and r(n) >= max(q(n), q'(n)).
     """
 
-    def q_eval(pres: Enumeration, a: TotalDecider, mode: str) -> Callable[[int], tuple[int, int]]:
+    def q_eval(pres: Presentation, a: TotalDecider, mode: str) -> Callable[[int], tuple[int, int]]:
         def evaluate(n: int) -> tuple[int, int]:
             best = 0
             cost = 0
             for i in range(n + 1):
-                z, c = find_contradiction(a, pres.produce(i), n, mode,
+                z, c = find_contradiction(a, pres(i), n, mode,
                                           inst.search_cap, machine_index=i)
                 cost += c + 1  # classification bookkeeping per machine
                 best = max(best, len(z))
@@ -254,7 +254,7 @@ def _witness_for(inst: DiagInstance, gaps: GapLimits, side: str,
     k = 0 if even else 1
     while gaps.limit(k) < i:
         k += 2
-    machine = pres.produce(i)
+    machine = pres(i)
     z, _ = find_contradiction(a, machine, gaps.limit(k), mode,
                               inst.search_cap, machine_index=i)
     return ContradictionWitness(side, i, k, gaps.limit(k), gaps.limit(k + 1),
@@ -279,19 +279,20 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     def mix(x: str) -> Verdict:
         return a.classify(x) if member(x) else a_prime.classify(x)
 
+    def gap_mark(x: str) -> str:
+        return ("0" if member(x) else "1") + x
+
     b = TotalDecider(f"diag({a.tag};{a_prime.tag})", fn=mix)
-    reduction = ReductionFn(
-        "gap-mark", fn=lambda x: ("0" if member(x) else "1") + x)
     witnesses = []
     for side in ("even", "odd"):
         for i in range(witness_bound):
             witnesses.append(_witness_for(inst, gaps, side, i))
-    return DiagResult(inst, b, gaps, q, q_prime, reduction, tuple(witnesses))
+    return DiagResult(inst, b, gaps, q, q_prime, gap_mark, tuple(witnesses))
 
 
 def ladner(
     a: TotalDecider,
-    pres_c: Enumeration,
+    pres_c: Presentation,
     mode_c: str,
     search_cap: int = DEFAULT_SEARCH_CAP,
     witness_bound: int = 3,
@@ -304,9 +305,10 @@ def ladner(
     that a Cook-reduces to), then post-composes the marked-union
     reduction with the map sending "0"+x to x and "1"+w to a fixed
     no-instance of a, so the produced problem reduces to a directly.
-    Its odd intervals blow no-instance holes into a.
+    Its odd intervals blow no-instance holes into a.  The harder set's
+    deciders are built once per index, so each keeps its checks.
     """
-    pres_harder = harder_set_presentation(a, pres_c, config=config)
+    pres_harder = cache(partial(harder_set, a, pres_c, config=config))
     inst = DiagInstance(a, builtin("const-no"), pres_c, pres_harder,
                         mode_c, PRESENTABLE, search_cap)
     result = diagonalize(inst, witness_bound)
@@ -317,8 +319,7 @@ def ladner(
         raise NoInstanceOfA(f"no no-instance of {a.tag} within {NO_INSTANCE_SCAN} words")
     member = result.gaps.member
 
-    def to_a(x: str) -> str:
+    def gap_or_default(x: str) -> str:
         return x if member(x) else target
 
-    return replace(result,
-                   reduction_to_a=ReductionFn("gap-or-default", fn=to_a))
+    return replace(result, reduction_to_a=gap_or_default)

@@ -28,12 +28,15 @@ from . import tm
 from .config import Config
 from .errors import CapExceeded, FuelExhausted, GeneratorFuelExhausted, \
     NonPromisedQuery
-from .promise import (MAX_WITNESS_SPACE, OracleMachine, ReductionFn,
-                      TotalDecider, Verdict, cook_run, witness_verdict)
-from .words import index_to_word, words_up_to
+from .promise import (MAX_WITNESS_SPACE, OracleMachine, TotalDecider,
+                      Verdict, cook_run, witness_verdict)
+from .words import index_to_word, words_of_length
 
 HARDER_SET_CHECK_CAP = 12
 _ORACLE_PREFIX = re.compile(r"(1+)0")  # 1^(o+1) 0, oracle state o
+
+# A recursive presentation: index i to the i-th decider of a class.
+Presentation = Callable[[int], TotalDecider]
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _accepts(machine: tm.MachineDesc, inputs: list[str], fuel: int) -> Verdict:
     return Verdict.YES if accepted else Verdict.NO
 
 
-def polyfunc_series(i: int, config: Config = Config()) -> ReductionFn:
+def polyfunc_series(i: int, config: Config = Config()) -> Callable[[str], str]:
     """Clocked machines as total word functions (the polynomial-time series).
 
     A run that exceeds its clock yields the empty word.
@@ -183,7 +186,7 @@ def polyfunc_series(i: int, config: Config = Config()) -> ReductionFn:
         result = tm.run(machine, [x], fuel(len(x)))
         return result.output if isinstance(result, tm.Halted) else ""
 
-    return ReductionFn(f"f[{i}]", fn=apply)
+    return apply
 
 
 def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
@@ -249,12 +252,13 @@ def _quantum_verdict(fam, gen, fuel, wit_len,
     return decide
 
 
-# Family -> (label, machine series, index carries a witness-length index,
-# verdict builder).  The series is named, and looked up when a decider is
-# built, so that a module global rebound after import is the one that runs.
+# Family -> (tag prefix, machine series, index carries a witness-length
+# index, verdict builder).  The series is named, and looked up when a
+# decider is built, so that a module global rebound after import is the
+# one that runs.
 _PRESENTED = {
-    "p": ("P", "machine_series", False, _p_verdict),
-    "np": ("NP", "machine_series", True, _np_verdict),
+    "p": ("p", "machine_series", False, _p_verdict),
+    "np": ("np", "machine_series", True, _np_verdict),
     "promisebpp": ("promisebpp*", "ptm_series", False, _bpp_verdict),
     "promisema": ("promisema*", "ptm_series", True, _ma_verdict),
     **{fam: (f"{fam}*", "machine_series", False,
@@ -270,53 +274,45 @@ def class_presentation(family: str, i: int,
     decodes to (machine, clock) or (machine, clock, l), l indexing a
     witness length in the polynomial set; its builder makes the verdict
     function.  Starred verdicts may be OutsidePromise: these present
-    extremal promise problems.  The tag is the lower-cased label and i.
+    extremal promise problems.  The tag is the row's prefix and i.
     """
     fam = family.lower()
     if fam not in _PRESENTED:
         raise ValueError(f"unknown presentation family {family!r}; "
                          f"known: {', '.join(_PRESENTED)}")
-    label, series, witness, build = _PRESENTED[fam]
+    prefix, series, witness, build = _PRESENTED[fam]
     machine, fuel, *rest = _clocked(i, config, globals()[series],
                                     3 if witness else 2)
     wit_len = polyset_series(rest[0], config).value if witness else None
-    return TotalDecider(f"{label.lower()}[{i}]",
+    return TotalDecider(f"{prefix}[{i}]",
                         fn=build(machine, fuel, wit_len, config))
 
 
-@dataclass(frozen=True)
-class Enumeration:
-    """A computable series index -> total decider (or word function)."""
+def family_series(name: str, config: Config = Config()
+                  ) -> Callable[[int], TotalDecider | Callable[[str], str]]:
+    """The series of a named family, index to member, the name matched
+    ignoring case.
 
-    family: str
-    produce: Callable[[int], TotalDecider | ReductionFn]
-
-
-def family_series(name: str, config: Config = Config()) -> Enumeration:
-    """The series of a named family, the name matched ignoring case.
-
-    polyfunc's series is one of word functions; every other family
-    presents deciders through class_presentation.  Both factories are
-    looked up by name when a member is produced.
+    polyfunc's members are word functions; every other family presents
+    deciders through class_presentation.  Both factories are looked up by
+    name when a member is produced.
     """
     fam = name.lower()
     if fam == "polyfunc":
-        return Enumeration(fam, lambda i: polyfunc_series(i, config))
+        return lambda i: polyfunc_series(i, config)
     if fam not in _PRESENTED:
         p, np, *starred = _PRESENTED
         raise ValueError(f"unknown family {name!r}; known: "
                          f"{', '.join((p, np, 'polyfunc', *starred))}")
-    return Enumeration(_PRESENTED[fam][0],
-                       lambda i: class_presentation(fam, i, config))
+    return lambda i: class_presentation(fam, i, config)
 
 
-def builtins_presentation(deciders: list[TotalDecider] | tuple[TotalDecider, ...]) -> Enumeration:
+def builtins_presentation(deciders: list[TotalDecider] | tuple[TotalDecider, ...]) -> Presentation:
     """Toy presentation cycling through a fixed list of deciders."""
     if not deciders:
         raise ValueError("need at least one decider")
     pool = tuple(deciders)
-    names = ",".join(d.tag for d in pool)
-    return Enumeration(f"cycle({names})", lambda i: pool[i % len(pool)])
+    return lambda i: pool[i % len(pool)]
 
 
 def parse_oracle_machine(bits: str) -> tuple[tm.MachineDesc, int]:
@@ -342,23 +338,24 @@ def oracle_machine_series(j: int, config: Config = Config()) -> OracleMachine:
 
 def harder_set(
     a: TotalDecider,
-    c_pres: Enumeration,
+    c_pres: Presentation,
     i: int,
     *,
     config: Config = Config(),
 ) -> TotalDecider:
     """Presentation of the problems of a class that a Cook-reduces to.
 
-    Index i decodes to (j, k).  On input x the decider re-verifies, for
-    every word y up to length min(|x|, HARDER_SET_CHECK_CAP) inside a's
+    Index i decodes to (j, k).  On input x the decider checks, for every
+    word y up to length min(|x|, HARDER_SET_CHECK_CAP) inside a's
     promise, that oracle machine j with the k-th presented problem as
     oracle stays inside the oracle's promise, halts in time and answers
     like a.  If all checks pass it answers like the presented problem,
-    otherwise like a.
+    otherwise like a.  The outcome per length is kept for the decider's
+    lifetime, so each check runs at most once.
     """
     _check_index(i, config)
     j, k = unpair(i)
-    m_k = c_pres.produce(k)
+    m_k = c_pres(k)
     o_j = oracle_machine_series(j, config)
 
     def check(y: str, expected: Verdict) -> bool:
@@ -368,19 +365,22 @@ def harder_set(
             return False
         return accepted is (expected is Verdict.YES)
 
-    def decide(x: str) -> Verdict:
-        for y in words_up_to(min(len(x), HARDER_SET_CHECK_CAP)):
+    def length_passes(n: int) -> bool:
+        for y in words_of_length(n):
             va = a.classify(y)
-            if va is Verdict.OUTSIDE:
-                continue
-            if not check(y, va):
-                return a.classify(x)
-        return m_k.classify(x)
+            if va is not Verdict.OUTSIDE and not check(y, va):
+                return False
+        return True
+
+    passed = []  # passed[n]: every check on the words up to length n passes
+
+    def decide(x: str) -> Verdict:
+        length = min(len(x), HARDER_SET_CHECK_CAP)
+        # lengths not yet walked are walked in order, so the first failing
+        # check is the one of the canonical walk
+        while len(passed) <= length:
+            passed.append((not passed or passed[-1])
+                          and length_passes(len(passed)))
+        return m_k.classify(x) if passed[length] else a.classify(x)
 
     return TotalDecider(f"harder[T,{i}]({a.tag})", fn=decide)
-
-
-def harder_set_presentation(a: TotalDecider, c_pres: Enumeration, *,
-                            config: Config = Config()) -> Enumeration:
-    return Enumeration(f"harder[T]({a.tag};{c_pres.family})",
-                       lambda i: harder_set(a, c_pres, i, config=config))

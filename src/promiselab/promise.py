@@ -81,17 +81,6 @@ class TotalDecider:
 
 
 @dataclass(frozen=True)
-class ReductionFn:
-    """Total word function with a tag."""
-
-    tag: str
-    fn: Callable[[str], str]
-
-    def __call__(self, x: str) -> str:
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
 class OracleMachine:
     """Machine with one distinguished query state.
 
@@ -183,7 +172,7 @@ class KarpReport:
 
 
 def karp_check(a: TotalDecider,
-               checks: Sequence[tuple[ReductionFn, TotalDecider]],
+               checks: Sequence[tuple[Callable[[str], str], TotalDecider]],
                bound: int, config: Config = Config()) -> tuple[KarpReport, ...]:
     """Verify yes->yes and no->no of each reduction f from a to its target
     b, for every (f, b) in checks, on all words of length <= bound.
@@ -195,10 +184,10 @@ def karp_check(a: TotalDecider,
     if bound > config.max_word_length:
         raise CapExceeded(
             f"reduction check bound {bound} exceeds cap {config.max_word_length}")
-    # bound once: the walk calls the word maps directly, not through
-    # classify or ReductionFn.__call__
+    # bound once: the walk calls the verdict maps directly, not through
+    # classify
     classify = a.fn
-    pairs = [(f.fn, b.fn, []) for f, b in checks]
+    pairs = [(f, b.fn, []) for f, b in checks]
     outside = Verdict.OUTSIDE
     checked = 0
     for w in words_up_to(bound):

@@ -12,7 +12,7 @@ from promiselab import tm
 from promiselab.config import Config
 from promiselab.enumeration import CostedFunction, polyfunc_series
 from promiselab.errors import FuelExhausted
-from promiselab.promise import OracleMachine, ReductionFn, TotalDecider
+from promiselab.promise import OracleMachine, TotalDecider
 from promiselab.tm import BLANK, MachineDesc, SYMBOLS
 from promiselab.ptm import PTMDesc
 
@@ -133,7 +133,7 @@ def runtime_poly(offset: int, slope: int = 1):
 
 
 def machine_reduction(tag: str, machine: MachineDesc,
-                      runtime: Callable[[int], int]) -> ReductionFn:
+                      runtime: Callable[[int], int]) -> Callable[[str], str]:
     """The machine's output as a word function; a run that passes its
     runtime raises FuelExhausted."""
 
@@ -143,7 +143,7 @@ def machine_reduction(tag: str, machine: MachineDesc,
             raise FuelExhausted(f"reduction {tag} exceeded its runtime on {x!r}")
         return result.output
 
-    return ReductionFn(tag, fn=apply)
+    return apply
 
 
 def karp_to_cook(machine: MachineDesc,

@@ -2,7 +2,7 @@
 
 These are what `promiselab.promise.karp_check` and the index walks of
 `promiselab.words` replace.  The check here verifies one reduction per
-walk, through `TotalDecider.classify` and `ReductionFn.__call__` on every
+walk, through `TotalDecider.classify` and a call of the reduction on every
 word; the words come from `itertools.product` over "01", one length at a
 time.  The property tests in `test_oracles.py` require the one-walk check
 to report what one call here per pair reports, and the two word walks to
@@ -12,12 +12,11 @@ yield the same words in the same order.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from promiselab.config import Config
 from promiselab.errors import CapExceeded
-from promiselab.promise import (KarpReport, KarpViolation, ReductionFn,
-                                TotalDecider, Verdict)
+from promiselab.promise import KarpReport, KarpViolation, TotalDecider, Verdict
 
 
 def words_of_length(length: int) -> Iterator[str]:
@@ -32,7 +31,7 @@ def words_up_to(max_length: int) -> Iterator[str]:
         yield from words_of_length(length)
 
 
-def karp_check(f: ReductionFn, a: TotalDecider, b: TotalDecider,
+def karp_check(f: Callable[[str], str], a: TotalDecider, b: TotalDecider,
                bound: int, config: Config = Config()) -> KarpReport:
     """Verify yes->yes and no->no on all words of length <= bound."""
     if bound > config.max_word_length:

@@ -166,7 +166,7 @@ def test_criterion_7_diagonalization_toy(diag_result):
         a = parity if w.side == "even" else const_no
         pres = inst.pres_c if w.side == "even" else inst.pres_c_prime
         va = a.classify(w.word)
-        vm = pres.produce(w.machine_index).classify(w.word)
+        vm = pres(w.machine_index).classify(w.word)
         committed_mismatch = (
             (va is Verdict.YES and vm is not Verdict.YES)
             or (va is Verdict.NO and vm is not Verdict.NO)

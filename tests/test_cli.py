@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from helpers_machines import (const_output_machine, fan_ptm, parity_machine)
-from promiselab import cli
+from promiselab import cli, diagonal
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
 from promiselab.promise import TotalDecider, Verdict, builtin, karp_check
@@ -417,22 +417,27 @@ class TestDiagonalizeCommand:
         # the report works out both checks from the result, and runs them
         # in one walk: the reduction into the marked union with const-no,
         # and the one into a
-        calls = []
+        calls, results = [], []
+        construct = diagonal.ladner
 
         def spy(a, checks, bound, config):
-            calls.append([(f.tag, a.tag, b.tag, bound) for f, b in checks])
+            calls.append((a, [(f, b.tag) for f, b in checks], bound))
             return karp_check(a, checks, bound, config=config)
 
         monkeypatch.setattr(cli, "karp_check", spy)
+        monkeypatch.setattr(diagonal, "ladner", lambda *args, **kwargs:
+                            results.append(construct(*args, **kwargs))
+                            or results[-1])
         code = dispatch(["ladner", "--a", "builtin:parity",
                          "--pres", "builtins:const-yes,const-no,len-even",
                          "--bound", "8"])
         out = capsys.readouterr().out
         assert code == 0
-        b_tag = "diag(parity;const-no)"
-        assert calls == [[
-            ("gap-mark", b_tag, "(parity)(+)(const-no)", 8),
-            ("gap-or-default", b_tag, "parity", 8)]]
+        (result,) = results
+        assert result.b.tag == "diag(parity;const-no)"
+        assert calls == [(result.b, [
+            (result.reduction, "(parity)(+)(const-no)"),
+            (result.reduction_to_a, "parity")], 8)]
         assert out.split("\n\n")[-2:] == [
             "## reduction-check\nchecked\tviolations\n511\t0",
             "## reduction-to-a\nchecked\tviolations\n511\t0\n"]

@@ -147,6 +147,17 @@ CASES = {
                 "--pres", "builtins:const-yes,const-no,len-even",
                 "--bound", "6", "--table", "8"],
                "2d57f9a42db1fdaa8b53116ce559c82521922e291e2fef6d0ed32ba12c8b1e77"),
+    # both constructions over a family presentation: clocked machines as
+    # the presented deciders, and in ladner as the harder set's oracles
+    "ladner family": (["ladner", "--a", "builtin:parity", "--pres", "family:p",
+                       "--bound", "10", "--table", "10"],
+                      "6eace1ba70e7536443518c123235037601336d9984ef72d7a9f9aae9325fb0a9"),
+    "diagonalize family": (["diagonalize", "--a", "builtin:parity",
+                            "--a-pres", "family:p",
+                            "--aprime", "builtin:const-no",
+                            "--aprime-pres", "builtins:const-yes,parity",
+                            "--bound", "10", "--table", "10"],
+                           "56d6c03a76dacdd8c4d1ad39f4c61f77ba9487325e18645e7caaa27d78826b2c"),
 }
 
 

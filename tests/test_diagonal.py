@@ -168,7 +168,7 @@ class TestBuildR:
         # of length n+1, so q(n) = n + 2
         inst = toy_instance()
         for n in range(6):
-            lengths = [len(find_contradiction(PARITY, inst.pres_c.produce(i),
+            lengths = [len(find_contradiction(PARITY, inst.pres_c(i),
                                               n, PRESENTABLE)[0])
                        for i in range(n + 1)]
             assert max(lengths) + 1 == n + 2
@@ -242,7 +242,7 @@ class TestDiagonalize:
             a = PARITY if w.side == "even" else CONST_NO
             pres = inst.pres_c if w.side == "even" else inst.pres_c_prime
             va = a.classify(w.word)
-            vm = pres.produce(w.machine_index).classify(w.word)
+            vm = pres(w.machine_index).classify(w.word)
             assert w.a_verdict is va and w.machine_verdict is vm
             in_total_diff = (
                 (va is Verdict.YES and vm is not Verdict.YES)
@@ -304,8 +304,9 @@ class TestLadner:
         # harder set of a
         inst = result.inst
         assert inst.a is PARITY and inst.a_prime is builtin("const-no")
-        assert inst.pres_c_prime.family == \
-            "harder[T](parity;cycle(const-yes,const-no,len-even))"
+        assert inst.pres_c_prime(3).tag == "harder[T,3](parity)"
+        # built once per index, so a decider keeps its checks
+        assert inst.pres_c_prime(3) is inst.pres_c_prime(3)
         assert inst.mode_c_prime == PRESENTABLE
 
 

@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from functools import partial
 
 import pytest
 
@@ -10,12 +13,11 @@ from helpers_machines import (always_accept_machine, always_reject_machine,
 from helpers_values import word_to_index
 from promiselab import enumeration
 from promiselab.circuit import Circuit, Gate, encode_circuit
-from promiselab.enumeration import (Enumeration, Polynomial,
-                                    builtins_presentation, class_presentation,
-                                    family_series, harder_set,
-                                    harder_set_presentation,
-                                    machine_series, oracle_machine_series,
-                                    pair, parse_oracle_machine, poly_series,
+from promiselab.enumeration import (Polynomial, builtins_presentation,
+                                    class_presentation, family_series,
+                                    harder_set, machine_series,
+                                    oracle_machine_series, pair,
+                                    parse_oracle_machine, poly_series,
                                     polyfunc_series, polyset_series,
                                     triple, unpair, untriple)
 from promiselab.config import Config
@@ -307,22 +309,29 @@ class TestClassPresentations:
 
 
 class TestFamilySeries:
-    @pytest.mark.parametrize("name, label, tag", [
-        ("p", "P", "p[7]"), ("NP", "NP", "np[7]"), ("polyfunc", "polyfunc", "f[7]"),
+    @pytest.mark.parametrize("name, prefix, tag", [
+        ("p", "p", "p[7]"), ("NP", "np", "np[7]"),
         ("promisebpp", "promisebpp*", "promisebpp*[7]"),
         ("PromiseMA", "promisema*", "promisema*[7]"),
         ("bqp", "bqp*", "bqp*[7]"), ("qcma", "qcma*", "qcma*[7]"),
         ("QMA", "qma*", "qma*[7]")])
-    def test_label_and_tag(self, name, label, tag):
+    def test_label_and_tag(self, name, prefix, tag):
+        # the tag is the family's prefix and the index, whatever the case
+        # of the name
         series = family_series(name)
-        assert series.family == label
-        assert series.produce(7).tag == tag
+        assert series(7).tag == tag
+        assert series(0).tag == f"{prefix}[0]"
+
+    def test_polyfunc_members_are_word_functions(self):
+        f = family_series("PolyFunc")(pair(machine_index(identity_machine()), 0))
+        assert not isinstance(f, TotalDecider)
+        assert [f(x) for x in ("", "01", "110")] == ["", "01", "110"]
 
     def test_series_use_the_configuration(self):
         series = family_series("p", Config(max_enum_index_bits=2))
-        series.produce(3)
+        series(3)
         with pytest.raises(CapExceeded):
-            series.produce(4)
+            series(4)
 
     @pytest.mark.parametrize("family", SEVEN_FAMILIES)
     def test_factory_is_looked_up_when_producing(self, family, monkeypatch):
@@ -332,7 +341,7 @@ class TestFamilySeries:
         produced = []
         monkeypatch.setattr(enumeration, "class_presentation",
                             lambda *args: produced.append(args) or PARITY)
-        assert series.produce(9) is PARITY
+        assert series(9) is PARITY
         assert produced == [(family, 9, Config())]
 
     @pytest.mark.parametrize("family", SEVEN_FAMILIES)
@@ -455,12 +464,51 @@ class TestHarderSet:
             if x:
                 assert decider.classify(x) is PARITY.classify(x)
 
+    @pytest.mark.parametrize("oracle, checked", [
+        # every check passes, so each promised word up to the longest
+        # classified one is checked once, shortest first
+        (PARITY, [y for y in words_up_to(8)
+                  if builtin("ones-promise").classify(y) is not Verdict.OUTSIDE]),
+        # the check on the empty word fails, and no later one runs
+        (builtin("const-yes"), [""])], ids=["checks-pass", "check-fails"])
+    def test_each_check_runs_once(self, oracle, checked, monkeypatch):
+        queried = []
+        run = enumeration.cook_run
+        monkeypatch.setattr(enumeration, "cook_run", lambda o, m, y:
+                            queried.append(y) or run(o, m, y))
+        decider = harder_set(builtin("ones-promise"),
+                             builtins_presentation([oracle]),
+                             pair(query_echo_index(), 0))
+        words = list(words_up_to(8))
+        for x in [*reversed(words), *words]:
+            decider.classify(x)
+        assert queried == checked
+
+    def test_decider_is_freed_without_the_cycle_collector(self):
+        # a decider holds a's memo, so a reference cycle through its kept
+        # checks would hold every classified word until a full collection
+        a = PARITY.memoized()
+        decider = harder_set(a, builtins_presentation([PARITY]),
+                             pair(query_echo_index(), 0))
+        decider.classify("0110")
+        freed = weakref.ref(a)
+        gc.disable()
+        try:
+            del a, decider
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_presentation_wrapper(self):
-        pres = harder_set_presentation(PARITY, builtins_presentation([PARITY]))
-        assert pres.family == "harder[T](parity;cycle(parity))"
-        decider = pres.produce(3)
+        # the harder set as a presentation is harder_set with a, the
+        # presentation and the configuration bound
+        pres = partial(harder_set, PARITY, builtins_presentation([PARITY]),
+                       config=Config(max_enum_index_bits=2))
+        decider = pres(3)
         assert decider.tag == "harder[T,3](parity)"
         assert decider.classify("1") in (Verdict.YES, Verdict.NO)
+        with pytest.raises(CapExceeded):
+            pres(4)
 
 
 class TestOracleMachineSeries:

@@ -38,17 +38,24 @@ verdicts when the oracle computes every principal minor.  The one-walk
 `promiselab.promise.karp_check` is checked against the single-pair walk
 kept in `oracle_promise`, one call per pair: equal reports on random
 verdict tables and word maps, and the index walks of `promiselab.words`
-against the `itertools.product` walks kept there.
+against the `itertools.product` walks kept there.  The harder-set
+decider of `promiselab.enumeration`, which keeps its checks per word
+length, is checked against the per-word walk kept in
+`oracle_enumeration`: equal verdicts for a builtin or machine-backed
+problem, presentations of one to three builtins, and words in a random
+order, some longer than the check cap.
 """
 
 import random
 from fractions import Fraction
+from typing import Callable
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle_decimal
+import oracle_enumeration
 import oracle_field
 import oracle_parser
 import oracle_promise
@@ -68,15 +75,16 @@ from promiselab.config import Config
 from promiselab.diagonal import (GapLimits, affine_costed,
                                  build_r_components, gap_member,
                                  time_construct_wrap)
-from promiselab.enumeration import Polynomial
+from promiselab.enumeration import HARDER_SET_CHECK_CAP, Polynomial
 from promiselab.errors import (BranchFuelExhausted, CapExceeded,
                                DimensionCap, FuelExhausted, NonPromisedQuery,
                                WitnessSpaceTooLarge)
 from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
-from promiselab.promise import (OracleMachine, ReductionFn, TotalDecider,
+from promiselab.promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider,
                                 Verdict, builtin, cook_run, karp_check)
 from promiselab.words import words_of_length, words_up_to
 from test_diagonal import reference_gap_member, toy_instance
+from test_enumeration import query_echo_index
 
 ALL_KINDS = ("H", "T", "CNOT")
 
@@ -648,6 +656,39 @@ class TestMemoOracle:
             assert memo.classify(w) is raw.classify(w)
 
 
+_QUERY_ECHO = query_echo_index()
+
+
+class TestHarderSetOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.sampled_from(sorted(BUILTIN_PROBLEMS)).map(builtin),
+        st.just(TotalDecider.from_machine("parity", parity_machine(),
+                                          lambda n: n + 1))),
+        st.lists(st.sampled_from(sorted(BUILTIN_PROBLEMS)).map(builtin),
+                 min_size=1, max_size=3),
+        st.one_of(st.integers(0, 199),
+                  st.integers(0, 2).map(lambda k: enumeration.pair(
+                      _QUERY_ECHO, k))),
+        st.lists(st.text("01", max_size=8), max_size=24),
+        st.lists(st.text("01", min_size=HARDER_SET_CHECK_CAP + 1,
+                         max_size=HARDER_SET_CHECK_CAP + 2), max_size=2),
+        st.integers(0, 1 << 32))
+    def test_kept_checks_equal_the_per_word_walk(self, a, pool, i, short,
+                                                 long, seed):
+        # one decider serves every word, in a random order, so later
+        # words meet the checks that earlier ones kept; the short words
+        # are those up to length 3 and a draw of those up to length 8
+        a = a.memoized()
+        pres = enumeration.builtins_presentation(pool)
+        fast = enumeration.harder_set(a, pres, i)
+        slow = oracle_enumeration.harder_set(a, pres, i)
+        words = [*words_up_to(3), *short, *long]
+        random.Random(seed).shuffle(words)
+        for w in words:
+            assert fast.classify(w) is slow.classify(w), w
+
+
 _TABLE_WORDS = list(oracle_promise.words_up_to(6))
 
 
@@ -662,7 +703,7 @@ def verdict_tables(draw, tag: str) -> TotalDecider:
 
 
 @st.composite
-def word_maps(draw) -> ReductionFn:
+def word_maps(draw) -> Callable[[str], str]:
     """A reduction given by a random map of the words up to length 6 into
     themselves, or the machine-backed identity."""
     if draw(st.integers(0, 4)) == 0:
@@ -671,7 +712,7 @@ def word_maps(draw) -> ReductionFn:
     images = draw(st.lists(st.sampled_from(_TABLE_WORDS),
                            min_size=len(_TABLE_WORDS),
                            max_size=len(_TABLE_WORDS)))
-    return ReductionFn("map", fn=dict(zip(_TABLE_WORDS, images)).__getitem__)
+    return dict(zip(_TABLE_WORDS, images)).__getitem__
 
 
 class TestKarpCheckOracle:

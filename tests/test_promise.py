@@ -13,8 +13,7 @@ from promiselab.config import Config
 from promiselab.errors import (CapExceeded, FuelExhausted, NonPromisedQuery,
                                NotTotalDecider, WitnessSpaceTooLarge)
 from promiselab.promise import (MAX_WITNESS_SPACE, OracleMachine,
-                                ReductionFn, TotalDecider,
-                                Verdict, builtin, cook_run,
+                                TotalDecider, Verdict, builtin, cook_run,
                                 differences, karp_check,
                                 marked_union, witness_verdict)
 from promiselab.tm import TRIVIAL_MACHINE
@@ -176,16 +175,13 @@ class TestMarkedUnion:
 
 class TestKarpCheck:
     def test_identity_self_reduction(self):
-        f = ReductionFn("id", fn=lambda x: x)
-        assert karp_check(PARITY, [(f, PARITY)], 5)[0].ok
+        assert karp_check(PARITY, [(lambda x: x, PARITY)], 5)[0].ok
 
     def test_constant_no_instance_against_empty_yes(self):
-        f = ReductionFn("const", fn=lambda x: "0")
-        assert karp_check(CONST_NO, [(f, PARITY)], 5)[0].ok
+        assert karp_check(CONST_NO, [(lambda x: "0", PARITY)], 5)[0].ok
 
     def test_violation_is_reported(self):
-        f = ReductionFn("flip", fn=lambda x: x + "1")
-        (report,) = karp_check(PARITY, [(f, PARITY)], 4)
+        (report,) = karp_check(PARITY, [(lambda x: x + "1", PARITY)], 4)
         assert not report.ok
         bad = report.violations[0]
         assert PARITY.classify(bad.word) is not PARITY.classify(bad.image)
@@ -206,10 +202,9 @@ class TestKarpCheck:
             seen[x] += 1
             return source.classify(x)
 
-        ident = ReductionFn("id", fn=lambda x: x)
-        flip = ReductionFn("flip", fn=lambda x: x + "1")
         reports = karp_check(TotalDecider("counted", fn=counted),
-                             [(ident, PARITY), (flip, PARITY)], 4)
+                             [(lambda x: x, PARITY),
+                              (lambda x: x + "1", PARITY)], 4)
         assert set(seen.values()) == {1} and len(seen) == 31
         assert [r.checked for r in reports] == [31, 31]
         assert reports[0].ok
@@ -218,13 +213,13 @@ class TestKarpCheck:
         assert karp_check(PARITY, [], 4) == ()
 
     def test_bound_cap(self):
-        f = ReductionFn("id", fn=lambda x: x)
+        checks = [(lambda x: x, PARITY)]
         with pytest.raises(CapExceeded):
-            karp_check(PARITY, [(f, PARITY)], 17)
+            karp_check(PARITY, checks, 17)
         config = Config(max_word_length=5)
         with pytest.raises(CapExceeded):
-            karp_check(PARITY, [(f, PARITY)], 6, config=config)
-        assert karp_check(PARITY, [(f, PARITY)], 5,
+            karp_check(PARITY, checks, 6, config=config)
+        assert karp_check(PARITY, checks, 5,
                           config=config)[0].checked == 63
 
     def test_reduction_timeout_raises(self):
