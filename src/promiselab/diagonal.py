@@ -269,9 +269,13 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     "1" accordingly, mapping into the marked union of the two problems.
     The log records, for the first witness_bound machines of each
     presentation, a contradicting word inside an interval of the correct
-    parity.
+    parity.  Each presented decider is built once per invocation: r's
+    evaluations and the witness log ask for the same indices again and
+    again.
     """
-    q, q_prime, r = build_r_components(inst)
+    built_once = replace(inst, pres_c=cache(inst.pres_c),
+                         pres_c_prime=cache(inst.pres_c_prime))
+    q, q_prime, r = build_r_components(built_once)
     gaps = GapLimits(r)
     member = gaps.member
     a, a_prime = inst.a, inst.a_prime
@@ -286,7 +290,7 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     witnesses = []
     for side in ("even", "odd"):
         for i in range(witness_bound):
-            witnesses.append(_witness_for(inst, gaps, side, i))
+            witnesses.append(_witness_for(built_once, gaps, side, i))
     return DiagResult(inst, b, gaps, q, q_prime, gap_mark, tuple(witnesses))
 
 
@@ -305,9 +309,12 @@ def ladner(
     that a Cook-reduces to), then post-composes the marked-union
     reduction with the map sending "0"+x to x and "1"+w to a fixed
     no-instance of a, so the produced problem reduces to a directly.
-    Its odd intervals blow no-instance holes into a.  The harder set's
-    deciders are built once per index, so each keeps its checks.
+    Its odd intervals blow no-instance holes into a.  The deciders of
+    pres_c and of the harder set are built once per index, so the harder
+    set's oracles are those of the construction, and each harder-set
+    decider keeps its checks.
     """
+    pres_c = cache(pres_c)
     pres_harder = cache(partial(harder_set, a, pres_c, config=config))
     inst = DiagInstance(a, builtin("const-no"), pres_c, pres_harder,
                         mode_c, PRESENTABLE, search_cap)

@@ -28,8 +28,10 @@ from . import tm
 from .config import Config
 from .errors import CapExceeded, FuelExhausted, GeneratorFuelExhausted, \
     NonPromisedQuery
+from .field import ZERO
 from .promise import (MAX_WITNESS_SPACE, OracleMachine, TotalDecider,
-                      Verdict, cook_run, witness_verdict)
+                      Verdict, _check_witness_space, cook_run,
+                      witness_verdict)
 from .words import index_to_word, words_of_length
 
 HARDER_SET_CHECK_CAP = 12
@@ -210,15 +212,36 @@ def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
     return CostedFunction(f"polyset[{i}]", cache(evaluate))
 
 
+def _reject(x: str) -> Verdict:
+    """No on every binary word: the verdict of any run of the trivial
+    machine, which answers "0" in one step or runs out of fuel at 0."""
+    if x.strip("01"):  # tm._check_inputs's test, without its loop
+        tm._check_inputs((x,))  # raises a run's ValueError
+    return Verdict.NO
+
+
 # Verdict builders: each turns (machine, clock, witness length, config)
-# into the verdict function of one presented decider.
+# into the verdict function of one presented decider.  A trivial machine,
+# the decoding of almost every index, is never run: its verdict is known
+# when the decider is built, and only the checks of a run are kept.
 def _p_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
+    if machine.trivial:
+        return _reject
     # output "1" is Yes; anything else, running past the clock included,
     # is No, so the problem is always a decision one
     return lambda x: _accepts(machine, [x], fuel(len(x)))
 
 
 def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
+    if verifier.trivial:
+        def reject(x: str) -> Verdict:
+            # the witness loop's checks, in its order: the cap, then the
+            # word, at the first witness's run
+            _check_witness_space(wit_len(len(x)), MAX_WITNESS_SPACE)
+            return _reject(x)
+
+        return reject
+
     def decide(x: str) -> Verdict:
         steps = fuel(len(x))
         return witness_verdict(wit_len(len(x)), MAX_WITNESS_SPACE,
@@ -239,6 +262,18 @@ def _ma_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
 
 def _quantum_verdict(fam, gen, fuel, wit_len,
                      config) -> Callable[[str], Verdict]:
+    if gen.trivial:
+        # the generator halts in one step with output "0", which parses
+        # as the trivial circuit, whose verdict depends on the thresholds
+        # alone; with no step it overruns, which counts as No
+        emitted = qc._trichotomy(ZERO, config)
+
+        def trivial(x: str) -> Verdict:
+            tm._check_inputs((x,))
+            return emitted if fuel(len(x)) >= 1 else Verdict.NO
+
+        return trivial
+
     classify = getattr(qc, f"classify_{fam}")
 
     def decide(x: str) -> Verdict:

@@ -128,8 +128,7 @@ def witness_verdict(m: int, cap: int,
     iff every witness gives No, otherwise outside the promise.  More than
     cap witnesses raise WitnessSpaceTooLarge before any is tried.
     """
-    if m >= cap.bit_length():  # 2^m > cap, without computing 2^m
-        raise WitnessSpaceTooLarge(f"2^{m} witnesses exceed cap {cap}")
+    _check_witness_space(m, cap)
     verdict = Verdict.NO
     for y in words_of_length(m):
         v = verdict_of(y)
@@ -138,6 +137,12 @@ def witness_verdict(m: int, cap: int,
         if v is Verdict.OUTSIDE:
             verdict = v
     return verdict
+
+
+def _check_witness_space(m: int, cap: int) -> None:
+    """Raise WitnessSpaceTooLarge when the 2^m witnesses exceed cap."""
+    if m >= cap.bit_length():  # 2^m > cap, without computing 2^m
+        raise WitnessSpaceTooLarge(f"2^{m} witnesses exceed cap {cap}")
 
 
 def marked_union(a: TotalDecider, a_prime: TotalDecider) -> TotalDecider:

@@ -1,19 +1,32 @@
-"""Reference harder-set decider: the per-word walk.
+"""Reference deciders of `promiselab.enumeration`.
 
-This is the decider that `promiselab.enumeration.harder_set` replaces.
-On every input x it walks all words y up to length
-min(|x|, HARDER_SET_CHECK_CAP) again and checks each one inside a's
-promise, keeping nothing from one input to the next.  The property test
-in `test_oracles.py` requires the two deciders to give equal verdicts.
+The per-word walk is the harder-set decider that
+`promiselab.enumeration.harder_set` replaces.  On every input x it walks
+all words y up to length min(|x|, HARDER_SET_CHECK_CAP) again and checks
+each one inside a's promise, keeping nothing from one input to the next.
+
+The unconditional run is the verdict function of a presented `p`, `np`,
+`bqp`, `qcma` or `qma` decider that runs its machine on every word, the
+trivial machine included, which `class_presentation` never runs.
+
+The property tests in `test_oracles.py` require each twin and its fast
+path to give equal verdicts, or to raise equal errors.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+from promiselab import circuit
 from promiselab.config import Config
 from promiselab.enumeration import (HARDER_SET_CHECK_CAP, Presentation,
-                                    oracle_machine_series, unpair)
-from promiselab.errors import FuelExhausted, NonPromisedQuery
-from promiselab.promise import TotalDecider, Verdict, cook_run
+                                    _accepts, _clocked,
+                                    oracle_machine_series, polyset_series,
+                                    unpair)
+from promiselab.errors import (FuelExhausted, GeneratorFuelExhausted,
+                               NonPromisedQuery)
+from promiselab.promise import (MAX_WITNESS_SPACE, TotalDecider, Verdict,
+                                cook_run, witness_verdict)
 from promiselab.words import words_up_to
 
 
@@ -41,3 +54,31 @@ def harder_set(a: TotalDecider, c_pres: Presentation, i: int, *,
         return m_k.classify(x)
 
     return TotalDecider(f"harder[T,{i}]({a.tag})", fn=decide)
+
+
+def run_verdict(family: str, i: int,
+                config: Config = Config()) -> Callable[[str], Verdict]:
+    """Verdict function of class_presentation(family, i, config) that runs
+    the machine of index i on every word, whatever it decodes to."""
+    witness = family == "np"
+    machine, fuel, *rest = _clocked(i, config, arity=3 if witness else 2)
+    if family == "p":
+        return lambda x: _accepts(machine, [x], fuel(len(x)))
+    if witness:
+        wit_len = polyset_series(rest[0], config).value
+
+        def decide_np(x: str) -> Verdict:
+            steps = fuel(len(x))
+            return witness_verdict(wit_len(len(x)), MAX_WITNESS_SPACE,
+                                   lambda y: _accepts(machine, [x, y], steps))
+
+        return decide_np
+    classify = getattr(circuit, f"classify_{family}")
+
+    def decide_quantum(x: str) -> Verdict:
+        try:
+            return classify(machine, fuel, x, config)
+        except GeneratorFuelExhausted:
+            return Verdict.NO
+
+    return decide_quantum

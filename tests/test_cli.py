@@ -2,10 +2,13 @@ from collections import Counter
 
 import pytest
 
-from helpers_machines import (const_output_machine, fan_ptm, parity_machine)
-from promiselab import cli, diagonal
+from helpers_machines import (const_output_machine, fan_ptm,
+                              identity_machine, parity_machine)
+from helpers_values import word_to_index
+from promiselab import cli, diagonal, enumeration, tm
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
+from promiselab.enumeration import pair, triple
 from promiselab.promise import TotalDecider, Verdict, builtin, karp_check
 from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
@@ -477,6 +480,72 @@ class TestConstructionWorkCounts:
         assert "violations\n511\t0\n" in capsys.readouterr().out
         assert set(words_up_to(8)) <= set(counts)
         assert set(counts.values()) == {1}
+
+
+    @pytest.mark.parametrize("argv, built", [
+        (["ladner", "--a", "builtin:parity", "--pres", "family:p",
+          "--bound", "14"], 290),
+        (["diagonalize", "--a", "builtin:parity", "--a-pres", "family:p",
+          "--aprime", "builtin:const-no",
+          "--aprime-pres", "builtins:const-yes,parity", "--bound", "10"], 218),
+    ], ids=["ladner", "diagonalize"])
+    def test_each_presented_decider_built_once(self, argv, built, monkeypatch,
+                                               capsys):
+        # r's evaluations, the witness log and, in ladner, the harder set's
+        # oracles all ask for the same indices
+        indices = []
+        present = enumeration.class_presentation
+
+        def spy(family, i, config):
+            indices.append(i)
+            return present(family, i, config)
+
+        monkeypatch.setattr(enumeration, "class_presentation", spy)
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out.endswith("\t0\n")
+        assert len(indices) == len(set(indices)) == built
+
+
+class TestEnumerateWorkCounts:
+    """Series deciders of the trivial machine answer without running it."""
+
+    # index 2^99 of the polynomial series is the constant clock 100, and
+    # machine index 0 decodes to the trivial machine
+    CLOCK = 1 << 99
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = Counter()
+        run = tm.run
+
+        def counted(machine, inputs, fuel):
+            runs[len(inputs)] += 1
+            return run(machine, inputs, fuel)
+
+        monkeypatch.setattr(tm, "run", counted)
+        return runs
+
+    def _enumerate(self, family: str, i: int, capsys) -> str:
+        assert dispatch(["enumerate", family, str(i), "--max-len", "10"]) == 0
+        return capsys.readouterr().out
+
+    def test_trivial_p_machine_never_runs(self, runs, capsys):
+        out = self._enumerate("p", pair(0, self.CLOCK), capsys)
+        assert out.count("\tno\n") == 2047
+        assert runs == {}
+
+    def test_trivial_np_verifier_never_runs(self, runs, capsys):
+        # only the witness-length machine runs, once per length
+        length = triple(word_to_index(encode_godel(identity_machine())),
+                        self.CLOCK, self.CLOCK)
+        out = self._enumerate("np", triple(0, self.CLOCK, length), capsys)
+        assert out.count("\tno\n") == 2047
+        assert runs == {1: 11}
+
+    def test_machine_runs_once_per_word(self, runs, capsys):
+        parity = word_to_index(encode_godel(parity_machine()))
+        self._enumerate("p", pair(parity, self.CLOCK), capsys)
+        assert runs == {1: 2047}
 
 
 class TestDecideWitnessClasses:

@@ -19,7 +19,7 @@ from helpers_machines import (const_output_machine, erase_left_machine,
 from helpers_values import word_to_index
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
-from promiselab.enumeration import pair, triple
+from promiselab.enumeration import pair, poly_series, triple
 from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
 
@@ -42,6 +42,12 @@ CLOCK = 1 << 99
 WITNESS_LENGTH = triple(word_to_index(encode_godel(identity_machine())),
                         CLOCK, CLOCK)
 VERIFIER = word_to_index(encode_ptm(witness_equals_one_ptm()))
+# Machine index 0 decodes to the trivial machine.  Under the witness
+# length min(16, 7n) its np decider passes the witness cap at length 2.
+TRIVIAL = pair(0, CLOCK)
+SEVEN_N = next(i for i in range(200) if poly_series(i).coefficients == (0, 7))
+WIDE = triple(word_to_index(encode_godel(const_output_machine("10000"))),
+              CLOCK, SEVEN_N)
 
 
 def _clocked(machine) -> str:
@@ -115,6 +121,16 @@ CASES = {
     "enumerate p": (["enumerate", "p", _clocked(parity_machine()),
                      "--max-len", "3"],
                     "8a0d48d03c6505e9be3aedf2624600db5a995987af0fcf32d241458adac08476"),
+    # the trivial machine and generator, which their deciders never run
+    "enumerate p trivial": (["enumerate", "p", str(TRIVIAL), "--max-len", "4"],
+                            "f9b6335e3667d456858c4392cba4199cda1baf0ac307dad9d095d9520a836167"),
+    "enumerate np trivial": (["enumerate", "np",
+                              str(triple(0, CLOCK, WITNESS_LENGTH)),
+                              "--max-len", "4"],
+                             "c6dd2599d40ac0012615e530a7287d83b3bc322d9478942cd8a0b5c1d2b75218"),
+    "enumerate bqp trivial": (["enumerate", "bqp", str(TRIVIAL),
+                               "--max-len", "4"],
+                              "a25051be7f6717affec3aa161741a54a8e8c130fabcd2f68530c512ac33bd035"),
     "enumerate np": (["enumerate", "np",
                       str(triple(VERIFIER, CLOCK, WITNESS_LENGTH)),
                       "--max-len", "3"],
@@ -209,6 +225,18 @@ def _exit_code(argv: list[str]) -> int:
     with pytest.raises(SystemExit) as exc:
         dispatch(argv)
     return exc.value.code
+
+
+def test_trivial_verifier_past_the_witness_cap(capsys):
+    # the rows before the first word of length 2, then the cap's error
+    argv = ["enumerate", "np", str(triple(0, CLOCK, WIDE)), "--max-len", "4"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        "31277dc1fa29b7bab1c3d88c9cf272d4f8f045e3bd10a69f6a54de769d53feaa"
+    assert captured.out.endswith("word\tverdict\n(empty)\tno\n0\tno\n1\tno\n")
+    assert captured.err == \
+        "error: WitnessSpaceTooLarge: 2^14 witnesses exceed cap 4096\n"
 
 
 @pytest.mark.parametrize("command", sorted(HELP))

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import islice
 
 import pytest
@@ -313,6 +315,31 @@ class TestLadner:
 def test_diagonalize_records_its_instance():
     inst = toy_instance()
     assert diagonalize(inst, witness_bound=0).inst is inst
+
+
+def test_presented_deciders_are_freed_without_the_cycle_collector():
+    # the construction builds each presented decider once and keeps it; a
+    # reference cycle through what keeps them would hold them, and a's
+    # memo, until a full collection
+    pool = [CONST_YES, CONST_NO, builtin("len-even")]
+    built = []
+
+    def pres(i: int) -> TotalDecider:
+        decider = TotalDecider(f"m{i}", fn=pool[i % len(pool)].fn)
+        built.append(weakref.ref(decider))
+        return decider
+
+    a = PARITY.memoized()
+    freed = weakref.ref(a)
+    gc.disable()
+    try:
+        result = ladner(a, pres, PRESENTABLE)
+        assert built
+        del a, result
+        assert freed() is None
+        assert [ref() for ref in built] == [None] * len(built)
+    finally:
+        gc.enable()
 
 
 def enumerate_interval_starts(r):

@@ -43,7 +43,12 @@ decider of `promiselab.enumeration`, which keeps its checks per word
 length, is checked against the per-word walk kept in
 `oracle_enumeration`: equal verdicts for a builtin or machine-backed
 problem, presentations of one to three builtins, and words in a random
-order, some longer than the check cap.
+order, some longer than the check cap.  The `p`, `np`, `bqp`, `qcma` and
+`qma` deciders of `class_presentation`, which never run the trivial
+machine, are checked against the unconditional run kept there: equal
+verdicts, or equal error types and messages, on every word up to length
+6 and on words that are not binary, for trivial and hand-built indices,
+zero fuel, an `np` witness space past its cap, and negative thresholds.
 """
 
 import random
@@ -52,7 +57,7 @@ from typing import Callable
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle_decimal
 import oracle_enumeration
@@ -64,7 +69,8 @@ import oracle_quintuples
 import oracle_simulator as ref
 import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
-    costed_toy, identity_machine, machine_reduction, parity_machine
+    costed_toy, identity_machine, machine_reduction, parity_machine, \
+    witness_equals_one_ptm
 from helpers_values import from_rows
 from promiselab import circuit, enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
@@ -78,13 +84,14 @@ from promiselab.diagonal import (GapLimits, affine_costed,
 from promiselab.enumeration import HARDER_SET_CHECK_CAP, Polynomial
 from promiselab.errors import (BranchFuelExhausted, CapExceeded,
                                DimensionCap, FuelExhausted, NonPromisedQuery,
-                               WitnessSpaceTooLarge)
+                               PromiseLabError, WitnessSpaceTooLarge)
 from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
 from promiselab.promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider,
                                 Verdict, builtin, cook_run, karp_check)
 from promiselab.words import words_of_length, words_up_to
 from test_diagonal import reference_gap_member, toy_instance
-from test_enumeration import query_echo_index
+from test_enumeration import clock_index, machine_index, ptm_index, \
+    query_echo_index
 
 ALL_KINDS = ("H", "T", "CNOT")
 
@@ -687,6 +694,76 @@ class TestHarderSetOracle:
         random.Random(seed).shuffle(words)
         for w in words:
             assert fast.classify(w) is slow.classify(w), w
+
+
+# Series indices, built as in test_cli_golden.  Index 2^99 of the
+# polynomial series is the constant 100 and index 0 the constant 0; the
+# clock n gives no step on the empty word only.  Every machine index in
+# _TRIVIAL_MACHINES decodes to the trivial machine.
+_CLOCK = 1 << 99
+_N_CLOCK = clock_index(Polynomial((0, 1)))
+_TRIVIAL_MACHINES = (0, 1, 6, 1 << 20)
+# np witness lengths: |x|, and min(16, 7n), which passes the witness cap
+# at length 2
+_WITNESS_LENGTH = enumeration.triple(machine_index(identity_machine()),
+                                     _CLOCK, _CLOCK)
+_WIDE = enumeration.triple(machine_index(const_output_machine("10000")),
+                           _CLOCK, clock_index(Polynomial((0, 7))))
+_ONE_WITNESS_QUBIT = Circuit((Gate("H", (2,)), Gate("CNOT", (2, 1))),
+                             witness_qubits=1)
+_HAND_BUILT = {
+    "p": machine_index(parity_machine()),
+    # witness_equals_one_ptm branches nowhere: a deterministic verifier
+    "np": ptm_index(witness_equals_one_ptm()),
+    **{fam: machine_index(const_output_machine(encode_circuit(
+        _ONE_WITNESS_QUBIT))) for fam in ("bqp", "qcma", "qma")},
+}
+_THRESHOLDS = st.lists(st.sampled_from(
+    [Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1, 3),
+     Fraction(2, 3), Fraction(1)]), min_size=2, max_size=2).map(sorted)
+_NEGATIVE = [Fraction(-1), Fraction(-1, 3)]
+_STRADDLING = [Fraction(-1, 3), Fraction(1, 3)]
+
+
+def _verdict_or_error(decide: Callable[[str], Verdict], x: str):
+    try:
+        return decide(x)
+    except (ValueError, PromiseLabError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPresentedRunOracle:
+    """A decider of the trivial machine answers without running it; its
+    verdicts and errors are those of running it on every word."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(sorted(_HAND_BUILT)),
+           st.one_of(st.sampled_from(_TRIVIAL_MACHINES), st.just(None)),
+           st.one_of(st.sampled_from([0, _N_CLOCK, _CLOCK]),
+                     st.integers(0, 40)),
+           st.one_of(st.sampled_from([_WITNESS_LENGTH, _WIDE]),
+                     st.integers(0, 1 << 12)),
+           _THRESHOLDS)
+    # zero fuel; a witness space past the cap; a trivial circuit that is
+    # Yes, outside the promise, or No with no step on the empty word
+    @example("p", 0, 0, 0, [Fraction(1, 3), Fraction(2, 3)])
+    @example("np", 0, _CLOCK, _WIDE, [Fraction(1, 3), Fraction(2, 3)])
+    @example("bqp", 0, 0, 0, _NEGATIVE)
+    @example("qcma", 0, _CLOCK, 0, _NEGATIVE)
+    @example("qma", 0, _N_CLOCK, 0, _STRADDLING)
+    def test_trivial_machine_verdicts_equal_its_runs(self, family, j, clock,
+                                                     wit, thresholds):
+        if j is None:
+            j = _HAND_BUILT[family]
+        else:
+            assert enumeration.machine_series(j).trivial
+        i = (enumeration.triple(j, clock, wit) if family == "np"
+             else enumeration.pair(j, clock))
+        config = Config(threshold_s=thresholds[0], threshold_c=thresholds[1])
+        fast = enumeration.class_presentation(family, i, config).fn
+        slow = oracle_enumeration.run_verdict(family, i, config)
+        for x in [*words_up_to(6), "2", "0120"]:
+            assert _verdict_or_error(fast, x) == _verdict_or_error(slow, x), x
 
 
 _TABLE_WORDS = list(oracle_promise.words_up_to(6))
