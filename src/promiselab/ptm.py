@@ -14,6 +14,13 @@ carry the number of paths they stand for, as in the path-counting
 argument for BPP in PSPACE.  Every leaf still counts once per path, so
 the counts and the leaf-uniform weighting are those of the full tree.
 
+A configuration is keyed as (state, head, right, left): right holds
+cells 0, 1, ... and left cells -1, -2, ..., each as one int of two-bit
+cell codes with blank = 0, cell 0 (or -1) in the lowest bits.  Equal
+tapes are then equal ints and need no canonical form.  Reading a cell is
+a shift and a mask, and writing one XORs in the read code XOR the
+written code, which the machine's rows table holds for each action.
+
 The Godel grammar is shared with deterministic machines; repeating a
 (state, symbol) pair contributes further actions to its branch set, and
 repeating an identical quintuple is idempotent.
@@ -22,6 +29,7 @@ repeating an identical quintuple is idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Literal
 
@@ -31,6 +39,20 @@ from .errors import BranchFuelExhausted, CapExceeded
 from .promise import MAX_WITNESS_SPACE, Verdict, witness_verdict
 
 Action = tuple[int, str, str]
+# An action on a read code: (next state, read code XOR written code, head
+# delta, choice), choice being the action's index in a branch set of two
+# or more actions and None in a set of one.
+Step = tuple[int, int, int, int | None]
+
+# Two-bit cell codes, blank = 0.  A leaf reads its head cell's code with
+# the next cell's above it, so output "1" is the code of 1 over a blank's.
+_CODE = {tm.BLANK: 0, "0": 1, "1": 2}
+_OUT_ONE, _OUT_ZERO = _CODE["1"], _CODE["0"]
+# Between cells and base-4 digits: input text, a bytearray of codes, and
+# the hex digits of an int tape, each two cells, the higher cell first.
+_TEXT_DIGITS = str.maketrans({sym: str(code) for sym, code in _CODE.items()})
+_CELL_DIGITS = bytes.maketrans(b"\0\1\2", b"012")
+_HEX_CELLS = {ord(f"{d:x}"): chr(d >> 2) + chr(d & 3) for d in range(16)}
 
 
 @dataclass(frozen=True)
@@ -54,6 +76,22 @@ class PTMDesc:
         set, in the set's canonical order."""
         return [(key, action) for key, actions in self.transitions.items()
                 for action in actions]
+
+    @cached_property
+    def rows(self) -> list[tuple[tuple[Step, ...], ...] | None]:
+        """rows[state]: None for a final state, otherwise its branch sets
+        indexed by the code of the symbol read (see Step)."""
+        return [None if s in self.finals else tuple(
+                    _steps(code, self.transitions[(s, sym)])
+                    for sym, code in _CODE.items())
+                for s in range(self.states)]
+
+
+def _steps(code: int, actions: tuple[Action, ...]) -> tuple[Step, ...]:
+    lone = len(actions) == 1
+    return tuple((t, code ^ _CODE[wsym], tm._MOVE_DELTA[move],
+                  None if lone else choice)
+                 for choice, (t, wsym, move) in enumerate(actions))
 
 
 TRIVIAL_PTM = PTMDesc(states=1, initial=0, finals=frozenset(),
@@ -92,9 +130,10 @@ def load_ptm_file(path: str) -> PTMDesc:
 
 # Configurations stepped together.  Equal configurations merge only
 # within one chunk, so the width trades speed against the size of the
-# merge tables: on 2^12-2^16-leaf complete trees traced allocations peak
-# at 0.32 MB (16-bit inputs) and 0.58 MB (256-bit) at 256, and at up to
-# 1.5 and 6.5 MB unchunked, for a walk about 8% slower than unchunked.
+# merge tables: on the 2^12-2^16-leaf complete trees of five perfbench
+# `branches` cycles, traced allocations peak at 0.25 MB (16-bit inputs)
+# and 0.31 MB (256-bit) at 256, and at up to 1.6 and 1.5 MB unchunked,
+# for a walk about 4% slower than unchunked.
 _CHUNK = 256
 
 
@@ -129,39 +168,45 @@ def enumerate_branches(
         if fuel < 1 and on_overrun == "raise":
             raise BranchFuelExhausted((), fuel)
         return BranchStats(0, 1, 1, Fraction(0), Fraction(1))
-    finals, table, delta = m.finals, m.transitions, tm._MOVE_DELTA
+    rows = m.rows
     budget = config.max_branch_configs
     expanded = accepting = rejecting = total = 0
-    # A configuration is (state, head, lo, text): text is the tape from
-    # its first non-blank cell, lo, through its last (see _tape), so equal
-    # tapes have equal keys.  Its entry carries the number of tree paths
-    # reaching it and the link (choice, parent link) of the least of them;
-    # None is the root.
-    stack = [(0, [((m.initial, 0, *_tape(0, tm.BLANK.join(inputs))), 1, None)])]
+    # A configuration is (state, head, right, left), its tape as the two
+    # int halves of the module docstring.  Its entry is [the number of
+    # tree paths reaching it, the link (choice, parent link) of the least
+    # of them]; None is the root.
+    digits = tm.BLANK.join(inputs)[::-1].translate(_TEXT_DIGITS)
+    root = (m.initial, 0, int(digits or "0", 4), 0)
+    stack = [(0, [(root, [1, None])])]
     while stack:
         steps, frontier = stack.pop()
         while frontier:
             if len(frontier) == 1:
-                (key, count, link), = frontier
-                key, ran = _run_alone(table, finals, key,
+                (key, entry), = frontier
+                key, ran = _run_alone(rows, key,
                                       min(fuel - steps, budget - expanded))
                 steps += ran
                 expanded += ran
-                frontier = [(key, count, link)]
+                frontier = [(key, entry)]
             # Entries come in the order of their least paths and children
             # are inserted in choice order, so a configuration's first
             # insertion carries its least path and the next frontier is
             # again in that order.
-            counts, links = {}, {}
-            for key, count, link in frontier:
-                state, head, lo, text = key
-                i = head - lo
-                if state in finals:
+            children = {}
+            for (state, head, right, left), (count, link) in frontier:
+                if head >= 0:
+                    shift = head << 1
+                    sym = right >> shift & 3
+                else:
+                    shift = ~head << 1
+                    sym = left >> shift & 3
+                row = rows[state]
+                if row is None:
                     total += count
-                    output = text[i:].partition(tm.BLANK)[0] if i >= 0 else ""
-                    if output == "1":
+                    out = sym | _cell(head + 1, right, left) << 2
+                    if out == _OUT_ONE:
                         accepting += count
-                    elif output == "0":
+                    elif out == _OUT_ZERO:
                         rejecting += count
                     continue
                 if steps == fuel:
@@ -174,22 +219,21 @@ def enumerate_branches(
                 if expanded > budget:
                     raise CapExceeded(f"branch enumeration exceeds {budget} "
                                       "configuration steps (max-branch-configs)")
-                sym = text[i] if 0 <= i < len(text) else tm.BLANK
-                actions = table[(state, sym)]
-                branching = len(actions) > 1
-                for idx, (t, wsym, move) in enumerate(actions):
-                    if wsym == sym:
-                        child = (t, head + delta[move], lo, text)
+                for t, flip, delta, choice in row[sym]:
+                    if not flip:
+                        child = (t, head + delta, right, left)
+                    elif head >= 0:
+                        child = (t, head + delta, right ^ flip << shift, left)
                     else:
-                        child = (t, head + delta[move], *_tape(lo, text, i, wsym))
-                    if child in counts:
-                        counts[child] += count
-                    else:
-                        counts[child] = count
-                        links[child] = (idx, link) if branching else link
+                        child = (t, head + delta, right, left ^ flip << shift)
+                    new = [count, link if choice is None else (choice, link)]
+                    entry = children.setdefault(child, new)
+                    if entry is not new:
+                        entry[0] += count
             steps += 1
-            frontier = list(zip(counts, counts.values(), links.values()))
+            frontier = children.items()
             if len(frontier) > _CHUNK:
+                frontier = list(frontier)
                 stack.extend((steps, frontier[i:i + _CHUNK]) for i in
                              reversed(range(0, len(frontier), _CHUNK)))
                 break
@@ -199,47 +243,54 @@ def enumerate_branches(
                        Fraction(accepting, total), Fraction(rejecting, total))
 
 
-def _run_alone(table, finals, key, limit: int):
+def _run_alone(rows, key, limit: int):
     """Step one configuration for at most `limit` steps, up to its first
-    branch or final state; returns it with the number of steps taken."""
-    state, head, lo, text = key
-    cells = list(text)  # padded with blanks at either end on demand
-    i, delta = head - lo, tm._MOVE_DELTA
+    branch or final state; returns it with the number of steps taken.
+
+    The stretch steps over a bytearray of cell codes, made from the int
+    tapes and turned back into them once, each in time linear in the
+    tape, so a long deterministic walk stays linear."""
+    state, head, right, left = key
+    row = rows[state]
+    if not limit or row is None or len(row[_cell(head, right, left)]) > 1:
+        return key, 0
+    # cells[zero] is cell 0; the array is padded with blanks at either
+    # end on demand
+    cells = bytearray(_hex_cells(left))
+    zero = len(cells)
+    cells += _hex_cells(right)[::-1]
+    i = head + zero
     steps = 0
-    while steps < limit and state not in finals:
+    while steps < limit and row is not None:
         if not 0 <= i < len(cells):
-            pad = [tm.BLANK] * (len(cells) + abs(i) + 1)
+            pad = bytes(len(cells) + abs(i) + 1)
             if i < 0:
                 cells[:0] = pad
-                lo -= len(pad)
+                zero += len(pad)
                 i += len(pad)
             else:
                 cells += pad
-        sym = cells[i]
-        actions = table[(state, sym)]
+        actions = row[cells[i]]
         if len(actions) > 1:
             break
-        state, cells[i], move = actions[0]
-        i += delta[move]
+        (state, flip, delta, _), = actions
+        cells[i] ^= flip
+        i += delta
         steps += 1
-    if not steps:
-        return key, 0
-    return (state, lo + i, *_tape(lo, "".join(cells))), steps
+        row = rows[state]
+    right = int(cells[zero:][::-1].translate(_CELL_DIGITS) or b"0", 4)
+    left = int(cells[:zero].translate(_CELL_DIGITS) or b"0", 4)
+    return (state, i - zero, right, left), steps
 
 
-def _tape(lo: int, text: str, i: int = 0, sym: str = "") -> tuple[int, str]:
-    """The canonical (lo, text) of the tape holding text from cell lo,
-    after writing sym, if given, at index i of text, which may lie outside
-    it.  Neither end of the canonical text is a blank, and the blank tape
-    is (0, "")."""
-    if sym:
-        if i < 0:
-            text, lo, i = tm.BLANK * -i + text, lo + i, 0
-        text = text.ljust(i, tm.BLANK)[:i] + sym + text[i + 1:]
-    body = text.lstrip(tm.BLANK)
-    if not body:
-        return 0, ""
-    return lo + len(text) - len(body), body.rstrip(tm.BLANK)
+def _cell(head: int, right: int, left: int) -> int:
+    """The code in cell `head` of the int tapes."""
+    return right >> (head << 1) & 3 if head >= 0 else left >> (~head << 1) & 3
+
+
+def _hex_cells(tape: int) -> bytes:
+    """The cell codes of an int tape, its highest cell first."""
+    return format(tape, "x").translate(_HEX_CELLS).encode()
 
 
 def _path(link) -> tuple[int, ...]:

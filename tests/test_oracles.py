@@ -570,6 +570,16 @@ def _assert_branches_match(m, inputs, fuel, chunks=(2, ptm._CHUNK)) -> None:
 ORACLE_LEAVES = 1024
 
 
+def _assume_small_tree(m, inputs, fuel, max_leaves=ORACLE_LEAVES) -> None:
+    try:
+        leaves = ptm.enumerate_branches(
+            m, inputs, fuel, "reject",
+            config=Config(max_branch_configs=40 * max_leaves)).total
+    except CapExceeded:
+        leaves = max_leaves + 1
+    assume(leaves <= max_leaves)
+
+
 class TestBranchOracle:
     @settings(max_examples=300)
     @given(ptms(max_states=5),
@@ -578,14 +588,38 @@ class TestBranchOracle:
     def test_random_machines(self, m, inputs, fuel):
         # fuel up to 40 over inputs up to 12 bits: lone configurations
         # write past both ends of the input before the tree branches again
-        try:
-            leaves = ptm.enumerate_branches(
-                m, inputs, fuel, "reject",
-                config=Config(max_branch_configs=40 * ORACLE_LEAVES)).total
-        except CapExceeded:
-            leaves = ORACLE_LEAVES + 1
-        assume(leaves <= ORACLE_LEAVES)
+        _assume_small_tree(m, inputs, fuel)
         _assert_branches_match(m, inputs, fuel)
+
+    @settings(max_examples=60)
+    @given(ptms(max_states=5),
+           st.lists(st.text(alphabet="01", min_size=14, max_size=40),
+                    min_size=1, max_size=2),
+           st.integers(0, 90))
+    def test_inputs_across_int_digits(self, m, inputs, fuel):
+        # at two bits a cell, cells 15 and up lie past the first 30-bit
+        # digit of a CPython int, so reads and writes there cross digits
+        _assume_small_tree(m, inputs, fuel, max_leaves=1000)
+        _assert_branches_match(m, inputs, fuel)
+
+    @pytest.mark.parametrize("move, back", [("R", "L"), ("L", "R")])
+    def test_lone_walk_far_from_the_written_cells(self, move, back):
+        # five merging branch rounds carry the head ten cells past the
+        # written ones, where the lone stretch writes a 1, steps on to
+        # write a blank, and steps back: each of the 32 paths accepts
+        table, s = {}, 0
+        for _ in range(5):
+            for sym in tm.SYMBOLS:
+                table[(s, sym)] = ((s + 1, sym, move), (s + 2, sym, move))
+                table[(s + 1, sym)] = table[(s + 2, sym)] = \
+                    ((s + 3, sym, move),)
+            s += 3
+        for sym in tm.SYMBOLS:
+            table[(s, sym)] = ((s + 1, "1", move),)
+            table[(s + 1, sym)] = ((s + 2, tm.BLANK, back),)
+        m = ptm.PTMDesc(s + 3, 0, frozenset({s + 2}), table)
+        assert ptm.enumerate_branches(m, ["01"], 40).accepting == 32
+        _assert_branches_match(m, ["01"], 40)
 
     @pytest.mark.parametrize("fuel", [0, 3, 6, 7, 8, 9])
     def test_wide_trees_split_into_chunks(self, fuel):

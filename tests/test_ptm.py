@@ -90,6 +90,46 @@ class TestEnumerateBranches:
             assert total % denominator == 0
 
 
+def left_writer_ptm(cells: str) -> PTMDesc:
+    """Deterministic PTM: write `cells` over cells -len(cells) to -1 and
+    halt on the first of them."""
+    k = len(cells)
+    table = {(0, sym): ((1, sym, "L"),) for sym in ("0", "1", BLANK)}
+    for j in range(1, k + 1):
+        table.update({(j, sym): ((j + 1, cells[k - j], "L" if j < k else "N"),)
+                      for sym in ("0", "1", BLANK)})
+    return PTMDesc(states=k + 2, initial=0, finals=frozenset({k + 1}),
+                   transitions=table)
+
+
+class TestVerdictCells:
+    """A leaf's output is read from its head cell rightwards up to the
+    next blank, wherever the head halts."""
+
+    @pytest.mark.parametrize("cells, x, verdict", [
+        ("1", "", (1, 0)),      # "1" in cell -1, a blank in cell 0
+        ("1", "0", (0, 0)),     # cell 0 holds input: output "10"
+        ("0", "", (0, 1)),
+        ("1_", "", (1, 0)),     # halts on cell -2, cell -1 blank
+        ("0_", "0", (0, 1)),
+        ("10", "", (0, 0)),
+        ("11_", "1", (0, 0)),   # output "11"
+        ("_", "1", (0, 0)),     # output ""
+    ])
+    def test_halt_left_of_cell_0(self, cells, x, verdict):
+        stats = enumerate_branches(left_writer_ptm(cells), [x], 10)
+        assert (stats.accepting, stats.rejecting, stats.total) == (*verdict, 1)
+
+    @pytest.mark.parametrize("x, verdict", [("0" * 255 + "1", (1, 0)),
+                                            ("1" * 255 + "0", (0, 1))])
+    def test_halt_on_the_last_cell_of_a_long_input(self, x, verdict):
+        m = PTMDesc(states=2, initial=0, finals=frozenset({1}), transitions={
+            (0, "0"): ((0, "0", "R"),), (0, "1"): ((0, "1", "R"),),
+            (0, BLANK): ((1, BLANK, "L"),)})
+        stats = enumerate_branches(m, [x], 300)
+        assert (stats.accepting, stats.rejecting, stats.total) == (*verdict, 1)
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("fan_out, depth", [
         (1, 1), (1, 9), (2, 1), (2, 12), (3, 7), (4, 6), (9, 3)])
@@ -107,6 +147,16 @@ class TestClosedForms:
             stats = enumerate_branches(fan_ptm(accepting, total), ["101"], 10)
             assert (stats.accepting, stats.rejecting, stats.total) == \
                 (accepting, total - accepting, total)
+
+
+def _keep(s: int, t: int, move: str) -> dict:
+    """State s goes to t, keeps the symbol it reads and moves."""
+    return {(s, sym): ((t, sym, move),) for sym in ("0", "1", BLANK)}
+
+
+def _write(s: int, t: int, w: str, move: str) -> dict:
+    """State s goes to t, writes w whatever it reads and moves."""
+    return {(s, sym): ((t, w, move),) for sym in ("0", "1", BLANK)}
 
 
 class TestBranchConfigCap:
@@ -135,18 +185,35 @@ class TestBranchConfigCap:
         # both branches end with the input's cell 0 and a 1 two cells
         # away, one by restoring cell 0: the two merge before state 5,
         # which then steps once, not twice (1 + 2 * 4 + 1 steps)
-        keep = lambda s, t, move: {(s, sym): ((t, sym, move),)
-                                   for sym in ("0", "1", BLANK)}
-        write = lambda s, t, w, move: {(s, sym): ((t, w, move),)
-                                       for sym in ("0", "1", BLANK)}
         m = PTMDesc(states=7, initial=0, finals=frozenset({6}), transitions={
             **{(0, sym): ((1, "0", out), (1, "1", out))
                for sym in ("0", "1", BLANK)},
-            **keep(1, 2, out), **write(2, 3, "1", back), **keep(3, 4, back),
-            **write(4, 5, "0", "N"), **keep(5, 6, "N")})
+            **_keep(1, 2, out), **_write(2, 3, "1", back),
+            **_keep(3, 4, back), **_write(4, 5, "0", "N"), **_keep(5, 6, "N")})
         stats = enumerate_branches(m, ["000"], 10,
                                    config=Config(max_branch_configs=10))
         assert (stats.accepting, stats.rejecting, stats.total) == (0, 0, 2)
+        with pytest.raises(CapExceeded):
+            enumerate_branches(m, ["000"], 10,
+                               config=Config(max_branch_configs=9))
+
+    @pytest.mark.parametrize("out, back, verdict", [("R", "L", (0, 2, 2)),
+                                                   ("L", "R", (0, 0, 2))])
+    def test_blank_restored_tapes_merge(self, out, back, verdict):
+        # three cells out, past the input's right end or left of cell 0,
+        # one branch writes a 1 there and a blank back over it, the other
+        # only waits: the two merge before state 5, which then steps once,
+        # not twice (1 + 2 * 4 + 1 steps)
+        m = PTMDesc(states=11, initial=0, finals=frozenset({10}), transitions={
+            **{(0, sym): ((1, sym, out), (6, sym, out))
+               for sym in ("0", "1", BLANK)},
+            **_keep(1, 2, out), **_keep(2, 3, out), **_write(3, 4, "1", "N"),
+            **_write(4, 5, BLANK, back),
+            **_keep(6, 7, out), **_keep(7, 8, out), **_keep(8, 9, "N"),
+            **_keep(9, 5, back), **_keep(5, 10, "N")})
+        stats = enumerate_branches(m, ["000"], 10,
+                                   config=Config(max_branch_configs=10))
+        assert (stats.accepting, stats.rejecting, stats.total) == verdict
         with pytest.raises(CapExceeded):
             enumerate_branches(m, ["000"], 10,
                                config=Config(max_branch_configs=9))
