@@ -24,7 +24,7 @@ from .promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider, Verdict,
                       builtin, cook_run, differences, karp_check,
                       marked_union)
 from .ptm import (BranchStats, PTMDesc, TRIVIAL_PTM, classify_bpp,
-                  classify_ma, decode_ptm, encode_ptm, enumerate_branches)
+                  classify_ma, decode_ptm, enumerate_branches)
 from .tm import (MachineDesc, RunResult, Halted, FuelExhaustedResult,
                  TRIVIAL_MACHINE, decode_godel, encode_godel, run)
 

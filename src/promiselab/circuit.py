@@ -50,7 +50,7 @@ from typing import Callable, Iterator
 from . import tm
 from .config import Config
 from .errors import DimensionCap, GeneratorFuelExhausted
-from .field import (SQRT2_INV, ZERO, ExactMatrix, FieldElem, real_sign,
+from .field import (ZERO, ExactMatrix, FieldElem, real_sign,
                     scaled_identity, sylvester_pd, sylvester_psd)
 from .promise import Verdict, witness_verdict
 
@@ -121,20 +121,6 @@ class StateVector:
     k: int
     width: int
     packed: tuple[int, int, int, int]
-
-    @property
-    def coords(self) -> tuple[tuple[int, ...], ...]:
-        """The four coordinate vectors (a_j), (b_j), (c_j), (d_j)."""
-        size = 1 << self.num_qubits
-        return tuple(tuple(_signed(raw, self.width))
-                     for raw in _lane_bytes(self.packed, size, self.width))
-
-    @property
-    def amplitudes(self) -> tuple[FieldElem, ...]:
-        """The amplitudes as exact elements of Q(1/sqrt2, i)."""
-        m, odd = divmod(self.k, 2)
-        amps = (_readout(r, m) for r in zip(*self.coords))
-        return tuple(amp * SQRT2_INV for amp in amps) if odd else tuple(amps)
 
 
 def parse_circuit(bits: str, expect_witness_header: bool = False) -> Circuit:

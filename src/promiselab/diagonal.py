@@ -152,18 +152,18 @@ def find_contradiction(
     representable = mode == REPRESENTABLE
     if mode not in (REPRESENTABLE, PRESENTABLE):
         raise ValueError(f"unknown mode {mode!r}")
-    cost = 0
     scanned = 0
     for length in range(n + 1, n + cap + 1):
         for z in words_of_length(length):
             scanned += 1
             if scanned > WORD_SCAN_BUDGET:
                 raise NoContradictionFound(machine_index, n, cap)
-            cost += 3  # one word enumerated, two classification calls
             va = a.classify(z)
             vm = machine.classify(z)
             if va.separates(vm) or (not representable and vm.separates(va)):
-                return z, cost
+                # 3 per word scanned: one word enumerated, two
+                # classification calls
+                return z, 3 * scanned
     raise NoContradictionFound(machine_index, n, cap)
 
 

@@ -251,13 +251,12 @@ def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
 
 
 def _bpp_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
-    return lambda x: ptm_mod.classify_bpp(machine, fuel, x,
-                                          on_overrun="reject", config=config)
+    return lambda x: ptm_mod.classify_bpp(machine, fuel, x, config=config)
 
 
 def _ma_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
     return lambda x: ptm_mod.classify_ma(machine, fuel, wit_len, x,
-                                         on_overrun="reject", config=config)
+                                         config=config)
 
 
 def _quantum_verdict(fam, gen, fuel, wit_len,

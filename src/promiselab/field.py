@@ -5,6 +5,8 @@ Every amplitude and acceptance probability in this package lives in the
 An element is stored as four exact rationals, so equality is literal and
 sign decisions on the real subfield a + b/sqrt(2) reduce to the integer
 comparison of 2*a^2 against b^2.  No floating point is ever consulted.
+The package adds and multiplies only integer coordinates, inside `det`
+and the circuit simulator, so a FieldElem only subtracts and conjugates.
 
 The module also provides exact Hermitian linear algebra on matrices over
 the field: determinants by fraction-free (Bareiss) elimination over the
@@ -24,7 +26,6 @@ from math import isqrt, lcm
 from .errors import NonRealInput, NotHermitian
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -37,27 +38,9 @@ class FieldElem:
     c: Fraction = _ZERO
     d: Fraction = _ZERO
 
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem(self.a + other.a, self.b + other.b,
-                         self.c + other.c, self.d + other.d)
-
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return FieldElem(self.a - other.a, self.b - other.b,
                          self.c - other.c, self.d - other.d)
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        # (1/sqrt2)^2 = 1/2 and i^2 = -1 drive the basis products.
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return FieldElem(
-            a1 * a2 + _HALF * b1 * b2 - c1 * c2 - _HALF * d1 * d2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + c1 * a2 + _HALF * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
 
     def conjugate(self) -> "FieldElem":
         return FieldElem(self.a, self.b, -self.c, -self.d)
@@ -70,8 +53,6 @@ class FieldElem:
 
 
 ZERO = FieldElem()
-ONE = FieldElem(_ONE)
-SQRT2_INV = FieldElem(_ZERO, _ONE)
 
 
 def real_sign(x: FieldElem) -> int:

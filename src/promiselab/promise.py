@@ -171,10 +171,6 @@ class KarpReport:
     checked: int
     violations: tuple[KarpViolation, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def karp_check(a: TotalDecider,
                checks: Sequence[tuple[Callable[[str], str], TotalDecider]],

@@ -119,10 +119,6 @@ def decode_ptm(bits: str) -> PTMDesc:
         return TRIVIAL_PTM
 
 
-# The grammar is shared: a PTM encodes as its quintuples in canonical order.
-encode_ptm = tm.encode_godel
-
-
 def load_ptm_file(path: str) -> PTMDesc:
     with open(path, "r", encoding="ascii") as fh:
         return decode_ptm(fh.read().rstrip("\n"))
@@ -157,8 +153,8 @@ def enumerate_branches(
     A branch that fails to halt within fuel raises BranchFuelExhausted
     with the lexicographically least choice sequence of such a path (the
     first a depth-first walk meets), or with on_overrun="reject" is
-    counted as a rejecting leaf (the convention used by the class
-    presentations).  More than config.max_branch_configs configuration
+    counted as a rejecting leaf (the convention of classify_bpp and
+    classify_ma).  More than config.max_branch_configs configuration
     steps raise CapExceeded.
     """
     if fuel < 0:
@@ -306,17 +302,16 @@ def classify_bpp(
     runtime: Callable[[int], int],
     x: str,
     *,
-    on_overrun: Literal["raise", "reject"] = "raise",
     config: Config = Config(),
 ) -> Verdict:
     """Threshold trichotomy on the exact acceptance fraction.
 
     No iff p_acc <= s, else Yes iff p_acc >= c (both non-strict, so at
     c = s Yes means p_acc > s), else outside the promise.  Fuel is
-    runtime(len(x)); a branch overrunning it indicates the machine
-    violates its runtime bound.
+    runtime(len(x)); a branch overrunning it violates the runtime bound
+    and counts as a rejecting leaf, so the verdict is total.
     """
-    stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun=on_overrun,
+    stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun="reject",
                                config=config)
     return _trichotomy(stats.p_acc, config)
 
@@ -327,18 +322,19 @@ def classify_ma(
     wit_len: Callable[[int], int],
     x: str,
     *,
-    on_overrun: Literal["raise", "reject"] = "raise",
     config: Config = Config(),
 ) -> Verdict:
     """Existential/universal witness loop over the second tape input.
 
     Yes iff some witness of the prescribed length gets classify_bpp's
-    Yes, No iff all get its No, otherwise outside the promise.
+    Yes, No iff all get its No, otherwise outside the promise.  As in
+    classify_bpp, a branch overrunning runtime(len(x)) counts as a
+    rejecting leaf.
     """
     m_len = wit_len(len(x))
     fuel = runtime(len(x))
     return witness_verdict(m_len, MAX_WITNESS_SPACE, lambda y: _trichotomy(
-        enumerate_branches(m, [x, y], fuel, on_overrun=on_overrun,
+        enumerate_branches(m, [x, y], fuel, on_overrun="reject",
                            config=config).p_acc,
         config))
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from promiselab.field import ONE, ZERO, ExactMatrix, FieldElem
+from helpers_values import ONE, fmul, fneg
+from promiselab.field import ZERO, ExactMatrix, FieldElem
 
 
 def abs2(x: FieldElem) -> FieldElem:
@@ -30,7 +31,7 @@ def _inverse(x: FieldElem) -> FieldElem:
     norm = abs2(x)  # real: e + f/sqrt(2)
     e, f = norm.a, norm.b
     denom = e * e - Fraction(1, 2) * f * f  # rational, nonzero for nonzero x
-    return x.conjugate() * FieldElem(e / denom, -f / denom)
+    return fmul(x.conjugate(), FieldElem(e / denom, -f / denom))
 
 
 def det(m: ExactMatrix) -> FieldElem:
@@ -47,12 +48,12 @@ def det(m: ExactMatrix) -> FieldElem:
             a[col], a[pivot] = a[pivot], a[col]
             sign_flip = not sign_flip
         pivot_value = a[col][col]
-        result = result * pivot_value
+        result = fmul(result, pivot_value)
         inv = _inverse(pivot_value)
         for r in range(col + 1, n):
             if a[r][col] == ZERO:
                 continue
-            factor = a[r][col] * inv
+            factor = fmul(a[r][col], inv)
             for k in range(col, n):
-                a[r][k] = a[r][k] - factor * a[col][k]
-    return -result if sign_flip else result
+                a[r][k] = a[r][k] - fmul(factor, a[col][k])
+    return fneg(result) if sign_flip else result

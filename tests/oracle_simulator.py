@@ -24,13 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, neg, sub
 
+from helpers_values import ONE, SQRT2_INV, coords, fadd, fmul
 from oracle_field import abs2
 from promiselab import circuit
 from promiselab.circuit import Circuit
 from promiselab.config import Config
 from promiselab.errors import DimensionCap
-from promiselab.field import (ExactMatrix, FieldElem, ONE, SQRT2_INV, ZERO,
-                              scaled_identity)
+from promiselab.field import ExactMatrix, FieldElem, ZERO, scaled_identity
 from promiselab.promise import witness_verdict
 from promiselab.words import words_of_length
 
@@ -52,13 +52,13 @@ def simulate(c: Circuit, basis_input: str) -> tuple[FieldElem, ...]:
                     continue
                 j = i | bit
                 u, v = amps[i], amps[j]
-                amps[i] = (u + v) * SQRT2_INV
-                amps[j] = (u - v) * SQRT2_INV
+                amps[i] = fmul(fadd(u, v), SQRT2_INV)
+                amps[j] = fmul(u - v, SQRT2_INV)
         elif g.kind == "T":
             bit = 1 << (n - g.qubits[0])
             for i in range(size):
                 if i & bit:
-                    amps[i] = amps[i] * T_PHASE
+                    amps[i] = fmul(amps[i], T_PHASE)
         else:
             cbit = 1 << (n - g.qubits[0])
             tbit = 1 << (n - g.qubits[1])
@@ -129,13 +129,12 @@ def simulate_coords(c: Circuit, basis_input: str
 def amplitudes(k: int, coords) -> tuple[FieldElem, ...]:
     """The field elements (a + b*w + c*w^2 + d*w^3) / sqrt2^k, with
     w = (1 + i)/sqrt2 and w^3 = (-1 + i)/sqrt2 expanded directly."""
-    scale = ONE
-    for _ in range(k):
-        scale = scale * SQRT2_INV
+    scale = fmul(ONE, *[SQRT2_INV] * k)
     w3 = FieldElem(Fraction(0), Fraction(-1), Fraction(0), Fraction(1))
-    return tuple((FieldElem(Fraction(a)) + FieldElem(Fraction(b)) * T_PHASE
-                  + FieldElem(Fraction(0), Fraction(0), Fraction(c))
-                  + FieldElem(Fraction(d)) * w3) * scale
+    return tuple(fmul(fadd(FieldElem(Fraction(a)),
+                           fmul(FieldElem(Fraction(b)), T_PHASE),
+                           FieldElem(Fraction(0), Fraction(0), Fraction(c)),
+                           fmul(FieldElem(Fraction(d)), w3)), scale)
                  for a, b, c, d in zip(*coords))
 
 
@@ -147,7 +146,7 @@ def p_acc(c: Circuit, basis_input: str | None = None) -> FieldElem:
         return ZERO
     total = ZERO
     for amp in amps[len(amps) // 2:]:
-        total = total + abs2(amp)
+        total = fadd(total, abs2(amp))
     return total
 
 
@@ -163,7 +162,7 @@ def acceptance_operator(c: Circuit) -> ExactMatrix:
         for right in states:
             acc = ZERO
             for u, v in zip(left, right):
-                acc = acc + u.conjugate() * v
+                acc = fadd(acc, fmul(u.conjugate(), v))
             row.append(acc)
         rows.append(tuple(row))
     return ExactMatrix(tuple(rows))
@@ -190,7 +189,7 @@ def acceptance_operator_per_witness(c: Circuit,
     runs = [circuit.simulate(c, _witness_input(c, y), config)
             for y in words_of_length(m)]
     half = 1 << c.total_qubits - 1
-    halves = [[list(xs[half:]) for xs in state.coords] for state in runs]
+    halves = [[list(xs[half:]) for xs in coords(state)] for state in runs]
     k = runs[0].k
     rows = tuple(tuple(circuit._readout(circuit._inner(left, right), k)
                        for right in halves) for left in halves)

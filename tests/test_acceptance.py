@@ -156,7 +156,7 @@ def test_criterion_7_diagonalization_toy(diag_result):
     # (b) reduction into the marked union, zero violations to length 10
     target = marked_union(parity, const_no)
     assert karp_check(diag_result.b, [(diag_result.reduction, target)],
-                      10)[0].ok
+                      10)[0].violations == ()
     # (c) a re-verified contradiction inside the correct parity interval
     # for every presented machine
     assert len(diag_result.witnesses) == 6
@@ -181,7 +181,8 @@ def test_criterion_8_ladner_holes(ladner_result):
     parity = builtin("parity")
     assert ladner_result.reduction_to_a is not None
     assert karp_check(ladner_result.b,
-                      [(ladner_result.reduction_to_a, parity)], 10)[0].ok
+                      [(ladner_result.reduction_to_a, parity)],
+                      10)[0].violations == ()
     # an odd-interval word where the source problem answers Yes but the
     # constructed problem answers No
     limit, k = 0, 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 np = pytest.importorskip("numpy")
 
 from helpers_machines import const_output_machine, diverging_machine
-from helpers_values import to_complex
+from helpers_values import ONE, amplitudes, fadd, to_complex
 from oracle_field import abs2
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, classify_bqp,
@@ -16,7 +16,7 @@ from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 p_acc, parse_circuit, simulate)
 from promiselab.config import Config
 from promiselab.errors import DimensionCap, GeneratorFuelExhausted
-from promiselab.field import FieldElem, ZERO
+from promiselab.field import FieldElem, ZERO, real_sign
 from promiselab.promise import Verdict
 
 # the worked encoding example: H(2), T(1), CNOT(2,3), CNOT(1,3)
@@ -169,13 +169,12 @@ class TestSimulation:
     def test_h_on_zero(self):
         state = simulate(Circuit((Gate("H", (1,)),)), "0")
         r = FieldElem(Fraction(0), Fraction(1))
-        assert state.amplitudes == (r, r)
+        assert amplitudes(state) == (r, r)
 
     def test_h_squared_is_identity(self):
         circ = Circuit((Gate("H", (1,)), Gate("H", (1,))))
         state = simulate(circ, "0")
-        assert state.amplitudes[0] == FieldElem(Fraction(1))
-        assert state.amplitudes[1] == ZERO
+        assert amplitudes(state) == (FieldElem(Fraction(1)), ZERO)
 
     def test_t_preserves_zero(self):
         assert p_acc(Circuit((Gate("T", (1,)),)), "0") == ZERO
@@ -193,8 +192,8 @@ class TestSimulation:
             basis = "".join(rng.choice("01") for _ in range(circ.total_qubits))
             state = simulate(circ, basis)
             norm = ZERO
-            for amp in state.amplitudes:
-                norm = norm + abs2(amp)
+            for amp in amplitudes(state):
+                norm = fadd(norm, abs2(amp))
             assert norm == FieldElem(Fraction(1))
 
     def test_matches_float_simulator(self):
@@ -204,11 +203,10 @@ class TestSimulation:
             basis = "0" * circ.total_qubits
             exact = simulate(circ, basis)
             oracle = float_simulate(circ, basis)
-            for exact_amp, oracle_amp in zip(exact.amplitudes, oracle):
+            for exact_amp, oracle_amp in zip(amplitudes(exact), oracle):
                 assert abs(to_complex(exact_amp) - oracle_amp) < 1e-9
 
     def test_p_acc_in_unit_interval(self):
-        from promiselab.field import real_sign, ONE
         rng = random.Random(233)
         for _ in range(40):
             circ = random_circuit(rng, max_qubits=4, max_gates=25)

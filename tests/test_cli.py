@@ -10,7 +10,6 @@ from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
 from promiselab.enumeration import pair, triple
 from promiselab.promise import TotalDecider, Verdict, builtin, karp_check
-from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
 from promiselab.words import words_up_to
 
@@ -27,7 +26,7 @@ def parity_file(tmp_path):
 @pytest.fixture
 def coin_file(tmp_path):
     path = tmp_path / "coin.ptm"
-    path.write_text(encode_ptm(fan_ptm(1, 2)))
+    path.write_text(encode_godel(fan_ptm(1, 2)))
     return str(path)
 
 

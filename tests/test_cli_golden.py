@@ -20,7 +20,6 @@ from helpers_values import word_to_index
 from promiselab.circuit import Circuit, Gate, encode_circuit
 from promiselab.cli import dispatch
 from promiselab.enumeration import pair, poly_series, triple
-from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
 
 SIMULATED = Circuit((Gate("H", (2,)), Gate("T", (1,)), Gate("CNOT", (2, 3)),
@@ -41,7 +40,7 @@ ENTANGLED = Circuit((Gate("H", (2,)), Gate("CNOT", (2, 1)), Gate("T", (3,)),
 CLOCK = 1 << 99
 WITNESS_LENGTH = triple(word_to_index(encode_godel(identity_machine())),
                         CLOCK, CLOCK)
-VERIFIER = word_to_index(encode_ptm(witness_equals_one_ptm()))
+VERIFIER = word_to_index(encode_godel(witness_equals_one_ptm()))
 # Machine index 0 decodes to the trivial machine.  Under the witness
 # length min(16, 7n) its np decider passes the witness cap at length 2.
 TRIVIAL = pair(0, CLOCK)
@@ -63,7 +62,7 @@ def files(tmp_path):
     contents = {
         "parity": encode_godel(parity_machine()) + "\n",
         "eraser": encode_godel(erase_left_machine()),
-        "fan": encode_ptm(fan_ptm(2, 3)),
+        "fan": encode_godel(fan_ptm(2, 3)),
         "circuit": encode_circuit(SIMULATED) + "\n",
         "gen": encode_godel(const_output_machine(encode_circuit(DECIDED))),
         "simgen": encode_godel(const_output_machine(encode_circuit(SIMULATED))),

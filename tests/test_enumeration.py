@@ -23,7 +23,6 @@ from promiselab.enumeration import (Polynomial, builtins_presentation,
 from promiselab.config import Config
 from promiselab.errors import CapExceeded
 from promiselab.promise import TotalDecider, Verdict, builtin
-from promiselab.ptm import encode_ptm
 from promiselab.tm import encode_godel
 from promiselab.words import index_to_word, words_up_to
 
@@ -36,7 +35,7 @@ def machine_index(machine) -> int:
 
 
 def ptm_index(machine) -> int:
-    return word_to_index(encode_ptm(machine))
+    return word_to_index(encode_godel(machine))
 
 
 def clock_index(target: Polynomial) -> int:

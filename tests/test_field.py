@@ -7,11 +7,11 @@ from promiselab.errors import NonRealInput, NotHermitian
 from oracle_decimal import sqrt2_bounds
 from oracle_field import _inverse, abs2
 from oracle_simulator import T_PHASE
-from helpers_values import from_rows, parse_field_elem, to_complex
-from promiselab.field import (ExactMatrix, FieldElem, ONE, SQRT2_INV, ZERO,
-                              decimal_string, det, format_field_elem,
-                              real_sign, scaled_identity, sylvester_pd,
-                              sylvester_psd)
+from helpers_values import (ONE, SQRT2_INV, fadd, fmul, fneg, from_rows,
+                           parse_field_elem, to_complex)
+from promiselab.field import (ExactMatrix, FieldElem, ZERO, decimal_string,
+                              det, format_field_elem, real_sign,
+                              scaled_identity, sylvester_pd, sylvester_psd)
 
 SQRT2_INV_FLOAT = 2 ** -0.5
 
@@ -38,23 +38,23 @@ def cofactor_det(rows):
     sign = ONE
     for col in range(n):
         minor = [r[:col] + r[col + 1:] for r in rows[1:]]
-        term = rows[0][col] * cofactor_det(minor)
-        total = total + sign * term
-        sign = -sign
+        term = fmul(rows[0][col], cofactor_det(minor))
+        total = fadd(total, fmul(sign, term))
+        sign = fneg(sign)
     return total
 
 
 class TestArithmetic:
     def test_sqrt2_inv_squares_to_half(self):
-        assert SQRT2_INV * SQRT2_INV == fe(Fraction(1, 2))
+        assert fmul(SQRT2_INV, SQRT2_INV) == fe(Fraction(1, 2))
 
     def test_t_phase_is_unit_modulus(self):
-        assert T_PHASE * T_PHASE.conjugate() == ONE
+        assert fmul(T_PHASE, T_PHASE.conjugate()) == ONE
 
     def test_t_phase_eighth_root(self):
         # (e^{i pi/4})^4 = -1
         p = T_PHASE
-        assert p * p * p * p == -ONE
+        assert fmul(p, p, p, p) == fneg(ONE)
 
     def test_conjugation_negates_imaginary_coefficients(self):
         x = fe(1, Fraction(1, 2), 3, -2)
@@ -64,10 +64,10 @@ class TestArithmetic:
         rng = random.Random(7)
         for _ in range(200):
             x, y, z = (random_elem(rng) for _ in range(3))
-            assert (x + y) + z == x + (y + z)
-            assert (x * y) * z == x * (y * z)
-            assert x * (y + z) == x * y + x * z
-            assert x * y == y * x
+            assert fadd(fadd(x, y), z) == fadd(x, fadd(y, z))
+            assert fmul(fmul(x, y), z) == fmul(x, fmul(y, z))
+            assert fmul(x, fadd(y, z)) == fadd(fmul(x, y), fmul(x, z))
+            assert fmul(x, y) == fmul(y, x)
 
     def test_multiplicative_inverse(self):
         rng = random.Random(11)
@@ -76,20 +76,21 @@ class TestArithmetic:
             x = random_elem(rng)
             if x == ZERO:
                 continue
-            assert x * _inverse(x) == ONE
+            assert fmul(x, _inverse(x)) == ONE
             count += 1
 
     def test_abs2_matches_definition(self):
         rng = random.Random(17)
         for _ in range(100):
             x = random_elem(rng)
-            assert abs2(x) == x * x.conjugate()
+            assert abs2(x) == fmul(x, x.conjugate())
 
     def test_float_embedding_is_a_homomorphism(self):
         rng = random.Random(19)
         for _ in range(50):
             x, y = random_elem(rng), random_elem(rng)
-            assert abs(to_complex(x * y) - to_complex(x) * to_complex(y)) < 1e-9
+            assert abs(to_complex(fmul(x, y))
+                       - to_complex(x) * to_complex(y)) < 1e-9
 
 
 class TestRealSign:
@@ -192,17 +193,17 @@ class TestDeterminant:
         for _ in range(20):
             a = [[random_elem(rng, 3) for _ in range(3)] for _ in range(3)]
             b = [[random_elem(rng, 3) for _ in range(3)] for _ in range(3)]
-            product = [[sum((a[i][k] * b[k][j] for k in range(3)), ZERO)
+            product = [[fadd(*(fmul(a[i][k], b[k][j]) for k in range(3)))
                         for j in range(3)] for i in range(3)]
             lhs = det(from_rows(product))
-            rhs = det(from_rows(a)) * det(from_rows(b))
+            rhs = fmul(det(from_rows(a)), det(from_rows(b)))
             assert lhs == rhs
 
 
 def random_hermitian(rng, dim, span=3):
     m = [[random_elem(rng, span) for _ in range(dim)] for _ in range(dim)]
     return from_rows(
-        [[m[i][j] + m[j][i].conjugate() for j in range(dim)]
+        [[fadd(m[i][j], m[j][i].conjugate()) for j in range(dim)]
          for i in range(dim)])
 
 
@@ -227,7 +228,7 @@ class TestSylvester:
     def test_corrected_criterion_counterexample(self):
         # diag(0, -1): leading minors are 0 and 0, yet the matrix is not
         # semi-definite; the principal minor {-1} catches it.
-        m = from_rows([[ZERO, ZERO], [ZERO, -ONE]])
+        m = from_rows([[ZERO, ZERO], [ZERO, fneg(ONE)]])
         assert not sylvester_psd(m)
         assert not sylvester_pd(m)
 
@@ -261,7 +262,7 @@ class TestSylvester:
             dim = rng.randint(2, 4)
             v = [random_elem(rng, 3) for _ in range(dim)]
             m = from_rows(
-                [[v[i] * v[j].conjugate() for j in range(dim)]
+                [[fmul(v[i], v[j].conjugate()) for j in range(dim)]
                  for i in range(dim)])
             assert sylvester_psd(m)
             assert not sylvester_pd(m)

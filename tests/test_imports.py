@@ -3,10 +3,17 @@
 Every module imports at module level only, so the import graph is
 visible at a glance and has no function-local cycle, and every name a
 module imports is used in it.  The package ``__init__`` is exempt from
-the second rule: its imports are the public re-exports.  Every public
-module-level function has a caller in the package, outside its own
-definition and outside ``__init__``: code only tests call lives under
-``tests/``.
+the second rule: its imports are the public re-exports.
+
+Every public member of the package has a caller in it, outside its own
+definition and outside ``__init__``: code only tests reach lives under
+``tests/``.  A member is a module-level function or constant, or a
+method or property of a module-level class; dataclass fields and
+dunders, which operators and the dataclass machinery reach, are not
+members here.  A caller names the member: reads it, takes it as an
+attribute or quotes it.  The few members kept without a caller are
+allowlisted with their reason, and an entry whose member is gone or has
+gained a caller fails the suite, so no entry outlives its reason.
 """
 
 import ast
@@ -68,16 +75,22 @@ def test_every_imported_name_is_used(path):
     assert unused == {}, f"{path.name}: imported but unused {unused}"
 
 
-# Public functions kept on purpose although nothing in the package calls
-# them: name -> why.
+# Public members kept on purpose although nothing in the package reaches
+# them: qualified name -> why.
 CALLERLESS_API = {
-    "encode_circuit": "inverse of parse_circuit, for writing circuit files",
-    "classify_bqp": "reached by getattr(circuit, f'classify_{family}')",
-    "classify_qcma": "reached by getattr(circuit, f'classify_{family}')",
-    "classify_qma": "reached by getattr(circuit, f'classify_{family}')",
-    "triple": "inverse of untriple, for naming witness-carrying deciders",
-    "differences": "the difference sets of two deciders, for the paper's "
-                   "second implication",
+    "circuit.encode_circuit": "inverse of parse_circuit, for writing "
+                              "circuit files",
+    "circuit.classify_bqp": "reached by getattr(circuit, f'classify_{family}')",
+    "circuit.classify_qcma": "reached by getattr(circuit, "
+                             "f'classify_{family}')",
+    "circuit.classify_qma": "reached by getattr(circuit, f'classify_{family}')",
+    "cli._Subcommand.parse_known_args": "argparse calls it on a subparser",
+    "enumeration.triple": "inverse of untriple, for naming witness-carrying "
+                          "deciders",
+    "promise.differences": "the difference sets of two deciders, for the "
+                           "paper's second implication",
+    "tm.encode_godel": "inverse of decode_godel and ptm.decode_ptm, for "
+                       "writing machine files",
 }
 
 
@@ -86,6 +99,8 @@ def _referenced_names(node: ast.AST) -> set[str]:
     quoted name counts because presentation tables name functions."""
     names = set()
     for sub in ast.walk(node):
+        if isinstance(getattr(sub, "ctx", None), ast.Store):
+            continue
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -95,18 +110,66 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
-def test_every_public_function_has_a_caller():
-    defined, referenced = {}, []
+def _members(tree: ast.Module):
+    """(defining node, qualified name, name) of each module-level function
+    and constant, and of each method and property of a module-level class.
+    Dataclass fields are class-level annotations, not members here."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node, node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item, f"{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield node, sub.id, sub.id
+
+
+def _units(tree: ast.Module):
+    """The module-level statements, a class split into its header and its
+    body statements, so a method's own body is a unit of its own."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from node.decorator_list + node.bases + node.keywords
+            yield from node.body
+        else:
+            yield node
+
+
+def _has_caller() -> dict[str, bool]:
+    """Each public member of the package, qualified by its module ->
+    whether a unit other than its own definition names it.  The package
+    ``__init__`` neither defines nor calls: its imports are re-exports."""
+    members, units = [], []
     for path in MODULES:
         if path.name == "__init__.py":
             continue
-        for node in _tree(path).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined[node] = f"{path.stem}.{node.name}"
-            referenced.append((node, _referenced_names(node)))
-    uncalled = sorted(
-        qualified for node, qualified in defined.items()
-        if node.name not in CALLERLESS_API
-        and not any(node.name in names
-                    for owner, names in referenced if owner is not node))
-    assert uncalled == [], f"public functions with no caller: {uncalled}"
+        tree = _tree(path)
+        members += [(node, f"{path.stem}.{qualified}", name)
+                    for node, qualified, name in _members(tree)
+                    if not name.startswith("_")]
+        units += [(unit, _referenced_names(unit)) for unit in _units(tree)]
+    return {qualified: any(name in names
+                           for unit, names in units if unit is not node)
+            for node, qualified, name in members}
+
+
+def test_every_public_function_has_a_caller():
+    """Public functions, methods, properties and module-level constants
+    alike: code only tests reach lives under ``tests/``."""
+    uncalled = sorted(qualified for qualified, called in _has_caller().items()
+                      if not called and qualified not in CALLERLESS_API)
+    assert uncalled == [], f"public members with no caller: {uncalled}"
+
+
+def test_allowlisted_names_are_defined_and_callerless():
+    has_caller = _has_caller()
+    stale = {qualified: "not defined" if qualified not in has_caller
+             else "has a caller"
+             for qualified in CALLERLESS_API if has_caller.get(qualified, True)}
+    assert stale == {}, f"allowlist entries that outlived their reason: {stale}"

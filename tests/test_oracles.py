@@ -71,7 +71,7 @@ import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
     costed_toy, identity_machine, machine_reduction, parity_machine, \
     witness_equals_one_ptm
-from helpers_values import from_rows
+from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows
 from promiselab import circuit, enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, classify_qcma,
@@ -122,7 +122,7 @@ def _basis(data, c: Circuit) -> str:
 def _assert_matches(c: Circuit, basis: str) -> None:
     state = simulate(c, basis)
     assert state.k == sum(g.kind == "H" for g in c.gates)
-    assert state.amplitudes == ref.simulate(c, basis)
+    assert amplitudes(state) == ref.simulate(c, basis)
     assert p_acc(c, basis) == ref.p_acc(c, basis)
 
 
@@ -157,14 +157,14 @@ class TestSimulatorOracle:
         gates = data.draw(st.integers(0, 80))
         c = data.draw(circuits(max_qubits=8, min_gates=gates, max_gates=gates))
         basis = _basis(data, c)
-        k, coords = ref.simulate_coords(c, basis)
+        k, twin = ref.simulate_coords(c, basis)
         state = simulate(c, basis)
-        assert (state.k, state.coords) == (k, coords)
-        amps = ref.amplitudes(k, coords)
-        assert state.amplitudes == amps
+        assert (state.k, coords(state)) == (k, twin)
+        amps = ref.amplitudes(k, twin)
+        assert amplitudes(state) == amps
         accept = ZERO
         for amp in amps[len(amps) // 2:]:
-            accept = accept + oracle_field.abs2(amp)
+            accept = fadd(accept, oracle_field.abs2(amp))
         assert p_acc(c, basis) == accept
 
     @pytest.mark.parametrize("h_count, width", [
@@ -179,7 +179,7 @@ class TestSimulatorOracle:
         for basis in ("000", "011", "101"):
             state = simulate(c, basis)
             assert (state.k, state.width) == (h_count, width)
-            assert state.amplitudes == ref.simulate(c, basis)
+            assert amplitudes(state) == ref.simulate(c, basis)
             assert p_acc(c, basis) == ref.p_acc(c, basis)
         assert acceptance_operator(c) == ref.acceptance_operator(c)
 
@@ -188,8 +188,8 @@ class TestSimulatorOracle:
         c = Circuit((Gate("H", (1,)),) * 64, witness_qubits=1)
         state = simulate(c, "0")
         assert state.width == 64
-        assert state.coords == ((1 << 32, 0), (0, 0), (0, 0), (0, 0))
-        assert state.amplitudes == ref.simulate(c, "0") == (field.ONE, ZERO)
+        assert coords(state) == ((1 << 32, 0), (0, 0), (0, 0), (0, 0))
+        assert amplitudes(state) == ref.simulate(c, "0") == (ONE, ZERO)
         assert p_acc(c, "0") == ZERO == ref.p_acc(c, "0")
         assert acceptance_operator(c) == ref.acceptance_operator(c)
 
@@ -201,19 +201,21 @@ class TestSimulatorOracle:
         c = Circuit((Gate("H", (1,)),) * h_count)
         state = simulate(c, "0")
         assert state.width == width
-        assert state.coords == ((1 << h_count // 2, 0), (0, 0), (0, 0), (0, 0))
-        assert state.amplitudes == ref.simulate(c, "0") == (field.ONE, ZERO)
+        assert coords(state) == ((1 << h_count // 2, 0),
+                                 (0, 0), (0, 0), (0, 0))
+        assert amplitudes(state) == ref.simulate(c, "0") == (ONE, ZERO)
 
     def test_every_power_of_h_is_exact(self):
         # H^h|0> reaches the largest coordinate on every lane width h gets
         for h_count in range(131):
             top = 1 << h_count // 2
             state = simulate(Circuit((Gate("H", (1,)),) * h_count), "0")
-            assert state.coords[0] == ((top, top) if h_count % 2 else (top, 0))
+            want = (top, top) if h_count % 2 else (top, 0)
+            assert coords(state)[0] == want
 
     def test_trivial_circuit(self):
         for basis in ("0", "1"):
-            assert simulate(TRIVIAL_CIRCUIT, basis).amplitudes == \
+            assert amplitudes(simulate(TRIVIAL_CIRCUIT, basis)) == \
                 ref.simulate(TRIVIAL_CIRCUIT, basis)
             assert p_acc(TRIVIAL_CIRCUIT, basis) == ZERO == \
                 ref.p_acc(TRIVIAL_CIRCUIT, basis)
@@ -424,9 +426,9 @@ def _words(*encodings):
 
 
 GODEL_WORDS = _words(machines().map(tm.encode_godel),
-                     ptms().map(ptm.encode_ptm), godel_shaped(),
+                     ptms().map(tm.encode_godel), godel_shaped(),
                      PADDED_MACHINES.map(tm.encode_godel),
-                     PADDED_PTMS.map(ptm.encode_ptm))
+                     PADDED_PTMS.map(tm.encode_godel))
 CIRCUIT_WORDS = _words(circuits(witness=st.integers(0, 3)).map(encode_circuit),
                        circuit_shaped())
 
@@ -472,7 +474,7 @@ class TestRoundTrips:
     @settings(max_examples=100)
     @given(st.one_of(ptms(), PADDED_PTMS))
     def test_ptm(self, m):
-        assert ptm.decode_ptm(ptm.encode_ptm(m)) == m
+        assert ptm.decode_ptm(tm.encode_godel(m)) == m
 
 
 _INPUTS = st.lists(st.text(alphabet="01", max_size=6), max_size=3)
@@ -922,7 +924,7 @@ def hermitian_matrices(draw):
         rows = _hermitian(_rows(draw, n, n))
     else:
         vectors = _rows(draw, draw(st.integers(1, n)), n)
-        rows = [[sum((v[i] * v[j].conjugate() for v in vectors), ZERO)
+        rows = [[fadd(*(fmul(v[i], v[j].conjugate()) for v in vectors))
                  for j in range(n)] for i in range(n)]
     shift = draw(st.one_of(st.just(ZERO), st.builds(FieldElem, _COEFFS,
                                                     _COEFFS)))

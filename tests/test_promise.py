@@ -175,14 +175,16 @@ class TestMarkedUnion:
 
 class TestKarpCheck:
     def test_identity_self_reduction(self):
-        assert karp_check(PARITY, [(lambda x: x, PARITY)], 5)[0].ok
+        (report,) = karp_check(PARITY, [(lambda x: x, PARITY)], 5)
+        assert report.violations == ()
 
     def test_constant_no_instance_against_empty_yes(self):
-        assert karp_check(CONST_NO, [(lambda x: "0", PARITY)], 5)[0].ok
+        (report,) = karp_check(CONST_NO, [(lambda x: "0", PARITY)], 5)
+        assert report.violations == ()
 
     def test_violation_is_reported(self):
         (report,) = karp_check(PARITY, [(lambda x: x + "1", PARITY)], 4)
-        assert not report.ok
+        assert report.violations
         bad = report.violations[0]
         assert PARITY.classify(bad.word) is not PARITY.classify(bad.image)
 
@@ -190,7 +192,7 @@ class TestKarpCheck:
         f = machine_reduction("prepend0", prepend_zero_machine(),
                               lambda n: 4)
         union = marked_union(PARITY, CONST_YES)
-        assert karp_check(PARITY, [(f, union)], 5)[0].ok
+        assert karp_check(PARITY, [(f, union)], 5)[0].violations == ()
 
     def test_pairs_share_one_walk(self):
         # ones-promise leaves the non-empty all-zero words outside for
@@ -207,7 +209,7 @@ class TestKarpCheck:
                               (lambda x: x + "1", PARITY)], 4)
         assert set(seen.values()) == {1} and len(seen) == 31
         assert [r.checked for r in reports] == [31, 31]
-        assert reports[0].ok
+        assert reports[0].violations == ()
         assert [v.word for v in reports[1].violations] == [
             w for w in words_up_to(4) if "1" in w or not w]
         assert karp_check(PARITY, [], 4) == ()
@@ -283,7 +285,7 @@ class TestKarpToCook:
         machine, runtime = prepend_zero_machine(), lambda n: 4
         f = machine_reduction("prepend0", machine, runtime)
         union = marked_union(PARITY, CONST_YES)
-        assert karp_check(PARITY, [(f, union)], 6)[0].ok
+        assert karp_check(PARITY, [(f, union)], 6)[0].violations == ()
         om = karp_to_cook(machine, runtime)
         for x in words_up_to(6):
             assert cook_run(om, union, x) is (PARITY.classify(x) is Verdict.YES)

@@ -9,9 +9,9 @@ from promiselab.config import Config
 from promiselab.errors import (BranchFuelExhausted, CapExceeded,
                                WitnessSpaceTooLarge)
 from promiselab.ptm import (PTMDesc, TRIVIAL_PTM, classify_bpp, classify_ma,
-                            decode_ptm, encode_ptm, enumerate_branches)
+                            decode_ptm, enumerate_branches)
 from promiselab.promise import Verdict
-from promiselab.tm import BLANK
+from promiselab.tm import BLANK, encode_godel
 
 LINEAR = lambda n: n + 4
 
@@ -278,6 +278,33 @@ class TestClassifyBpp:
             assert classify_bpp(base, LINEAR, x) == classify_bpp(padded, LINEAR, x)
 
 
+def fan_with_overrun_ptm() -> PTMDesc:
+    """fan_ptm(1, 3) with its last leaf looping instead of halting: one
+    accepting leaf, one rejecting leaf and one branch that overruns any
+    fuel."""
+    loop = {(3, sym): ((3, sym, "N"),) for sym in ("0", "1", BLANK)}
+    return PTMDesc(states=4, initial=0, finals=frozenset({1, 2}),
+                   transitions={**fan_ptm(1, 3).transitions, **loop})
+
+
+class TestOverrunRejects:
+    """The deciders count an overrunning branch as a rejecting leaf: the
+    machine above decides as fan_ptm(1, 3) does, p_acc = 1/3, where an
+    accepting overrun would give 2/3 and a dropped one 1/2."""
+
+    @pytest.mark.parametrize("x", ["", "1", "0110"])
+    def test_classify_bpp(self, x):
+        with pytest.raises(BranchFuelExhausted):
+            enumerate_branches(fan_with_overrun_ptm(), [x], LINEAR(len(x)))
+        assert classify_bpp(fan_with_overrun_ptm(), LINEAR, x) is Verdict.NO
+        assert classify_bpp(fan_ptm(1, 3), LINEAR, x) is Verdict.NO
+
+    @pytest.mark.parametrize("x", ["", "1", "0110"])
+    def test_classify_ma(self, x):
+        for m in (fan_with_overrun_ptm(), fan_ptm(1, 3)):
+            assert classify_ma(m, LINEAR, lambda n: 2, x) is Verdict.NO
+
+
 class TestClassifyMa:
     def test_witness_one_is_yes_everywhere(self):
         m = witness_equals_one_ptm()
@@ -314,12 +341,12 @@ class TestPtmEncoding:
     def test_roundtrip(self):
         for m in (fair_coin_ptm(), fan_ptm(2, 3), unbalanced_ptm(),
                   witness_equals_one_ptm()):
-            assert decode_ptm(encode_ptm(m)) == m
+            assert decode_ptm(encode_godel(m)) == m
 
     def test_repeated_quintuples_merge(self):
         from promiselab.tm import encode_quintuple
         m = fair_coin_ptm()
-        bits = encode_ptm(m)
+        bits = encode_godel(m)
         # appending an exact duplicate of an existing quintuple is idempotent
         (s, sym), actions = sorted(m.transitions.items())[0]
         duplicate = encode_quintuple(s, sym, *actions[0])
