@@ -194,9 +194,9 @@ def _cmd_enumerate(args, config: Config) -> int:
     return 0
 
 
-def _print_intervals(r: diagonal.CostedFunction, max_length: int) -> None:
+def _print_intervals(gaps: diagonal.GapLimits, max_length: int) -> None:
     print("start\tend\tmember")
-    for start, end, member in diagonal.gap_intervals(r, max_length):
+    for start, end, member in diagonal.gap_intervals(gaps, max_length):
         print(f"{start}\t{end}\t{'true' if member else 'false'}")
 
 
@@ -204,7 +204,7 @@ def _cmd_gaplang(args, config: Config) -> int:
     if args.member is not None:
         print("true" if diagonal.gap_member(args.r, args.member) else "false")
     if args.table is not None:
-        _print_intervals(args.r, args.table)
+        _print_intervals(diagonal.GapLimits(args.r), args.table)
     return 0
 
 
@@ -225,7 +225,7 @@ def _report_construction(result: diagonal.DiagResult, args,
               f"\t{result.r.value(n)}")
     print()
     print("## intervals")
-    _print_intervals(result.r, args.table)
+    _print_intervals(result.gaps, args.table)
     print()
     print("## witnesses")
     print("side\tmachine\tinterval\tstart\tend\tword\ta_verdict\tmachine_verdict")

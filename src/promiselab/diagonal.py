@@ -16,7 +16,9 @@ construction mixes two problems A and A' along these intervals, choosing
 r large enough that every even interval contains a word contradicting
 the corresponding presented machine (and every odd interval one for the
 other presentation), and ships the prefix-marking reduction to the
-marked union of A and A'.
+marked union of A and A'.  Membership depends on the length alone, so a
+construction finds it once per length; its per-word loops call verdict
+maps (TotalDecider.fn) directly.
 """
 
 from __future__ import annotations
@@ -91,15 +93,25 @@ def gap_member(r: CostedFunction, x: str | int) -> bool:
     return GapLimits(r).member(x)
 
 
-class GapLimits:
+class GapLimits(dict):
     """The limits 0, r(0), r(r(0)), ... of one gap function, each computed
-    once under _checked_eval's checks as the list grows on demand; a
-    length's interval is a bisection.  A construction owns its list.
+    once under _checked_eval's checks as the list grows on demand; as a
+    dict, each length's membership, filled on first ask through interval()
+    and then one lookup (a length whose limits raise stores nothing).  A
+    construction owns its instance, so it equals and hashes by identity.
     """
 
+    __slots__ = ("r", "limits")
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
     def __init__(self, r: CostedFunction):
+        super().__init__()
         self.r = r
         self.limits = [0]
+
+    def __missing__(self, length: int) -> bool:
+        member = self[length] = self.interval(length) % 2 == 0
+        return member
 
     def limit(self, k: int) -> int:
         """r^k(0), the lower limit of interval k."""
@@ -110,27 +122,26 @@ class GapLimits:
 
     def interval(self, length: int) -> int:
         """The index k with limit(k) <= length < limit(k + 1)."""
+        if length < 0:
+            raise ValueError(f"length {length} is negative")
         limits = self.limits
         while limits[-1] <= length:
-            self.limit(len(limits))
+            limits.append(_checked_eval(self.r, limits[-1])[0])
         return bisect_right(limits, length) - 1
 
     def member(self, x: str | int) -> bool:
-        length = x if isinstance(x, int) else len(x)
-        limits = self.limits
-        if limits[-1] > length:  # covered: interval k is bisect_right - 1
-            return bisect_right(limits, length) % 2 == 1
-        return self.interval(length) % 2 == 0
+        return self[x if isinstance(x, int) else len(x)]
 
 
-def gap_intervals(r: CostedFunction, max_length: int) -> Iterator[tuple[int, int, bool]]:
+def gap_intervals(gaps: GapLimits, max_length: int) -> Iterator[tuple[int, int, bool]]:
     """(start, end, member) rows of all intervals touching [0, max_length],
-    yielded one at a time, so memory does not grow with max_length."""
-    start, member = 0, True
-    while start <= max_length:
-        end = _checked_eval(r, start)[0]
-        yield start, end, member
-        start, member = end, not member
+    yielded one at a time, each evaluating at most its end limit."""
+    limits, k = gaps.limits, 0
+    while limits[k] <= max_length:
+        if len(limits) == k + 1:
+            limits.append(_checked_eval(gaps.r, limits[k])[0])
+        yield limits[k], limits[k + 1], k % 2 == 0
+        k += 1
 
 
 def find_contradiction(
@@ -152,14 +163,14 @@ def find_contradiction(
     representable = mode == REPRESENTABLE
     if mode not in (REPRESENTABLE, PRESENTABLE):
         raise ValueError(f"unknown mode {mode!r}")
+    classify_a, classify_m = a.fn, machine.fn
     scanned = 0
     for length in range(n + 1, n + cap + 1):
         for z in words_of_length(length):
             scanned += 1
             if scanned > WORD_SCAN_BUDGET:
                 raise NoContradictionFound(machine_index, n, cap)
-            va = a.classify(z)
-            vm = machine.classify(z)
+            va, vm = classify_a(z), classify_m(z)
             if va.separates(vm) or (not representable and vm.separates(va)):
                 # 3 per word scanned: one word enumerated, two
                 # classification calls
@@ -277,16 +288,15 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
                          pres_c_prime=cache(inst.pres_c_prime))
     q, q_prime, r = build_r_components(built_once)
     gaps = GapLimits(r)
-    member = gaps.member
-    a, a_prime = inst.a, inst.a_prime
+    classify_a, classify_a_prime = inst.a.fn, inst.a_prime.fn
 
     def mix(x: str) -> Verdict:
-        return a.classify(x) if member(x) else a_prime.classify(x)
+        return classify_a(x) if gaps[len(x)] else classify_a_prime(x)
 
     def gap_mark(x: str) -> str:
-        return ("0" if member(x) else "1") + x
+        return ("0" if gaps[len(x)] else "1") + x
 
-    b = TotalDecider(f"diag({a.tag};{a_prime.tag})", fn=mix)
+    b = TotalDecider(f"diag({inst.a.tag};{inst.a_prime.tag})", fn=mix)
     witnesses = []
     for side in ("even", "odd"):
         for i in range(witness_bound):
@@ -324,9 +334,9 @@ def ladner(
     target = next((w for w in scanned if a.classify(w) is Verdict.NO), None)
     if target is None:
         raise NoInstanceOfA(f"no no-instance of {a.tag} within {NO_INSTANCE_SCAN} words")
-    member = result.gaps.member
+    gaps = result.gaps
 
     def gap_or_default(x: str) -> str:
-        return x if member(x) else target
+        return x if gaps[len(x)] else target
 
     return replace(result, reduction_to_a=gap_or_default)

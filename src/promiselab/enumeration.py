@@ -399,9 +399,11 @@ def harder_set(
             return False
         return accepted is (expected is Verdict.YES)
 
+    classify_a, classify_m_k = a.fn, m_k.fn
+
     def length_passes(n: int) -> bool:
         for y in words_of_length(n):
-            va = a.classify(y)
+            va = classify_a(y)
             if va is not Verdict.OUTSIDE and not check(y, va):
                 return False
         return True
@@ -415,6 +417,6 @@ def harder_set(
         while len(passed) <= length:
             passed.append((not passed or passed[-1])
                           and length_passes(len(passed)))
-        return m_k.classify(x) if passed[length] else a.classify(x)
+        return classify_m_k(x) if passed[length] else classify_a(x)
 
     return TotalDecider(f"harder[T,{i}]({a.tag})", fn=decide)

@@ -147,13 +147,14 @@ def _check_witness_space(m: int, cap: int) -> None:
 
 def marked_union(a: TotalDecider, a_prime: TotalDecider) -> TotalDecider:
     """0x routes to a, 1x to a_prime; the empty word is non-promised."""
+    classify_a, classify_a_prime = a.fn, a_prime.fn
 
     def decide(x: str) -> Verdict:
         if x == "":
             return Verdict.OUTSIDE
         if x[0] == "0":
-            return a.classify(x[1:])
-        return a_prime.classify(x[1:])
+            return classify_a(x[1:])
+        return classify_a_prime(x[1:])
 
     return TotalDecider(f"({a.tag})(+)({a_prime.tag})", fn=decide)
 

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -479,6 +480,39 @@ class TestConstructionWorkCounts:
         assert "violations\n511\t0\n" in capsys.readouterr().out
         assert set(words_up_to(8)) <= set(counts)
         assert set(counts.values()) == {1}
+
+    @pytest.mark.parametrize("argv, scanned", [
+        (["ladner", "--a", "builtin:parity",
+          "--pres", "builtins:const-yes,const-no,len-even"], 1),
+        (["diagonalize", "--a", "builtin:parity",
+          "--a-pres", "builtins:const-yes,const-no,len-even",
+          "--aprime", "builtin:const-no",
+          "--aprime-pres", "builtins:const-yes,ones-promise"], 0),
+    ], ids=["ladner", "diagonalize"])
+    def test_loops_call_verdict_maps_and_look_each_length_up_once(
+            self, argv, scanned, monkeypatch, capsys):
+        # the walk, the mixer, marked_union, find_contradiction and the
+        # harder set call verdict maps directly; classify is entered only
+        # for the witness log (a's and the machine's verdict of each of
+        # 2 x 3 witnesses) and, in ladner, the scan for a no-instance of
+        # parity, which stops at the empty word
+        callers, lengths = Counter(), Counter()
+        classify, interval = TotalDecider.classify, diagonal.GapLimits.interval
+
+        def counted_classify(decider, x: str) -> Verdict:
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return classify(decider, x)
+
+        def counted_interval(gaps, length: int) -> int:
+            lengths[length] += 1
+            return interval(gaps, length)
+
+        monkeypatch.setattr(TotalDecider, "classify", counted_classify)
+        monkeypatch.setattr(diagonal.GapLimits, "interval", counted_interval)
+        assert dispatch(argv + ["--bound", "8"]) == 0
+        assert "violations\n511\t0\n" in capsys.readouterr().out
+        assert callers == Counter({"_witness_for": 12, "<genexpr>": scanned})
+        assert lengths == Counter(range(9))
 
 
     @pytest.mark.parametrize("argv, built", [

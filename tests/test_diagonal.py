@@ -1,5 +1,6 @@
 import gc
 import weakref
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -98,7 +99,7 @@ class TestGapMembership:
 
     def test_interval_partition(self):
         r = affine_costed(2, 2)
-        rows = list(gap_intervals(r, 64))
+        rows = list(gap_intervals(GapLimits(r), 64))
         for length in range(65):
             containing = [row for row in rows if row[0] <= length < row[1]]
             assert len(containing) == 1
@@ -107,7 +108,7 @@ class TestGapMembership:
     def test_intervals_evaluate_r_once_per_row_taken(self):
         args = []
         r = CostedFunction("doubling", lambda n: (args.append(n) or 2 * n + 2, 1))
-        rows = list(islice(gap_intervals(r, 10 ** 9), 3))
+        rows = list(islice(gap_intervals(GapLimits(r), 10 ** 9), 3))
         assert rows == [(0, 2, True), (2, 6, False), (6, 14, True)]
         assert args == [0, 2, 6]
 
@@ -128,6 +129,34 @@ class TestGapMembership:
         assert gaps.member("")
         with pytest.raises(ValueError):
             gaps.member("1")
+
+    def test_negative_lengths_raise_and_are_not_kept(self):
+        r = affine_costed(2, 2)
+        gaps = GapLimits(r)
+        for ask in (gaps.interval, gaps.member, partial(gap_member, r)):
+            for length in (-1, -3):
+                with pytest.raises(ValueError, match="negative"):
+                    ask(length)
+        assert dict(gaps) == {} and gaps.limits == [0]
+
+    def test_each_length_is_looked_up_once_and_a_raise_keeps_nothing(self):
+        args = []
+
+        def doubling_then_flat(n: int) -> tuple[int, int]:
+            args.append(n)
+            return (2 * n + 2, 1) if n < 14 else (n, 0)
+
+        gaps = GapLimits(CostedFunction("doubling", doubling_then_flat))
+        for length in (5, 0, 5, "01010", 13, 0):
+            assert gaps.member(length) == reference_gap_member(
+                affine_costed(2, 2), len(length) if isinstance(length, str)
+                else length)
+        assert dict(gaps) == {5: False, 0: True, 13: True}
+        assert args == [0, 2, 6]
+        for _ in range(2):  # r(14) = 14 is not above 14
+            with pytest.raises(ValueError, match="not above"):
+                gaps.member(14)
+        assert 14 not in gaps and args == [0, 2, 6, 14, 14]
 
 
 class TestFindContradiction:

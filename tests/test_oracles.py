@@ -25,11 +25,14 @@ The merged-configuration branch counter in `promiselab.ptm` is checked
 against the depth-first tree walk kept in `oracle_ptm`: equal leaf
 counts, and an equal path when a branch runs out of fuel.  The memos
 that let one invocation compute each value once are checked against
-fresh computation: the gap limits list against the direct iteration in
-`test_diagonal.reference_gap_member`, the memoized witness-length map
-and the memoized decider against unmemoized evaluation.  The integer
-square-root rendering in `promiselab.field.decimal_string` is checked
-against the shrinking 1/sqrt(2) bracket kept in `oracle_decimal`.  The
+fresh computation: the gap limits list and its per-length membership
+map against the direct iteration in `test_diagonal.reference_gap_member`
+(on queries in any order, and with an evaluation that breaks its
+accounting checks raising every time it is needed), the memoized
+witness-length map and the memoized decider against unmemoized
+evaluation.  The integer square-root rendering in
+`promiselab.field.decimal_string` is checked against the shrinking
+1/sqrt(2) bracket kept in `oracle_decimal`.  The
 fraction-free determinant `promiselab.field.det` is checked against the
 `Fraction` Gaussian elimination kept in `oracle_field`: equal exact
 values on general and Hermitian matrices up to dimension 8, singular
@@ -78,13 +81,14 @@ from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 encode_circuit, p_acc, parse_circuit,
                                 simulate)
 from promiselab.config import Config
-from promiselab.diagonal import (GapLimits, affine_costed,
+from promiselab.diagonal import (CostedFunction, GapLimits, affine_costed,
                                  build_r_components, gap_member,
                                  time_construct_wrap)
 from promiselab.enumeration import HARDER_SET_CHECK_CAP, Polynomial
-from promiselab.errors import (BranchFuelExhausted, CapExceeded,
-                               DimensionCap, FuelExhausted, NonPromisedQuery,
-                               PromiseLabError, WitnessSpaceTooLarge)
+from promiselab.errors import (AccountingError, BranchFuelExhausted,
+                               CapExceeded, DimensionCap, FuelExhausted,
+                               NonPromisedQuery, PromiseLabError,
+                               WitnessSpaceTooLarge)
 from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
 from promiselab.promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider,
                                 Verdict, builtin, cook_run, karp_check)
@@ -671,6 +675,69 @@ class TestGapLimitsOracle:
     @given(_ORDERS)
     def test_built_r(self, order):
         _assert_gaps_match(build_r_components(toy_instance())[2], order)
+
+
+# Gap functions: affine ones, and arbitrary tables made admissible by the
+# time construction.
+_GAP_FUNCTIONS = st.one_of(
+    st.builds(affine_costed, st.integers(1, 4), st.integers(1, 9)),
+    st.lists(st.integers(0, 50), min_size=1, max_size=8).map(
+        lambda table: time_construct_wrap(costed_toy(
+            "table", lambda n: table[n % len(table)]))))
+
+# Queries as bare lengths or as words; a list of them goes up, down,
+# repeats and jumps across several intervals at once.
+_QUERIES = st.lists(st.one_of(
+    st.sampled_from(GAP_LENGTHS),
+    st.text("01", max_size=12),
+    st.sampled_from(GAP_LENGTHS).map(lambda n: "1" * n)), max_size=30)
+
+
+def _length(query: str | int) -> int:
+    return query if isinstance(query, int) else len(query)
+
+
+class TestGapMembershipMapOracle:
+    """The per-length membership map answers like the direct iteration on
+    any order of queries, and keeps no answer for a failed evaluation."""
+
+    @settings(max_examples=80)
+    @given(_GAP_FUNCTIONS, _QUERIES)
+    def test_any_query_order(self, r, queries):
+        gaps = GapLimits(r)
+        for query in [*queries, *reversed(queries)]:
+            want = reference_gap_member(r, _length(query))
+            assert gaps.member(query) == want == gaps[_length(query)]
+        assert set(gaps) == {_length(query) for query in queries}
+
+    @settings(max_examples=80)
+    @given(_GAP_FUNCTIONS, st.integers(0, 6), st.booleans(), _QUERIES)
+    def test_a_broken_evaluation_raises_on_every_query_that_needs_it(
+            self, r, broken_from, over_cost, queries):
+        # the limit evaluated after the first broken_from ones reports a
+        # cost above its value, or a value not above its argument
+        limits = [0]
+        for _ in range(broken_from):
+            limits.append(r.value(limits[-1]))
+        bad = limits[-1]
+
+        def evaluate(n: int) -> tuple[int, int]:
+            if n != bad:
+                return r.eval(n)
+            return (n + 1, n + 2) if over_cost else (n, 0)
+
+        gaps = GapLimits(CostedFunction("broken", evaluate))
+        error = AccountingError if over_cost else ValueError
+        for query in queries:
+            length = _length(query)
+            if length < bad:
+                assert gaps.member(query) == reference_gap_member(r, length)
+                continue
+            for _ in range(2):
+                with pytest.raises(error):
+                    gaps.member(query)
+            assert length not in gaps
+        assert gaps.limits == limits[:len(gaps.limits)]
 
 
 class TestMemoOracle:
