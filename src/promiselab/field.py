@@ -11,9 +11,12 @@ and the circuit simulator, so a FieldElem only subtracts and conjugates.
 The module also provides exact Hermitian linear algebra on matrices over
 the field: determinants by fraction-free (Bareiss) elimination over the
 integers of Z[sqrt(2)][i], whose one division is exact division by an
-integer norm, and definiteness tests by Sylvester's criterion (positive
-definite iff all leading principal minors are positive; positive
-semi-definite iff all principal minors are non-negative).
+integer norm, and definiteness tests by Sylvester's criterion.  Positive
+definite iff all leading principal minors are positive, and that walk
+over the leading minors also settles semi-definiteness: a negative one
+rules it out, all positive implies it.  Only after a vanishing leading
+minor are all principal minors needed (semi-definite iff all are
+non-negative).
 """
 
 from __future__ import annotations
@@ -202,22 +205,35 @@ def _principal_minor(m: ExactMatrix, idx: tuple[int, ...]) -> FieldElem:
         tuple(m.entries[j][k] for k in idx) for j in idx)))
 
 
-def sylvester_pd(m: ExactMatrix) -> bool:
-    """Positive definiteness: all leading principal minors strictly positive."""
+def _leading_minor_signs(m: ExactMatrix):
+    """Signs of the leading principal minors of orders 1..dim, lazily."""
     if not m.is_hermitian():
         raise NotHermitian("matrix is not Hermitian")
-    return all(
-        real_sign(_principal_minor(m, tuple(range(k)))) == 1
-        for k in range(1, m.dim + 1))
+    for k in range(1, m.dim + 1):
+        yield real_sign(_principal_minor(m, tuple(range(k))))
+
+
+def sylvester_pd(m: ExactMatrix) -> bool:
+    """Positive definiteness: all leading principal minors strictly positive."""
+    return all(sign == 1 for sign in _leading_minor_signs(m))
 
 
 def sylvester_psd(m: ExactMatrix) -> bool:
-    """Positive semi-definiteness: all 2^dim - 1 principal minors >= 0.
+    """Positive semi-definiteness, from the leading principal minors first.
 
-    Exponential in the dimension by nature; callers keep dim <= 16.
+    A negative leading minor is a negative principal minor, and all of
+    them positive means definite, so the dim leading minors decide unless
+    one vanishes.  Only then are all 2^dim - 1 principal minors checked
+    for a negative one: exponential in the dimension, and callers keep
+    dim <= 16.
     """
-    if not m.is_hermitian():
-        raise NotHermitian("matrix is not Hermitian")
+    for sign in _leading_minor_signs(m):
+        if sign < 0:
+            return False
+        if sign == 0:
+            break
+    else:
+        return True
     for size in range(1, m.dim + 1):
         for idx in combinations(range(m.dim), size):
             if real_sign(_principal_minor(m, idx)) < 0:

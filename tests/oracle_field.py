@@ -12,9 +12,10 @@ live here because only this elimination needs them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from helpers_values import ONE, fmul, fneg
-from promiselab.field import ZERO, ExactMatrix, FieldElem
+from promiselab.field import ZERO, ExactMatrix, FieldElem, real_sign
 
 
 def abs2(x: FieldElem) -> FieldElem:
@@ -57,3 +58,21 @@ def det(m: ExactMatrix) -> FieldElem:
             for k in range(col, n):
                 a[r][k] = a[r][k] - fmul(factor, a[col][k])
     return fneg(result) if sign_flip else result
+
+
+def _minor(m: ExactMatrix, idx: tuple[int, ...]) -> FieldElem:
+    return det(ExactMatrix(tuple(
+        tuple(m.entries[j][k] for k in idx) for j in idx)))
+
+
+def positive_definite(m: ExactMatrix) -> bool:
+    """Every leading principal minor is strictly positive."""
+    return all(real_sign(_minor(m, tuple(range(k)))) == 1
+               for k in range(1, m.dim + 1))
+
+
+def positive_semidefinite(m: ExactMatrix) -> bool:
+    """Every principal minor, leading or not, is non-negative."""
+    return all(real_sign(_minor(m, idx)) >= 0
+               for size in range(1, m.dim + 1)
+               for idx in combinations(range(m.dim), size))

@@ -1,4 +1,5 @@
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -598,6 +599,21 @@ class TestDecideWitnessClasses:
         assert dispatch(["decide", "qma", "--gen", copy_generator_file,
                          "--input", "0"]) == 0
         assert capsys.readouterr().out.strip() == "yes"
+
+    def test_qma_no_instance_at_the_witness_cap(self, tmp_path, capsys):
+        # H, T, H on the output qubit q1 and a 4-qubit witness register on
+        # q2..q5 (the T on q5 only places it there): Q = (2 - sqrt2)/4 * I,
+        # top eigenvalue 0.146 < 1/3.  sI - Q is definite, so its 16
+        # leading minors decide without the 65,535 principal minors.
+        start = time.perf_counter()
+        circ = Circuit((Gate("H", (1,)), Gate("T", (1,)), Gate("H", (1,)),
+                        Gate("T", (5,))), witness_qubits=4)
+        gen = tmp_path / "capgen.tm"
+        gen.write_text(encode_godel(const_output_machine(encode_circuit(circ))))
+        assert dispatch(["decide", "qma", "--gen", str(gen),
+                         "--input", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "no"
+        assert time.perf_counter() - start < 1.0
 
 
 def _config_file(tmp_path, text: str) -> str:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from promiselab import field
 from promiselab.errors import NonRealInput, NotHermitian
 from oracle_decimal import sqrt2_bounds
 from oracle_field import _inverse, abs2
@@ -266,3 +268,48 @@ class TestSylvester:
                  for i in range(dim)])
             assert sylvester_psd(m)
             assert not sylvester_pd(m)
+
+
+def diagonal(*values):
+    n = len(values)
+    return from_rows([[fe(values[i]) if i == j else ZERO for j in range(n)]
+                      for i in range(n)])
+
+
+def det_calls(test, m):
+    """The verdict of `test` on `m` and the number of `det` calls it made."""
+    with mock.patch.object(field, "det", wraps=field.det) as spy:
+        verdict = test(m)
+    return verdict, spy.call_count
+
+
+class TestSylvesterWork:
+    """Leading minors decide unless one vanishes; only then all minors."""
+
+    @pytest.mark.parametrize("m", [
+        scaled_identity(1, ONE),
+        scaled_identity(5, fe(Fraction(1, 3))),
+        from_rows([[fe(2), fe(1), ZERO],
+                   [fe(1), fe(2), fe(0, 0, 1)],
+                   [ZERO, fe(0, 0, -1), fe(2)]]),
+    ])
+    def test_definite_takes_dim_minors(self, m):
+        assert det_calls(sylvester_psd, m) == (True, m.dim)
+        assert det_calls(sylvester_pd, m) == (True, m.dim)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_negative_leading_minor_stops_the_walk(self, k):
+        # leading minors 1, ..., 1, then -1 from order k on
+        m = diagonal(*(-1 if i == k - 1 else 1 for i in range(5)))
+        assert det_calls(sylvester_psd, m) == (False, k)
+        assert det_calls(sylvester_pd, m) == (False, k)
+
+    def test_vanishing_leading_minor_falls_back_to_all_minors(self):
+        # the walk stops at the leading minor 0, then the all-minors loop
+        # evaluates {0} = 0 and {1} = -1
+        m = diagonal(0, -1)
+        assert det_calls(sylvester_psd, m) == (False, 1 + 2)
+
+    def test_fallback_checks_every_minor_when_semidefinite(self):
+        m = diagonal(1, 0, 1)
+        assert det_calls(sylvester_psd, m) == (True, 2 + 7)

@@ -36,8 +36,12 @@ evaluation.  The integer square-root rendering in
 fraction-free determinant `promiselab.field.det` is checked against the
 `Fraction` Gaussian elimination kept in `oracle_field`: equal exact
 values on general and Hermitian matrices up to dimension 8, singular
-ones and ones that need a row swap included, and equal Sylvester
-verdicts when the oracle computes every principal minor.  The one-walk
+ones and ones that need a row swap included.  The Sylvester tests
+`sylvester_pd` and `sylvester_psd`, which read the leading minors first,
+are checked against the definitional tests kept there, which take every
+leading minor and every principal minor on the oracle determinant:
+equal verdicts, a vanishing leading minor and rank-deficient Gram
+matrices included.  The one-walk
 `promiselab.promise.karp_check` is checked against the single-pair walk
 kept in `oracle_promise`, one call per pair: equal reports on random
 verdict tables and word maps, and the index walks of `promiselab.words`
@@ -1000,6 +1004,18 @@ def hermitian_matrices(draw):
          for i, row in enumerate(rows)])
 
 
+# A zero leading minor, then a negative non-leading one.
+_DIAG_ZERO_NEG = from_rows([[ZERO, ZERO], [ZERO, FieldElem(Fraction(-1))]])
+# Leading minors 1, -3, -3.
+_SECOND_LEADING_NEGATIVE = from_rows(
+    [[ONE, FieldElem(Fraction(2)), ZERO],
+     [FieldElem(Fraction(2)), ONE, ZERO],
+     [ZERO, ZERO, ONE]])
+# v v^dagger for v = (1, 1/sqrt2, i): leading minors |v_1|^2, then 0.
+_V = (ONE, FieldElem(b=Fraction(1)), FieldElem(c=Fraction(1)))
+_RANK_ONE_GRAM = from_rows([[fmul(x, y.conjugate()) for y in _V] for x in _V])
+
+
 class TestDeterminantOracle:
     @settings(max_examples=100)
     @given(det_matrices())
@@ -1008,7 +1024,11 @@ class TestDeterminantOracle:
 
     @settings(max_examples=80)
     @given(hermitian_matrices())
+    @example(_DIAG_ZERO_NEG)
+    @example(_SECOND_LEADING_NEGATIVE)
+    @example(_RANK_ONE_GRAM)
+    @example(scaled_identity(3, ZERO))
     def test_sylvester_verdicts(self, m):
-        with mock.patch.object(field, "det", oracle_field.det):
-            want = (field.sylvester_pd(m), field.sylvester_psd(m))
+        want = (oracle_field.positive_definite(m),
+                oracle_field.positive_semidefinite(m))
         assert (field.sylvester_pd(m), field.sylvester_psd(m)) == want
