@@ -7,6 +7,10 @@ ladner for the diagonalization tooling.  Output is deterministic, exact
 values are printed as fractions with an advisory 12-digit decimal, and
 tables come with a tab-separated header so they parse mechanically.
 
+A plain invocation is read in one pass over the subcommand table,
+`_SUBCOMMANDS`; argparse runs only for help, abbreviated or =-joined
+options and usage errors, so every help text and usage error is its own.
+
 Exit codes: 0 success, 1 domain error (the error name is printed),
 2 usage error.
 """
@@ -261,22 +265,6 @@ def _cmd_ladner(args, config: Config) -> int:
     return _report_construction(result, args, config)
 
 
-class _Subcommand:
-    """Stands in for a subparser until argparse picks it by position, so
-    the top-level help lists every subcommand but an invocation builds
-    only the parser it runs."""
-
-    def __init__(self, arguments: tuple, **kwargs):
-        self.arguments = arguments
-        self.kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self.kwargs)
-        for name, options in self.arguments:
-            parser.add_argument(name, **options)
-        return parser.parse_known_args(args, namespace)
-
-
 _REQUIRED = {"required": True}
 _MACHINE = (("--machine", _REQUIRED),
             ("--input", {"action": "append", "default": [], "type": _word}),
@@ -345,17 +333,67 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact deciders for promise problems and delayed "
                     "diagonalization at desk scale")
     parser.add_argument("--config", help="flat key=value configuration file")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, arguments) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_line, arguments=arguments)
+        subparser = sub.add_parser(name, help=help_line)
+        for arg, options in arguments:
+            subparser.add_argument(arg, **options)
     return parser
 
 
-def dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that build_parser().parse_args(argv) returns, read
+    in one pass over the subcommand's table entry, when argv is plain: an
+    optional leading --config FILE, the subcommand, then exact --option
+    value pairs, store_true flags and positionals.  Anything else is None
+    and left to argparse: help, "--", an abbreviated or =-joined option,
+    a value starting with "-", a repeated option, a wrong positional
+    count, a missing required option or a value argparse would reject."""
+    head = 2 if argv[:1] == ["--config"] else 0
+    if len(argv) <= head or argv[head] not in _SUBCOMMANDS \
+            or (head and argv[1].startswith("-")):
+        return None
+    values = {"config": argv[1] if head else None, "command": argv[head]}
+    table = dict(_SUBCOMMANDS[argv[head]][2])
+    given, positionals = {}, []
+    rest = iter(argv[head + 1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            positionals.append(arg)
+        elif arg not in table or (arg in given and
+                                  table[arg].get("action") != "append"):
+            return None
+        elif table[arg].get("action") == "store_true":
+            given[arg] = []
+        elif (text := next(rest, "-")).startswith("-"):
+            return None
+        else:
+            given.setdefault(arg, []).append(text)
+    names = [name for name in table if not name.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    given.update((name, [text]) for name, text in zip(names, positionals))
     try:
-        args = parser.parse_args(argv)
+        for name, options in table.items():
+            texts, action = given.get(name), options.get("action")
+            if texts is None and options.get("required"):
+                return None
+            parsed = [options.get("type", str)(text) for text in texts or ()]
+            if any(v not in options.get("choices", (v,)) for v in parsed):
+                return None
+            values[name.lstrip("-").replace("-", "_")] = (
+                texts is not None if action == "store_true" else
+                parsed if action == "append" else
+                parsed[0] if parsed else options.get("default"))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
+def dispatch(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _read(argv) or build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else Config()
         return _SUBCOMMANDS[args.command][0](args, config)
     except (PromiseLabError, ValueError, KeyError, OSError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import sys
 import time
 from collections import Counter
@@ -14,6 +15,8 @@ from promiselab.enumeration import pair, triple
 from promiselab.promise import TotalDecider, Verdict, builtin, karp_check
 from promiselab.tm import encode_godel
 from promiselab.words import words_up_to
+# files is the golden cases' fixture, which writes their input files
+from test_cli_golden import CASES, files  # noqa: F401
 
 EXAMPLE_BITS = "01011010010110110111011010111"
 
@@ -775,3 +778,73 @@ class TestConfigFile:
                          "--problem", "builtin:parity", "--input", "1"])
         assert code == 1
         assert "frobnication" in capsys.readouterr().err
+
+
+class TestParserWork:
+    """A plain invocation is read from the subcommand table and builds no
+    argparse parser; help and usage errors still go through argparse."""
+
+    @pytest.fixture
+    def parsers(self, monkeypatch) -> Counter:
+        built = Counter()
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built["parsers"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_golden_invocation_builds_none(self, command, files, parsers,
+                                           capsys):
+        argv = [arg.format_map(files) for arg in CASES[command][0]]
+        assert dispatch(argv) == 0
+        assert parsers["parsers"] == 0
+
+    def test_leading_config_builds_none(self, tmp_path, parity_file, parsers,
+                                        capsys):
+        cfg = _config_file(tmp_path, "default-fuel = 3\n")
+        assert dispatch(["--config", cfg, "run", "--machine", parity_file,
+                         "--input", "1011"]) == 0
+        assert capsys.readouterr().out == "fuel-exhausted\tsteps=3\n"
+        assert parsers["parsers"] == 0
+
+    @pytest.mark.parametrize("argv,code", [
+        (["run"], 2), (["run", "--machine", "m", "--fuel", "-1"], 2),
+        (["--help"], 0), (["run", "--help"], 0)])
+    def test_help_and_usage_errors_build_parsers(self, argv, code, parsers,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == code
+        assert parsers["parsers"] > 0
+
+    def test_abbreviated_option_is_left_to_argparse(self, parity_file,
+                                                     parsers, capsys):
+        assert dispatch(["run", "--machine", parity_file, "--inp", "1011"]) == 0
+        assert capsys.readouterr().out == "halted\toutput=1\tsteps=5\n"
+        assert parsers["parsers"] > 0
+
+
+class TestConsoleScript:
+    """main() reads its arguments from sys.argv."""
+
+    def test_same_stdout_as_dispatch(self, parity_file, monkeypatch, capsys):
+        argv = ["run", "--machine", parity_file, "--input", "1011"]
+        assert dispatch(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["promiselab", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected
+
+    def test_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["promiselab", "run"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        assert "the following arguments are required: --machine" in \
+            capsys.readouterr().err

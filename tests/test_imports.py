@@ -84,7 +84,6 @@ CALLERLESS_API = {
     "circuit.classify_qcma": "reached by getattr(circuit, "
                              "f'classify_{family}')",
     "circuit.classify_qma": "reached by getattr(circuit, f'classify_{family}')",
-    "cli._Subcommand.parse_known_args": "argparse calls it on a subparser",
     "enumeration.triple": "inverse of untriple, for naming witness-carrying "
                           "deciders",
     "promise.differences": "the difference sets of two deciders, for the "

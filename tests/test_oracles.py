@@ -56,9 +56,18 @@ machine, are checked against the unconditional run kept there: equal
 verdicts, or equal error types and messages, on every word up to length
 6 and on words that are not binary, for trivial and hand-built indices,
 zero fuel, an `np` witness space past its cap, and negative thresholds.
+The one-pass argv reader `promiselab.cli._read` is checked against
+argparse itself: on argv built from each subcommand's own arguments and
+perturbed with abbreviated and =-joined options, bad values, "-1", "",
+help flags, "--" and a leading --config, every namespace it returns is
+the one `build_parser().parse_args` returns, and it reads every help
+argv and every pinned usage error as None.
 """
 
+import contextlib
+import io
 import random
+from argparse import ArgumentTypeError
 from fractions import Fraction
 from typing import Callable
 from unittest import mock
@@ -79,7 +88,7 @@ from helpers_machines import complete_tree_ptm, const_output_machine, \
     costed_toy, identity_machine, machine_reduction, parity_machine, \
     witness_equals_one_ptm
 from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows
-from promiselab import circuit, enumeration, field, ptm, tm
+from promiselab import circuit, cli, enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, classify_qcma,
                                 encode_circuit, p_acc, parse_circuit,
@@ -97,6 +106,7 @@ from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
 from promiselab.promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider,
                                 Verdict, builtin, cook_run, karp_check)
 from promiselab.words import words_of_length, words_up_to
+from test_cli_golden import HELP, USAGE_ERRORS
 from test_diagonal import reference_gap_member, toy_instance
 from test_enumeration import clock_index, machine_index, ptm_index, \
     query_echo_index
@@ -1032,3 +1042,119 @@ class TestDeterminantOracle:
         want = (oracle_field.positive_definite(m),
                 oracle_field.positive_semidefinite(m))
         assert (field.sylvester_pd(m), field.sylvester_psd(m)) == want
+
+
+def _recorder(name: str, options: dict) -> dict:
+    """The options with a type that runs the real one, so that it raises
+    as the real one does, and returns (name, text): the real values
+    include fresh closures, which never compare equal."""
+    parse = options.get("type")
+    if parse is None:
+        return options
+
+    def record(text: str) -> tuple[str, str]:
+        parse(text)
+        return name, text
+    return {**options, "type": record}
+
+
+RECORDED = {command: (handler, help_line,
+                      tuple((name, _recorder(name, options))
+                            for name, options in arguments))
+            for command, (handler, help_line, arguments)
+            in cli._SUBCOMMANDS.items()}
+# valid and invalid texts for every type, choice and file name in the table
+ARG_TEXTS = ("0", "1011", "", "7", "-1", "1/2", "1/0", "2,1", "x", "qma",
+             "bpp", "presentable", "representable", "builtin:parity",
+             "builtin:nope", "machine:m.tm", "builtins:const-yes,parity",
+             "builtins:", "family:p", "family:polyfunc", "succ",
+             "affine:2:2", "affine:0:1", "run")
+STRAY = ("-1", "", "-h", "--help", "--", "--config", "-", "x")
+
+
+def _valid_texts(options: dict) -> tuple[str, ...]:
+    def valid(text: str) -> bool:
+        try:
+            value = options.get("type", str)(text)
+        except (ArgumentTypeError, ValueError):
+            return False
+        return not text.startswith("-") and value in options.get("choices",
+                                                                 (value,))
+    return tuple(filter(valid, ARG_TEXTS))
+
+
+@st.composite
+def invocations(draw) -> list[str]:
+    """One subcommand's own arguments in any order, each zero to two
+    times (a required one mostly once), with texts mostly valid for
+    their argument, then up to two perturbations."""
+    command = draw(st.sampled_from([*cli._SUBCOMMANDS, "bogus"]))
+    chunks = []
+    for name, options in cli._SUBCOMMANDS.get(command, (0, 0, ()))[2]:
+        pool = draw(st.sampled_from((_valid_texts(options),) * 9
+                                    + (ARG_TEXTS,)))
+        if not name.startswith("-"):
+            chunks.append([draw(st.sampled_from(pool))])
+            continue
+        counts = [1] * 6 + [0, 2] if options.get("required") \
+            else [0, 0, 1, 1, 2]
+        for _ in range(draw(st.sampled_from(counts))):
+            if options.get("action") == "store_true":
+                chunks.append([name])
+            else:
+                chunks.append([name, draw(st.sampled_from(pool))])
+    order = draw(st.permutations(chunks))
+    argv = [command, *(arg for chunk in order for arg in chunk)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(1, len(argv)))
+        kind = draw(st.sampled_from(["abbrev", "join", "insert", "drop",
+                                     "repeat"]))
+        if kind == "insert":
+            argv.insert(at, draw(st.sampled_from(STRAY)))
+        elif at < len(argv) and kind == "drop":
+            del argv[at]
+        elif at < len(argv) and kind == "repeat":
+            argv.insert(at, argv[at])
+        elif at + 1 < len(argv) and argv[at].startswith("--"):
+            if kind == "abbrev":
+                argv[at] = argv[at][:draw(st.integers(2, len(argv[at])))]
+            else:
+                argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+    if draw(st.booleans()):
+        argv = ["--config", draw(st.sampled_from(["lab.cfg", "run", "", "-1",
+                                                  "-h"])),
+                *argv]
+    return argv
+
+
+def _argparse(argv: list[str]):
+    """build_parser().parse_args(argv), or the exit code it raises."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestArgvReaderOracle:
+    @settings(max_examples=600)
+    @given(invocations())
+    @example(["--config", "lab.cfg", "decide", "--gen", "g", "qma",
+              "--input", "0", "--c", "1/2"])
+    @example(["enumerate", "p", "--max-len", "3", "5"])
+    @example(["simulate", "--witness-header", "--circuit", "c", "--input", ""])
+    @example(["diagonalize", "--a", "builtin:parity", "--a-pres", "family:p",
+              "--aprime", "machine:m.tm", "--aprime-pres", "builtins:parity",
+              "--aprime-mode", "representable"])
+    def test_namespaces_match_argparse(self, argv):
+        with mock.patch.object(cli, "_SUBCOMMANDS", RECORDED):
+            read = cli._read(argv)
+            if read is not None:
+                assert _argparse(argv) == read
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--help"] if command else ["--help"] for command in HELP),
+        *(argv for argv, _ in USAGE_ERRORS)])
+    def test_help_and_usage_errors_are_left_to_argparse(self, argv):
+        assert cli._read(argv) is None
