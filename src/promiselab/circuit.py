@@ -15,27 +15,26 @@ starts in the all-zero state.  H is the standard unitary
 (1/sqrt2)[[1,1],[1,-1]]; T applies the phase (1+i)/sqrt2 to |1>.
 
 Every amplitude of such a circuit lies in the ring Z[w, 1/sqrt2] with
-w = e^(i*pi/4) = (1+i)/sqrt2.  The simulator stores amplitude j as four
+w = e^(i*pi/4) = (1+i)/sqrt2.  The simulator stores an amplitude as four
 integers (a, b, c, d) meaning (a + b*w + c*w^2 + d*w^3) / sqrt2^k, k the
-H count, shared by the whole vector.  Each coordinate vector is one int
-of lanes of `width` bits: lane j holds coordinate j plus the bias
-2^(width-1), so no lane is negative or carries into the next.  The
-squares of all coordinates sum to exactly 2^k, so |coordinate| <= 2^(k/2)
-and width is the least of 8, 16, 32 and 64 with k + 4 <= 2*width (a
-multiple of 64 beyond that).  A gate is a few shifts
-and masks of whole vectors: H adds and subtracts lanes 2^p apart, T
-rotates (a, b, c, d) -> (-d, a, b, c), multiplying by w (w^4 = -1), on
-lanes whose bit p is 1, CNOT swaps lanes; no rational is formed.  Values
-enter the field Q(1/sqrt2, i) of `promiselab.field` only at readout, so
-acceptance probabilities and the witness-block acceptance operator are
-exact and the threshold trichotomy is decided by integer arithmetic.
+H count, shared by the whole vector.  Only the qubits that have left
+their basis state own lane-index bits; the others are known bits.  Each
+coordinate vector is one int of lanes of `width` bits: a lane holds its
+coordinate plus the bias 2^(width-1), so no lane is negative or carries
+into the next.  The squares of all coordinates sum to exactly 2^k, so
+|coordinate| <= 2^(k/2) and width is the least of 8, 16, 32 and 64 with
+k + 4 <= 2*width (a multiple of 64 beyond that).  A gate is a few shifts
+and masks of whole vectors, or appends a lane-index bit when it takes a
+qubit out of its basis state; no rational is formed.  Values enter the
+field Q(1/sqrt2, i) of `promiselab.field` only at readout, so acceptance
+probabilities and the witness-block acceptance operator are exact and
+the threshold trichotomy is decided by integer arithmetic.
 
-The witnesses of a QMA or QCMA instance share packed runs: lane-index
-bits above the circuit's n qubits number blocks of 2^n lanes that no
-gate touches, so one run evolves a block per witness with the masks and
-lane width of a single run, and no run exceeds 2^max_qubits lanes.  The
-witness-block operator is the Gram matrix of the blocks' output-1
-halves, formed from its upper triangle.
+The witnesses of a QMA or QCMA instance share packed runs: the lowest
+lane-index bits number blocks, one per witness, that no gate touches, so
+one run evolves them all with the masks and lane width of a single run.
+The witness-block operator is the Gram matrix of the blocks' output-1
+lanes, formed from its upper triangle.
 """
 
 from __future__ import annotations
@@ -114,13 +113,19 @@ TRIVIAL_CIRCUIT = Circuit(gates=(), witness_qubits=0, trivial=True)
 
 @dataclass(frozen=True)
 class StateVector:
-    """Amplitude j is (a + b*w + c*w^2 + d*w^3) / sqrt2^k, w = e^(i*pi/4);
-    packed[0..3] hold a, b, c, d + 2^(width-1) in their j-th width-bit lane."""
+    """Bit i of a lane index is qubit lanes[i]; every other qubit q is in
+    basis state bit n - q of `basis`.  Lane j stands for the amplitude
+    index basis + (j's bits at its qubits' places), and packed[0..3] hold
+    a, b, c, d + 2^(width-1) in their j-th width-bit lane, the amplitude
+    being (a + b*w + c*w^2 + d*w^3) / sqrt2^k, w = e^(i*pi/4).  Every
+    other amplitude is 0."""
 
     num_qubits: int
     k: int
     width: int
     packed: tuple[int, int, int, int]
+    lanes: tuple[int, ...]
+    basis: int
 
 
 def parse_circuit(bits: str, expect_witness_header: bool = False) -> Circuit:
@@ -188,70 +193,103 @@ def simulate(c: Circuit, basis_input: str,
         raise ValueError(f"basis input must be {n} bits")
     if n > config.max_qubits:
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
-    k, width, xs = _evolve(c, n, n, [int(basis_input, 2)])
-    return StateVector(n, k, width, tuple(xs))
+    return _evolve(c, int(basis_input, 2))
 
 
-def _evolve(c: Circuit, n: int, size: int,
-            ones: list[int]) -> tuple[int, int, list[int]]:
-    """(k, width, xs): the gate list applied to 2^size lanes at once, each
-    lane in `ones` starting with coordinate 1 and every other lane with 0.
-
-    Gates touch only the n = c.total_qubits low bits of a lane index, so
-    the bits above them number blocks of 2^n lanes that evolve apart, as
-    runs of their own would: a block that starts on one basis state ends
-    in that run's state.
+def _evolve(c: Circuit, basis: int, m: int = 0,
+            chunk: range = range(1)) -> StateVector:
+    """The gate list applied to one block per witness in `chunk`, block t
+    starting on witness chunk[t] in the last m qubits and `basis` in the
+    others.  The 2^bits blocks are the lowest lane-index bits, which no
+    gate touches, and the witness qubits start as lane qubits: block t
+    starts with coordinate 1 in lane t + (chunk[t] << bits).  A qubit that
+    leaves its basis state takes the next, top lane-index bit.
     """
+    n = c.total_qubits
     k = sum(g.kind == "H" for g in c.gates)
     width = _lane_width(k)
+    bits = len(chunk).bit_length() - 1
+    lanes = list(range(n, n - m, -1))
+    at = [None] * (n + 1)  # lane-index bit of each lane qubit
+    for i, q in enumerate(lanes):
+        at[q] = bits + i
+    size = bits + m  # lane-index bits
     zero = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * (1 << size),
                           "little")
     xs = [zero] * 4  # every lane holds the bias 2^(width-1)
-    xs[0] += sum(1 << lane * width for lane in ones)
+    xs[0] += sum(1 << (t + (y << bits)) * width for t, y in enumerate(chunk))
     for g in c.gates:
-        p = n - g.qubits[0]
-        shift = width << p
-        if g.kind == "H":  # (u, v) <- (u + v, u - v) on lane pairs 2^p apart
-            low = _low_lanes(size, p, width)
-            low_bias = low & zero
-            for i, x in enumerate(xs):  # u - v + B = 2u - (u + v - B)
-                u = x & low
-                lo = u + (x >> shift & low) - low_bias
-                xs[i] = lo | ((u << 1) - lo) << shift
-        elif g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c) where bit p is 1
-            high = _low_lanes(size, p, width) << shift
-            # -d stored: 2^width - (d + 2^(width-1)) in each lane of `high`
-            neg_d = ((high & zero) << 1) - (xs[3] & high)
-            for i in (3, 2, 1):
-                xs[i] ^= (xs[i] ^ xs[i - 1]) & high
-            xs[0] ^= xs[0] & high ^ neg_d
-        else:  # swap the control-1 lanes of target 0 and target 1
-            tp = n - g.qubits[1]
-            src = _low_lanes(size, p, width) << shift & _low_lanes(size, tp, width)
-            shift = width << tp
+        q, t = g.qubits[0], g.qubits[-1]  # t = q but for CNOT
+        p, tp = at[q], at[t]
+        if p is None and g.kind != "H":  # T or CNOT on a basis-state q
+            if basis >> n - q & 1:
+                if g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c)
+                    xs = [(zero << 1) - xs[3], *xs[:3]]
+                elif tp is None:
+                    basis ^= 1 << n - t
+                else:  # swap every lane pair of the target bit
+                    _swap(xs, _low_lanes(size, tp, width), width << tp)
+            continue
+        if tp is not None:  # on lane qubits only
+            if g.kind == "H":  # (u, v) <- (u + v, u - v), lanes 2^p apart
+                shift = width << p
+                low = _low_lanes(size, p, width)
+                low_bias = low & zero
+                for i, x in enumerate(xs):  # u - v + B = 2u - (u + v - B)
+                    u = x & low
+                    lo = u + (x >> shift & low) - low_bias
+                    xs[i] = lo | ((u << 1) - lo) << shift
+            elif g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c) on bit p = 1
+                high = _low_lanes(size, p, width) << (width << p)
+                # -d stored: 2^width - (d + 2^(width-1)) in each lane of `high`
+                neg_d = ((high & zero) << 1) - (xs[3] & high)
+                for i in (3, 2, 1):
+                    xs[i] ^= (xs[i] ^ xs[i - 1]) & high
+                xs[0] ^= xs[0] & high ^ neg_d
+            else:  # swap the control-1 lanes of target 0 and target 1
+                _swap(xs, _low_lanes(size, p, width) << (width << p)
+                      & _low_lanes(size, tp, width), width << tp)
+            continue
+        # H on basis state t, or a CNOT from a lane qubit onto it: t
+        # leaves its basis state for a new top lane-index bit
+        shift = width << size
+        if g.kind == "H":
+            # |0> -> |0> + |1>, |1> -> |0> - |1>: a copy of the lanes, or
+            # a negated one, -v + B = 2B - (v + B), on the new top bit
+            one = basis >> n - t & 1
             for i, x in enumerate(xs):
-                moved = (x >> shift ^ x) & src
-                xs[i] = x ^ moved ^ moved << shift
-    return k, width, xs
+                xs[i] = x | ((zero << 1) - x if one else x) << shift
+        else:  # lanes whose control bit differs from t's move up
+            low = _low_lanes(size, p, width)
+            move = low if basis >> n - t & 1 else low << (width << p)
+            for i, x in enumerate(xs):  # moved lanes leave the bias behind
+                d = (x ^ zero) & move
+                xs[i] = x ^ d | (zero ^ d) << shift
+        at[t] = size
+        lanes.append(t)
+        basis &= ~(1 << n - t)
+        zero |= zero << shift
+        size += 1
+    return StateVector(n, k, width, tuple(xs), tuple(lanes), basis)
 
 
-def _lane_bytes(xs, count: int, width: int) -> list[memoryview]:
-    """The `count` lanes of each x in xs, lowest first, as little-endian
-    width-bit two's complement coordinates: without its bias a lane is
-    exactly that."""
-    nbytes = width // 8
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
-    return [memoryview((x ^ bias).to_bytes(count * nbytes, "little"))
-            for x in xs]
+def _swap(xs: list[int], src: int, shift: int) -> None:
+    """Swap each lane of `src` in every x of xs with the lane `shift`
+    bits above it."""
+    for i, x in enumerate(xs):
+        moved = (x >> shift ^ x) & src
+        xs[i] = x ^ moved ^ moved << shift
 
 
-def _signed(raw: memoryview, width: int) -> list[int]:
-    """The coordinates in a stretch of `_lane_bytes`, lowest first."""
+def _signed(raw: memoryview, width: int, start: int,
+            step: int) -> list[int]:
+    """Every step-th coordinate from the start-th of a little-endian
+    stretch of width-bit two's complement lanes."""
     if sys.byteorder == "little" and width in _SIGNED:
-        return raw.cast(_SIGNED[width]).tolist()
+        return raw.cast(_SIGNED[width])[start::step].tolist()
     nbytes = width // 8
     return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-            for i in range(0, len(raw), nbytes)]
+            for i in range(start * nbytes, len(raw), step * nbytes)]
 
 
 def _dot(x, y) -> int:
@@ -286,24 +324,49 @@ def _inner(left: list[list[int]],
     return tuple(z)
 
 
-def _accepting(xs: list[int], n: int, blocks: int,
-               width: int) -> list[list[list[int]]]:
-    """Per block of 2^n lanes in xs, the four coordinate lists of its
-    output-1 half: the lanes whose bit n - 1 is set.  The first block's
-    output-0 half is shifted off before any lane is read."""
-    half = 1 << n - 1
-    step = width // 8 * half  # bytes in half a block
-    raws = _lane_bytes([x >> half * width for x in xs],
-                       (2 * blocks - 1) * half, width)
-    return [[_signed(raw[i:i + step], width) for raw in raws]
-            for i in range(0, len(raws[0]), 2 * step)]
+def _output_one_bytes(state: StateVector, bits: int) -> list[memoryview]:
+    """Each coordinate's output-1 lanes as little-endian width-bit two's
+    complement coordinates, which is what a lane is without its bias.
+
+    A qubit 1 in a basis state gives no lanes or all of them.  A lane
+    qubit 1 on bit p: the lanes with bit p set move down, by 2^top lanes
+    from the upper half and by 2^p from the lower, into the lower half.
+    Its masks die here, before the caller builds any list.
+    """
+    width, lanes = state.width, state.lanes
+    size = bits + len(lanes)
+    if 1 in lanes:
+        p, top = bits + lanes.index(1), size - 1
+        high = _low_lanes(size, p, width) << (width << p)
+        half = (1 << (width << top)) - 1
+        size = top
+    elif not state.basis >> state.num_qubits - 1 & 1:
+        return [memoryview(b"")] * 4
+    nbytes = width // 8
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (1 << size),
+                          "little")
+    raws = []
+    for x in state.packed:
+        if 1 in lanes:
+            x &= high
+            x = x >> (width << top) | x >> (width << p) & half
+        raws.append(memoryview((x ^ bias).to_bytes(nbytes << size, "little")))
+    return raws
+
+
+def _accepting(state: StateVector, bits: int = 0) -> list[list[list[int]]]:
+    """Per block of an `_evolve` run, the four coordinate lists of its
+    output-1 lanes, in the same order for every block."""
+    raws = _output_one_bytes(state, bits)
+    return [[_signed(raw, state.width, t, 1 << bits) for raw in raws]
+            for t in range(1 << bits)]
 
 
 def _probability(half: list[list[int]], k: int) -> FieldElem:
-    """The probability mass of an output-1 half over sqrt2^k.
+    """The probability mass of the output-1 lanes over sqrt2^k.
 
     |a + b*w + c*w^2 + d*w^3|^2 = s1 + sqrt2*s2 with s1 = a^2+b^2+c^2+d^2
-    and s2 = ab + bc + cd - da; summed over the half, that is
+    and s2 = ab + bc + cd - da; summed over the lanes, that is
     (s1, s2, 0, -s2) in the basis 1, w, w^2, w^3 (w - w^3 = sqrt2), over
     the shared 2^k.
     """
@@ -321,29 +384,30 @@ def p_acc(c: Circuit, basis_input: str | None = None,
     state = simulate(c, basis_input, config)
     if c.trivial:
         return ZERO
-    half, = _accepting(state.packed, state.num_qubits, 1, state.width)
+    half, = _accepting(state)
     return _probability(half, state.k)
 
 
 def _witness_runs(c: Circuit, config: Config
                   ) -> Iterator[tuple[int, list[list[int]]]]:
-    """(k, output-1 half) of the run on each witness y with zeroed
+    """(k, output-1 lanes) of the run on each witness y with zeroed
     workspace, in canonical order, lazily.
 
-    The workspace is the high qubits, so witness y is basis state y.
-    One packed run evolves a chunk of up to 2^(max_qubits - n) witnesses;
-    witness y of the chunk from y0 starts at lane (y - y0)*2^n + y.
+    The workspace is the high index bits, so witness y is basis state y.
+    One packed run evolves a chunk of 2^bits witnesses, bits at most
+    max_qubits - n, as the blocks of one `_evolve`.  Every run starts
+    with the witness qubits as its lane qubits and the zeroed workspace
+    as its basis bits, so all runs lay out their lanes alike, and none
+    holds more than 2^(bits + n) lanes.
     """
     n, m = c.total_qubits, c.witness_qubits
     if n > config.max_qubits:
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
     bits = min(m, config.max_qubits - n)
     for y0 in range(0, 1 << m, 1 << bits):
-        chunk = range(y0, y0 + (1 << bits))
-        k, width, xs = _evolve(c, n, n + bits,
-                               [(y - y0 << n) + y for y in chunk])
-        for half in _accepting(xs, n, len(chunk), width):
-            yield k, half
+        state = _evolve(c, 0, m, range(y0, y0 + (1 << bits)))
+        for half in _accepting(state, bits):
+            yield state.k, half
 
 
 def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:

@@ -60,17 +60,25 @@ def fmul(x: FieldElem, *rest: FieldElem) -> FieldElem:
 
 
 def coords(state: StateVector) -> tuple[tuple[int, ...], ...]:
-    """The four coordinate vectors (a_j), (b_j), (c_j), (d_j), read off
-    the packed lanes as the `StateVector` docstring lays them out."""
-    size, nbytes = 1 << state.num_qubits, state.width // 8
+    """The four coordinate vectors (a_j), (b_j), (c_j), (d_j) over all
+    2^n amplitude indices j, read off the packed lanes as the
+    `StateVector` docstring lays them out: 0 where no lane stands."""
+    n, lanes = state.num_qubits, state.lanes
+    count, nbytes = 1 << len(lanes), state.width // 8
     bias = 1 << state.width - 1
+    index = [state.basis | sum((j >> i & 1) << n - q
+                               for i, q in enumerate(lanes))
+             for j in range(count)]
 
-    def lanes(x: int) -> tuple[int, ...]:
-        raw = x.to_bytes(size * nbytes, "little")
-        return tuple(int.from_bytes(raw[i:i + nbytes], "little") - bias
-                     for i in range(0, len(raw), nbytes))
+    def expand(x: int) -> tuple[int, ...]:
+        raw = x.to_bytes(count * nbytes, "little")
+        full = [0] * (1 << n)
+        for j, at in enumerate(index):
+            full[at] = int.from_bytes(raw[j * nbytes:(j + 1) * nbytes],
+                                      "little") - bias
+        return tuple(full)
 
-    return tuple(map(lanes, state.packed))
+    return tuple(map(expand, state.packed))
 
 
 def amplitudes(state: StateVector) -> tuple[FieldElem, ...]:

@@ -215,6 +215,41 @@ class TestSimulation:
             assert real_sign(ONE - p) >= 0
 
 
+def _basis_keeping(n: int) -> Circuit:
+    """H on qubit 1, then T and CNOT gates that leave qubits 2..n in
+    basis states: each CNOT's control is one of them."""
+    gates = [Gate("H", (1,))]
+    for q in range(2, n + 1):
+        gates += [Gate("T", (q,)), Gate("CNOT", (q, q % n + 1)),
+                  Gate("T", (1,)), Gate("CNOT", (q, 1))]
+    return Circuit(tuple(gates))
+
+
+class TestLaneCount:
+    def test_basis_state_qubits_hold_no_lanes(self):
+        c = _basis_keeping(20)
+        state = simulate(c, "0" + "10" * 9 + "1")
+        assert state.lanes == (1,)
+        assert all(x >> 2 * state.width == 0 for x in state.packed)
+        assert p_acc(c, "0" + "10" * 9 + "1") == FieldElem(Fraction(1, 2))
+
+    def test_hadamard_layer_holds_every_lane(self):
+        n = 6
+        c = Circuit(tuple(Gate("H", (q,)) for q in range(1, n + 1)))
+        state = simulate(c, "0" * n)
+        assert sorted(state.lanes) == list(range(1, n + 1))
+        # every lane holds at least the bias, so the top one is not 0
+        assert all(x.bit_length() > ((1 << n) - 1) * state.width
+                   and x >> (state.width << n) == 0 for x in state.packed)
+
+    def test_21_qubits_refused(self):
+        c = _basis_keeping(21)
+        with pytest.raises(DimensionCap, match=r"^21 qubits exceed cap 20$"):
+            simulate(c, "0" * 21)
+        with pytest.raises(DimensionCap, match=r"^21 qubits exceed cap 20$"):
+            p_acc(c)
+
+
 class TestQubitCap:
     # qubit 21 is one past the default cap; its 2^21 lanes would take
     # at least 2 MB per coordinate vector

@@ -3,14 +3,16 @@
 The packed-lane Z[w] simulator in `promiselab.circuit` is checked against
 the FieldElem simulator kept in `oracle_simulator`: amplitudes, acceptance
 probabilities and the witness-block acceptance operator must be equal as
-exact values, not merely close.  It is also checked against its slow twin
-there, the list-slice simulator of the same integer coordinates, on
-circuits of up to 80 gates, and on H counts either side of every change
-of lane width.  The packed witness runs are checked against the
-per-witness twins there: equal operators and QCMA verdicts for 0 to 4
-witness qubits, with `max_qubits` set so that the witness block splits
-into runs of every size from one witness to all of them, and the caps
-raised in the same order with the same messages.  The pattern-based
+exact values, not merely close, with an explicit example for each kind
+of gate on a qubit still in a basis state.  It is also checked against
+its slow twin there, the list-slice simulator of the same integer
+coordinates, on circuits of up to 80 gates, and on H counts either side
+of every change of lane width.  The packed witness runs are checked
+against the per-witness twins there: equal operators and QCMA verdicts
+for 0 to 4 witness qubits, with `max_qubits` set so that the witness
+block splits into runs of every size from one witness to all of them,
+and the caps raised in the same order with the same messages.  The
+pattern-based
 decoders of machines, PTMs, circuits and oracle-machine prefixes are
 checked against the per-character parsers kept in `oracle_parser`, and
 the one-match machine decoder also against the quintuple-at-a-time loop
@@ -132,6 +134,13 @@ def circuits(draw, kinds=ALL_KINDS, witness=st.just(0), max_qubits=6,
     return Circuit(tuple(gates), witness_qubits=m)
 
 
+def _circuit(*gates: str, witness: int = 0) -> Circuit:
+    """The circuit of gates written as "H 1", "T 2" or "CNOT 2 1"."""
+    return Circuit(tuple(Gate(kind, tuple(map(int, qubits)))
+                         for kind, *qubits in map(str.split, gates)),
+                   witness_qubits=witness)
+
+
 def _basis(data, c: Circuit) -> str:
     n = c.total_qubits
     return format(data.draw(st.integers(0, (1 << n) - 1)), f"0{n}b")
@@ -152,8 +161,33 @@ class TestSimulatorOracle:
         c = data.draw(circuits(kinds, witness=st.integers(0, 3)))
         _assert_matches(c, _basis(data, c))
 
+    # Each gate on a qubit still in a basis state (the input's bit i is
+    # qubit i's) has its own branch in the simulator.
+    @settings(max_examples=40)
+    @given(circuits(), st.integers(0, 63))
+    @example(_circuit("H 1"), 1)  # H on |1>: a negated copy
+    @example(_circuit("H 1", "H 2"), 0b01)
+    @example(_circuit("H 2", "CNOT 2 1"), 0b10)  # lane onto |1>
+    @example(_circuit("H 1", "CNOT 1 2"), 0b01)
+    @example(_circuit("H 2", "CNOT 1 2"), 0b10)  # |1> onto a lane
+    @example(_circuit("H 1", "H 2", "CNOT 3 2"), 0b001)
+    @example(_circuit("CNOT 2 1"), 0b01)  # |1> onto |0>
+    @example(_circuit("H 3", "CNOT 2 1", "CNOT 1 3"), 0b011)
+    @example(_circuit("T 1", "H 1"), 1)  # T on |1>
+    @example(_circuit("H 2", "T 1", "CNOT 2 1", "T 1"), 0b10)
+    @example(_circuit("H 2", "T 2"), 0b00)  # qubit 1 stays |0>
+    @example(_circuit("H 2", "T 2", "CNOT 3 2"), 0b101)  # ... or |1>
+    def test_basis_state_branches(self, c, y):
+        n = c.total_qubits
+        _assert_matches(c, format(y % (1 << n), f"0{n}b"))
+
     @settings(max_examples=40)
     @given(circuits(witness=st.integers(1, 3)))
+    @example(_circuit("H 2", "T 2", "CNOT 2 3", witness=1))  # q1 stays |0>
+    # the workspace never leaves |0>
+    @example(_circuit("H 3", "T 3", "CNOT 1 3", "H 2", witness=2))
+    @example(_circuit("H 4", "CNOT 1 4", "T 2", "CNOT 2 3", "H 3", witness=2))
+    @example(_circuit("T 1", "CNOT 1 2", "H 2", witness=2))  # no workspace
     def test_acceptance_operator(self, c):
         assert acceptance_operator(c) == ref.acceptance_operator(c)
 
@@ -266,16 +300,20 @@ class TestWitnessBlockOracle:
         want = ref.acceptance_operator_per_witness(c)
         evolve = circuit._evolve
         for bits, config in enumerate(_chunk_configs(c)):
-            sizes = []
+            runs = []
 
-            def spy(c, n, size, ones):
-                sizes.append(size)
-                return evolve(c, n, size, ones)
+            def spy(c, basis, m, chunk):
+                state = evolve(c, basis, m, chunk)
+                runs.append((len(chunk), bits + len(state.lanes)))
+                return state
 
             with mock.patch.object(circuit, "_evolve", spy):
                 assert acceptance_operator(c, config) == want
-            # 2^(m - bits) runs, each of exactly 2^max_qubits lanes
-            assert sizes == [config.max_qubits] * (1 << c.witness_qubits - bits)
+            # 2^(m - bits) runs of 2^bits witnesses, none of them holding
+            # more than 2^max_qubits lanes
+            assert [blocks for blocks, _ in runs] == \
+                [1 << bits] * (1 << c.witness_qubits - bits)
+            assert max(size for _, size in runs) <= config.max_qubits
 
     @pytest.mark.parametrize("h_count, width", [(29, 32), (61, 64), (125, 128)])
     def test_wide_lanes_at_every_chunk_size(self, h_count, width):
