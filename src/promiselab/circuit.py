@@ -27,8 +27,10 @@ k + 4 <= 2*width (a multiple of 64 beyond that).  A gate is a few shifts
 and masks of whole vectors, or appends a lane-index bit when it takes a
 qubit out of its basis state; no rational is formed.  Values enter the
 field Q(1/sqrt2, i) of `promiselab.field` only at readout, so acceptance
-probabilities and the witness-block acceptance operator are exact and
-the threshold trichotomy is decided by integer arithmetic.
+probabilities and the witness-block acceptance operator are exact.  The
+witness verdicts read out nothing: a threshold p/q meets a value v/2^k
+in the sign of q*v - p*2^k, so the QCMA trichotomy and the QMA
+definiteness tests run on integer coordinates.
 
 The witnesses of a QMA or QCMA instance share packed runs: the lowest
 lane-index bits number blocks, one per witness, that no gate touches, so
@@ -49,8 +51,8 @@ from typing import Callable, Iterator
 from . import tm
 from .config import Config
 from .errors import DimensionCap, GeneratorFuelExhausted
-from .field import (ZERO, ExactMatrix, FieldElem, real_sign,
-                    scaled_identity, sylvester_pd, sylvester_psd)
+from .field import (ZERO, ExactMatrix, FieldElem, real_sign, sylvester_pd,
+                    sylvester_psd)
 from .promise import Verdict, witness_verdict
 
 _OPCODE = {"H": "01", "T": "10", "CNOT": "11"}
@@ -185,27 +187,29 @@ def _low_lanes(n: int, p: int, width: int) -> int:
     return int.from_bytes((run + bytes(len(run))) * (1 << n - p - 1), "little")
 
 
-def simulate(c: Circuit, basis_input: str,
+def simulate(c: Circuit, basis_input: str | None = None,
              config: Config = Config()) -> StateVector:
-    """Apply the gate list in order to the given computational basis state."""
+    """Apply the gate list in order to the given computational basis
+    state, the all-zero one by default."""
     n = c.total_qubits
+    if basis_input is None:
+        basis_input = "0" * n
     if len(basis_input) != n or any(ch not in "01" for ch in basis_input):
         raise ValueError(f"basis input must be {n} bits")
     if n > config.max_qubits:
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
-    return _evolve(c, int(basis_input, 2))
+    return _evolve(c, n, int(basis_input, 2))
 
 
-def _evolve(c: Circuit, basis: int, m: int = 0,
+def _evolve(c: Circuit, n: int, basis: int, m: int = 0,
             chunk: range = range(1)) -> StateVector:
     """The gate list applied to one block per witness in `chunk`, block t
-    starting on witness chunk[t] in the last m qubits and `basis` in the
-    others.  The 2^bits blocks are the lowest lane-index bits, which no
-    gate touches, and the witness qubits start as lane qubits: block t
-    starts with coordinate 1 in lane t + (chunk[t] << bits).  A qubit that
-    leaves its basis state takes the next, top lane-index bit.
+    starting on witness chunk[t] in the last m of the n qubits and `basis`
+    in the others.  The 2^bits blocks are the lowest lane-index bits,
+    which no gate touches, and the witness qubits start as lane qubits:
+    block t starts with coordinate 1 in lane t + (chunk[t] << bits).  A
+    qubit that leaves its basis state takes the next, top lane-index bit.
     """
-    n = c.total_qubits
     k = sum(g.kind == "H" for g in c.gates)
     width = _lane_width(k)
     bits = len(chunk).bit_length() - 1
@@ -362,30 +366,28 @@ def _accepting(state: StateVector, bits: int = 0) -> list[list[list[int]]]:
             for t in range(1 << bits)]
 
 
-def _probability(half: list[list[int]], k: int) -> FieldElem:
-    """The probability mass of the output-1 lanes over sqrt2^k.
+def _mass(half: list[list[int]]) -> tuple[int, int]:
+    """The probability mass of the output-1 lanes, sqrt2^k times over.
 
     |a + b*w + c*w^2 + d*w^3|^2 = s1 + sqrt2*s2 with s1 = a^2+b^2+c^2+d^2
-    and s2 = ab + bc + cd - da; summed over the lanes, that is
-    (s1, s2, 0, -s2) in the basis 1, w, w^2, w^3 (w - w^3 = sqrt2), over
-    the shared 2^k.
+    and s2 = ab + bc + cd - da; summed over the lanes, that is (s1, s2),
+    and (s1, s2, 0, -s2) in the basis 1, w, w^2, w^3 (w - w^3 = sqrt2).
     """
     x0, x1, x2, x3 = half
     s1 = _dot(x0, x0) + _dot(x1, x1) + _dot(x2, x2) + _dot(x3, x3)
     s2 = _dot(x0, x1) + _dot(x1, x2) + _dot(x2, x3) - _dot(x3, x0)
-    return _readout((s1, s2, 0, -s2), k)
+    return s1, s2
 
 
 def p_acc(c: Circuit, basis_input: str | None = None,
           config: Config = Config()) -> FieldElem:
     """Exact probability of measuring 1 on the output qubit (qubit 1)."""
-    if basis_input is None:
-        basis_input = "0" * c.total_qubits
     state = simulate(c, basis_input, config)
     if c.trivial:
         return ZERO
     half, = _accepting(state)
-    return _probability(half, state.k)
+    s1, s2 = _mass(half)
+    return _readout((s1, s2, 0, -s2), state.k)
 
 
 def _witness_runs(c: Circuit, config: Config
@@ -405,20 +407,22 @@ def _witness_runs(c: Circuit, config: Config
         raise DimensionCap(f"{n} qubits exceed cap {config.max_qubits}")
     bits = min(m, config.max_qubits - n)
     for y0 in range(0, 1 << m, 1 << bits):
-        state = _evolve(c, 0, m, range(y0, y0 + (1 << bits)))
+        state = _evolve(c, n, 0, m, range(y0, y0 + (1 << bits)))
         for half in _accepting(state, bits):
             yield state.k, half
 
 
-def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
-    """Exact 2^m x 2^m operator of the witness block, Hermitian by
-    construction.
+def _gram(c: Circuit, config: Config
+          ) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
+    """(k, G) with G / 2^k the witness-block operator, G a 2^m x 2^m
+    matrix over Z[w] of coordinate tuples (z0, z1, z2, z3).
 
-    Entry (y', y) is the overlap of the output-1 components of the runs
-    on witnesses y' and y with zeroed workspace; its diagonal reproduces
-    the per-witness acceptance probabilities.  Entries on and above the
-    diagonal are inner products; each one below is the Z[w] conjugate of
-    its mirror, conj(z0 + z1*w + z2*w^2 + z3*w^3) having coordinates
+    The witness register meets its cap before the qubits meet theirs,
+    both before any simulation.  Entry (y', y) is the overlap of the
+    output-1 components of the runs on witnesses y' and y with zeroed
+    workspace.  Entries on and above the diagonal are inner products;
+    each one below is the Z[w] conjugate of its mirror,
+    conj(z0 + z1*w + z2*w^2 + z3*w^3) having coordinates
     (z0, -z3, -z2, -z1) since conj(w^j) = -w^(4-j).
     """
     m = c.witness_qubits
@@ -429,17 +433,24 @@ def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
     if dim > cap:
         raise DimensionCap(f"2^{m} exceeds cap {cap}")
     if c.trivial:
-        return scaled_identity(dim, ZERO)
+        return 0, [[(0, 0, 0, 0)] * dim for _ in range(dim)]
     ks, halves = zip(*_witness_runs(c, config))
-    k = ks[0]  # the H count, the same for every run
-    rows = [[ZERO] * dim for _ in range(dim)]
+    rows = [[None] * dim for _ in range(dim)]
     for j, left in enumerate(halves):
         for l in range(j, dim):
-            z0, z1, z2, z3 = z = _inner(left, halves[l])
-            rows[j][l] = _readout(z, k)
+            z0, z1, z2, z3 = rows[j][l] = _inner(left, halves[l])
             if l > j:
-                rows[l][j] = _readout((z0, -z3, -z2, -z1), k)
-    return ExactMatrix(tuple(map(tuple, rows)))
+                rows[l][j] = (z0, -z3, -z2, -z1)
+    return ks[0], rows  # k is the H count, the same for every run
+
+
+def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
+    """Exact 2^m x 2^m operator of the witness block, Hermitian by
+    construction: `_gram`'s matrix over 2^k.  Its diagonal reproduces
+    the per-witness acceptance probabilities."""
+    k, gram = _gram(c, config)
+    return ExactMatrix(tuple(tuple(_readout(z, k) for z in row)
+                             for row in gram))
 
 
 def _generate(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],
@@ -471,12 +482,22 @@ def classify_qcma(
     """Trichotomy over the best classical (basis) witness.
 
     The witness quantifier asks for the witnesses in canonical order, the
-    order in which the packed runs yield their acceptance probabilities.
+    order in which the packed runs yield their output-1 lanes.  Times
+    q*2^k > 0, probability (s1 + sqrt2*s2) / 2^k minus threshold p/q is
+    q*s1 - p*2^k + sqrt2*q*s2, with the same sign.
     """
     circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
-    accept = (_probability(half, k) for k, half in _witness_runs(circ, config))
+    runs = _witness_runs(circ, config)
+
+    def verdict_of(y: str) -> Verdict:
+        k, half = next(runs)
+        s1, s2 = _mass(half)
+        return _threshold_verdict(lambda t: real_sign(FieldElem(
+            t.denominator * s1 - (t.numerator << k), 2 * t.denominator * s2)),
+            config)
+
     return witness_verdict(circ.witness_qubits, 1 << config.max_witness_qubits,
-                           lambda y: _trichotomy(next(accept), config))
+                           verdict_of)
 
 
 def classify_qma(
@@ -490,26 +511,44 @@ def classify_qma(
     With Q the witness-block operator and thresholds (c, s):
     sI - Q positive semi-definite is equivalent to max eigenvalue <= s,
     and cI - Q not positive definite to max eigenvalue >= c, so the
-    verdict needs no eigenvalue computation.
+    verdict needs no eigenvalue computation.  For Q = G / 2^k and t = p/q
+    each test takes tI - Q times q*2^k > 0, p*2^k*I - q*G, which has
+    integer coordinates; an order-j minor is multiplied by (q*2^k)^j, so
+    no minor changes sign.
     """
     circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
     if circ.trivial:
         return _trichotomy(ZERO, config)
-    return classify_qma_operator(acceptance_operator(circ, config), config)
-
-
-def classify_qma_operator(q: ExactMatrix, config: Config = Config()) -> Verdict:
-    c, s = FieldElem(config.threshold_c), FieldElem(config.threshold_s)
-    if sylvester_psd(scaled_identity(q.dim, s) - q):
+    k, gram = _gram(circ, config)
+    if sylvester_psd(_scaled_shift(gram, k, config.threshold_s)):
         return Verdict.NO
-    if not sylvester_pd(scaled_identity(q.dim, c) - q):
+    if not sylvester_pd(_scaled_shift(gram, k, config.threshold_c)):
         return Verdict.YES
     return Verdict.OUTSIDE
 
 
+def _scaled_shift(gram: list[list[tuple[int, int, int, int]]], k: int,
+                  t: Fraction) -> ExactMatrix:
+    """p*2^k*I - q*G for t = p/q, in the integer coordinates of the basis
+    1, r, i, i*r that `_readout` gives a Z[w] entry."""
+    diag, q = t.numerator << k, t.denominator
+    return ExactMatrix(tuple(
+        tuple(FieldElem((diag if j == l else 0) - q * z0, q * (z3 - z1),
+                        -q * z2, -q * (z1 + z3))
+              for l, (z0, z1, z2, z3) in enumerate(row))
+        for j, row in enumerate(gram)))
+
+
 def _trichotomy(p: FieldElem, config: Config) -> Verdict:
-    if real_sign(p - FieldElem(config.threshold_s)) <= 0:
+    return _threshold_verdict(lambda t: real_sign(p - FieldElem(t)), config)
+
+
+def _threshold_verdict(excess: Callable[[Fraction], int],
+                       config: Config) -> Verdict:
+    """No when excess(s) <= 0, else Yes when excess(c) >= 0, else
+    outside; excess(t) is the sign of the probability minus t."""
+    if excess(config.threshold_s) <= 0:
         return Verdict.NO
-    if real_sign(p - FieldElem(config.threshold_c)) >= 0:
+    if excess(config.threshold_c) >= 0:
         return Verdict.YES
     return Verdict.OUTSIDE

@@ -5,8 +5,10 @@ Every amplitude and acceptance probability in this package lives in the
 An element is stored as four exact rationals, so equality is literal and
 sign decisions on the real subfield a + b/sqrt(2) reduce to the integer
 comparison of 2*a^2 against b^2.  No floating point is ever consulted.
-The package adds and multiplies only integer coordinates, inside `det`
-and the circuit simulator, so a FieldElem only subtracts and conjugates.
+A coordinate may also be an int, whose numerator and denominator `det`
+reads as well.  The package adds and multiplies only integer
+coordinates, inside `det` and the circuit simulator, so a FieldElem only
+subtracts and conjugates.
 
 The module also provides exact Hermitian linear algebra on matrices over
 the field: determinants by fraction-free (Bareiss) elimination over the
@@ -16,7 +18,9 @@ definite iff all leading principal minors are positive, and that walk
 over the leading minors also settles semi-definiteness: a negative one
 rules it out, all positive implies it.  Only after a vanishing leading
 minor are all principal minors needed (semi-definite iff all are
-non-negative).
+non-negative).  A factor lambda > 0 multiplies each order-j minor by
+lambda^j and so changes neither test: the QMA verdict of `circuit`
+tests p*2^k*I - q*G, with integer coordinates, for (p/q)*I - G/2^k.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True, slots=True)
 class FieldElem:
-    """a*1 + b/sqrt(2) + c*i + d*i/sqrt(2) with rational coefficients."""
+    """a*1 + b/sqrt(2) + c*i + d*i/sqrt(2) with rational coefficients,
+    Fractions or ints, which compare by value."""
 
     a: Fraction = _ZERO
     b: Fraction = _ZERO
@@ -121,19 +126,6 @@ class ExactMatrix:
         n = self.dim
         return all(self.entries[j][k] == self.entries[k][j].conjugate()
                    for j in range(n) for k in range(j, n))
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return ExactMatrix(tuple(
-            tuple(x - y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
-
-
-def scaled_identity(dim: int, value: FieldElem) -> ExactMatrix:
-    return ExactMatrix(tuple(
-        tuple(value if j == k else ZERO for k in range(dim))
-        for j in range(dim)))
 
 
 _NIL = (0, 0, 0, 0)

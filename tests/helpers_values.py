@@ -6,8 +6,8 @@ bulk.  So the field's other ring operations (`fadd`, `fneg`, `fmul`),
 its constants `ONE` and `SQRT2_INV`, and the coordinates and exact
 amplitudes of a `StateVector` live here as functions.  So do
 floating-point views of exact values, the inverse of the field's text
-form, a matrix from nested lists, and the index of a word in canonical
-order.
+form, a matrix from nested lists or a scalar on the diagonal, and the
+index of a word in canonical order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import reduce
 
 from promiselab import circuit
 from promiselab.circuit import StateVector
-from promiselab.field import ExactMatrix, FieldElem
+from promiselab.field import ZERO, ExactMatrix, FieldElem
 
 ONE = FieldElem(Fraction(1))
 SQRT2_INV = FieldElem(Fraction(0), Fraction(1))
@@ -100,6 +100,12 @@ def parse_field_elem(text: str) -> FieldElem:
     if not m:
         raise ValueError(f"not a field element rendering: {text!r}")
     return FieldElem(*(Fraction(g) for g in m.groups()))
+
+
+def scaled_identity(dim: int, value: FieldElem) -> ExactMatrix:
+    return ExactMatrix(tuple(
+        tuple(value if j == k else ZERO for k in range(dim))
+        for j in range(dim)))
 
 
 def from_rows(rows) -> ExactMatrix:

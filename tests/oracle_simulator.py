@@ -10,11 +10,14 @@ four Python lists and updated with list slices and `map`.  It needs no
 lane width, bias or mask, so it checks those of the fast path on circuits
 with as many H gates as a test likes.
 
-`acceptance_operator_per_witness` and `classify_qcma_per_witness` are
-the slow twins of the witness path: one packed simulation per witness,
-the full Gram matrix with its Hermiticity checked at run time, and one
-acceptance probability per witness, where the package packs every
-witness of a chunk into one run and forms only the upper triangle.
+`acceptance_operator_per_witness`, `classify_qcma_per_witness` and
+`classify_qma_per_witness` are the slow twins of the witness path: one
+packed simulation per witness, the full Gram matrix with its Hermiticity
+checked at run time, one acceptance probability per witness compared
+with the thresholds as field elements, and sI - Q and cI - Q built
+entrywise over the rationals.  The package packs every witness of a
+chunk into one run, forms only the upper triangle, and scales every
+threshold test to integer coordinates.
 
 The tests require each to agree with the package bit for bit.
 """
@@ -24,14 +27,15 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, neg, sub
 
-from helpers_values import ONE, SQRT2_INV, coords, fadd, fmul
+from helpers_values import ONE, SQRT2_INV, coords, fadd, fmul, scaled_identity
 from oracle_field import abs2
 from promiselab import circuit
 from promiselab.circuit import Circuit
 from promiselab.config import Config
 from promiselab.errors import DimensionCap
-from promiselab.field import ExactMatrix, FieldElem, ZERO, scaled_identity
-from promiselab.promise import witness_verdict
+from promiselab.field import ExactMatrix, FieldElem, ZERO, sylvester_pd, \
+    sylvester_psd
+from promiselab.promise import Verdict, witness_verdict
 from promiselab.words import words_of_length
 
 # e^(i*pi/4) = (1 + i)/sqrt(2), the phase T applies to |1>
@@ -208,3 +212,26 @@ def classify_qcma_per_witness(gen, gen_runtime, x: str,
         circ.witness_qubits, 1 << config.max_witness_qubits,
         lambda y: circuit._trichotomy(
             circuit.p_acc(circ, _witness_input(circ, y), config), config))
+
+
+def classify_qma_per_witness(gen, gen_runtime, x: str,
+                             config: Config = Config()):
+    """The definiteness tests on sI - Q and cI - Q, each subtracted
+    entrywise from a scaled identity in `Fraction` coordinates, with Q
+    from `acceptance_operator_per_witness`."""
+    circ = circuit.parse_circuit(circuit._generate(gen, gen_runtime, x),
+                                 expect_witness_header=True)
+    if circ.trivial:
+        return circuit._trichotomy(ZERO, config)
+    q = acceptance_operator_per_witness(circ, config)
+
+    def shifted(t: Fraction) -> ExactMatrix:
+        scaled = scaled_identity(q.dim, FieldElem(t))
+        return ExactMatrix(tuple(tuple(map(sub, *rows)) for rows in
+                                 zip(scaled.entries, q.entries)))
+
+    if sylvester_psd(shifted(config.threshold_s)):
+        return Verdict.NO
+    if not sylvester_pd(shifted(config.threshold_c)):
+        return Verdict.YES
+    return Verdict.OUTSIDE

@@ -10,10 +10,10 @@ from oracle_decimal import sqrt2_bounds
 from oracle_field import _inverse, abs2
 from oracle_simulator import T_PHASE
 from helpers_values import (ONE, SQRT2_INV, fadd, fmul, fneg, from_rows,
-                           parse_field_elem, to_complex)
+                           parse_field_elem, scaled_identity, to_complex)
 from promiselab.field import (ExactMatrix, FieldElem, ZERO, decimal_string,
-                              det, format_field_elem, real_sign,
-                              scaled_identity, sylvester_pd, sylvester_psd)
+                              det, format_field_elem, real_sign, sylvester_pd,
+                              sylvester_psd)
 
 SQRT2_INV_FLOAT = 2 ** -0.5
 

@@ -89,12 +89,13 @@ import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
     costed_toy, identity_machine, machine_reduction, parity_machine, \
     witness_equals_one_ptm
-from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows
+from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows, \
+    scaled_identity
 from promiselab import circuit, cli, enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
                                 acceptance_operator, classify_qcma,
-                                encode_circuit, p_acc, parse_circuit,
-                                simulate)
+                                classify_qma, encode_circuit, p_acc,
+                                parse_circuit, simulate)
 from promiselab.config import Config
 from promiselab.diagonal import (CostedFunction, GapLimits, affine_costed,
                                  build_r_components, gap_member,
@@ -104,7 +105,7 @@ from promiselab.errors import (AccountingError, BranchFuelExhausted,
                                CapExceeded, DimensionCap, FuelExhausted,
                                NonPromisedQuery, PromiseLabError,
                                WitnessSpaceTooLarge)
-from promiselab.field import ZERO, FieldElem, decimal_string, scaled_identity
+from promiselab.field import ZERO, FieldElem, decimal_string
 from promiselab.promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider,
                                 Verdict, builtin, cook_run, karp_check)
 from promiselab.words import words_of_length, words_up_to
@@ -282,6 +283,10 @@ _GEN_RUNTIME = Polynomial((10 ** 6,))
 _THRESHOLDS = st.sampled_from([
     (Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 2)),
     (Fraction(3, 4), Fraction(1, 4)), (Fraction(1), Fraction(1, 2))])
+# and thresholds no probability reaches: s below 0, which rules out No,
+# and c above 1, which rules out Yes
+_OUT_OF_RANGE = st.sampled_from([
+    (Fraction(1, 2), Fraction(-1, 4)), (Fraction(5, 4), Fraction(1, 3))])
 
 
 def _chunk_configs(c: Circuit, **fields):
@@ -302,8 +307,8 @@ class TestWitnessBlockOracle:
         for bits, config in enumerate(_chunk_configs(c)):
             runs = []
 
-            def spy(c, basis, m, chunk):
-                state = evolve(c, basis, m, chunk)
+            def spy(c, n, basis, m, chunk):
+                state = evolve(c, n, basis, m, chunk)
                 runs.append((len(chunk), bits + len(state.lanes)))
                 return state
 
@@ -338,6 +343,39 @@ class TestWitnessBlockOracle:
             assert classify_qcma(gen, _GEN_RUNTIME, "", config) == \
                 ref.classify_qcma_per_witness(gen, _GEN_RUNTIME, "", config)
 
+    @settings(max_examples=40)
+    @given(circuits(witness=st.integers(1, 4), min_gates=1),
+           _THRESHOLDS | _OUT_OF_RANGE)
+    # sI - Q = 0: Q = I/2 and c = s = 1/2, where the first leading minor
+    # vanishes and the semi-definiteness test reads every principal minor
+    @example(_circuit("H 1", "T 3", witness=2), (Fraction(1, 2), Fraction(1, 2)))
+    def test_qma_verdicts_at_every_chunk_size(self, c, thresholds):
+        gen = const_output_machine(encode_circuit(c))
+        threshold_c, threshold_s = thresholds
+        for config in _chunk_configs(c, threshold_c=threshold_c,
+                                     threshold_s=threshold_s):
+            assert classify_qma(gen, _GEN_RUNTIME, "", config) == \
+                ref.classify_qma_per_witness(gen, _GEN_RUNTIME, "", config)
+
+    def test_witness_verdicts_build_no_rationals(self):
+        # a readout or a field subtraction raises here, so neither verdict
+        # forms a Fraction matrix or a Fraction probability per witness
+        deciders = ((classify_qma, ref.classify_qma_per_witness),
+                    (classify_qcma, ref.classify_qcma_per_witness))
+        blocks = {Verdict.YES: _circuit("CNOT 2 1", witness=1),
+                  Verdict.OUTSIDE: _circuit("H 1", "T 3", witness=2),
+                  Verdict.NO: _circuit("H 2", "T 1", witness=1)}
+        for verdict, c in blocks.items():
+            gen = const_output_machine(encode_circuit(c))
+            assert [slow(gen, _GEN_RUNTIME, "") for _, slow in deciders] == \
+                [verdict] * 2
+            with mock.patch.object(field.FieldElem, "__sub__",
+                                   side_effect=AssertionError), \
+                    mock.patch.object(circuit, "_readout",
+                                      side_effect=AssertionError):
+                assert [fast(gen, _GEN_RUNTIME, "")
+                        for fast, _ in deciders] == [verdict] * 2
+
     def test_witness_cap_before_any_simulation(self):
         # three witness qubits over a cap of two, on four qubits over a
         # cap of three: the witness cap is named, and nothing is simulated
@@ -349,6 +387,10 @@ class TestWitnessBlockOracle:
                 with pytest.raises(WitnessSpaceTooLarge,
                                    match=r"^2\^3 witnesses exceed cap 4$"):
                     decide(gen, _GEN_RUNTIME, "", config)
+            for decide in (classify_qma, ref.classify_qma_per_witness):
+                with pytest.raises(DimensionCap,
+                                   match=r"^2\^3 exceeds cap 4$"):
+                    decide(gen, _GEN_RUNTIME, "", config)
             for operator in (acceptance_operator,
                              ref.acceptance_operator_per_witness):
                 with pytest.raises(DimensionCap,
@@ -359,7 +401,8 @@ class TestWitnessBlockOracle:
         c = Circuit((Gate("H", (4,)), Gate("CNOT", (4, 1))), witness_qubits=2)
         gen = const_output_machine(encode_circuit(c))
         config = Config(max_qubits=3)
-        for decide in (classify_qcma, ref.classify_qcma_per_witness):
+        for decide in (classify_qcma, ref.classify_qcma_per_witness,
+                       classify_qma, ref.classify_qma_per_witness):
             with pytest.raises(DimensionCap, match=r"^4 qubits exceed cap 3$"):
                 decide(gen, _GEN_RUNTIME, "", config)
         for operator in (acceptance_operator,
