@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator
@@ -67,21 +67,22 @@ _WITNESS_HEADER = re.compile(r"(1+)00")
 _SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"}  # memoryview formats by width
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str  # "H" | "T" | "CNOT"
-    qubits: tuple[int, ...]  # 1-based; (q,) or (control, target)
+class Gate(namedtuple("Gate", "kind qubits")):
+    """kind is "H", "T" or "CNOT"; qubits are 1-based, (q,) or
+    (control, target)."""
 
-    def __post_init__(self):
-        if self.kind in ("H", "T"):
-            if len(self.qubits) != 1 or self.qubits[0] < 1:
-                raise ValueError(f"{self.kind} takes one positive qubit index")
-        elif self.kind == "CNOT":
-            if len(self.qubits) != 2 or min(self.qubits) < 1 \
-                    or self.qubits[0] == self.qubits[1]:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, qubits: tuple[int, ...]):
+        if kind in ("H", "T"):
+            if len(qubits) != 1 or qubits[0] < 1:
+                raise ValueError(f"{kind} takes one positive qubit index")
+        elif kind == "CNOT":
+            if len(qubits) != 2 or min(qubits) < 1 or qubits[0] == qubits[1]:
                 raise ValueError("CNOT takes distinct positive control, target")
         else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {kind!r}")
+        return super().__new__(cls, kind, qubits)
 
     def __str__(self) -> str:
         if self.kind == "CNOT":
@@ -89,21 +90,21 @@ class Gate:
         return f"{self.kind} q{self.qubits[0]}"
 
 
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple[Gate, ...]
-    witness_qubits: int = 0
-    trivial: bool = False
+class Circuit(namedtuple("Circuit", "gates witness_qubits trivial")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.witness_qubits < 0:
+    def __new__(cls, gates: tuple[Gate, ...], witness_qubits: int = 0,
+                trivial: bool = False):
+        if witness_qubits < 0:
             raise ValueError("witness register size must be non-negative")
+        return super().__new__(cls, gates, witness_qubits, trivial)
 
     @property
     def total_qubits(self) -> int:
         # At least one qubit so the output qubit always exists; a witness
         # register larger than the gates' reach still occupies qubits.
-        referenced = max((q for g in self.gates for q in g.qubits), default=0)
+        referenced = max((q for _, qubits in self.gates for q in qubits),
+                         default=0)
         return max(1, referenced, self.witness_qubits)
 
     def listing(self) -> str:
@@ -113,8 +114,8 @@ class Circuit:
 TRIVIAL_CIRCUIT = Circuit(gates=(), witness_qubits=0, trivial=True)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(namedtuple("StateVector",
+                             "num_qubits k width packed lanes basis")):
     """Bit i of a lane index is qubit lanes[i]; every other qubit q is in
     basis state bit n - q of `basis`.  Lane j stands for the amplitude
     index basis + (j's bits at its qubits' places), and packed[0..3] hold
@@ -122,12 +123,7 @@ class StateVector:
     being (a + b*w + c*w^2 + d*w^3) / sqrt2^k, w = e^(i*pi/4).  Every
     other amplitude is 0."""
 
-    num_qubits: int
-    k: int
-    width: int
-    packed: tuple[int, int, int, int]
-    lanes: tuple[int, ...]
-    basis: int
+    __slots__ = ()
 
 
 def parse_circuit(bits: str, expect_witness_header: bool = False) -> Circuit:
@@ -210,7 +206,7 @@ def _evolve(c: Circuit, n: int, basis: int, m: int = 0,
     block t starts with coordinate 1 in lane t + (chunk[t] << bits).  A
     qubit that leaves its basis state takes the next, top lane-index bit.
     """
-    k = sum(g.kind == "H" for g in c.gates)
+    k = sum(kind == "H" for kind, _ in c.gates)
     width = _lane_width(k)
     bits = len(chunk).bit_length() - 1
     lanes = list(range(n, n - m, -1))
@@ -222,12 +218,12 @@ def _evolve(c: Circuit, n: int, basis: int, m: int = 0,
                           "little")
     xs = [zero] * 4  # every lane holds the bias 2^(width-1)
     xs[0] += sum(1 << (t + (y << bits)) * width for t, y in enumerate(chunk))
-    for g in c.gates:
-        q, t = g.qubits[0], g.qubits[-1]  # t = q but for CNOT
+    for kind, qubits in c.gates:
+        q, t = qubits[0], qubits[-1]  # t = q but for CNOT
         p, tp = at[q], at[t]
-        if p is None and g.kind != "H":  # T or CNOT on a basis-state q
+        if p is None and kind != "H":  # T or CNOT on a basis-state q
             if basis >> n - q & 1:
-                if g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c)
+                if kind == "T":  # (a, b, c, d) <- (-d, a, b, c)
                     xs = [(zero << 1) - xs[3], *xs[:3]]
                 elif tp is None:
                     basis ^= 1 << n - t
@@ -235,7 +231,7 @@ def _evolve(c: Circuit, n: int, basis: int, m: int = 0,
                     _swap(xs, _low_lanes(size, tp, width), width << tp)
             continue
         if tp is not None:  # on lane qubits only
-            if g.kind == "H":  # (u, v) <- (u + v, u - v), lanes 2^p apart
+            if kind == "H":  # (u, v) <- (u + v, u - v), lanes 2^p apart
                 shift = width << p
                 low = _low_lanes(size, p, width)
                 low_bias = low & zero
@@ -243,7 +239,7 @@ def _evolve(c: Circuit, n: int, basis: int, m: int = 0,
                     u = x & low
                     lo = u + (x >> shift & low) - low_bias
                     xs[i] = lo | ((u << 1) - lo) << shift
-            elif g.kind == "T":  # (a, b, c, d) <- (-d, a, b, c) on bit p = 1
+            elif kind == "T":  # (a, b, c, d) <- (-d, a, b, c) on bit p = 1
                 high = _low_lanes(size, p, width) << (width << p)
                 # -d stored: 2^width - (d + 2^(width-1)) in each lane of `high`
                 neg_d = ((high & zero) << 1) - (xs[3] & high)
@@ -257,7 +253,7 @@ def _evolve(c: Circuit, n: int, basis: int, m: int = 0,
         # H on basis state t, or a CNOT from a lane qubit onto it: t
         # leaves its basis state for a new top lane-index bit
         shift = width << size
-        if g.kind == "H":
+        if kind == "H":
             # |0> -> |0> + |1>, |1> -> |0> - |1>: a copy of the lanes, or
             # a negated one, -v + B = 2B - (v + B), on the new top bit
             one = basis >> n - t & 1

@@ -24,10 +24,10 @@ maps (TotalDecider.fn) directly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cache, partial
 from itertools import islice
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator
 
 from .config import Config
 from .enumeration import CostedFunction, Presentation, harder_set
@@ -135,12 +135,14 @@ class GapLimits(dict):
 
 def gap_intervals(gaps: GapLimits, max_length: int) -> Iterator[tuple[int, int, bool]]:
     """(start, end, member) rows of all intervals touching [0, max_length],
-    yielded one at a time, each evaluating at most its end limit."""
-    limits, k = gaps.limits, 0
-    while limits[k] <= max_length:
-        if len(limits) == k + 1:
-            limits.append(_checked_eval(gaps.r, limits[k])[0])
-        yield limits[k], limits[k + 1], k % 2 == 0
+    yielded one at a time, each evaluating at most its end limit.  Limits
+    past gaps' stored list are not kept, so a long table holds none."""
+    limits, k, start = gaps.limits, 0, 0
+    while start <= max_length:
+        end = (limits[k + 1] if k + 1 < len(limits)
+               else _checked_eval(gaps.r, start)[0])
+        yield start, end, k % 2 == 0
+        start = end
         k += 1
 
 
@@ -178,43 +180,34 @@ def find_contradiction(
     raise NoContradictionFound(machine_index, n, cap)
 
 
-@dataclass(frozen=True)
-class DiagInstance:
-    a: TotalDecider
-    a_prime: TotalDecider
-    pres_c: Presentation
-    pres_c_prime: Presentation
-    mode_c: str = PRESENTABLE
-    mode_c_prime: str = PRESENTABLE
-    search_cap: int = DEFAULT_SEARCH_CAP
+class DiagInstance(namedtuple("DiagInstance", "a a_prime pres_c pres_c_prime "
+                              "mode_c mode_c_prime search_cap")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.search_cap < 1:
+    def __new__(cls, a: TotalDecider, a_prime: TotalDecider,
+                pres_c: Presentation, pres_c_prime: Presentation,
+                mode_c: str = PRESENTABLE, mode_c_prime: str = PRESENTABLE,
+                search_cap: int = DEFAULT_SEARCH_CAP):
+        if search_cap < 1:
             raise ValueError("search cap must be at least 1")
+        return super().__new__(cls, a, a_prime, pres_c, pres_c_prime,
+                               mode_c, mode_c_prime, search_cap)
 
 
-@dataclass(frozen=True)
-class ContradictionWitness:
-    side: Literal["even", "odd"]
-    machine_index: int
-    interval_index: int
-    interval_start: int
-    interval_end: int
-    word: str
-    a_verdict: Verdict
-    machine_verdict: Verdict
+# side is "even" or "odd"; a_verdict and machine_verdict are the Verdicts
+# of a and of the machine on word.
+ContradictionWitness = namedtuple(
+    "ContradictionWitness", "side machine_index interval_index interval_start "
+    "interval_end word a_verdict machine_verdict")
 
 
-@dataclass(frozen=True)
-class DiagResult:
-    inst: DiagInstance
-    b: TotalDecider
-    gaps: GapLimits
-    q: CostedFunction
-    q_prime: CostedFunction
-    reduction: Callable[[str], str]
-    witnesses: tuple[ContradictionWitness, ...]
-    reduction_to_a: Callable[[str], str] | None = None
+class DiagResult(namedtuple("DiagResult", "inst b gaps q q_prime reduction "
+                            "witnesses reduction_to_a", defaults=(None,))):
+    """b, the mixer decider, with its GapLimits, the costed q and q' behind
+    them, the reduction into the marked union, the witness log and, from
+    ladner, a reduction into a itself."""
+
+    __slots__ = ()
 
     @property
     def r(self) -> CostedFunction:
@@ -284,8 +277,8 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     evaluations and the witness log ask for the same indices again and
     again.
     """
-    built_once = replace(inst, pres_c=cache(inst.pres_c),
-                         pres_c_prime=cache(inst.pres_c_prime))
+    built_once = inst._replace(pres_c=cache(inst.pres_c),
+                               pres_c_prime=cache(inst.pres_c_prime))
     q, q_prime, r = build_r_components(built_once)
     gaps = GapLimits(r)
     classify_a, classify_a_prime = inst.a.fn, inst.a_prime.fn
@@ -339,4 +332,4 @@ def ladner(
     def gap_or_default(x: str) -> str:
         return x if gaps[len(x)] else target
 
-    return replace(result, reduction_to_a=gap_or_default)
+    return result._replace(reduction_to_a=gap_or_default)

@@ -17,7 +17,7 @@ every produced decider total.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, partial
 from math import comb, isqrt
 from typing import Callable
@@ -41,28 +41,27 @@ _ORACLE_PREFIX = re.compile(r"(1+)0")  # 1^(o+1) 0, oracle state o
 Presentation = Callable[[int], TotalDecider]
 
 
-@dataclass(frozen=True)
-class CostedFunction:
-    """A map on the naturals together with exact cost accounting."""
+class CostedFunction(namedtuple("CostedFunction", "name eval")):
+    """A map on the naturals together with exact cost accounting: eval(n)
+    is (value, cost)."""
 
-    name: str
-    eval: Callable[[int], tuple[int, int]]
+    __slots__ = ()
 
     def value(self, n: int) -> int:
         return self.eval(n)[0]
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(namedtuple("Polynomial", "coefficients")):
     """Non-negative integer coefficients, constant term first."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.coefficients):
+    def __new__(cls, coefficients: tuple[int, ...]):
+        if any(c < 0 for c in coefficients):
             raise ValueError("coefficients must be non-negative")
-        if self.coefficients and self.coefficients[-1] == 0:
+        if coefficients and coefficients[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero")
+        return super().__new__(cls, coefficients)
 
     def __call__(self, n: int) -> int:
         result = 0

@@ -25,7 +25,7 @@ tests p*2^k*I - q*G, with integer coordinates, for (p/q)*I - G/2^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
@@ -36,15 +36,19 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElem:
+class FieldElem(namedtuple("FieldElem", "a b c d",
+                           defaults=(_ZERO, _ZERO, _ZERO, _ZERO))):
     """a*1 + b/sqrt(2) + c*i + d*i/sqrt(2) with rational coefficients,
     Fractions or ints, which compare by value."""
 
-    a: Fraction = _ZERO
-    b: Fraction = _ZERO
-    c: Fraction = _ZERO
-    d: Fraction = _ZERO
+    __slots__ = ()
+
+    def _undefined(self, other):
+        return NotImplemented
+
+    # the tuple's concatenation, repetition and order mean nothing here
+    __add__ = __mul__ = __rmul__ = _undefined
+    __lt__ = __le__ = __gt__ = __ge__ = _undefined
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return FieldElem(self.a - other.a, self.b - other.b,
@@ -70,9 +74,10 @@ def real_sign(x: FieldElem) -> int:
     a's when 2*a^2 > b^2 and b's otherwise, since 2*a^2 = b^2 has no
     nonzero rational solutions.
     """
-    if x.c or x.d:
+    a, b, c, d = x
+    if c or d:
         raise NonRealInput(f"element has imaginary part: {x}")
-    lead = x.a if 2 * x.a * x.a > x.b * x.b else x.b
+    lead = a if 2 * a * a > b * b else b
     return (lead > 0) - (lead < 0)
 
 
@@ -107,16 +112,16 @@ def format_field_elem(x: FieldElem) -> str:
     return f"{frac(x.a)} + {frac(x.b)}*r + {frac(x.c)}*i + {frac(x.d)}*i*r"
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(namedtuple("ExactMatrix", "entries")):
     """Square matrix over the field, stored as a tuple of row tuples."""
 
-    entries: tuple[tuple[FieldElem, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if n < 1 or any(len(row) != n for row in self.entries):
+    def __new__(cls, entries: tuple[tuple[FieldElem, ...], ...]):
+        n = len(entries)
+        if n < 1 or any(len(row) != n for row in entries):
             raise ValueError("matrix must be square and non-empty")
+        return super().__new__(cls, entries)
 
     @property
     def dim(self) -> int:
@@ -152,7 +157,7 @@ def det(m: ExactMatrix) -> FieldElem:
     conj(prev)*(e - f*sqrt2) and divide the integers by e^2 - 2f^2.
     """
     n = m.dim
-    qs = [q for row in m.entries for x in row for q in (x.b, x.a, x.d, x.c)]
+    qs = [q for row in m.entries for a, b, c, d in row for q in (b, a, d, c)]
     scale = lcm(*(q.denominator for q in qs))
     ints = iter([q.numerator * (scale // q.denominator) for q in qs])
     cells = list(zip(ints, ints, ints, ints))

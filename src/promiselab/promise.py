@@ -11,6 +11,7 @@ with promise-respecting query semantics.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
@@ -80,18 +81,17 @@ class TotalDecider:
         return TotalDecider(self.tag, fn=cache(self.fn))
 
 
-@dataclass(frozen=True)
-class OracleMachine:
-    """Machine with one distinguished query state.
+class OracleMachine(namedtuple("OracleMachine",
+                               "base oracle_state runtime")):
+    """Machine `base` with one distinguished query state, run for at most
+    runtime(|x|) steps on input x.
 
     Entering the oracle state replaces the word under the head (up to the
     next blank) by the oracle's one-symbol answer; the replacement is free,
     the entering transition costs the usual single step.
     """
 
-    base: tm.MachineDesc
-    oracle_state: int
-    runtime: Callable[[int], int]
+    __slots__ = ()
 
 
 class DifferenceReport(NamedTuple):
@@ -159,18 +159,9 @@ def marked_union(a: TotalDecider, a_prime: TotalDecider) -> TotalDecider:
     return TotalDecider(f"({a.tag})(+)({a_prime.tag})", fn=decide)
 
 
-@dataclass(frozen=True)
-class KarpViolation:
-    word: str
-    verdict: Verdict
-    image: str
-    image_verdict: Verdict
-
-
-@dataclass(frozen=True)
-class KarpReport:
-    checked: int
-    violations: tuple[KarpViolation, ...]
+KarpViolation = namedtuple("KarpViolation",
+                           "word verdict image image_verdict")
+KarpReport = namedtuple("KarpReport", "checked violations")
 
 
 def karp_check(a: TotalDecider,

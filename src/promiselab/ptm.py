@@ -28,7 +28,7 @@ repeating an identical quintuple is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Literal
@@ -55,21 +55,23 @@ _CELL_DIGITS = bytes.maketrans(b"\0\1\2", b"012")
 _HEX_CELLS = {ord(f"{d:x}"): chr(d >> 2) + chr(d & 3) for d in range(16)}
 
 
-@dataclass(frozen=True)
-class PTMDesc:
-    states: int
-    initial: int
-    finals: frozenset[int]
-    transitions: dict[tuple[int, str], tuple[Action, ...]] = field(default_factory=dict)
-    trivial: bool = False
+class PTMDesc(namedtuple("PTMDesc",
+                         "states initial finals transitions trivial")):
+    # no __slots__: the instance dict holds the cached rows
 
-    def __post_init__(self):
-        if not self.trivial:
+    def __new__(cls, states: int, initial: int, finals: frozenset[int],
+                transitions: dict[tuple[int, str], tuple[Action, ...]]
+                | None = None, trivial: bool = False):
+        if transitions is None:
+            transitions = {}
+        elif not trivial:
             # branch sets are sets: canonicalize order and drop repeats
-            object.__setattr__(self, "transitions", {
-                key: tuple(sorted(set(actions)))
-                for key, actions in self.transitions.items()})
+            transitions = {key: tuple(sorted(set(actions)))
+                           for key, actions in transitions.items()}
+        self = super().__new__(cls, states, initial, finals, transitions,
+                               trivial)
         tm.check_description(self)
+        return self
 
     def rules(self) -> list[tuple[tuple[int, str], Action]]:
         """The (state, symbol) -> action rules, one per action of a branch
@@ -98,13 +100,8 @@ TRIVIAL_PTM = PTMDesc(states=1, initial=0, finals=frozenset(),
                       transitions={}, trivial=True)
 
 
-@dataclass(frozen=True)
-class BranchStats:
-    accepting: int
-    rejecting: int
-    total: int
-    p_acc: Fraction
-    p_rej: Fraction
+BranchStats = namedtuple("BranchStats",
+                         "accepting rejecting total p_acc p_rej")
 
 
 def decode_ptm(bits: str) -> PTMDesc:

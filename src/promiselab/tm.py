@@ -37,8 +37,8 @@ every input.  Its canonical encoding is the empty string.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
 
 BLANK = "_"
@@ -55,16 +55,18 @@ Transition = tuple[int, str, str]  # (next state, written symbol, move)
 Row = dict[str, tuple[int, str, int]]  # symbol -> (next state, written, delta)
 
 
-@dataclass(frozen=True)
-class MachineDesc:
-    states: int
-    initial: int
-    finals: frozenset[int]
-    transitions: dict[tuple[int, str], Transition] = field(default_factory=dict)
-    trivial: bool = False
+class MachineDesc(namedtuple("MachineDesc",
+                             "states initial finals transitions trivial")):
+    # no __slots__: the instance dict holds the cached rows
 
-    def __post_init__(self):
+    def __new__(cls, states: int, initial: int, finals: frozenset[int],
+                transitions: dict[tuple[int, str], Transition] | None = None,
+                trivial: bool = False):
+        self = super().__new__(cls, states, initial, finals,
+                               {} if transitions is None else transitions,
+                               trivial)
         check_description(self)
+        return self
 
     def rules(self) -> Iterable[tuple[tuple[int, str], Transition]]:
         """The (state, symbol) -> action rules, one per pair."""
@@ -117,17 +119,8 @@ TRIVIAL_MACHINE = MachineDesc(states=1, initial=0, finals=frozenset(),
                               transitions={}, trivial=True)
 
 
-@dataclass(frozen=True, slots=True)
-class Halted:
-    output: str
-    steps: int
-
-
-@dataclass(frozen=True, slots=True)
-class FuelExhaustedResult:
-    steps: int
-
-
+Halted = namedtuple("Halted", "output steps")
+FuelExhaustedResult = namedtuple("FuelExhaustedResult", "steps")
 RunResult = Halted | FuelExhaustedResult
 
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from functools import partial
 from itertools import islice
@@ -111,6 +112,20 @@ class TestGapMembership:
         rows = list(islice(gap_intervals(GapLimits(r), 10 ** 9), 3))
         assert rows == [(0, 2, True), (2, 6, False), (6, 14, True)]
         assert args == [0, 2, 6]
+
+    def test_long_tables_keep_no_limits_past_the_stored_ones(self):
+        # keeping the 100,001 limits of this walk takes about 3.8 MiB
+        gaps = GapLimits(affine_costed(1, 1))
+        assert gaps.member(10)  # stores the limits 0..11
+        tracemalloc.start()
+        try:
+            for row in gap_intervals(gaps, 100_000):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row == (100_000, 100_001, True)
+        assert gaps.limits == list(range(12)) and peak < 1 << 18
 
     def test_limits_list_computes_each_limit_once(self):
         args = []

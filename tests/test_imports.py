@@ -8,12 +8,17 @@ the second rule: its imports are the public re-exports.
 Every public member of the package has a caller in it, outside its own
 definition and outside ``__init__``: code only tests reach lives under
 ``tests/``.  A member is a module-level function or constant, or a
-method or property of a module-level class; dataclass fields and
-dunders, which operators and the dataclass machinery reach, are not
-members here.  A caller names the member: reads it, takes it as an
+method or property of a module-level class; record fields and dunders,
+which attribute access, operators and the record machinery reach, are
+not members here.  A caller names the member: reads it, takes it as an
 attribute or quotes it.  The few members kept without a caller are
 allowlisted with their reason, and an entry whose member is gone or has
 gained a caller fails the suite, so no entry outlives its reason.
+
+Records are namedtuples, which cost about a tenth as much as dataclasses
+to create at import.  The few dataclasses left are allowlisted with
+their reason, and an entry whose class is gone or is no longer a
+dataclass fails the suite too.
 """
 
 import ast
@@ -115,7 +120,8 @@ def _referenced_names(node: ast.AST) -> set[str]:
 def _members(tree: ast.Module):
     """(defining node, qualified name, name) of each module-level function
     and constant, and of each method and property of a module-level class.
-    Dataclass fields are class-level annotations, not members here."""
+    Record fields, as dataclass annotations or namedtuple field names,
+    are not members here."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node, node.name, node.name
@@ -175,3 +181,24 @@ def test_allowlisted_names_are_defined_and_callerless():
              else "has a caller"
              for qualified in CALLERLESS_API if has_caller.get(qualified, True)}
     assert stale == {}, f"allowlist entries that outlived their reason: {stale}"
+
+
+# Classes kept as dataclasses: qualified name -> why a namedtuple will not
+# do.
+DATACLASSES = {
+    "promise.TotalDecider": "perfbench/spans.py rebuilds every presented "
+                            "decider with dataclasses.replace",
+    "config.Config": "replace re-runs its c >= s check, and load_config "
+                     "and tests/test_config.py read its fields",
+}
+
+
+def test_only_allowlisted_classes_are_dataclasses():
+    found = {f"{path.stem}.{node.name}" for path in MODULES
+             for node in _tree(path).body if isinstance(node, ast.ClassDef)
+             and any("dataclass" in _referenced_names(decorator)
+                     for decorator in node.decorator_list)}
+    unlisted = sorted(found - DATACLASSES.keys())
+    stale = sorted(DATACLASSES.keys() - found)
+    assert unlisted == [], f"dataclasses not allowlisted: {unlisted}"
+    assert stale == [], f"allowlisted but not a dataclass: {stale}"

@@ -349,6 +349,13 @@ class TestWitnessBlockOracle:
     # sI - Q = 0: Q = I/2 and c = s = 1/2, where the first leading minor
     # vanishes and the semi-definiteness test reads every principal minor
     @example(_circuit("H 1", "T 3", witness=2), (Fraction(1, 2), Fraction(1, 2)))
+    # Q = [[1/2, x], [conj(x), 1/2]], x = (-1 + 1/sqrt2 - i - i/sqrt2)/4,
+    # has top eigenvalue 0.933, and 0.604 with the sign of the i/sqrt2
+    # coordinates flipped: c = 3/4, then s = 3/4, lies between the two
+    @example(_circuit("CNOT 2 1", "T 1", "H 1", "T 1", "H 1", "CNOT 1 2",
+                      "T 1", "H 1", witness=1), (Fraction(3, 4), Fraction(1, 4)))
+    @example(_circuit("CNOT 2 1", "T 1", "H 1", "T 1", "H 1", "CNOT 1 2",
+                      "T 1", "H 1", witness=1), (Fraction(1), Fraction(3, 4)))
     def test_qma_verdicts_at_every_chunk_size(self, c, thresholds):
         gen = const_output_machine(encode_circuit(c))
         threshold_c, threshold_s = thresholds
