@@ -289,7 +289,12 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
     def gap_mark(x: str) -> str:
         return ("0" if gaps[len(x)] else "1") + x
 
-    b = TotalDecider(f"diag({inst.a.tag};{inst.a_prime.tag})", fn=mix)
+    def mix_lengths(n: int) -> Iterator[Verdict]:
+        side = inst.a if gaps[n] else inst.a_prime
+        return side.lengths(n) if side.lengths else map(side.fn, words_of_length(n))
+
+    b = TotalDecider(f"diag({inst.a.tag};{inst.a_prime.tag})", mix,
+                     mix_lengths if inst.a.lengths or inst.a_prime.lengths else None)
     witnesses = []
     for side in ("even", "odd"):
         for i in range(witness_bound):

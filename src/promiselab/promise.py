@@ -2,7 +2,8 @@
 
 A promise problem is a disjoint pair (yes-set, no-set); words outside the
 union are non-promised.  A total decider answers Yes / No / OutsidePromise
-on every word, mirroring the machine outputs "1" / "0" / "10".  On top of
+on every word, mirroring the machine outputs "1" / "0" / "10", and a
+machine-backed one also all words of a length at once.  On top of
 the deciders this module provides the difference operators, the marked
 union, Karp-reduction checking on bounded word ranges, and oracle machines
 with promise-respecting query semantics.
@@ -13,9 +14,10 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import chain
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import tm
 from .config import Config
@@ -49,10 +51,12 @@ _OUTPUT_VERDICT = {"1": Verdict.YES, "0": Verdict.NO, "10": Verdict.OUTSIDE}
 
 @dataclass(frozen=True)
 class TotalDecider:
-    """Total classification map: fn gives every word its verdict."""
+    """Total classification map: fn gives every word its verdict, and
+    lengths, when set, those of all words of length n, lazily in order."""
 
     tag: str
     fn: Callable[[str], Verdict]
+    lengths: Callable[[int], Iterator[Verdict]] | None = None
 
     @staticmethod
     def from_machine(tag: str, machine: tm.MachineDesc,
@@ -61,24 +65,38 @@ class TotalDecider:
         policy; any other output, or running out of fuel, raises
         NotTotalDecider instead of silently looping or defaulting."""
 
+        def verdict(x: str, output: str | None) -> Verdict:
+            if output in _OUTPUT_VERDICT:
+                return _OUTPUT_VERDICT[output]
+            raise NotTotalDecider(output if output is not None else
+                                  f"<no output within fuel on {x!r}>")
+
         def decide(x: str) -> Verdict:
             result = tm.run(machine, [x], fuel_policy(len(x)))
-            if isinstance(result, tm.FuelExhaustedResult):
-                raise NotTotalDecider(f"<no output within fuel on {x!r}>")
-            verdict = _OUTPUT_VERDICT.get(result.output)
-            if verdict is None:
-                raise NotTotalDecider(result.output)
-            return verdict
+            return verdict(x, result.output if isinstance(result, tm.Halted) else None)
 
-        return TotalDecider(tag, fn=decide)
+        return TotalDecider(tag, decide, lambda n: map(
+            verdict, words_of_length(n), tm.walk(machine, n, fuel_policy(n))))
 
     def classify(self, x: str) -> Verdict:
         return self.fn(x)
 
     def memoized(self) -> "TotalDecider":
         """The same decider, classifying each word at most once while the
-        returned decider lives; a classification that raises is not kept."""
-        return TotalDecider(self.tag, fn=cache(self.fn))
+        returned decider lives, its lengths included; a raise is not kept."""
+        if self.lengths is None:
+            return TotalDecider(self.tag, fn=cache(self.fn))
+        memo = _Memo()
+        memo.fn = self.fn
+        return TotalDecider(self.tag, memo.__getitem__, lambda n: map(
+            memo.setdefault, words_of_length(n), self.lengths(n)))
+
+
+class _Memo(dict):
+    """fn's value by word, kept from its first lookup unless fn raises."""
+
+    def __missing__(self, x: str) -> Verdict:
+        return self.setdefault(x, self.fn(x))
 
 
 class OracleMachine(namedtuple("OracleMachine",
@@ -178,8 +196,10 @@ def karp_check(a: TotalDecider,
         raise CapExceeded(
             f"reduction check bound {bound} exceeds cap {config.max_word_length}")
     # bound once: the walk calls the verdict maps directly, not through
-    # classify
+    # classify; from a's lengths, next(verdicts, w) is the verdict of w
     classify = a.fn
+    if a.lengths is not None:
+        classify = partial(next, chain.from_iterable(map(a.lengths, range(bound + 1))))
     pairs = [(f, b.fn, []) for f, b in checks]
     outside = Verdict.OUTSIDE
     checked = 0

@@ -13,7 +13,8 @@ rows[state] is None for a final state and otherwise maps each symbol to
 covers every cell the head has visited; a written blank stays in its
 cell.  The list grows by one blank on the right, and on the left by a
 block of blanks as long as itself, so a machine that walks far left
-still runs in linear time.
+still runs in linear time.  A walk runs all words of one length depth
+first, so the runs share each step taken before their words differ.
 
 Encoding grammar (every section terminated by "0", the final list closed
 by "00"):
@@ -38,8 +39,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import product, repeat
 
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
@@ -136,6 +138,36 @@ def _output(tape: list[str], head: int) -> str:
     return "".join(tape[head:]).partition(BLANK)[0]
 
 
+def _ends(rows: list[Row | None], stack: list, fuel: int) -> Iterator[tuple]:
+    """Run each configuration (state, tape, head, steps, unread input cells
+    past the tape) off the stack until it halts or is out of fuel; yield
+    it.  At an unread cell it goes on with 0 and pushes a copy with 1."""
+    while stack:
+        state, tape, head, steps, free = stack.pop()
+        end = len(tape)
+        for steps in range(steps, fuel):
+            row = rows[state]
+            if row is None:
+                break
+            state, tape[head], delta = row[tape[head]]
+            head += delta
+            if head == end:
+                if free:
+                    free -= 1
+                    stack.append((state, tape + ["1"], head, steps + 1, free))
+                    tape.append("0")
+                else:
+                    tape.append(BLANK)
+                end += 1
+            elif head < 0:
+                tape[:0] = [BLANK] * end
+                head += end
+                end += end
+        else:
+            steps = fuel
+        yield state, tape, head, steps, free
+
+
 def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunResult:
     """Fuel-bounded deterministic run; pure in all arguments."""
     if fuel < 0:
@@ -143,28 +175,31 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
     _check_inputs(inputs)
     if m.trivial:
         return Halted("0", 1) if fuel >= 1 else FuelExhaustedResult(0)
+    state, tape, head, steps, _ = next(_ends(
+        m.rows, [(m.initial, list(BLANK.join(inputs) + BLANK), 0, 0, 0)], fuel))
+    return (Halted(_output(tape, head), steps) if m.rows[state] is None
+            else FuelExhaustedResult(fuel))
+
+
+def walk(m: MachineDesc, n: int, fuel: int) -> Iterator[str | None]:
+    """Lazily, the output of m's run on each word of length n in canonical
+    order, or None past fuel.  Depth first, so runs share the steps taken
+    before they read a cell where their words differ."""
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
+    if m.trivial:
+        yield from repeat("0" if fuel else None, 1 << n)
+        return
     rows = m.rows
-    tape = list(BLANK.join(inputs))
-    tape.append(BLANK)
-    end = len(tape)
-    head = 0
-    state = m.initial
-    for steps in range(fuel):
-        row = rows[state]
-        if row is None:
-            return Halted(_output(tape, head), steps)
-        state, tape[head], delta = row[tape[head]]
-        head += delta
-        if head == end:
-            tape.append(BLANK)
-            end += 1
-        elif head < 0:
-            tape[:0] = [BLANK] * end
-            head += end
-            end += end
-    if rows[state] is None:
-        return Halted(_output(tape, head), fuel)
-    return FuelExhaustedResult(fuel)
+    stack = ([(m.initial, [cell], 0, 0, n - 1) for cell in "10"] if n
+             else [(m.initial, [BLANK], 0, 0, 0)])
+    for state, tape, head, _, free in _ends(rows, stack, fuel):
+        halted = rows[state] is None
+        if halted and not free:
+            yield _output(tape, head)
+        else:  # a halted run's output may run on through the unread cells
+            yield from (_output(tape + [*rest], head) if halted else None
+                        for rest in product("01", repeat=free))
 
 
 # One compiled pattern per grammar unit.  A {1, 10, 11} code is told

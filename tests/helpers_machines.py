@@ -65,6 +65,17 @@ def erase_left_machine() -> MachineDesc:
                        transitions=table)
 
 
+def halt_at_one_machine(loop: bool = False) -> MachineDesc:
+    """Walks right over 0s: outputs "0" at the blank after them, and at
+    the first 1 halts with its output from there, or loops there."""
+    table = {(0, "0"): (0, "0", "R"), (0, "1"): (1, "1", "N"),
+             (0, BLANK): (2, "0", "N")}
+    table.update({(1, sym): (1, sym, "N") for sym in SYMBOLS})
+    return MachineDesc(states=3, initial=0,
+                       finals=frozenset({2} if loop else {1, 2}),
+                       transitions=table)
+
+
 def always_accept_machine() -> MachineDesc:
     """Walks right and writes "1" after the input."""
     return MachineDesc(**total_walk(

@@ -519,6 +519,40 @@ class TestConstructionWorkCounts:
         assert lengths == Counter(range(9))
 
 
+    def test_machine_backed_spot_check_walks_each_length_once(
+            self, parity_file, monkeypatch, capsys):
+        # every length up to 8 lies in the first, even interval, so the
+        # spot-checks take all of a's verdicts from its walks; the
+        # construction's own words still run one at a time before them
+        walked, run_in_check, checking = Counter(), Counter(), [False]
+        walk, run, check = tm.walk, tm.run, cli.karp_check
+
+        def counted_walk(m, n: int, fuel: int):
+            walked[n] += 1
+            return walk(m, n, fuel)
+
+        def counted_run(m, inputs, fuel: int):
+            if checking[0]:
+                run_in_check[tuple(inputs)] += 1
+            return run(m, inputs, fuel)
+
+        def flagged_check(*args, **kwargs):
+            checking[0] = True
+            try:
+                return check(*args, **kwargs)
+            finally:
+                checking[0] = False
+
+        monkeypatch.setattr(tm, "walk", counted_walk)
+        monkeypatch.setattr(tm, "run", counted_run)
+        monkeypatch.setattr(cli, "karp_check", flagged_check)
+        assert dispatch(["ladner", "--a", f"machine:{parity_file}",
+                         "--pres", "builtins:const-yes,const-no,len-even",
+                         "--bound", "8"]) == 0
+        assert capsys.readouterr().out.count("violations\n511\t0\n") == 2
+        assert walked == Counter(range(9))
+        assert run_in_check == Counter()
+
     @pytest.mark.parametrize("argv, built", [
         (["ladner", "--a", "builtin:parity", "--pres", "family:p",
           "--bound", "14"], 290),

@@ -162,6 +162,12 @@ CASES = {
                 "--pres", "builtins:const-yes,const-no,len-even",
                 "--bound", "6", "--table", "8"],
                "2d57f9a42db1fdaa8b53116ce559c82521922e291e2fef6d0ed32ba12c8b1e77"),
+    # a machine-backed a: the spot-checks walk lengths 0-13 under a and
+    # ask const-no word by word at length 14, in the first odd interval
+    "ladner machine": (["ladner", "--a", "machine:{parity}",
+                        "--pres", "builtins:const-yes,const-no,len-even",
+                        "--bound", "14", "--table", "8"],
+                       "18140506f6fbc748163c84338a321260ac032d31d05049823e2deab19bcd0ba3"),
     # both constructions over a family presentation: clocked machines as
     # the presented deciders, and in ladner as the harder set's oracles
     "ladner family": (["ladner", "--a", "builtin:parity", "--pres", "family:p",

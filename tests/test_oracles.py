@@ -23,6 +23,10 @@ list-tape machine run in `promiselab.tm` and the oracle machine run in
 `promiselab.promise.cook_run` are checked against the sparse dict-tape
 runs kept in `oracle_tm`: equal results on random complete machines, on
 a walk 5,000 cells left of cell 0, and with and without oracle queries.
+The depth-first length walk `promiselab.tm.walk` is checked against one
+`oracle_tm` run per word: equal outputs, or None past fuel, in canonical
+order, and a machine-backed decider's verdicts of a whole length against
+its verdicts word by word, up to an equal error at the same word.
 The merged-configuration branch counter in `promiselab.ptm` is checked
 against the depth-first tree walk kept in `oracle_ptm`: equal leaf
 counts, and an equal path when a branch runs out of fuel.  The memos
@@ -87,8 +91,8 @@ import oracle_quintuples
 import oracle_simulator as ref
 import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
-    costed_toy, identity_machine, machine_reduction, parity_machine, \
-    witness_equals_one_ptm
+    costed_toy, halt_at_one_machine, identity_machine, machine_reduction, \
+    parity_machine, witness_equals_one_ptm
 from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows, \
     scaled_identity
 from promiselab import circuit, cli, enumeration, field, ptm, tm
@@ -103,7 +107,8 @@ from promiselab.diagonal import (CostedFunction, GapLimits, affine_costed,
 from promiselab.enumeration import HARDER_SET_CHECK_CAP, Polynomial
 from promiselab.errors import (AccountingError, BranchFuelExhausted,
                                CapExceeded, DimensionCap, FuelExhausted,
-                               NonPromisedQuery, PromiseLabError,
+                               NonPromisedQuery, NotTotalDecider,
+                               PromiseLabError,
                                WitnessSpaceTooLarge)
 from promiselab.field import ZERO, FieldElem, decimal_string
 from promiselab.promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider,
@@ -598,6 +603,16 @@ def _left_walk_machine(n: int) -> tm.MachineDesc:
     return tm.MachineDesc(n + 2, 0, frozenset({n + 1}), table)
 
 
+def _outcomes(verdicts) -> list:
+    """The verdicts up to the first NotTotalDecider, then its message."""
+    got = []
+    try:
+        got.extend(verdicts)
+    except NotTotalDecider as exc:
+        got.append(str(exc))
+    return got
+
+
 def _cook_outcome(cook_run, o: OracleMachine, oracle: TotalDecider, x: str):
     try:
         return cook_run(o, oracle, x)
@@ -652,6 +667,54 @@ class TestRunOracle:
                           lambda n: fuel)
         assert _cook_outcome(cook_run, o, builtin(oracle), x) == \
             _cook_outcome(oracle_tm.cook_run, o, builtin(oracle), x)
+
+
+_WALKED = [
+    (parity_machine(), 8, 300),
+    (parity_machine(), 6, 4),
+    # halts at once: each output is the whole unread input
+    (identity_machine(), 8, 0),
+    # grows the tape left before it reads cell 1
+    (_left_walk_machine(3), 8, 300),
+    # runs out of fuel on the words with a 1 only
+    (halt_at_one_machine(loop=True), 8, 300),
+    # halts at its first 1, before reading the rest: outputs such as "11"
+    # and "100" are no verdicts
+    (halt_at_one_machine(), 8, 300),
+    (const_output_machine("11"), 5, 300),
+    (tm.TRIVIAL_MACHINE, 8, 1),
+    (tm.TRIVIAL_MACHINE, 3, 0),
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
+
+
+class TestWalkOracle:
+    @settings(max_examples=150)
+    @given(machines(max_states=6), st.integers(0, 8), st.integers(0, 300))
+    @_with_examples(_WALKED)
+    def test_walk_equals_one_run_per_word(self, m, n, fuel):
+        want = [getattr(oracle_tm.run(m, [w], fuel), "output", None)
+                for w in words_of_length(n)]
+        assert list(tm.walk(m, n, fuel)) == want
+
+    @settings(max_examples=150)
+    @given(machines(max_states=6), st.integers(0, 8), st.integers(0, 300))
+    @_with_examples(_WALKED)
+    def test_decider_lengths_equal_its_verdicts(self, m, n, fuel):
+        decider = TotalDecider.from_machine("m", m, lambda k: fuel)
+        assert _outcomes(decider.lengths(n)) == \
+            _outcomes(map(decider.fn, words_of_length(n)))
+
+    def test_negative_fuel(self):
+        with pytest.raises(ValueError, match="fuel must be non-negative"):
+            next(tm.walk(parity_machine(), 2, -1))
 
 
 def _branch_outcome(enumerate_branches, m, inputs, fuel, on_overrun):

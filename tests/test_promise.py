@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers_machines import (always_accept_machine, diverging_machine,
-                              emit_outside_machine, identity_machine,
+                              emit_outside_machine, halt_at_one_machine,
+                              identity_machine,
                               karp_to_cook, machine_reduction,
                               parity_machine, prepend_zero_machine,
                               query_echo_machine)
@@ -16,7 +18,8 @@ from promiselab.promise import (MAX_WITNESS_SPACE, OracleMachine,
                                 TotalDecider, Verdict, builtin, cook_run,
                                 differences, karp_check,
                                 marked_union, witness_verdict)
-from promiselab.tm import TRIVIAL_MACHINE
+from promiselab import tm
+from promiselab.tm import BLANK, SYMBOLS, TRIVIAL_MACHINE, MachineDesc
 from promiselab.words import words_of_length, words_up_to
 
 PARITY = builtin("parity")
@@ -63,6 +66,26 @@ class TestClassify:
             assert decider.classify(x) is PARITY.classify(x)
         assert seen == ["1", "10", ""]
         assert decider.tag == "parity"
+
+    def test_memoized_machine_decider_runs_each_word_once(self, monkeypatch):
+        # words asked one at a time run once each; a walked length fills
+        # the memo, so its words need no run afterwards
+        runs, run = Counter(), tm.run
+
+        def counted(m, inputs, fuel):
+            runs[inputs[0]] += 1
+            return run(m, inputs, fuel)
+
+        monkeypatch.setattr(tm, "run", counted)
+        decider = TotalDecider.from_machine("parity", parity_machine(),
+                                            lambda n: n + 2).memoized()
+        for x in ("1", "10", "1", "", "10"):
+            assert decider.classify(x) is PARITY.classify(x)
+        assert list(decider.lengths(3)) == list(map(PARITY.fn,
+                                                    words_of_length(3)))
+        for x in words_of_length(3):
+            assert decider.classify(x) is PARITY.classify(x)
+        assert runs == Counter({"1": 1, "10": 1, "": 1})
 
     def test_memoized_does_not_remember_errors(self):
         fuel = [1]
@@ -223,6 +246,56 @@ class TestKarpCheck:
             karp_check(PARITY, checks, 6, config=config)
         assert karp_check(PARITY, checks, 5,
                           config=config)[0].checked == 63
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    @pytest.mark.parametrize("machine", [parity_machine(),
+                                         emit_outside_machine()])
+    def test_walked_lengths_give_equal_reports(self, machine, memoized):
+        a = TotalDecider.from_machine("m", machine, lambda n: n + 5)
+        a = a.memoized() if memoized else a
+        checks = [(lambda x: x, PARITY), (lambda x: x + "1", a),
+                  (lambda x: "0" + x, marked_union(a, CONST_YES))]
+        walked = karp_check(a, checks, 7)
+        assert walked == karp_check(dataclasses.replace(a, lengths=None),
+                                    checks, 7)
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    @pytest.mark.parametrize("machine, output", [
+        # "1" loops at its 1, after "0" answers no
+        (halt_at_one_machine(loop=True), "<no output within fuel on '1'>"),
+        # "11" halts on its first 1 with output "11", after "10" outside
+        (halt_at_one_machine(), "11"),
+    ])
+    def test_walked_lengths_raise_equal_errors(self, machine, output,
+                                               memoized):
+        a = TotalDecider.from_machine("m", machine, lambda n: 20)
+        a = a.memoized() if memoized else a
+        for source in (a, dataclasses.replace(a, lengths=None)):
+            with pytest.raises(NotTotalDecider) as exc:
+                karp_check(source, [(lambda x: x, PARITY)], 5)
+            assert str(exc.value) == str(NotTotalDecider(output))
+
+    def test_walk_stops_at_the_first_word_without_a_verdict(self, monkeypatch):
+        # every word of length 8 loops after reading all its cells; the
+        # walk of length 8 runs one of them, not all 256 to the fuel limit
+        table = {(k, sym): (k + 1, sym, "R") for k in range(8) for sym in "01"}
+        table.update({(k, BLANK): (9, "0", "N") for k in range(8)})
+        table.update({(8, sym): (8, sym, "N") for sym in SYMBOLS})
+        a = TotalDecider.from_machine("m", MachineDesc(10, 0, frozenset({9}),
+                                                       table),
+                                      lambda n: 1000)
+        leaves, walk = Counter(), tm.walk
+
+        def counted(m, n, fuel):
+            for output in walk(m, n, fuel):
+                leaves[n] += 1
+                yield output
+
+        monkeypatch.setattr(tm, "walk", counted)
+        with pytest.raises(NotTotalDecider) as exc:
+            karp_check(a, [(lambda x: x, PARITY)], 8)
+        assert exc.value.output == "<no output within fuel on '00000000'>"
+        assert leaves == Counter({n: 1 << n for n in range(8)} | {8: 1})
 
     def test_reduction_timeout_raises(self):
         f = machine_reduction("slow", diverging_machine(), lambda n: 3)
