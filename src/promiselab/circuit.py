@@ -53,7 +53,7 @@ from .config import Config
 from .errors import DimensionCap, GeneratorFuelExhausted
 from .field import (ZERO, ExactMatrix, FieldElem, real_sign, sylvester_pd,
                     sylvester_psd)
-from .promise import Verdict, witness_verdict
+from .promise import Verdict, _threshold_verdict, witness_verdict
 
 _OPCODE = {"H": "01", "T": "10", "CNOT": "11"}
 _GATE_KINDS = {code: kind for kind, code in _OPCODE.items()}
@@ -465,8 +465,8 @@ def classify_bqp(
     config: Config = Config(),
 ) -> Verdict:
     """Run the generator, simulate its circuit, apply the trichotomy."""
-    circ = parse_circuit(_generate(gen, gen_runtime, x))
-    return _trichotomy(p_acc(circ, config=config), config)
+    p = p_acc(parse_circuit(_generate(gen, gen_runtime, x)), config=config)
+    return _threshold_verdict(lambda t: real_sign(p - FieldElem(t)), config)
 
 
 def classify_qcma(
@@ -514,8 +514,9 @@ def classify_qma(
     """
     circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
     if circ.trivial:
-        return _trichotomy(ZERO, config)
+        return _threshold_verdict(lambda t: -t, config)  # acceptance 0
     k, gram = _gram(circ, config)
+    # _threshold_verdict's No-then-Yes order, on matrices, not on a number
     if sylvester_psd(_scaled_shift(gram, k, config.threshold_s)):
         return Verdict.NO
     if not sylvester_pd(_scaled_shift(gram, k, config.threshold_c)):
@@ -533,18 +534,3 @@ def _scaled_shift(gram: list[list[tuple[int, int, int, int]]], k: int,
                         -q * z2, -q * (z1 + z3))
               for l, (z0, z1, z2, z3) in enumerate(row))
         for j, row in enumerate(gram)))
-
-
-def _trichotomy(p: FieldElem, config: Config) -> Verdict:
-    return _threshold_verdict(lambda t: real_sign(p - FieldElem(t)), config)
-
-
-def _threshold_verdict(excess: Callable[[Fraction], int],
-                       config: Config) -> Verdict:
-    """No when excess(s) <= 0, else Yes when excess(c) >= 0, else
-    outside; excess(t) is the sign of the probability minus t."""
-    if excess(config.threshold_s) <= 0:
-        return Verdict.NO
-    if excess(config.threshold_c) >= 0:
-        return Verdict.YES
-    return Verdict.OUTSIDE

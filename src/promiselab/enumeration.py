@@ -10,8 +10,8 @@ bijection, clocks from the polynomial series cut off at the fuel ceiling.
 Machines that break their clock are absorbed rather than reported: a
 clocked decision machine defaults to No, a clocked function machine to
 the empty word, an overlong probabilistic branch counts as rejecting,
-and a generator that overruns emits the trivial circuit.  This keeps
-every produced decider total.
+and a quantum decider whose generator overruns answers No, whatever the
+thresholds.  This keeps every produced decider total.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from . import tm
 from .config import Config
 from .errors import CapExceeded, FuelExhausted, GeneratorFuelExhausted, \
     NonPromisedQuery
-from .field import ZERO
 from .promise import (MAX_WITNESS_SPACE, OracleMachine, TotalDecider,
-                      Verdict, _check_witness_space, cook_run,
-                      witness_verdict)
+                      Verdict, _check_witness_space, _threshold_verdict,
+                      cook_run, witness_verdict)
 from .words import index_to_word, words_of_length
 
 HARDER_SET_CHECK_CAP = 12
@@ -264,7 +263,7 @@ def _quantum_verdict(fam, gen, fuel, wit_len,
         # the generator halts in one step with output "0", which parses
         # as the trivial circuit, whose verdict depends on the thresholds
         # alone; with no step it overruns, which counts as No
-        emitted = qc._trichotomy(ZERO, config)
+        emitted = _threshold_verdict(lambda t: -t, config)  # acceptance 0
 
         def trivial(x: str) -> Verdict:
             tm._check_inputs((x,))
@@ -278,8 +277,8 @@ def _quantum_verdict(fam, gen, fuel, wit_len,
         try:
             return classify(gen, fuel, x, config)
         except GeneratorFuelExhausted:
-            # an overrunning generator counts as emitting the trivial
-            # circuit, which never accepts
+            # an overrunning generator counts as No, even where the
+            # trivial circuit is not No (s < 0)
             return Verdict.NO
 
     return decide

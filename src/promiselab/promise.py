@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
 from types import MappingProxyType
@@ -135,6 +136,19 @@ def differences(a: TotalDecider, b: TotalDecider, bound: int,
         elif vb.separates(va):
             total.add(w)
     return DifferenceReport(frozenset(sym), frozenset(one_sided), frozenset(total))
+
+
+def _threshold_verdict(excess: Callable[[Fraction], int],
+                       config: Config) -> Verdict:
+    """The promise trichotomy of every threshold decider: No when
+    excess(s) <= 0, else Yes when excess(c) >= 0, else outside, where
+    excess(t) has the sign of the acceptance probability minus t.  No is
+    tested first, so with c = s Yes means acceptance above s, as in PP."""
+    if excess(config.threshold_s) <= 0:
+        return Verdict.NO
+    if excess(config.threshold_c) >= 0:
+        return Verdict.YES
+    return Verdict.OUTSIDE
 
 
 def witness_verdict(m: int, cap: int,

@@ -36,7 +36,8 @@ from typing import Callable, Literal
 from . import tm
 from .config import Config
 from .errors import BranchFuelExhausted, CapExceeded
-from .promise import MAX_WITNESS_SPACE, Verdict, witness_verdict
+from .promise import MAX_WITNESS_SPACE, Verdict, _threshold_verdict, \
+    witness_verdict
 
 Action = tuple[int, str, str]
 # An action on a read code: (next state, read code XOR written code, head
@@ -310,7 +311,7 @@ def classify_bpp(
     """
     stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun="reject",
                                config=config)
-    return _trichotomy(stats.p_acc, config)
+    return _threshold_verdict(stats.p_acc.__sub__, config)
 
 
 def classify_ma(
@@ -330,15 +331,7 @@ def classify_ma(
     """
     m_len = wit_len(len(x))
     fuel = runtime(len(x))
-    return witness_verdict(m_len, MAX_WITNESS_SPACE, lambda y: _trichotomy(
-        enumerate_branches(m, [x, y], fuel, on_overrun="reject",
-                           config=config).p_acc,
-        config))
-
-
-def _trichotomy(p: Fraction, config: Config) -> Verdict:
-    if p <= config.threshold_s:
-        return Verdict.NO
-    if p >= config.threshold_c:
-        return Verdict.YES
-    return Verdict.OUTSIDE
+    return witness_verdict(m_len, MAX_WITNESS_SPACE, lambda y:
+                           _threshold_verdict(enumerate_branches(
+                               m, [x, y], fuel, on_overrun="reject",
+                               config=config).p_acc.__sub__, config))

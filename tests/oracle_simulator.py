@@ -14,7 +14,8 @@ with as many H gates as a test likes.
 `classify_qma_per_witness` are the slow twins of the witness path: one
 packed simulation per witness, the full Gram matrix with its Hermiticity
 checked at run time, one acceptance probability per witness compared
-with the thresholds as field elements, and sI - Q and cI - Q built
+with the thresholds as field elements by a trichotomy of their own,
+written apart from the package's rule, and sI - Q and cI - Q built
 entrywise over the rationals.  The package packs every witness of a
 chunk into one run, forms only the upper triangle, and scales every
 threshold test to integer coordinates.
@@ -33,8 +34,8 @@ from promiselab import circuit
 from promiselab.circuit import Circuit
 from promiselab.config import Config
 from promiselab.errors import DimensionCap
-from promiselab.field import ExactMatrix, FieldElem, ZERO, sylvester_pd, \
-    sylvester_psd
+from promiselab.field import ExactMatrix, FieldElem, ZERO, real_sign, \
+    sylvester_pd, sylvester_psd
 from promiselab.promise import Verdict, witness_verdict
 from promiselab.words import words_of_length
 
@@ -203,6 +204,16 @@ def acceptance_operator_per_witness(c: Circuit,
     return q
 
 
+def trichotomy(p: FieldElem, config: Config) -> Verdict:
+    """The promise trichotomy from its definition, apart from the
+    package's rule: No when p <= s, else Yes when p >= c, else outside."""
+    if real_sign(p - FieldElem(config.threshold_s)) <= 0:
+        return Verdict.NO
+    if real_sign(p - FieldElem(config.threshold_c)) >= 0:
+        return Verdict.YES
+    return Verdict.OUTSIDE
+
+
 def classify_qcma_per_witness(gen, gen_runtime, x: str,
                               config: Config = Config()):
     """One `p_acc` per witness, under the package's witness quantifier."""
@@ -210,7 +221,7 @@ def classify_qcma_per_witness(gen, gen_runtime, x: str,
                                  expect_witness_header=True)
     return witness_verdict(
         circ.witness_qubits, 1 << config.max_witness_qubits,
-        lambda y: circuit._trichotomy(
+        lambda y: trichotomy(
             circuit.p_acc(circ, _witness_input(circ, y), config), config))
 
 
@@ -222,7 +233,7 @@ def classify_qma_per_witness(gen, gen_runtime, x: str,
     circ = circuit.parse_circuit(circuit._generate(gen, gen_runtime, x),
                                  expect_witness_header=True)
     if circ.trivial:
-        return circuit._trichotomy(ZERO, config)
+        return trichotomy(ZERO, config)
     q = acceptance_operator_per_witness(circ, config)
 
     def shifted(t: Fraction) -> ExactMatrix:

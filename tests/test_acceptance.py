@@ -19,15 +19,16 @@ from helpers_machines import (const_output_machine, det_walk_ptm, fan_ptm,
 from helpers_values import to_complex
 from test_circuit import float_p_acc, random_circuit
 from test_diagonal import reference_gap_member, toy_instance
-from promiselab.circuit import (Gate, acceptance_operator, classify_bqp,
-                                classify_qcma, classify_qma, encode_circuit,
-                                parse_circuit)
+from promiselab.circuit import (Circuit, Gate, acceptance_operator,
+                                classify_bqp, classify_qcma, classify_qma,
+                                encode_circuit, parse_circuit)
+from promiselab.config import Config
 from promiselab.diagonal import (PRESENTABLE, affine_costed, diagonalize,
                                  gap_member, ladner)
 from promiselab.enumeration import (builtins_presentation, pair,
                                     poly_series, unpair)
 from promiselab.promise import Verdict, builtin, karp_check, marked_union
-from promiselab.ptm import classify_bpp, enumerate_branches
+from promiselab.ptm import classify_bpp, classify_ma, enumerate_branches
 from promiselab.tm import MachineDesc, SYMBOLS, decode_godel, encode_godel
 from promiselab.words import words_up_to
 
@@ -120,7 +121,35 @@ def test_criterion_5_ptm_exactness():
     # non-strict threshold boundaries
     assert classify_bpp(fan_ptm(1, 3), runtime, "01") is Verdict.NO
     assert classify_bpp(fan_ptm(2, 3), runtime, "01") is Verdict.YES
-    report(5, f"ptm exactness, {len(cases)} machines", None, started)
+    # the same boundaries in every threshold family, each decider below
+    # accepting with exactly 1/2: acceptance s is No, acceptance c is Yes,
+    # and c = s is No, as in PP
+    half_ptm, half_ma_ptm = fan_ptm(1, 2), two_input_fan_ptm(1, 2)
+    h_gen = const_output_machine(encode_circuit(Circuit((Gate("H", (1,)),))))
+    # T on q2 makes the witness qubit q2; on its own, H would act on the
+    # witness, and Q would have eigenvalues 0 and 1, not 1/2 twice
+    h_witness_gen = const_output_machine(encode_circuit(Circuit(
+        (Gate("H", (1,)), Gate("T", (2,))), witness_qubits=1)))
+    at_half = {
+        "bpp": lambda config: classify_bpp(half_ptm, runtime, "01",
+                                           config=config),
+        "ma": lambda config: classify_ma(half_ma_ptm, runtime, lambda n: 1,
+                                         "01", config=config),
+        "bqp": lambda config: classify_bqp(h_gen, GENEROUS, "0", config),
+        "qcma": lambda config: classify_qcma(h_witness_gen, GENEROUS, "0",
+                                             config),
+        "qma": lambda config: classify_qma(h_witness_gen, GENEROUS, "0",
+                                           config),
+    }
+    half = Fraction(1, 2)
+    for s, c, expected in ((half, Fraction(2, 3), Verdict.NO),
+                           (Fraction(1, 3), half, Verdict.YES),
+                           (half, half, Verdict.NO)):
+        config = Config(threshold_c=c, threshold_s=s)
+        assert {family: decide(config) for family, decide in
+                at_half.items()} == dict.fromkeys(at_half, expected)
+    report(5, f"ptm exactness, {len(cases)} machines; threshold "
+              f"boundaries, {len(at_half)} families", None, started)
 
 
 def test_criterion_6_gap_language():

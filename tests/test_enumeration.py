@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -297,6 +298,17 @@ class TestClassPresentations:
         i = pair(machine_index(diverging_machine()), 0)
         decider = class_presentation("qma", i)
         assert decider.classify("0") is Verdict.NO
+        # with s < 0 the trivial circuit (acceptance 0) is Yes, yet an
+        # overrun stays No: the diverging machine and the trivial machine
+        # (index 0) at the zero clock; at clock 1 the trivial machine
+        # halts with the trivial circuit
+        config = Config(threshold_s=Fraction(-1, 4),
+                        threshold_c=Fraction(-1, 8))
+        for family in ("bqp", "qcma", "qma"):
+            for j, expected in ((i, Verdict.NO), (pair(0, 0), Verdict.NO),
+                                (pair(0, 1), Verdict.YES)):
+                decider = class_presentation(family, j, config)
+                assert decider.classify("0") is expected, (family, j)
 
     def test_every_index_is_total_at_small_scale(self):
         for family in SEVEN_FAMILIES:

@@ -19,6 +19,11 @@ Records are namedtuples, which cost about a tenth as much as dataclasses
 to create at import.  The few dataclasses left are allowlisted with
 their reason, and an entry whose class is gone or is no longer a
 dataclass fails the suite too.
+
+The thresholds c and s are read in ``config`` and, outside it, only by
+the one trichotomy rule in ``promise`` and by ``circuit.classify_qma``,
+whose definiteness tests follow the rule's order, so the boundary
+convention cannot fork again.
 """
 
 import ast
@@ -202,3 +207,33 @@ def test_only_allowlisted_classes_are_dataclasses():
     stale = sorted(DATACLASSES.keys() - found)
     assert unlisted == [], f"dataclasses not allowlisted: {unlisted}"
     assert stale == [], f"allowlisted but not a dataclass: {stale}"
+
+
+# Where the thresholds may be read: the one trichotomy rule, and the QMA
+# decider, whose definiteness tests apply the same order to matrices.
+THRESHOLD_READERS = {"config", "promise._threshold_verdict",
+                     "circuit.classify_qma"}
+
+
+def _threshold_readers() -> set[str]:
+    """The module-level function or class, else the module, around each
+    attribute read of threshold_s or threshold_c in the package."""
+    readers = set()
+    for path in MODULES:
+        for node in _tree(path).body:
+            name = (f"{path.stem}.{node.name}" if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else path.stem)
+            if any(isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Load)
+                   and sub.attr in ("threshold_s", "threshold_c")
+                   for sub in ast.walk(node)):
+                readers.add(name)
+    return readers
+
+
+def test_thresholds_are_read_through_one_rule():
+    readers = _threshold_readers()
+    forks = sorted(name for name in readers if name not in THRESHOLD_READERS
+                   and name.split(".")[0] not in THRESHOLD_READERS)
+    assert forks == [], f"thresholds read outside the one rule: {forks}"
+    assert "promise._threshold_verdict" in readers
