@@ -28,9 +28,10 @@ and masks of whole vectors, or appends a lane-index bit when it takes a
 qubit out of its basis state; no rational is formed.  Values enter the
 field Q(1/sqrt2, i) of `promiselab.field` only at readout, so acceptance
 probabilities and the witness-block acceptance operator are exact.  The
-witness verdicts read out nothing: a threshold p/q meets a value v/2^k
-in the sign of q*v - p*2^k, so the QCMA trichotomy and the QMA
-definiteness tests run on integer coordinates.
+deciders read out nothing: a threshold p/q meets a value v/2^k in the
+sign of q*v - p*2^k, so the BQP and QCMA trichotomy (BQP is the QCMA
+decider without a witness register) and the QMA definiteness tests run
+on integer coordinates.
 
 The witnesses of a QMA or QCMA instance share packed runs: the lowest
 lane-index bits number blocks, one per witness, that no gate touches, so
@@ -411,7 +412,8 @@ def _witness_runs(c: Circuit, config: Config
 def _gram(c: Circuit, config: Config
           ) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
     """(k, G) with G / 2^k the witness-block operator, G a 2^m x 2^m
-    matrix over Z[w] of coordinate tuples (z0, z1, z2, z3).
+    matrix over Z[w] of coordinate tuples (z0, z1, z2, z3); m = 0, as in
+    the trivial circuit, gives a 1 x 1 block.
 
     The witness register meets its cap before the qubits meet theirs,
     both before any simulation.  Entry (y', y) is the overlap of the
@@ -422,8 +424,6 @@ def _gram(c: Circuit, config: Config
     (z0, -z3, -z2, -z1) since conj(w^j) = -w^(4-j).
     """
     m = c.witness_qubits
-    if m < 1:
-        raise ValueError("circuit has no witness register")
     dim = 1 << m
     cap = 1 << config.max_witness_qubits
     if dim > cap:
@@ -444,6 +444,8 @@ def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
     """Exact 2^m x 2^m operator of the witness block, Hermitian by
     construction: `_gram`'s matrix over 2^k.  Its diagonal reproduces
     the per-witness acceptance probabilities."""
+    if c.witness_qubits < 1:
+        raise ValueError("circuit has no witness register")
     k, gram = _gram(c, config)
     return ExactMatrix(tuple(tuple(_readout(z, k) for z in row)
                              for row in gram))
@@ -458,31 +460,28 @@ def _generate(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],
     return result.output
 
 
-def classify_bqp(
-    gen: tm.MachineDesc,
-    gen_runtime: Callable[[int], int],
-    x: str,
-    config: Config = Config(),
-) -> Verdict:
-    """Run the generator, simulate its circuit, apply the trichotomy."""
-    p = p_acc(parse_circuit(_generate(gen, gen_runtime, x)), config=config)
-    return _threshold_verdict(lambda t: real_sign(p - FieldElem(t)), config)
+def classify_bqp(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],
+                 x: str, config: Config = Config()) -> Verdict:
+    """The QCMA decider on a circuit without a witness register."""
+    return _best_witness(parse_circuit(_generate(gen, gen_runtime, x)), config)
 
 
-def classify_qcma(
-    gen: tm.MachineDesc,
-    gen_runtime: Callable[[int], int],
-    x: str,
-    config: Config = Config(),
-) -> Verdict:
-    """Trichotomy over the best classical (basis) witness.
+def classify_qcma(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],
+                  x: str, config: Config = Config()) -> Verdict:
+    """Trichotomy over the best classical (basis) witness."""
+    circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
+    return _best_witness(circ, config)
+
+
+def _best_witness(circ: Circuit, config: Config) -> Verdict:
+    """Trichotomy over the best basis witness of circ's m-qubit register;
+    with m = 0, over the one empty witness, run on the all-zero input.
 
     The witness quantifier asks for the witnesses in canonical order, the
     order in which the packed runs yield their output-1 lanes.  Times
     q*2^k > 0, probability (s1 + sqrt2*s2) / 2^k minus threshold p/q is
     q*s1 - p*2^k + sqrt2*q*s2, with the same sign.
     """
-    circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
     runs = _witness_runs(circ, config)
 
     def verdict_of(y: str) -> Verdict:
@@ -496,12 +495,8 @@ def classify_qcma(
                            verdict_of)
 
 
-def classify_qma(
-    gen: tm.MachineDesc,
-    gen_runtime: Callable[[int], int],
-    x: str,
-    config: Config = Config(),
-) -> Verdict:
+def classify_qma(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],
+                 x: str, config: Config = Config()) -> Verdict:
     """Trichotomy over quantum witnesses via definiteness tests.
 
     With Q the witness-block operator and thresholds (c, s):
@@ -513,8 +508,6 @@ def classify_qma(
     no minor changes sign.
     """
     circ = parse_circuit(_generate(gen, gen_runtime, x), expect_witness_header=True)
-    if circ.trivial:
-        return _threshold_verdict(lambda t: -t, config)  # acceptance 0
     k, gram = _gram(circ, config)
     # _threshold_verdict's No-then-Yes order, on matrices, not on a number
     if sylvester_psd(_scaled_shift(gram, k, config.threshold_s)):

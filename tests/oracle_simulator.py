@@ -10,6 +10,9 @@ four Python lists and updated with list slices and `map`.  It needs no
 lane width, bias or mask, so it checks those of the fast path on circuits
 with as many H gates as a test likes.
 
+`classify_bqp_by_definition` compares the acceptance probability of
+`p_acc` above with the thresholds, in `Fraction` coordinates.
+
 `acceptance_operator_per_witness`, `classify_qcma_per_witness` and
 `classify_qma_per_witness` are the slow twins of the witness path: one
 packed simulation per witness, the full Gram matrix with its Hermiticity
@@ -212,6 +215,14 @@ def trichotomy(p: FieldElem, config: Config) -> Verdict:
     if real_sign(p - FieldElem(config.threshold_c)) >= 0:
         return Verdict.YES
     return Verdict.OUTSIDE
+
+
+def classify_bqp_by_definition(gen, gen_runtime, x: str,
+                               config: Config = Config()):
+    """The trichotomy of the acceptance probability that `p_acc` sums
+    over the field."""
+    circ = circuit.parse_circuit(circuit._generate(gen, gen_runtime, x))
+    return trichotomy(p_acc(circ), config)
 
 
 def classify_qcma_per_witness(gen, gen_runtime, x: str,

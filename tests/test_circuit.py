@@ -324,6 +324,11 @@ def generator_for(circ: Circuit) -> "MachineDesc":
     return const_output_machine(encode_circuit(circ))
 
 
+# thresholds below, inside and above [0, 1], at and between its ends
+_EDGE_THRESHOLDS = [Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1, 3),
+                    Fraction(1, 2), Fraction(1), Fraction(4, 3)]
+
+
 class TestClassifiers:
     def test_trivial_generator_is_no(self):
         gen = const_output_machine("")
@@ -379,6 +384,19 @@ class TestClassifiers:
                 (classify_bqp, classify_qcma, classify_qma)} == {Verdict.NO}
         half = generator_for(Circuit((Gate("H", (1,)),)))
         assert classify_bqp(half, GENEROUS, "", config) is Verdict.NO
+
+    @pytest.mark.parametrize("threshold_c, threshold_s", [
+        (c, s) for c in _EDGE_THRESHOLDS for s in _EDGE_THRESHOLDS if c >= s])
+    def test_trivial_circuit_accepts_with_probability_zero(self, threshold_c,
+                                                           threshold_s):
+        # "" parses as the trivial circuit with and without a witness
+        # header; no decider treats it apart from its acceptance, 0
+        config = Config(threshold_c=threshold_c, threshold_s=threshold_s)
+        want = (Verdict.NO if threshold_s >= 0 else
+                Verdict.YES if threshold_c <= 0 else Verdict.OUTSIDE)
+        gen = const_output_machine("")
+        assert [decide(gen, GENEROUS, "0", config) for decide in
+                (classify_bqp, classify_qcma, classify_qma)] == [want] * 3
 
     def test_qma_agrees_with_float_eigenvalues(self):
         rng = random.Random(251)

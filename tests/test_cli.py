@@ -419,6 +419,15 @@ class TestDiagonalizeCommand:
         final = out.strip().splitlines()[-1]
         assert final.split("\t")[1] == "0"
 
+    def test_ladner_needs_a_no_instance_of_a(self, capsys):
+        code = dispatch(["ladner", "--a", "builtin:const-yes",
+                         "--pres", "builtins:const-no"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: NoInstanceOfA: no no-instance of const-yes within ")
+
     def test_ladner_spot_checks_through_shared_report(self, capsys,
                                                       monkeypatch):
         # the report works out both checks from the result, and runs them

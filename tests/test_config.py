@@ -25,6 +25,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("text,lineno", [
         ("threshold-c = 1/0\n", 1),
         ("max-qubits = 4\nmax-qubits = abc\n", 2),
+        ("max-qubits = 4\nmax-qubits\n", 2),  # expected key=value
     ])
     def test_bad_value_names_file_and_line(self, tmp_path, text, lineno):
         path = _write(tmp_path, text)

@@ -182,6 +182,13 @@ class TestFindContradiction:
     def test_no_difference_raises(self):
         with pytest.raises(NoContradictionFound):
             find_contradiction(PARITY, PARITY, 0, PRESENTABLE, cap=3)
+        # cap 20 asks for 2^21 - 2 words; the scan budget stops at 2^14
+        with pytest.raises(NoContradictionFound):
+            find_contradiction(PARITY, PARITY, 0, PRESENTABLE, cap=20)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown mode 'weak'$"):
+            find_contradiction(PARITY, CONST_YES, 0, "weak")
 
     def test_representable_counts_noncommittal_machines(self):
         z = find_contradiction(PARITY, OUTSIDE_EVERYWHERE, 0, REPRESENTABLE)[0]

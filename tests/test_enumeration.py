@@ -62,6 +62,20 @@ class TestWordBijection:
             assert word_to_index(index_to_word(i)) == i
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pair(-1, 0), "pair arguments must be non-negative"),
+    (lambda: pair(0, -1), "pair arguments must be non-negative"),
+    (lambda: unpair(-1), "unpair argument must be non-negative"),
+    (lambda: poly_series(-1), "index must be non-negative"),
+    (lambda: index_to_word(-1), "word index must be non-negative"),
+    (lambda: builtins_presentation([]), "need at least one decider"),
+], ids=["pair-j", "pair-k", "unpair", "poly_series", "index_to_word",
+        "builtins_presentation"])
+def test_arguments_outside_the_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestPairing:
     def test_base_case(self):
         assert pair(0, 0) == 0

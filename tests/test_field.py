@@ -158,6 +158,10 @@ class TestDecimalRendering:
     def test_negative(self):
         assert decimal_string(fe(-1, 1)) == "-0.292893218813"
 
+    def test_rejects_imaginary_parts(self):
+        with pytest.raises(NonRealInput):
+            decimal_string(fe(1, 0, 0, 1))
+
 
 class TestTextRoundtrip:
     def test_canonical_form(self):

@@ -23,7 +23,9 @@ dataclass fails the suite too.
 The thresholds c and s are read in ``config`` and, outside it, only by
 the one trichotomy rule in ``promise`` and by ``circuit.classify_qma``,
 whose definiteness tests follow the rule's order, so the boundary
-convention cannot fork again.
+convention cannot fork again.  In ``circuit``, a circuit's ``trivial``
+flag is read only by ``p_acc``, ``_gram`` and ``encode_circuit``, so no
+decider gives the trivial circuit a verdict of its own.
 """
 
 import ast
@@ -215,9 +217,9 @@ THRESHOLD_READERS = {"config", "promise._threshold_verdict",
                      "circuit.classify_qma"}
 
 
-def _threshold_readers() -> set[str]:
+def _readers(*attributes: str) -> set[str]:
     """The module-level function or class, else the module, around each
-    attribute read of threshold_s or threshold_c in the package."""
+    read of one of the attributes in the package."""
     readers = set()
     for path in MODULES:
         for node in _tree(path).body:
@@ -225,15 +227,28 @@ def _threshold_readers() -> set[str]:
                 node, (ast.FunctionDef, ast.ClassDef)) else path.stem)
             if any(isinstance(sub, ast.Attribute)
                    and isinstance(sub.ctx, ast.Load)
-                   and sub.attr in ("threshold_s", "threshold_c")
+                   and sub.attr in attributes
                    for sub in ast.walk(node)):
                 readers.add(name)
     return readers
 
 
 def test_thresholds_are_read_through_one_rule():
-    readers = _threshold_readers()
+    readers = _readers("threshold_s", "threshold_c")
     forks = sorted(name for name in readers if name not in THRESHOLD_READERS
                    and name.split(".")[0] not in THRESHOLD_READERS)
     assert forks == [], f"thresholds read outside the one rule: {forks}"
     assert "promise._threshold_verdict" in readers
+
+
+# Where circuit may read a circuit's trivial flag: the readout, which
+# answers 0 on any basis input, the Gram matrix, whose zero block the QMA
+# tests read as acceptance 0, and the encoder.  The deciders reach the
+# trivial circuit only through these.
+TRIVIAL_READERS = {"circuit.p_acc", "circuit._gram", "circuit.encode_circuit"}
+
+
+def test_no_circuit_decider_special_cases_the_trivial_circuit():
+    readers = {name for name in _readers("trivial")
+               if name.split(".")[0] == "circuit"}
+    assert readers == TRIVIAL_READERS

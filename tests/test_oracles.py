@@ -11,7 +11,9 @@ of every change of lane width.  The packed witness runs are checked
 against the per-witness twins there: equal operators and QCMA verdicts
 for 0 to 4 witness qubits, with `max_qubits` set so that the witness
 block splits into runs of every size from one witness to all of them,
-and the caps raised in the same order with the same messages.  The
+and the caps raised in the same order with the same messages; the BQP
+decider, which is the QCMA one without a witness register, against the
+trichotomy of the FieldElem acceptance probability.  The
 pattern-based
 decoders of machines, PTMs, circuits and oracle-machine prefixes are
 checked against the per-character parsers kept in `oracle_parser`, and
@@ -97,8 +99,9 @@ from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows, \
     scaled_identity
 from promiselab import circuit, cli, enumeration, field, ptm, tm
 from promiselab.circuit import (Circuit, Gate, TRIVIAL_CIRCUIT,
-                                acceptance_operator, classify_qcma,
-                                classify_qma, encode_circuit, p_acc,
+                                acceptance_operator, classify_bqp,
+                                classify_qcma, classify_qma, encode_circuit,
+                                p_acc,
                                 parse_circuit, simulate)
 from promiselab.config import Config
 from promiselab.diagonal import (CostedFunction, GapLimits, affine_costed,
@@ -338,6 +341,20 @@ class TestWitnessBlockOracle:
             assert acceptance_operator(c, config) == want
 
     @settings(max_examples=40)
+    @given(circuits(), _THRESHOLDS | _OUT_OF_RANGE)
+    def test_bqp_verdicts_equal_the_definition(self, c, thresholds):
+        # header-less: the QCMA runs on no witness register, against the
+        # Fraction probability; no gates encode as the trivial circuit
+        bits = encode_circuit(c)
+        gen = const_output_machine(bits)
+        threshold_c, threshold_s = thresholds
+        for config in _chunk_configs(parse_circuit(bits),
+                                     threshold_c=threshold_c,
+                                     threshold_s=threshold_s):
+            assert classify_bqp(gen, _GEN_RUNTIME, "", config) == \
+                ref.classify_bqp_by_definition(gen, _GEN_RUNTIME, "", config)
+
+    @settings(max_examples=40)
     @given(circuits(witness=st.integers(0, 4)), _THRESHOLDS)
     def test_qcma_verdicts_at_every_chunk_size(self, c, thresholds):
         # m = 0 encodes without a witness header: the trivial circuit
@@ -370,23 +387,30 @@ class TestWitnessBlockOracle:
                 ref.classify_qma_per_witness(gen, _GEN_RUNTIME, "", config)
 
     def test_witness_verdicts_build_no_rationals(self):
-        # a readout or a field subtraction raises here, so neither verdict
+        # a readout or a field subtraction raises here, so no verdict
         # forms a Fraction matrix or a Fraction probability per witness
-        deciders = ((classify_qma, ref.classify_qma_per_witness),
-                    (classify_qcma, ref.classify_qcma_per_witness))
         blocks = {Verdict.YES: _circuit("CNOT 2 1", witness=1),
                   Verdict.OUTSIDE: _circuit("H 1", "T 3", witness=2),
                   Verdict.NO: _circuit("H 2", "T 1", witness=1)}
-        for verdict, c in blocks.items():
-            gen = const_output_machine(encode_circuit(c))
-            assert [slow(gen, _GEN_RUNTIME, "") for _, slow in deciders] == \
-                [verdict] * 2
+        # no witness register: |1> by H T^4 H = HZH = X, |+>, and H H = I
+        plain = {Verdict.YES: _circuit("H 1", *["T 1"] * 4, "H 1"),
+                 Verdict.OUTSIDE: _circuit("H 1"),
+                 Verdict.NO: _circuit("H 1", "H 1")}
+        for fast, slow, circuits_ in (
+                (classify_qma, ref.classify_qma_per_witness, blocks),
+                (classify_qcma, ref.classify_qcma_per_witness, blocks),
+                (classify_bqp, ref.classify_bqp_by_definition, plain)):
+            gens = {verdict: const_output_machine(encode_circuit(c))
+                    for verdict, c in circuits_.items()}
+            assert {verdict: slow(gen, _GEN_RUNTIME, "")
+                    for verdict, gen in gens.items()} == {v: v for v in gens}
             with mock.patch.object(field.FieldElem, "__sub__",
                                    side_effect=AssertionError), \
                     mock.patch.object(circuit, "_readout",
                                       side_effect=AssertionError):
-                assert [fast(gen, _GEN_RUNTIME, "")
-                        for fast, _ in deciders] == [verdict] * 2
+                assert {verdict: fast(gen, _GEN_RUNTIME, "")
+                        for verdict, gen in gens.items()} == \
+                    {v: v for v in gens}
 
     def test_witness_cap_before_any_simulation(self):
         # three witness qubits over a cap of two, on four qubits over a
@@ -417,6 +441,13 @@ class TestWitnessBlockOracle:
                        classify_qma, ref.classify_qma_per_witness):
             with pytest.raises(DimensionCap, match=r"^4 qubits exceed cap 3$"):
                 decide(gen, _GEN_RUNTIME, "", config)
+        # BQP's run on no witness register meets simulate's cap
+        plain = c._replace(witness_qubits=0)
+        with pytest.raises(DimensionCap, match=r"^4 qubits exceed cap 3$"):
+            classify_bqp(const_output_machine(encode_circuit(plain)),
+                         _GEN_RUNTIME, "", config)
+        with pytest.raises(DimensionCap, match=r"^4 qubits exceed cap 3$"):
+            simulate(plain, config=config)
         for operator in (acceptance_operator,
                          ref.acceptance_operator_per_witness):
             with pytest.raises(DimensionCap, match=r"^4 qubits exceed cap 3$"):
@@ -713,8 +744,12 @@ class TestWalkOracle:
             _outcomes(map(decider.fn, words_of_length(n)))
 
     def test_negative_fuel(self):
-        with pytest.raises(ValueError, match="fuel must be non-negative"):
-            next(tm.walk(parity_machine(), 2, -1))
+        for start in (lambda: next(tm.walk(parity_machine(), 2, -1)),
+                      lambda: tm.run(parity_machine(), ["1"], -1),
+                      lambda: ptm.enumerate_branches(
+                          witness_equals_one_ptm(), ["1"], -1)):
+            with pytest.raises(ValueError, match="fuel must be non-negative"):
+                start()
 
 
 def _branch_outcome(enumerate_branches, m, inputs, fuel, on_overrun):

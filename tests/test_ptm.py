@@ -65,6 +65,10 @@ class TestEnumerateBranches:
     def test_trivial_ptm_rejects(self):
         stats = enumerate_branches(TRIVIAL_PTM, ["101"], 5)
         assert stats.p_acc == 0 and stats.p_rej == 1
+        # its one step needs fuel 1
+        with pytest.raises(BranchFuelExhausted) as exc:
+            enumerate_branches(TRIVIAL_PTM, ["101"], 0)
+        assert (exc.value.path, exc.value.fuel) == ((), 0)
 
     def test_trivial_ptm_checks_input_words(self):
         with pytest.raises(ValueError, match="is not 0 or 1"):
