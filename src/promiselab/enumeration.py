@@ -3,9 +3,11 @@
 Everything here is an index-to-object map on the naturals: Cantor
 pairing, the series of all non-negative-coefficient polynomials, clocked
 machine series, and class_presentation, whose table of families presents
-P, NP and the extremal problems of the starred classes.  Indices decode
-as (machine, clock[, witness length]) tuples; machines come from the word
-bijection, clocks from the polynomial series cut off at the fuel ceiling.
+P, NP and the extremal problems of the starred classes, one verdict
+builder per machine model: P, BPP and BQP are NP, MA and QCMA at witness
+length 0.  Indices decode as (machine, clock[, witness length]) tuples;
+machines come from the word bijection, clocks from the polynomial series
+cut off at the fuel ceiling.
 
 Machines that break their clock are absorbed rather than reported: a
 clocked decision machine defaults to No, a clocked function machine to
@@ -210,33 +212,19 @@ def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
     return CostedFunction(f"polyset[{i}]", cache(evaluate))
 
 
-def _reject(x: str) -> Verdict:
-    """No on every binary word: the verdict of any run of the trivial
-    machine, which answers "0" in one step or runs out of fuel at 0."""
-    if x.strip("01"):  # tm._check_inputs's test, without its loop
-        tm._check_inputs((x,))  # raises a run's ValueError
-    return Verdict.NO
-
-
 # Verdict builders: each turns (machine, clock, witness length, config)
 # into the verdict function of one presented decider.  A trivial machine,
 # the decoding of almost every index, is never run: its verdict is known
 # when the decider is built, and only the checks of a run are kept.
-def _p_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
-    if machine.trivial:
-        return _reject
-    # output "1" is Yes; anything else, running past the clock included,
-    # is No, so the problem is always a decision one
-    return lambda x: _accepts(machine, [x], fuel(len(x)))
-
-
 def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
     if verifier.trivial:
         def reject(x: str) -> Verdict:
             # the witness loop's checks, in its order: the cap, then the
-            # word, at the first witness's run
+            # word, at the first witness's run, which is No in any case
             _check_witness_space(wit_len(len(x)), MAX_WITNESS_SPACE)
-            return _reject(x)
+            if x.strip("01"):  # tm._check_inputs's test, without its loop
+                tm._check_inputs((x,))  # raises a run's ValueError
+            return Verdict.NO
 
         return reject
 
@@ -246,10 +234,6 @@ def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
                                lambda y: _accepts(verifier, [x, y], steps))
 
     return decide
-
-
-def _bpp_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
-    return lambda x: ptm_mod.classify_bpp(machine, fuel, x, config=config)
 
 
 def _ma_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
@@ -287,15 +271,17 @@ def _quantum_verdict(fam, gen, fuel, wit_len,
 # Family -> (tag prefix, machine series, index carries a witness-length
 # index, verdict builder).  The series is named, and looked up when a
 # decider is built, so that a module global rebound after import is the
-# one that runs.
+# one that runs.  One builder serves each machine model: a family whose
+# index carries no witness length has witness length 0.
 _PRESENTED = {
-    "p": ("p", "machine_series", False, _p_verdict),
+    "p": ("p", "machine_series", False, _np_verdict),
     "np": ("np", "machine_series", True, _np_verdict),
-    "promisebpp": ("promisebpp*", "ptm_series", False, _bpp_verdict),
+    "promisebpp": ("promisebpp*", "ptm_series", False, _ma_verdict),
     "promisema": ("promisema*", "ptm_series", True, _ma_verdict),
     **{fam: (f"{fam}*", "machine_series", False,
              partial(_quantum_verdict, fam)) for fam in ("bqp", "qcma", "qma")},
 }
+_NO_WITNESS = lambda n: 0  # plain, not a polyset map: P's trivial path is hot
 
 
 def class_presentation(family: str, i: int,
@@ -304,9 +290,10 @@ def class_presentation(family: str, i: int,
 
     The family's row of _PRESENTED names its machine series and whether i
     decodes to (machine, clock) or (machine, clock, l), l indexing a
-    witness length in the polynomial set; its builder makes the verdict
-    function.  Starred verdicts may be OutsidePromise: these present
-    extremal promise problems.  The tag is the row's prefix and i.
+    witness length in the polynomial set, which is 0 without l; the row's
+    builder, one per machine model, makes the verdict function.  Starred
+    verdicts may be OutsidePromise: these present extremal promise
+    problems.  The tag is the row's prefix and i.
     """
     fam = family.lower()
     if fam not in _PRESENTED:
@@ -315,7 +302,7 @@ def class_presentation(family: str, i: int,
     prefix, series, witness, build = _PRESENTED[fam]
     machine, fuel, *rest = _clocked(i, config, globals()[series],
                                     3 if witness else 2)
-    wit_len = polyset_series(rest[0], config).value if witness else None
+    wit_len = polyset_series(rest[0], config).value if rest else _NO_WITNESS
     return TotalDecider(f"{prefix}[{i}]",
                         fn=build(machine, fuel, wit_len, config))
 

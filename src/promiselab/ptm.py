@@ -151,9 +151,9 @@ def enumerate_branches(
     A branch that fails to halt within fuel raises BranchFuelExhausted
     with the lexicographically least choice sequence of such a path (the
     first a depth-first walk meets), or with on_overrun="reject" is
-    counted as a rejecting leaf (the convention of classify_bpp and
-    classify_ma).  More than config.max_branch_configs configuration
-    steps raise CapExceeded.
+    counted as a rejecting leaf (the convention of classify_ma, and so of
+    classify_bpp, classify_ma at witness length 0).  More than
+    config.max_branch_configs configuration steps raise CapExceeded.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
@@ -295,23 +295,10 @@ def _path(link) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def classify_bpp(
-    m: PTMDesc,
-    runtime: Callable[[int], int],
-    x: str,
-    *,
-    config: Config = Config(),
-) -> Verdict:
-    """Threshold trichotomy on the exact acceptance fraction.
-
-    No iff p_acc <= s, else Yes iff p_acc >= c (both non-strict, so at
-    c = s Yes means p_acc > s), else outside the promise.  Fuel is
-    runtime(len(x)); a branch overrunning it violates the runtime bound
-    and counts as a rejecting leaf, so the verdict is total.
-    """
-    stats = enumerate_branches(m, [x], runtime(len(x)), on_overrun="reject",
-                               config=config)
-    return _threshold_verdict(stats.p_acc.__sub__, config)
+def classify_bpp(m: PTMDesc, runtime: Callable[[int], int], x: str, *,
+                 config: Config = Config()) -> Verdict:
+    """classify_ma at witness length 0: a run on [x, ""] is one on [x]."""
+    return classify_ma(m, runtime, lambda n: 0, x, config=config)
 
 
 def classify_ma(
@@ -322,16 +309,18 @@ def classify_ma(
     *,
     config: Config = Config(),
 ) -> Verdict:
-    """Existential/universal witness loop over the second tape input.
+    """Threshold trichotomy on exact acceptance fractions, under a witness
+    loop over the second tape input.
 
-    Yes iff some witness of the prescribed length gets classify_bpp's
-    Yes, No iff all get its No, otherwise outside the promise.  As in
-    classify_bpp, a branch overrunning runtime(len(x)) counts as a
-    rejecting leaf.
+    A witness y of length wit_len(len(x)) is No iff the run on [x, y] has
+    p_acc <= s, else Yes iff p_acc >= c (both non-strict, so at c = s Yes
+    means p_acc > s), else outside the promise.  Yes iff some witness is
+    Yes, No iff all are No, otherwise outside the promise.  Fuel is
+    runtime(len(x)); a branch overrunning it violates the runtime bound
+    and counts as a rejecting leaf, so the verdict is total.
     """
-    m_len = wit_len(len(x))
     fuel = runtime(len(x))
-    return witness_verdict(m_len, MAX_WITNESS_SPACE, lambda y:
+    return witness_verdict(wit_len(len(x)), MAX_WITNESS_SPACE, lambda y:
                            _threshold_verdict(enumerate_branches(
                                m, [x, y], fuel, on_overrun="reject",
                                config=config).p_acc.__sub__, config))

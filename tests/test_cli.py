@@ -625,7 +625,9 @@ class TestEnumerateWorkCounts:
     def test_machine_runs_once_per_word(self, runs, capsys):
         parity = word_to_index(encode_godel(parity_machine()))
         self._enumerate("p", pair(parity, self.CLOCK), capsys)
-        assert runs == {1: 2047}
+        # P is NP at witness length 0: its one run per word is on
+        # [x, ""], the empty witness, whose tape is that of a run on [x]
+        assert runs == {2: 2047}
 
 
 class TestDecideWitnessClasses:

@@ -26,12 +26,18 @@ whose definiteness tests follow the rule's order, so the boundary
 convention cannot fork again.  In ``circuit``, a circuit's ``trivial``
 flag is read only by ``p_acc``, ``_gram`` and ``encode_circuit``, so no
 decider gives the trivial circuit a verdict of its own.
+
+``enumeration._PRESENTED`` keeps one verdict builder per machine model:
+P shares NP's and BPP shares MA's, at witness length 0, so no witness-free
+decider forks from its witness class again.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from promiselab import enumeration
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "promiselab"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -99,6 +105,8 @@ CALLERLESS_API = {
     "circuit.classify_qcma": "reached by getattr(circuit, "
                              "f'classify_{family}')",
     "circuit.classify_qma": "reached by getattr(circuit, f'classify_{family}')",
+    "ptm.classify_bpp": "the library's BPP decider; class_presentation "
+                        "reaches BPP as classify_ma at witness length 0",
     "enumeration.triple": "inverse of untriple, for naming witness-carrying "
                           "deciders",
     "promise.differences": "the difference sets of two deciders, for the "
@@ -252,3 +260,11 @@ def test_no_circuit_decider_special_cases_the_trivial_circuit():
     readers = {name for name in _readers("trivial")
                if name.split(".")[0] == "circuit"}
     assert readers == TRIVIAL_READERS
+
+
+def test_one_verdict_builder_per_machine_model():
+    builders = {fam: row[3] for fam, row in enumeration._PRESENTED.items()}
+    assert builders["p"] is builders["np"]
+    assert builders["promisebpp"] is builders["promisema"]
+    models = {getattr(build, "func", build) for build in builders.values()}
+    assert len(models) == 3, models

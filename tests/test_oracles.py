@@ -31,9 +31,11 @@ order, and a machine-backed decider's verdicts of a whole length against
 its verdicts word by word, up to an equal error at the same word.
 The merged-configuration branch counter in `promiselab.ptm` is checked
 against the depth-first tree walk kept in `oracle_ptm`: equal leaf
-counts, and an equal path when a branch runs out of fuel.  The memos
-that let one invocation compute each value once are checked against
-fresh computation: the gap limits list and its per-length membership
+counts, and an equal path when a branch runs out of fuel; the BPP
+decider, which is the MA one at witness length 0, against the threshold
+rule written from the definition on that walk's acceptance fraction.
+The memos that let one invocation compute each value once are checked
+against fresh computation: the gap limits list and its per-length membership
 map against the direct iteration in `test_diagonal.reference_gap_member`
 (on queries in any order, and with an evaluation that breaks its
 accounting checks raising every time it is needed), the memoized
@@ -64,6 +66,10 @@ machine, are checked against the unconditional run kept there: equal
 verdicts, or equal error types and messages, on every word up to length
 6 and on words that are not binary, for trivial and hand-built indices,
 zero fuel, an `np` witness space past its cap, and negative thresholds.
+The `p` and `promisebpp` deciders are checked against the `np` and
+`promisema` deciders of the same machine and clock at witness length 0:
+equal verdicts or errors on the same words, under negative thresholds
+too.
 The one-pass argv reader `promiselab.cli._read` is checked against
 argparse itself: on argv built from each subcommand's own arguments and
 perturbed with abbreviated and =-joined options, bad values, "-1", "",
@@ -93,8 +99,9 @@ import oracle_quintuples
 import oracle_simulator as ref
 import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
-    costed_toy, halt_at_one_machine, identity_machine, machine_reduction, \
-    parity_machine, witness_equals_one_ptm
+    costed_toy, fair_coin_ptm, fan_ptm, halt_at_one_machine, \
+    identity_machine, machine_reduction, parity_machine, \
+    witness_equals_one_ptm
 from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows, \
     scaled_identity
 from promiselab import circuit, cli, enumeration, field, ptm, tm
@@ -840,6 +847,20 @@ class TestBranchOracle:
         _assert_branches_match(complete_tree_ptm(fan_out, depth, 1), ["1"],
                                depth + 2)
 
+    @settings(max_examples=60)
+    @given(ptms(max_states=5), st.text(alphabet="01", max_size=8),
+           st.integers(0, 40), _THRESHOLDS | _OUT_OF_RANGE)
+    def test_bpp_verdicts_equal_the_definition(self, m, x, fuel, thresholds):
+        # classify_bpp is classify_ma at witness length 0; the rule here
+        # is the definition's, on the oracle walk's fraction over [x]
+        _assume_small_tree(m, [x], fuel)
+        c, s = thresholds
+        p = oracle_ptm.enumerate_branches(m, [x], fuel, "reject").p_acc
+        want = (Verdict.NO if p <= s else Verdict.YES if p >= c
+                else Verdict.OUTSIDE)
+        config = Config(threshold_c=c, threshold_s=s)
+        assert ptm.classify_bpp(m, lambda n: fuel, x, config=config) is want
+
 
 GAP_LENGTHS = range(401)
 
@@ -1067,6 +1088,31 @@ class TestPresentedRunOracle:
         slow = oracle_enumeration.run_verdict(family, i, config)
         for x in [*words_up_to(6), "2", "0120"]:
             assert _verdict_or_error(fast, x) == _verdict_or_error(slow, x), x
+
+
+class TestWitnessLengthZero:
+    """P is NP and BPP is MA at witness length 0: decider pair(j, k) of
+    the witness-free family is decider triple(j, k, 0) of the witness
+    family, whose witness length, polyset index 0, is 0 everywhere."""
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([("p", "np"), ("promisebpp", "promisema")]),
+           st.sampled_from([*_TRIVIAL_MACHINES, *map(ptm_index, (
+               parity_machine(), fair_coin_ptm(), fan_ptm(2, 3)))]),
+           st.sampled_from([0, _N_CLOCK, _CLOCK]), _THRESHOLDS)
+    @example(("promisebpp", "promisema"), ptm_index(fan_ptm(2, 3)), _CLOCK,
+             _NEGATIVE)
+    @example(("p", "np"), ptm_index(parity_machine()), 0, _NEGATIVE)
+    def test_witness_free_family_is_the_witness_one(self, families, j, clock,
+                                                   thresholds):
+        plain, witness = families
+        config = Config(threshold_s=thresholds[0], threshold_c=thresholds[1])
+        one = enumeration.class_presentation(
+            plain, enumeration.pair(j, clock), config).fn
+        other = enumeration.class_presentation(
+            witness, enumeration.triple(j, clock, 0), config).fn
+        for x in [*words_up_to(6), "2", "0120"]:
+            assert _verdict_or_error(one, x) == _verdict_or_error(other, x), x
 
 
 _TABLE_WORDS = list(oracle_promise.words_up_to(6))
