@@ -5,9 +5,10 @@ pairing, the series of all non-negative-coefficient polynomials, clocked
 machine series, and class_presentation, whose table of families presents
 P, NP and the extremal problems of the starred classes, one verdict
 builder per machine model: P, BPP and BQP are NP, MA and QCMA at witness
-length 0.  Indices decode as (machine, clock[, witness length]) tuples;
-machines come from the word bijection, clocks from the polynomial series
-cut off at the fuel ceiling.
+length 0.  An NP verdict is one walk of the verifier on x and a blank,
+its witness cells unread.  Indices decode as (machine, clock[, witness
+length]) tuples; machines come from the word bijection, clocks from the
+polynomial series cut off at the fuel ceiling.
 
 Machines that break their clock are absorbed rather than reported: a
 clocked decision machine defaults to No, a clocked function machine to
@@ -32,7 +33,7 @@ from .errors import CapExceeded, FuelExhausted, GeneratorFuelExhausted, \
     NonPromisedQuery
 from .promise import (MAX_WITNESS_SPACE, OracleMachine, TotalDecider,
                       Verdict, _check_witness_space, _threshold_verdict,
-                      cook_run, witness_verdict)
+                      cook_run)
 from .words import index_to_word, words_of_length
 
 HARDER_SET_CHECK_CAP = 12
@@ -170,13 +171,6 @@ def _clocked(i: int, config: Config,
             *rest)
 
 
-def _accepts(machine: tm.MachineDesc, inputs: list[str], fuel: int) -> Verdict:
-    """Yes iff the run halts within fuel with output "1", otherwise No."""
-    result = tm.run(machine, inputs, fuel)
-    accepted = isinstance(result, tm.Halted) and result.output == "1"
-    return Verdict.YES if accepted else Verdict.NO
-
-
 def polyfunc_series(i: int, config: Config = Config()) -> Callable[[str], str]:
     """Clocked machines as total word functions (the polynomial-time series).
 
@@ -219,8 +213,8 @@ def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
 def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
     if verifier.trivial:
         def reject(x: str) -> Verdict:
-            # the witness loop's checks, in its order: the cap, then the
-            # word, at the first witness's run, which is No in any case
+            # decide's checks, in its order: the cap, then the word; the
+            # trivial verifier never outputs "1", so its walk is No
             _check_witness_space(wit_len(len(x)), MAX_WITNESS_SPACE)
             if x.strip("01"):  # tm._check_inputs's test, without its loop
                 tm._check_inputs((x,))  # raises a run's ValueError
@@ -229,9 +223,11 @@ def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
         return reject
 
     def decide(x: str) -> Verdict:
-        steps = fuel(len(x))
-        return witness_verdict(wit_len(len(x)), MAX_WITNESS_SPACE,
-                               lambda y: _accepts(verifier, [x, y], steps))
+        m = wit_len(len(x))
+        _check_witness_space(m, MAX_WITNESS_SPACE)
+        tm._check_inputs((x,))
+        return (Verdict.YES if "1" in tm.walk(verifier, m, fuel(len(x)),
+                                               x + tm.BLANK) else Verdict.NO)
 
     return decide
 

@@ -26,7 +26,7 @@ from .errors import CapExceeded, FuelExhausted, NonPromisedQuery, \
     NotTotalDecider, WitnessSpaceTooLarge
 from .words import words_of_length, words_up_to
 
-# Most witnesses the classical witness loops of the NP and MA deciders walk.
+# Most witnesses of one word under the NP walk and the MA witness loop.
 MAX_WITNESS_SPACE = 4096
 
 
@@ -153,7 +153,7 @@ def _threshold_verdict(excess: Callable[[Fraction], int],
 
 def witness_verdict(m: int, cap: int,
                     verdict_of: Callable[[str], Verdict]) -> Verdict:
-    """The witness quantifier of the NP, MA and QCMA deciders.
+    """The witness quantifier of the MA, QCMA and BQP deciders.
 
     Walks the witnesses of length m in canonical order and stops at the
     first one whose verdict is Yes.  Yes iff some witness gives Yes, No

@@ -13,8 +13,9 @@ rows[state] is None for a final state and otherwise maps each symbol to
 covers every cell the head has visited; a written blank stays in its
 cell.  The list grows by one blank on the right, and on the left by a
 block of blanks as long as itself, so a machine that walks far left
-still runs in linear time.  A walk runs all words of one length depth
-first, so the runs share each step taken before their words differ.
+still runs in linear time.  A walk runs all words of one length, each
+after one fixed start, depth first, so the runs share each step taken
+before their words differ.
 
 Encoding grammar (every section terminated by "0", the final list closed
 by "00"):
@@ -181,25 +182,28 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
             else FuelExhaustedResult(fuel))
 
 
-def walk(m: MachineDesc, n: int, fuel: int) -> Iterator[str | None]:
-    """Lazily, the output of m's run on each word of length n in canonical
-    order, or None past fuel.  Depth first, so runs share the steps taken
-    before they read a cell where their words differ."""
+def walk(m: MachineDesc, n: int, fuel: int,
+         start: str = "") -> Iterator[str | None]:
+    """Lazily, the output of m's run on start and then each word of length
+    n, in canonical order, or None past fuel.  Depth first, so runs share
+    the steps taken before they read a cell where their words differ."""
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     if m.trivial:
         yield from repeat("0" if fuel else None, 1 << n)
         return
     rows = m.rows
-    stack = ([(m.initial, [cell], 0, 0, n - 1) for cell in "10"] if n
+    stack = ([(m.initial, list(start), 0, 0, n)] if start
+             else [(m.initial, [cell], 0, 0, n - 1) for cell in "10"] if n
              else [(m.initial, [BLANK], 0, 0, 0)])
     for state, tape, head, _, free in _ends(rows, stack, fuel):
-        halted = rows[state] is None
-        if halted and not free:
-            yield _output(tape, head)
-        else:  # a halted run's output may run on through the unread cells
-            yield from (_output(tape + [*rest], head) if halted else None
-                        for rest in product("01", repeat=free))
+        out = _output(tape, head) if rows[state] is None else None
+        if not free:
+            yield out
+        elif out is None or len(out) < len(tape) - head:  # ends at a blank
+            yield from repeat(out, 1 << free)
+        else:  # the output runs on through the unread cells
+            yield from map(out.__add__, map("".join, product("01", repeat=free)))
 
 
 # One compiled pattern per grammar unit.  A {1, 10, 11} code is told

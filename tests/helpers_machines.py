@@ -76,6 +76,22 @@ def halt_at_one_machine(loop: bool = False) -> MachineDesc:
                        transitions=table)
 
 
+def last_bits_machine() -> MachineDesc:
+    """A verifier on [x, w] that reads every cell of both words: outputs
+    "1" iff x and w both end in 1, otherwise "0"."""
+    table = {(s, sym): (int(sym), sym, "R") for s in (0, 1) for sym in "01"}
+    # state 2 scans w after an x that does not end in 1; states 3 and 4
+    # scan it after one that does, in state 4 when its last cell was 1
+    table.update({(0, BLANK): (2, BLANK, "R"), (1, BLANK): (3, BLANK, "R"),
+                  (2, "0"): (2, "0", "R"), (2, "1"): (2, "1", "R")})
+    table.update({(s, sym): (3 + int(sym), sym, "R")
+                  for s in (3, 4) for sym in "01"})
+    table.update({(s, BLANK): (5, out, "N")
+                  for s, out in ((2, "0"), (3, "0"), (4, "1"))})
+    return MachineDesc(states=6, initial=0, finals=frozenset({5}),
+                       transitions=table)
+
+
 def always_accept_machine() -> MachineDesc:
     """Walks right and writes "1" after the input."""
     return MachineDesc(**total_walk(

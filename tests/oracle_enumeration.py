@@ -5,9 +5,17 @@ The per-word walk is the harder-set decider that
 all words y up to length min(|x|, HARDER_SET_CHECK_CAP) again and checks
 each one inside a's promise, keeping nothing from one input to the next.
 
+The per-witness loop is the `np` decider that the walk of
+`promiselab.enumeration._np_verdict` replaces: on every input x it runs
+the verifier once on [x, y] for each witness y of length m in canonical
+order, 2^m full runs, until one outputs "1".  The walk runs the verifier
+once on x and a blank, with the m witness cells unread, so runs share
+every step taken before they read a cell where their witnesses differ.
+
 The unconditional run is the verdict function of a presented `p`, `np`,
 `bqp`, `qcma` or `qma` decider that runs its machine on every word, the
-trivial machine included, which `class_presentation` never runs.
+trivial machine included, which `class_presentation` never runs; its
+`np` decider is the per-witness loop.
 
 The property tests in `test_oracles.py` require each twin and its fast
 path to give equal verdicts, or to raise equal errors.
@@ -17,12 +25,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from promiselab import circuit
+from promiselab import circuit, tm
 from promiselab.config import Config
 from promiselab.enumeration import (HARDER_SET_CHECK_CAP, Presentation,
-                                    _accepts, _clocked,
-                                    oracle_machine_series, polyset_series,
-                                    unpair)
+                                    _clocked, oracle_machine_series,
+                                    polyset_series, unpair)
 from promiselab.errors import (FuelExhausted, GeneratorFuelExhausted,
                                NonPromisedQuery)
 from promiselab.promise import (MAX_WITNESS_SPACE, TotalDecider, Verdict,
@@ -56,23 +63,37 @@ def harder_set(a: TotalDecider, c_pres: Presentation, i: int, *,
     return TotalDecider(f"harder[T,{i}]({a.tag})", fn=decide)
 
 
+def accepts(machine: tm.MachineDesc, inputs: list[str],
+            fuel: int) -> Verdict:
+    """Yes iff the run halts within fuel with output "1", otherwise No."""
+    result = tm.run(machine, inputs, fuel)
+    accepted = isinstance(result, tm.Halted) and result.output == "1"
+    return Verdict.YES if accepted else Verdict.NO
+
+
+def np_verdict(verifier: tm.MachineDesc, fuel: Callable[[int], int],
+               wit_len: Callable[[int], int]) -> Callable[[str], Verdict]:
+    """The per-witness loop: one run of the verifier on [x, y] for each
+    witness y of length wit_len(|x|), until one accepts."""
+
+    def decide(x: str) -> Verdict:
+        steps = fuel(len(x))
+        return witness_verdict(wit_len(len(x)), MAX_WITNESS_SPACE,
+                               lambda y: accepts(verifier, [x, y], steps))
+
+    return decide
+
+
 def run_verdict(family: str, i: int,
                 config: Config = Config()) -> Callable[[str], Verdict]:
     """Verdict function of class_presentation(family, i, config) that runs
     the machine of index i on every word, whatever it decodes to."""
-    witness = family == "np"
-    machine, fuel, *rest = _clocked(i, config, arity=3 if witness else 2)
+    machine, fuel, *rest = _clocked(i, config,
+                                    arity=3 if family == "np" else 2)
     if family == "p":
-        return lambda x: _accepts(machine, [x], fuel(len(x)))
-    if witness:
-        wit_len = polyset_series(rest[0], config).value
-
-        def decide_np(x: str) -> Verdict:
-            steps = fuel(len(x))
-            return witness_verdict(wit_len(len(x)), MAX_WITNESS_SPACE,
-                                   lambda y: _accepts(machine, [x, y], steps))
-
-        return decide_np
+        return lambda x: accepts(machine, [x], fuel(len(x)))
+    if rest:
+        return np_verdict(machine, fuel, polyset_series(rest[0], config).value)
     classify = getattr(circuit, f"classify_{family}")
 
     def decide_quantum(x: str) -> Verdict:

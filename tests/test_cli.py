@@ -587,7 +587,8 @@ class TestConstructionWorkCounts:
 
 
 class TestEnumerateWorkCounts:
-    """Series deciders of the trivial machine answer without running it."""
+    """Series deciders of the trivial machine answer without running it,
+    and a machine's decider walks it once per word."""
 
     # index 2^99 of the polynomial series is the constant clock 100, and
     # machine index 0 decodes to the trivial machine
@@ -595,14 +596,21 @@ class TestEnumerateWorkCounts:
 
     @pytest.fixture
     def runs(self, monkeypatch):
+        """Machine work: tm.run calls by their number of inputs, and
+        tm.walk calls by their number of unread cells."""
         runs = Counter()
-        run = tm.run
+        run, walk = tm.run, tm.walk
 
-        def counted(machine, inputs, fuel):
-            runs[len(inputs)] += 1
+        def counted_run(machine, inputs, fuel):
+            runs["run", len(inputs)] += 1
             return run(machine, inputs, fuel)
 
-        monkeypatch.setattr(tm, "run", counted)
+        def counted_walk(machine, n, fuel, start=""):
+            runs["walk", n] += 1
+            return walk(machine, n, fuel, start)
+
+        monkeypatch.setattr(tm, "run", counted_run)
+        monkeypatch.setattr(tm, "walk", counted_walk)
         return runs
 
     def _enumerate(self, family: str, i: int, capsys) -> str:
@@ -620,14 +628,14 @@ class TestEnumerateWorkCounts:
                         self.CLOCK, self.CLOCK)
         out = self._enumerate("np", triple(0, self.CLOCK, length), capsys)
         assert out.count("\tno\n") == 2047
-        assert runs == {1: 11}
+        assert runs == {("run", 1): 11}
 
     def test_machine_runs_once_per_word(self, runs, capsys):
         parity = word_to_index(encode_godel(parity_machine()))
         self._enumerate("p", pair(parity, self.CLOCK), capsys)
-        # P is NP at witness length 0: its one run per word is on
-        # [x, ""], the empty witness, whose tape is that of a run on [x]
-        assert runs == {2: 2047}
+        # P is NP at witness length 0: its one walk per word has no
+        # unread cell, so it is one run on x and a blank
+        assert runs == {("walk", 0): 2047}
 
 
 class TestDecideWitnessClasses:

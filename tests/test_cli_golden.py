@@ -14,7 +14,8 @@ import hashlib
 import pytest
 
 from helpers_machines import (const_output_machine, erase_left_machine,
-                              fan_ptm, identity_machine, parity_machine, prepend_zero_machine,
+                              fan_ptm, identity_machine, last_bits_machine,
+                              parity_machine, prepend_zero_machine,
                               witness_equals_one_ptm)
 from helpers_values import word_to_index
 from promiselab.circuit import Circuit, Gate, encode_circuit
@@ -41,6 +42,8 @@ CLOCK = 1 << 99
 WITNESS_LENGTH = triple(word_to_index(encode_godel(identity_machine())),
                         CLOCK, CLOCK)
 VERIFIER = word_to_index(encode_godel(witness_equals_one_ptm()))
+# reads every witness cell, and accepts iff x and the witness end in 1
+EVERY_CELL = word_to_index(encode_godel(last_bits_machine()))
 # Machine index 0 decodes to the trivial machine.  Under the witness
 # length min(16, 7n) its np decider passes the witness cap at length 2.
 TRIVIAL = pair(0, CLOCK)
@@ -134,6 +137,11 @@ CASES = {
                       str(triple(VERIFIER, CLOCK, WITNESS_LENGTH)),
                       "--max-len", "3"],
                      "bc2d4326a6127fd287d351febe67e4e48f27e2169b99075da53aa2b7c8e8e463"),
+    # the yes-instances are the words that end in 1
+    "enumerate np every cell": (["enumerate", "np",
+                                 str(triple(EVERY_CELL, CLOCK, WITNESS_LENGTH)),
+                                 "--max-len", "6"],
+                                "1e0352446d042ebee45d30e2093ee00625c6773bc4f104cf24bd6b610e374f05"),
     "enumerate polyfunc": (["enumerate", "polyfunc",
                             _clocked(prepend_zero_machine()), "--max-len", "3"],
                            "65d134407706668992bd932af0597604306dcbe81c1d4cebd2a6286d184c1caa"),

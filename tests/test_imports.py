@@ -29,7 +29,9 @@ decider gives the trivial circuit a verdict of its own.
 
 ``enumeration._PRESENTED`` keeps one verdict builder per machine model:
 P shares NP's and BPP shares MA's, at witness length 0, so no witness-free
-decider forks from its witness class again.
+decider forks from its witness class again.  NP's builder hands its
+verifier to ``tm.walk`` alone and reads no ``run`` attribute, so a word
+costs one walk over the witness cells, never one run per witness.
 """
 
 import ast
@@ -268,3 +270,17 @@ def test_one_verdict_builder_per_machine_model():
     assert builders["promisebpp"] is builders["promisema"]
     models = {getattr(build, "func", build) for build in builders.values()}
     assert len(models) == 3, models
+
+
+def test_np_verifier_runs_only_in_one_walk():
+    tree = _tree(PACKAGE / "enumeration.py")
+    builder = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_np_verdict")
+    callers = {ast.unparse(sub.func) for sub in ast.walk(builder)
+               if isinstance(sub, ast.Call)
+               and any(isinstance(arg, ast.Name) and arg.id == "verifier"
+                       for arg in [*sub.args, *(k.value for k in sub.keywords)])}
+    assert callers == {"tm.walk"}, callers
+    assert "run" not in {sub.attr for sub in ast.walk(builder)
+                         if isinstance(sub, ast.Attribute)}

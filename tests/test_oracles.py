@@ -27,8 +27,9 @@ runs kept in `oracle_tm`: equal results on random complete machines, on
 a walk 5,000 cells left of cell 0, and with and without oracle queries.
 The depth-first length walk `promiselab.tm.walk` is checked against one
 `oracle_tm` run per word: equal outputs, or None past fuel, in canonical
-order, and a machine-backed decider's verdicts of a whole length against
-its verdicts word by word, up to an equal error at the same word.
+order, on the words alone and after a start word of up to 4 bits, and
+a machine-backed decider's verdicts of a whole length against its
+verdicts word by word, up to an equal error at the same word.
 The merged-configuration branch counter in `promiselab.ptm` is checked
 against the depth-first tree walk kept in `oracle_ptm`: equal leaf
 counts, and an equal path when a branch runs out of fuel; the BPP
@@ -66,6 +67,11 @@ machine, are checked against the unconditional run kept there: equal
 verdicts, or equal error types and messages, on every word up to length
 6 and on words that are not binary, for trivial and hand-built indices,
 zero fuel, an `np` witness space past its cap, and negative thresholds.
+The `np` decider, one walk per word over the unread witness cells, is
+checked against the per-witness loop kept there, 2^m runs: equal
+verdicts or errors on random verifiers, witness lengths 0 to 8 and one
+past the cap, fuel 0 to 80 and words that are not binary, with a
+verifier whose output runs on into the unread witness cells.
 The `p` and `promisebpp` deciders are checked against the `np` and
 `promisema` deciders of the same machine and clock at witness length 0:
 equal verdicts or errors on the same words, under negative thresholds
@@ -725,6 +731,27 @@ _WALKED = [
 ]
 
 
+def _witness_echo_machine() -> tm.MachineDesc:
+    """Walks right over x, steps onto the first witness cell and halts
+    there: its output is the whole witness, so a run that halts after
+    reading k witness cells runs on into the unread ones."""
+    table = {(0, "0"): (0, "0", "R"), (0, "1"): (0, "1", "R"),
+             (0, tm.BLANK): (1, tm.BLANK, "R")}
+    return tm.MachineDesc(2, 0, frozenset({1}), table)
+
+
+# (machine, n, fuel, start word x): walks on x and a blank, whose n cells
+# after it are the second input
+_WALKED_AFTER = [
+    (_witness_echo_machine(), 3, 300, "01"),
+    (_witness_echo_machine(), 2, 0, ""),
+    (identity_machine(), 4, 300, "10"),
+    (halt_at_one_machine(), 5, 300, "00"),
+    (parity_machine(), 6, 300, "0110"),
+    (tm.TRIVIAL_MACHINE, 3, 1, "1"),
+]
+
+
 def _with_examples(cases):
     def decorate(test):
         for case in cases:
@@ -735,12 +762,19 @@ def _with_examples(cases):
 
 class TestWalkOracle:
     @settings(max_examples=150)
-    @given(machines(max_states=6), st.integers(0, 8), st.integers(0, 300))
-    @_with_examples(_WALKED)
-    def test_walk_equals_one_run_per_word(self, m, n, fuel):
-        want = [getattr(oracle_tm.run(m, [w], fuel), "output", None)
-                for w in words_of_length(n)]
-        assert list(tm.walk(m, n, fuel)) == want
+    @given(machines(max_states=6), st.integers(0, 8), st.integers(0, 300),
+           st.one_of(st.none(), st.text(alphabet="01", max_size=4)))
+    @_with_examples([(*case, None) for case in _WALKED] + _WALKED_AFTER)
+    def test_walk_equals_one_run_per_word(self, m, n, fuel, x):
+        # without a start word, the walk runs the words of length n alone
+        if x is None:
+            want = [getattr(oracle_tm.run(m, [w], fuel), "output", None)
+                    for w in words_of_length(n)]
+            assert list(tm.walk(m, n, fuel)) == want
+        else:
+            want = [getattr(oracle_tm.run(m, [x, w], fuel), "output", None)
+                    for w in words_of_length(n)]
+            assert list(tm.walk(m, n, fuel, x + tm.BLANK)) == want
 
     @settings(max_examples=150)
     @given(machines(max_states=6), st.integers(0, 8), st.integers(0, 300))
@@ -1088,6 +1122,31 @@ class TestPresentedRunOracle:
         slow = oracle_enumeration.run_verdict(family, i, config)
         for x in [*words_up_to(6), "2", "0120"]:
             assert _verdict_or_error(fast, x) == _verdict_or_error(slow, x), x
+
+
+class TestWitnessWalkOracle:
+    """NP's one walk per word: its verdicts and errors are those of the
+    per-witness loop, 2^m runs on [x, witness]."""
+
+    @settings(max_examples=150)
+    @given(machines(max_states=6),
+           st.one_of(st.text(alphabet="01", max_size=4),
+                     st.sampled_from(["2", "0120"])),
+           st.one_of(st.integers(0, 8), st.just(13)), st.integers(0, 80))
+    # a run that halts on its first witness cell: the output is the witness
+    @example(_witness_echo_machine(), "01", 1, 80)
+    @example(_witness_echo_machine(), "01", 2, 80)
+    @example(parity_machine(), "0110", 0, 80)
+    # fuel short of the first step, and of the run on every witness
+    @example(parity_machine(), "1", 3, 0)
+    @example(parity_machine(), "1", 3, 4)
+    # the witness cap is checked before the input word
+    @example(parity_machine(), "0120", 13, 80)
+    def test_walk_verdict_equals_the_witness_loop(self, verifier, x, m, fuel):
+        clock, wit_len = (lambda n: fuel), (lambda n: m)
+        fast = enumeration._np_verdict(verifier, clock, wit_len, Config())
+        slow = oracle_enumeration.np_verdict(verifier, clock, wit_len)
+        assert _verdict_or_error(fast, x) == _verdict_or_error(slow, x)
 
 
 class TestWitnessLengthZero:
