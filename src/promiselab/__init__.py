@@ -25,7 +25,7 @@ from .promise import (BUILTIN_PROBLEMS, OracleMachine, TotalDecider, Verdict,
                       marked_union)
 from .ptm import (BranchStats, PTMDesc, TRIVIAL_PTM, classify_bpp,
                   classify_ma, decode_ptm, enumerate_branches)
-from .tm import (MachineDesc, RunResult, Halted, FuelExhaustedResult,
-                 TRIVIAL_MACHINE, decode_godel, encode_godel, run)
+from .tm import (MachineDesc, RunResult, TRIVIAL_MACHINE, decode_godel,
+                 encode_godel, run)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -453,11 +453,11 @@ def acceptance_operator(c: Circuit, config: Config = Config()) -> ExactMatrix:
 
 def _generate(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],
               x: str) -> str:
-    result = tm.run(gen, [x], gen_runtime(len(x)))
-    if isinstance(result, tm.FuelExhaustedResult):
+    output = tm.run(gen, [x], gen_runtime(len(x))).output
+    if output is None:
         raise GeneratorFuelExhausted(
             f"circuit generator exceeded its runtime on {x!r}")
-    return result.output
+    return output
 
 
 def classify_bqp(gen: tm.MachineDesc, gen_runtime: Callable[[int], int],

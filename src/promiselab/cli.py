@@ -136,7 +136,7 @@ def _cmd_run(args, config: Config) -> int:
     machine = tm.load_machine_file(args.machine)
     fuel = args.fuel if args.fuel is not None else config.default_fuel
     result = tm.run(machine, args.input, fuel)
-    if isinstance(result, tm.Halted):
+    if result.output is not None:
         print(f"halted\toutput={result.output}\tsteps={result.steps}")
     else:
         print(f"fuel-exhausted\tsteps={result.steps}")

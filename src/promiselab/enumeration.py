@@ -179,8 +179,7 @@ def polyfunc_series(i: int, config: Config = Config()) -> Callable[[str], str]:
     machine, fuel = _clocked(i, config)
 
     def apply(x: str) -> str:
-        result = tm.run(machine, [x], fuel(len(x)))
-        return result.output if isinstance(result, tm.Halted) else ""
+        return tm.run(machine, [x], fuel(len(x))).output or ""
 
     return apply
 
@@ -198,10 +197,8 @@ def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
 
     def evaluate(n: int) -> tuple[int, int]:
         numeral = format(n, "b")
-        result = tm.run(machine, [numeral], fuel(len(numeral)))
-        if isinstance(result, tm.Halted):
-            return min(int(result.output or "0", 2), clamp(n)), result.steps
-        return 0, result.steps
+        output, steps = tm.run(machine, [numeral], fuel(len(numeral)))
+        return min(int(output or "0", 2), clamp(n)), steps
 
     return CostedFunction(f"polyset[{i}]", cache(evaluate))
 

@@ -15,10 +15,10 @@ import enum
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import tm
 from .config import Config
@@ -73,8 +73,7 @@ class TotalDecider:
                                   f"<no output within fuel on {x!r}>")
 
         def decide(x: str) -> Verdict:
-            result = tm.run(machine, [x], fuel_policy(len(x)))
-            return verdict(x, result.output if isinstance(result, tm.Halted) else None)
+            return verdict(x, tm.run(machine, [x], fuel_policy(len(x))).output)
 
         return TotalDecider(tag, decide, lambda n: map(
             verdict, words_of_length(n), tm.walk(machine, n, fuel_policy(n))))
@@ -107,16 +106,24 @@ class OracleMachine(namedtuple("OracleMachine",
 
     Entering the oracle state replaces the word under the head (up to the
     next blank) by the oracle's one-symbol answer; the replacement is free,
-    the entering transition costs the usual single step.
+    the entering transition costs the usual single step.  A run steps
+    in tm's one loop, over `rows`, and stops there at each query.
     """
+    # no __slots__: the instance dict holds the cached rows
 
-    __slots__ = ()
+    @cached_property
+    def rows(self) -> list[tm.Row | None]:
+        """The base machine's rows, in which each transition into the
+        oracle state enters one more final state, pending = base.states."""
+        query, pending = self.oracle_state, self.base.states
+        return [None if row is None else
+                {sym: (pending if t == query else t, wsym, delta)
+                 for sym, (t, wsym, delta) in row.items()}
+                for row in self.base.rows] + [None]
 
 
-class DifferenceReport(NamedTuple):
-    sym_diff: frozenset[str]     # yes/no clashes:  (Ay & Bn) | (An & By)
-    diff: frozenset[str]         # one-sided:       (Ay \ By) | (An \ Bn)
-    total_diff: frozenset[str]   # both-sided:      diff(A,B) | diff(B,A)
+# sym_diff: yes/no clashes; diff: (Ay \ By) | (An \ Bn); total_diff: both
+DifferenceReport = namedtuple("DifferenceReport", "sym_diff diff total_diff")
 
 
 def differences(a: TotalDecider, b: TotalDecider, bound: int,
@@ -125,9 +132,10 @@ def differences(a: TotalDecider, b: TotalDecider, bound: int,
     if bound > config.max_word_length:
         raise CapExceeded(
             f"difference bound {bound} exceeds cap {config.max_word_length}")
+    classify_a, classify_b = a.fn, b.fn
     sym, one_sided, total = set(), set(), set()
     for w in words_up_to(bound):
-        va, vb = a.classify(w), b.classify(w)
+        va, vb = classify_a(w), classify_b(w)
         if va.separates(vb) and vb.separates(va):
             sym.add(w)
         if va.separates(vb):
@@ -240,42 +248,24 @@ def cook_run(o: OracleMachine, oracle: TotalDecider, x: str) -> bool:
     m = o.base
     fuel = o.runtime(len(x))
     tm._check_inputs([x])
-    if m.trivial:
-        if fuel < 1:
-            _raise_fuel(o, x)
-        return False
-    rows, query = m.rows, o.oracle_state
-    tape = list(x)
-    tape.append(tm.BLANK)
-    end = len(tape)
-    head = 0
-    state = m.initial
-    for _ in range(fuel):
-        row = rows[state]
-        if row is None:
-            return tm._output(tape, head) == "1"
-        state, tape[head], delta = row[tape[head]]
-        head += delta
-        if head == end:
-            tape.append(tm.BLANK)
-            end += 1
-        elif head < 0:
-            tape[:0] = [tm.BLANK] * end
-            head += end
-            end += end
-        if state == query:
+    if not m.trivial:
+        rows, pending = o.rows, m.states
+        stack = [(m.initial, list(x + tm.BLANK), 0, 0, 0)]
+        # each stop at pending is a query: answer it and resume the run
+        for state, tape, head, steps, _ in tm._ends(rows, stack, fuel):
+            if state != pending:
+                if rows[state] is None:
+                    return tm._output(tape, head) == "1"
+                break
             word = tm._output(tape, head)
             answer = oracle.classify(word)
             if answer is Verdict.OUTSIDE:
                 raise NonPromisedQuery(word)
             tape[head:head + len(word)] = [tm.BLANK] * len(word)
             tape[head] = "1" if answer is Verdict.YES else "0"
-    if rows[state] is None:
-        return tm._output(tape, head) == "1"
-    _raise_fuel(o, x)
-
-
-def _raise_fuel(o: OracleMachine, x: str):
+            stack.append((o.oracle_state, tape, head, steps, 0))
+    elif fuel >= 1:
+        return False
     raise FuelExhausted(f"oracle machine exceeded its runtime on {x!r}")
 
 

@@ -15,7 +15,9 @@ cell.  The list grows by one blank on the right, and on the left by a
 block of blanks as long as itself, so a machine that walks far left
 still runs in linear time.  A walk runs all words of one length, each
 after one fixed start, depth first, so the runs share each step taken
-before their words differ.
+before their words differ.  A run's outcome is its output, None past
+fuel as in a walk, and its step count.  An oracle machine steps in the
+same loop, over rows of its own that stop the loop at each query.
 
 Encoding grammar (every section terminated by "0", the final list closed
 by "00"):
@@ -122,9 +124,7 @@ TRIVIAL_MACHINE = MachineDesc(states=1, initial=0, finals=frozenset(),
                               transitions={}, trivial=True)
 
 
-Halted = namedtuple("Halted", "output steps")
-FuelExhaustedResult = namedtuple("FuelExhaustedResult", "steps")
-RunResult = Halted | FuelExhaustedResult
+RunResult = namedtuple("RunResult", "output steps")  # output None past fuel
 
 
 def _check_inputs(inputs: list[str] | tuple[str, ...]) -> None:
@@ -142,7 +142,8 @@ def _output(tape: list[str], head: int) -> str:
 def _ends(rows: list[Row | None], stack: list, fuel: int) -> Iterator[tuple]:
     """Run each configuration (state, tape, head, steps, unread input cells
     past the tape) off the stack until it halts or is out of fuel; yield
-    it.  At an unread cell it goes on with 0 and pushes a copy with 1."""
+    it.  At an unread cell it goes on with 0 and pushes a copy with 1.
+    A caller may push configurations of its own between yields."""
     while stack:
         state, tape, head, steps, free = stack.pop()
         end = len(tape)
@@ -175,11 +176,11 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
         raise ValueError("fuel must be non-negative")
     _check_inputs(inputs)
     if m.trivial:
-        return Halted("0", 1) if fuel >= 1 else FuelExhaustedResult(0)
+        return RunResult("0", 1) if fuel else RunResult(None, 0)
     state, tape, head, steps, _ = next(_ends(
         m.rows, [(m.initial, list(BLANK.join(inputs) + BLANK), 0, 0, 0)], fuel))
-    return (Halted(_output(tape, head), steps) if m.rows[state] is None
-            else FuelExhaustedResult(fuel))
+    return RunResult(_output(tape, head) if m.rows[state] is None else None,
+                     steps)
 
 
 def walk(m: MachineDesc, n: int, fuel: int,

@@ -165,10 +165,10 @@ def machine_reduction(tag: str, machine: MachineDesc,
     runtime raises FuelExhausted."""
 
     def apply(x: str) -> str:
-        result = tm.run(machine, [x], runtime(len(x)))
-        if isinstance(result, tm.FuelExhaustedResult):
+        output = tm.run(machine, [x], runtime(len(x))).output
+        if output is None:
             raise FuelExhausted(f"reduction {tag} exceeded its runtime on {x!r}")
-        return result.output
+        return output
 
     return apply
 
@@ -222,7 +222,7 @@ def costed_toy(name: str, f: Callable[[int], int]) -> CostedFunction:
 def eval_counted(machine: MachineDesc, n: int) -> int:
     """Steps the machine takes on the all-zeros word of length n."""
     result = tm.run(machine, ["0" * n], 100_000)
-    assert isinstance(result, tm.Halted), "no halt within 100000 steps"
+    assert result.output is not None, "no halt within 100000 steps"
     return result.steps
 
 

@@ -66,8 +66,7 @@ def harder_set(a: TotalDecider, c_pres: Presentation, i: int, *,
 def accepts(machine: tm.MachineDesc, inputs: list[str],
             fuel: int) -> Verdict:
     """Yes iff the run halts within fuel with output "1", otherwise No."""
-    result = tm.run(machine, inputs, fuel)
-    accepted = isinstance(result, tm.Halted) and result.output == "1"
+    accepted = tm.run(machine, inputs, fuel).output == "1"
     return Verdict.YES if accepted else Verdict.NO
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from promiselab import tm
 from promiselab.errors import FuelExhausted, NonPromisedQuery
 from promiselab.promise import OracleMachine, TotalDecider, Verdict
-from promiselab.tm import FuelExhaustedResult, Halted, MachineDesc, RunResult
+from promiselab.tm import MachineDesc, RunResult
 
 
 def tape_from_inputs(inputs: list[str] | tuple[str, ...]) -> dict[int, str]:
@@ -44,14 +44,14 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
         raise ValueError("fuel must be non-negative")
     if m.trivial:
         tm._check_inputs(inputs)
-        return Halted("0", 1) if fuel >= 1 else FuelExhaustedResult(0)
+        return RunResult("0", 1) if fuel >= 1 else RunResult(None, 0)
     tape = tape_from_inputs(inputs)
     head = 0
     state = m.initial
     steps = 0
     while state not in m.finals:
         if steps == fuel:
-            return FuelExhaustedResult(steps)
+            return RunResult(None, steps)
         sym = tape.get(head, tm.BLANK)
         state, wsym, move = m.transitions[(state, sym)]
         if wsym == tm.BLANK:
@@ -60,7 +60,7 @@ def run(m: MachineDesc, inputs: list[str] | tuple[str, ...], fuel: int) -> RunRe
             tape[head] = wsym
         head += tm._MOVE_DELTA[move]
         steps += 1
-    return Halted(output_at(tape, head), steps)
+    return RunResult(output_at(tape, head), steps)
 
 
 def cook_run(o: OracleMachine, oracle: TotalDecider, x: str) -> bool:

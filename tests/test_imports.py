@@ -32,6 +32,13 @@ P shares NP's and BPP shares MA's, at witness length 0, so no witness-free
 decider forks from its witness class again.  NP's builder hands its
 verifier to ``tm.walk`` alone and reads no ``run`` attribute, so a word
 costs one walk over the witness cells, never one run per witness.
+
+``tm._ends`` is the one deterministic stepping loop.  ``promise.cook_run``
+loops only over what it yields and has no ``range`` or ``while`` loop of
+its own.  Outside ``tm`` and ``ptm``, a machine's ``rows`` are read only
+by ``OracleMachine.rows``, from its base machine, and ``cook_run`` reads
+only the rows of the oracle machine it is given, so no module steps a
+machine table past the one loop.
 """
 
 import ast
@@ -284,3 +291,47 @@ def test_np_verifier_runs_only_in_one_walk():
     assert callers == {"tm.walk"}, callers
     assert "run" not in {sub.attr for sub in ast.walk(builder)
                          if isinstance(sub, ast.Attribute)}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(node for node in _tree(PACKAGE / f"{module}.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_oracle_machine_steps_only_in_the_one_loop():
+    cook_run = _function("promise", "cook_run")
+    callers = {ast.unparse(sub.func) for sub in ast.walk(cook_run)
+               if isinstance(sub, ast.Call)
+               and any(isinstance(arg, ast.Name) and arg.id == "rows"
+                       for arg in [*sub.args, *(k.value for k in sub.keywords)])}
+    assert callers == {"tm._ends"}, callers
+    loops = [ast.unparse(node.iter if isinstance(node, ast.For) else node)
+             for node in ast.walk(cook_run)
+             if isinstance(node, (ast.For, ast.While))]
+    assert [loop.partition("(")[0] for loop in loops] == ["tm._ends"], loops
+    assert "range" not in _referenced_names(cook_run)
+
+
+def _rows_reads(path: Path):
+    """(reader, what it reads rows from) for each `.rows` read in the
+    module; the reader is the function, the method, else the module."""
+    for node in _tree(path).body:
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for unit in node.body if prefix else [node]:
+            reader = f"{path.stem}.{prefix}{getattr(unit, 'name', '')}"
+            for sub in ast.walk(unit):
+                if (isinstance(sub, ast.Attribute) and sub.attr == "rows"
+                        and isinstance(sub.ctx, ast.Load)):
+                    yield reader.rstrip("."), ast.unparse(sub.value)
+
+
+def test_machine_rows_are_read_only_by_the_oracle_machine():
+    reads: dict[str, set[str]] = {}
+    for path in MODULES:
+        if path.stem not in ("tm", "ptm"):
+            for reader, source in _rows_reads(path):
+                reads.setdefault(reader, set()).add(source)
+    # cook_run's one argument named o is the OracleMachine it runs
+    assert reads == {"promise.OracleMachine.rows": {"self.base"},
+                     "promise.cook_run": {"o"}}, reads
+    assert _function("promise", "cook_run").args.args[0].arg == "o"

@@ -24,7 +24,9 @@ arbitrary strings.  The
 list-tape machine run in `promiselab.tm` and the oracle machine run in
 `promiselab.promise.cook_run` are checked against the sparse dict-tape
 runs kept in `oracle_tm`: equal results on random complete machines, on
-a walk 5,000 cells left of cell 0, and with and without oracle queries.
+a walk 5,000 cells left of cell 0, and with and without oracle queries,
+a query in the initial state, in a final state and on the last unit of
+fuel included, as are fuel 0 and the trivial base machine.
 The depth-first length walk `promiselab.tm.walk` is checked against one
 `oracle_tm` run per word: equal outputs, or None past fuel, in canonical
 order, on the words alone and after a start word of up to 4 bits, and
@@ -657,6 +659,14 @@ def _outcomes(verdicts) -> list:
     return got
 
 
+def _chain(states: int) -> tm.MachineDesc:
+    """States 0 to states - 1, the last one final; every other state keeps
+    the symbol it reads, stays, and enters the next."""
+    return tm.MachineDesc(states, 0, frozenset({states - 1}), {
+        (i, sym): (i + 1, sym, "N")
+        for i in range(states - 1) for sym in tm.SYMBOLS})
+
+
 def _cook_outcome(cook_run, o: OracleMachine, oracle: TotalDecider, x: str):
     try:
         return cook_run(o, oracle, x)
@@ -696,7 +706,7 @@ class TestRunOracle:
     def test_cook_run_without_queries(self, m, x, fuel):
         o = OracleMachine(m, m.states, lambda n: fuel)
         result = tm.run(m, [x], fuel)
-        if isinstance(result, tm.FuelExhaustedResult):
+        if result.output is None:
             with pytest.raises(FuelExhausted):
                 cook_run(o, _UNASKED, x)
         else:
@@ -711,6 +721,31 @@ class TestRunOracle:
                           lambda n: fuel)
         assert _cook_outcome(cook_run, o, builtin(oracle), x) == \
             _cook_outcome(oracle_tm.cook_run, o, builtin(oracle), x)
+
+    @pytest.mark.parametrize("m, oracle_state, x, fuel, oracle, outcome", [
+        # state 0 is entered by no step, so "1" is never asked
+        pytest.param(_chain(2), 0, "1", 5, "const-no", True,
+                     id="oracle-state-initial"),
+        # the run halts on the answer "1" in place of its input "0"
+        pytest.param(_chain(2), 1, "0", 5, "const-yes", True,
+                     id="oracle-state-final"),
+        # the step into the query spends the last unit of fuel
+        pytest.param(_chain(3), 2, "0", 2, "const-yes", True,
+                     id="query-on-last-fuel"),
+        # out of fuel before any step, so "00", outside, is never asked
+        pytest.param(_chain(2), 0, "00", 0, "ones-promise", "fuel",
+                     id="fuel-0"),
+        pytest.param(tm.TRIVIAL_MACHINE, 0, "1", 0, "const-yes", "fuel",
+                     id="trivial-fuel-0"),
+        pytest.param(tm.TRIVIAL_MACHINE, 0, "1", 1, "const-yes", False,
+                     id="trivial-fuel-1"),
+    ])
+    def test_cook_run_edge_cases(self, m, oracle_state, x, fuel, oracle,
+                                 outcome):
+        o = OracleMachine(m, oracle_state, lambda n: fuel)
+        got = _cook_outcome(cook_run, o, builtin(oracle), x)
+        assert got == _cook_outcome(oracle_tm.cook_run, o, builtin(oracle), x)
+        assert got == outcome
 
 
 _WALKED = [
@@ -768,11 +803,11 @@ class TestWalkOracle:
     def test_walk_equals_one_run_per_word(self, m, n, fuel, x):
         # without a start word, the walk runs the words of length n alone
         if x is None:
-            want = [getattr(oracle_tm.run(m, [w], fuel), "output", None)
+            want = [oracle_tm.run(m, [w], fuel).output
                     for w in words_of_length(n)]
             assert list(tm.walk(m, n, fuel)) == want
         else:
-            want = [getattr(oracle_tm.run(m, [x, w], fuel), "output", None)
+            want = [oracle_tm.run(m, [x, w], fuel).output
                     for w in words_of_length(n)]
             assert list(tm.walk(m, n, fuel, x + tm.BLANK)) == want
 

@@ -20,11 +20,10 @@ from promiselab.diagonal import (PRESENTABLE, ContradictionWitness,
                                  affine_costed)
 from promiselab.enumeration import CostedFunction, Polynomial
 from promiselab.field import ZERO, ExactMatrix, FieldElem
-from promiselab.promise import (KarpReport, KarpViolation, OracleMachine,
-                                Verdict, builtin)
+from promiselab.promise import (DifferenceReport, KarpReport, KarpViolation,
+                                OracleMachine, Verdict, builtin)
 from promiselab.ptm import BranchStats, PTMDesc
-from promiselab.tm import (TRIVIAL_MACHINE, FuelExhaustedResult, Halted,
-                           MachineDesc)
+from promiselab.tm import TRIVIAL_MACHINE, MachineDesc, RunResult
 
 _CONST_YES, _CONST_NO = builtin("const-yes"), builtin("const-no")
 _GAP = affine_costed(1, 1)
@@ -56,8 +55,7 @@ _MACHINE_ERRORS = (
 RECORDS = [
     _record(MachineDesc, 1, 0, frozenset({0}), invalid=_MACHINE_ERRORS,
             fresh=("transitions",)),
-    _record(Halted, "01", 3),
-    _record(FuelExhaustedResult, 4),
+    _record(RunResult, "01", 3),
     _record(PTMDesc, 1, 0, frozenset({0}), fresh=("transitions",), invalid=(
         ((1, 0, frozenset(), {(0, "0"): ()}), "empty branch set"),
         ((1, 0, frozenset(), {(0, "0"): ((0, "0", "R"),)}),
@@ -89,6 +87,8 @@ RECORDS = [
     _record(OracleMachine, TRIVIAL_MACHINE, 0, len),
     _record(KarpViolation, "0", Verdict.YES, "1", Verdict.NO),
     _record(KarpReport, 3, (_VIOLATION,)),
+    _record(DifferenceReport, frozenset({"0"}), frozenset({"0", "1"}),
+            frozenset({"0", "1", "00"})),
     _record(DiagInstance, _CONST_YES, _CONST_NO, builtin, builtin, invalid=(
         ((_CONST_YES, _CONST_NO, builtin, builtin, PRESENTABLE,
           PRESENTABLE, 0), "search cap must be at least 1"),)),

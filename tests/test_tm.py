@@ -6,9 +6,8 @@ from helpers_machines import (always_accept_machine, const_output_machine,
                               diverging_machine, identity_machine,
                               parity_machine, prepend_zero_machine)
 from promiselab.ptm import PTMDesc
-from promiselab.tm import (BLANK, FuelExhaustedResult, Halted, MachineDesc,
-                           SYMBOLS, TRIVIAL_MACHINE, decode_godel,
-                           encode_godel, run)
+from promiselab.tm import (BLANK, MachineDesc, RunResult, SYMBOLS,
+                           TRIVIAL_MACHINE, decode_godel, encode_godel, run)
 
 
 def fig1_completed_machine() -> MachineDesc:
@@ -45,11 +44,11 @@ class TestTrivialMachine:
             assert decode_godel(bits) == TRIVIAL_MACHINE
 
     def test_halts_in_one_step_with_output_zero(self):
-        assert run(TRIVIAL_MACHINE, ["1101"], 10) == Halted("0", 1)
-        assert run(TRIVIAL_MACHINE, [""], 5) == Halted("0", 1)
+        assert run(TRIVIAL_MACHINE, ["1101"], 10) == RunResult("0", 1)
+        assert run(TRIVIAL_MACHINE, [""], 5) == RunResult("0", 1)
 
     def test_zero_fuel(self):
-        assert run(TRIVIAL_MACHINE, ["1"], 0) == FuelExhaustedResult(0)
+        assert run(TRIVIAL_MACHINE, ["1"], 0) == RunResult(None, 0)
 
     def test_checks_input_words(self):
         with pytest.raises(ValueError, match="is not 0 or 1"):
@@ -61,16 +60,16 @@ class TestTrivialMachine:
 
 class TestRun:
     def test_identity_machine_halts_instantly(self):
-        assert run(identity_machine(), ["0110"], 5) == Halted("0110", 0)
+        assert run(identity_machine(), ["0110"], 5) == RunResult("0110", 0)
 
     def test_fig1_first_step(self):
         # on 110...1 the first step writes 0, moves right, enters the
         # final state; the output window starts right of the write
         result = run(fig1_completed_machine(), ["1101"], 100)
-        assert result == Halted("101", 1)
+        assert result == RunResult("101", 1)
 
     def test_zero_fuel_on_non_instant_machine(self):
-        assert run(parity_machine(), ["1"], 0) == FuelExhaustedResult(0)
+        assert run(parity_machine(), ["1"], 0) == RunResult(None, 0)
 
     def test_parity_outputs(self):
         m = parity_machine()
@@ -79,7 +78,7 @@ class TestRun:
         assert run(m, [""], 100).output == "0"
 
     def test_prepend_zero(self):
-        assert run(prepend_zero_machine(), ["11"], 10) == Halted("011", 2)
+        assert run(prepend_zero_machine(), ["11"], 10) == RunResult("011", 2)
 
     def test_multiple_inputs_are_blank_separated(self):
         # identity halts on the first input; the second sits past a blank
@@ -88,33 +87,32 @@ class TestRun:
     def test_output_empty_when_head_on_blank(self):
         m = MachineDesc(states=2, initial=0, finals=frozenset({1}), transitions={
             (0, sym): (1, sym, "L") for sym in SYMBOLS})
-        assert run(m, ["111"], 10) == Halted("", 1)
+        assert run(m, ["111"], 10) == RunResult("", 1)
 
     def test_diverging_machine_exhausts_any_fuel(self):
         for fuel in (0, 1, 17):
-            assert run(diverging_machine(), ["0"], fuel) == FuelExhaustedResult(fuel)
+            assert run(diverging_machine(), ["0"], fuel) == RunResult(None, fuel)
 
     def test_determinism_and_monotonicity(self):
         m = parity_machine()
         base = run(m, ["1011"], 100)
-        assert isinstance(base, Halted)
+        assert base.output is not None
         for fuel in (base.steps, base.steps + 1, base.steps + 50):
             assert run(m, ["1011"], fuel) == base
         # just below the halting step count the run is unfinished
-        assert run(m, ["1011"], base.steps - 1) == FuelExhaustedResult(base.steps - 1)
+        assert run(m, ["1011"], base.steps - 1) == RunResult(None, base.steps - 1)
 
     def test_const_output_machines(self):
         for word in ("", "0", "1", "10", "0101", "1100110"):
             m = const_output_machine(word)
             for x in ("", "1", "0110", "11111111"):
                 result = run(m, [x], 200)
-                assert isinstance(result, Halted)
                 assert result.output == word
                 assert result.steps == len(x) + max(len(word), 1)
 
     def test_always_accept(self):
         result = run(always_accept_machine(), ["0011"], 10)
-        assert result == Halted("1", 5)
+        assert result == RunResult("1", 5)
 
 
 class TestGodelRoundtrip:
@@ -147,7 +145,7 @@ class TestGodelRoundtrip:
                 "1" "0" "10" "0" "11" "0" "1" "0" "10" "00")  # (0,1)->(1,0,R)
         m = decode_godel(bits)
         assert m == TRIVIAL_MACHINE
-        assert run(m, ["1"], 10) == Halted("0", 1)
+        assert run(m, ["1"], 10) == RunResult("0", 1)
 
     def test_duplicate_transition_is_trivial(self):
         good = encode_godel(parity_machine())
