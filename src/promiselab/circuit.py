@@ -46,7 +46,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import Callable, Iterator
 
 from . import tm
@@ -58,12 +58,9 @@ from .promise import Verdict, _threshold_verdict, witness_verdict
 
 _OPCODE = {"H": "01", "T": "10", "CNOT": "11"}
 _GATE_KINDS = {code: kind for kind, code in _OPCODE.items()}
-# Gates are matched one after another, each where the previous one ended.
-# The operand count depends on the opcode, so H/T and CNOT are separate
-# alternatives; gates after the first carry their "0" separator.
-_GATE_BODY = r"(?:(01|10)0(1+)|110(1+)0(1+))"
-_GATE = re.compile(_GATE_BODY)
-_NEXT_GATE = re.compile("0" + _GATE_BODY)
+# A gate with the "0" before it; the operand count depends on the
+# opcode, so H/T and CNOT are separate alternatives.
+_GATE = re.compile(r"0(?:(01|10)0(1+)|110(1+)0(1+))")
 _WITNESS_HEADER = re.compile(r"(1+)00")
 _SIGNED = {8: "b", 16: "h", 32: "i", 64: "q"}  # memoryview formats by width
 
@@ -128,29 +125,29 @@ class StateVector(namedtuple("StateVector",
 
 
 def parse_circuit(bits: str, expect_witness_header: bool = False) -> Circuit:
-    """Total parser; any failure denotes the trivial never-accepting circuit."""
-    if bits.strip("01"):
-        return TRIVIAL_CIRCUIT
+    """Total parser; any failure denotes the trivial never-accepting circuit.
+
+    One split of the gate stream behind a "0" reads every gate: its pieces
+    are the text before each gate, the gate's four captures, and last the
+    text after the last gate.  The stream is a run of gates exactly when
+    all that text is empty."""
     m = pos = 0
     if expect_witness_header:
         header = _WITNESS_HEADER.match(bits)
         if header is None:
             return TRIVIAL_CIRCUIT
         m, pos = len(header[1]), header.end()
-    gates = []
-    g = _GATE.match(bits, pos)
+    pieces = _GATE.split("0" + bits[pos:])
+    if any(pieces[::5]):  # with no gate at all, the "0" is left over
+        return TRIVIAL_CIRCUIT
     try:
-        while g is not None:
-            kind, qubit, control, target = g.groups()
-            gates.append(Gate(_GATE_KINDS[kind], (len(qubit),)) if kind
-                         else Gate("CNOT", (len(control), len(target))))
-            pos = g.end()
-            g = _NEXT_GATE.match(bits, pos)
+        gates = tuple(Gate(_GATE_KINDS[kind], (len(qubit),)) if kind
+                      else Gate("CNOT", (len(control), len(target)))
+                      for kind, qubit, control, target in zip(
+                          *(pieces[i::5] for i in range(1, 5))))
     except ValueError:  # a CNOT whose control is its target
         return TRIVIAL_CIRCUIT
-    if not gates or pos != len(bits):
-        return TRIVIAL_CIRCUIT
-    return Circuit(tuple(gates), witness_qubits=m)
+    return Circuit(gates, witness_qubits=m)
 
 
 def encode_circuit(c: Circuit) -> str:
@@ -309,20 +306,18 @@ def _readout(z: tuple[int, int, int, int], e: int) -> FieldElem:
                      Fraction(z2, den), Fraction(z1 + z3, den))
 
 
-def _inner(left: list[list[int]],
-           right: list[list[int]]) -> tuple[int, int, int, int]:
-    """Sum over j of conj(left_j) * right_j in Z[w], as (z0, z1, z2, z3).
-
-    conj(w^i) = w^-i, so the product of coordinates i of left and l of
-    right lands on w^(l - i); w^4 = -1 turns a negative power into a
-    negated one.
-    """
-    z = [0, 0, 0, 0]
-    for i, x in enumerate(left):
-        for l, y in enumerate(right):
-            term = _dot(x, y)
-            z[(l - i) % 4] += term if l >= i else -term
-    return tuple(z)
+def _turns(half: list[list[int]]) -> list[list[int]]:
+    """half's four coordinate lists end to end, turned by d = 0 to 3:
+    lists d to 3, then lists 0 to d - 1 negated.  In Z[w], the sum over j
+    of conj(left_j) * right_j has coordinate z_d = _turns(left)[0] .
+    _turns(right)[d]: conj(w^i) = w^-i puts the product of coordinates i
+    and l on w^(l - i), and w^4 = -1 negates the ones that wrap round."""
+    turned = [[*half[0], *half[1], *half[2], *half[3]]]
+    lanes = len(half[0])
+    for _ in range(3):
+        y = turned[-1]
+        turned.append(y[lanes:] + list(map(neg, y[:lanes])))
+    return turned
 
 
 def _output_one_bytes(state: StateVector, bits: int) -> list[memoryview]:
@@ -431,10 +426,12 @@ def _gram(c: Circuit, config: Config
     if c.trivial:
         return 0, [[(0, 0, 0, 0)] * dim for _ in range(dim)]
     ks, halves = zip(*_witness_runs(c, config))
+    turns = [_turns(half) for half in halves]
     rows = [[None] * dim for _ in range(dim)]
-    for j, left in enumerate(halves):
+    for j, (left, *_) in enumerate(turns):
         for l in range(j, dim):
-            z0, z1, z2, z3 = rows[j][l] = _inner(left, halves[l])
+            z0, z1, z2, z3 = rows[j][l] = tuple(_dot(left, right)
+                                                for right in turns[l])
             if l > j:
                 rows[l][j] = (z0, -z3, -z2, -z1)
     return ks[0], rows  # k is the H count, the same for every run

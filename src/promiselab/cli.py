@@ -167,7 +167,8 @@ def _cmd_simulate(args, config: Config) -> int:
 def _cmd_decide(args, config: Config) -> int:
     gen = tm.load_machine_file(args.gen)
     flags = {"threshold_c": args.c, "threshold_s": args.s}
-    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    if given := {k: v for k, v in flags.items() if v is not None}:
+        config = replace(config, **given)
     decide = getattr(qc, f"classify_{args.problem_class}")
     print(decide(gen, args.gen_runtime, args.input, config).value)
     return 0
@@ -390,11 +391,14 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
+_DEFAULT_CONFIG = Config()  # frozen, so every invocation may share it
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _read(argv) or build_parser().parse_args(argv)
-        config = load_config(args.config) if args.config else Config()
+        config = load_config(args.config) if args.config else _DEFAULT_CONFIG
         return _SUBCOMMANDS[args.command][0](args, config)
     except (PromiseLabError, ValueError, KeyError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

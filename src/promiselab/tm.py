@@ -29,9 +29,12 @@ by "00"):
     quintuple  = 1^(s+1) "0" SYM "0" 1^(t+1) "0" SYM "0" MOVE "00"
     SYM, MOVE  in {1, 10, 11}  meaning  {0, 1, blank} / {L, R, N}
 
-Decoding is one pass over the encoding: a compiled pattern matches the
-header, one validating match checks that the rest is a run of
-quintuples, and one findall reads them.
+Decoding is one scan of the encoding: a compiled pattern matches the
+header, and one split of the rest by the quintuple pattern yields each
+quintuple's captures and the text between quintuples, which must be
+empty.  The decoder builds the transitions and the rows in one pass over
+those captures and checks only what the grammar leaves open: state
+ranges, repeated final states and (state, symbol) pairs, and coverage.
 A string that fails to parse, repeats a (state, symbol) pair, or leaves
 some non-final (state, symbol) pair uncovered denotes the designated
 trivial machine, which halts after exactly one step with output "0" on
@@ -81,36 +84,56 @@ class MachineDesc(namedtuple("MachineDesc",
     def rows(self) -> list[Row | None]:
         """rows[state]: None for a final state, otherwise the state's
         symbol -> (next state, written symbol, head delta) map."""
-        finals = self.finals
-        rows: list[Row | None] = [None if s in finals else {}
-                                  for s in range(self.states)]
-        for (s, sym), (t, wsym, move) in self.transitions.items():
-            row = rows[s]
-            if row is not None:
-                row[sym] = (t, wsym, _MOVE_DELTA[move])
-        return rows
+        return _tables(self.states, self.finals, (
+            (s, sym, *action) for (s, sym), action in self.rules()))[1]
+
+
+def _tables(states: int, finals: frozenset[int], quintuples: Iterable[tuple]
+            ) -> tuple[dict[tuple[int, str], Transition], list[Row | None]]:
+    """The transitions and the rows of (s, sym, t, wsym, move) quintuples,
+    a repeated (s, sym) pair's last one kept, in one pass; IndexError at a
+    source past the last state."""
+    transitions = {}
+    rows: list[Row | None] = [None if s in finals else {}
+                              for s in range(states)]
+    for s, sym, t, wsym, move in quintuples:
+        transitions[s, sym] = (t, wsym, move)
+        row = rows[s]
+        if row is not None:
+            row[sym] = (t, wsym, _MOVE_DELTA[move])
+    return transitions, rows
 
 
 def check_description(m) -> None:
     """Raise ValueError unless m, a MachineDesc or a ptm.PTMDesc, is well
-    formed: states and symbols in range, no empty branch set, and a branch
-    set for every (state, symbol) pair of a non-final state."""
+    formed: at least one state, no empty branch set, every symbol and
+    move in its alphabet, and the state rules of `_check_states`."""
     if m.trivial:
         return
-    states, finals, table = m.states, m.finals, m.transitions
-    if states < 1:
+    if m.states < 1:
         raise ValueError("machine needs at least one state")
-    if not 0 <= m.initial < states:
+    if not all(m.transitions.values()):  # a TM's action is never empty
+        raise ValueError("empty branch set")
+    rules = list(m.rules())
+    if any(sym not in SYMBOLS or wsym not in SYMBOLS or move not in MOVES
+           for (_, sym), (_, wsym, move) in rules):
+        raise ValueError("bad transition alphabet")
+    _check_states(m.states, m.initial, m.finals, m.transitions,
+                  [q for (s, _), (t, _, _) in rules for q in (s, t)])
+
+
+def _check_states(states: int, initial: int, finals: frozenset[int],
+                  table: dict, named: list[int]) -> None:
+    """The rules a decoded machine does not meet by its grammar: raise
+    ValueError unless the initial state, the final states and the states
+    in named lie in range(states), and the keys of table, distinct pairs
+    over SYMBOLS, cover every (state, symbol) pair of a non-final state."""
+    if not 0 <= initial < states:
         raise ValueError("initial state out of range")
     if any(not 0 <= f < states for f in finals):
         raise ValueError("final state out of range")
-    if not all(table.values()):  # a TM's action is never empty
-        raise ValueError("empty branch set")
-    for (s, sym), (t, wsym, move) in m.rules():
-        if not (0 <= s < states and 0 <= t < states):
-            raise ValueError("transition state out of range")
-        if sym not in SYMBOLS or wsym not in SYMBOLS or move not in MOVES:
-            raise ValueError("bad transition alphabet")
+    if named and not (0 <= min(named) and max(named) < states):
+        raise ValueError("transition state out of range")
     # every key is in range, so the keys of non-final states cover all
     # their pairs exactly when there are 3 per non-final state
     final_keys = sum((f, sym) in table for f in finals for sym in SYMBOLS)
@@ -214,12 +237,35 @@ def walk(m: MachineDesc, n: int, fuel: int,
 # Given its context at most one alternative of (11|10|1) matches, so
 # backtracking makes the per-bit choice whatever the order, and a string
 # splits into quintuples in at most one way.  \Z, not $: $ also matches
-# before a trailing newline.
+# before a trailing newline.  A state's index is the length of its run
+# past the first "1".  A source run follows the "0" that ends the header
+# or the previous quintuple, so (?<!1) drops a search position inside a
+# run at once, and a split of a string outside the grammar stays linear.
 _HEADER = re.compile(r"(1+)0(1+)0((?:1+0)*)00")
-_QUINTUPLE = re.compile(r"(1+)0(11|10|1)0(1+)0(11|10|1)0(11|10|1)00(?=1|\Z)")
-# The same quintuple without captures, repeated up to the end of the string.
-_BODY = re.compile(
-    r"(?:1+0(?:11|10|1)01+0(?:11|10|1)0(?:11|10|1)00(?=1|\Z))*\Z")
+_QUINTUPLE = re.compile(
+    r"(?<!1)1(1*)0(11|10|1)01(1*)0(11|10|1)0(11|10|1)00(?=1|\Z)")
+# What each quintuple capture reads to: state, symbol, state, symbol, move
+_READ = (len, _CODE_SYM.get, len, _CODE_SYM.get, _CODE_MOVE.get)
+
+
+def _scan(bits: str):
+    """(states, initial, finals, columns): the columns are the sources,
+    read symbols, targets, written symbols and moves of the quintuples.
+    The split's pieces are the text before each quintuple, its five
+    captures, and last the text after the last one; the quintuples cover
+    the body exactly when all that text is empty.  Raises ValueError."""
+    header = _HEADER.match(bits)
+    if header is None:
+        raise ValueError("not a machine encoding")
+    pieces = _QUINTUPLE.split(bits[header.end():])
+    if any(pieces[::6]):
+        raise ValueError("not a machine encoding")
+    states, initial, final_runs = header.groups()
+    finals = [len(run) - 1 for run in final_runs.split("0")[:-1]]
+    if len(set(finals)) != len(finals):
+        raise ValueError("repeated final state")
+    columns = [list(map(read, pieces[i::6])) for i, read in enumerate(_READ, 1)]
+    return len(states), len(initial) - 1, frozenset(finals), columns
 
 
 def parse_godel_structure(bits: str):
@@ -227,35 +273,31 @@ def parse_godel_structure(bits: str):
 
     Quintuples are returned in input order, duplicates included; callers
     impose their own (deterministic or branching) semantics.  A string
-    outside the grammar raises ValueError.  One match checks the whole
-    body after the header; one findall then reads its quintuples, each
-    where the previous one ended.
+    outside the grammar raises ValueError.
     """
-    header = _HEADER.match(bits)
-    if header is None or _BODY.match(bits, header.end()) is None:
-        raise ValueError("not a machine encoding")
-    states, initial, final_runs = header.groups()
-    finals = [len(run) - 1 for run in final_runs.split("0")[:-1]]
-    if len(set(finals)) != len(finals):
-        raise ValueError("repeated final state")
-    quintuples = [(len(s) - 1, _CODE_SYM[sym], len(t) - 1, _CODE_SYM[wsym],
-                   _CODE_MOVE[move])
-                  for s, sym, t, wsym, move in
-                  _QUINTUPLE.findall(bits, header.end())]
-    return len(states), len(initial) - 1, frozenset(finals), quintuples
+    states, initial, finals, columns = _scan(bits)
+    return states, initial, finals, list(zip(*columns))
 
 
 def decode_godel(bits: str) -> MachineDesc:
-    """Total decoder: anything invalid denotes the trivial machine."""
+    """Total decoder: anything invalid denotes the trivial machine.
+
+    One pass over the scan's columns builds the transitions and the rows.
+    The grammar gives every rule an action in the alphabet, so of
+    check_description only `_check_states` is left to run.
+    """
     try:
-        states, initial, finals, quintuples = parse_godel_structure(bits)
-        transitions: dict[tuple[int, str], Transition] = {
-            (s, sym): (t, wsym, move) for s, sym, t, wsym, move in quintuples}
-        if len(transitions) != len(quintuples):
+        states, initial, finals, columns = _scan(bits)
+        sources, _, targets, _, _ = columns
+        transitions, rows = _tables(states, finals, zip(*columns))
+        if len(transitions) != len(sources):
             return TRIVIAL_MACHINE  # a repeated (state, symbol) pair
-        return MachineDesc(states, initial, finals, transitions)
-    except ValueError:
+        _check_states(states, initial, finals, transitions, sources + targets)
+    except (ValueError, IndexError):
         return TRIVIAL_MACHINE
+    m = MachineDesc._make((states, initial, finals, transitions, False))
+    m.rows = rows  # _make, unlike MachineDesc(...), runs no check
+    return m
 
 
 def encode_quintuple(s: int, sym: str, t: int, wsym: str, move: str) -> str:

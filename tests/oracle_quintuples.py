@@ -3,15 +3,21 @@
 This is the decoder front end that `promiselab.tm.parse_godel_structure`
 replaces: after the header it matches one compiled quintuple pattern at
 a time, each where the previous one ended, in a Python loop, and checks
-separately that the string is binary.  The package instead checks the
-whole body with one match and reads every quintuple with one findall.
+separately that the string is binary.  The package instead reads the
+whole body with one split by a pattern of its own, and takes it for a
+run of quintuples when no text lies between them.  The pattern here is
+a copy kept apart from the package's, so the two stay independent.
 `test_oracles.py::TestParserOracle` requires the two, and the
 per-character parser in `oracle_parser`, to agree on every input.
 """
 
 from __future__ import annotations
 
-from promiselab.tm import _CODE_MOVE, _CODE_SYM, _HEADER, _QUINTUPLE
+import re
+
+from promiselab.tm import _CODE_MOVE, _CODE_SYM, _HEADER
+
+_QUINTUPLE = re.compile(r"(1+)0(11|10|1)0(1+)0(11|10|1)0(11|10|1)00(?=1|\Z)")
 
 
 def parse_godel_structure(bits: str):

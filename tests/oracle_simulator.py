@@ -15,13 +15,14 @@ with as many H gates as a test likes.
 
 `acceptance_operator_per_witness`, `classify_qcma_per_witness` and
 `classify_qma_per_witness` are the slow twins of the witness path: one
-packed simulation per witness, the full Gram matrix with its Hermiticity
-checked at run time, one acceptance probability per witness compared
-with the thresholds as field elements by a trichotomy of their own,
-written apart from the package's rule, and sI - Q and cI - Q built
-entrywise over the rationals.  The package packs every witness of a
-chunk into one run, forms only the upper triangle, and scales every
-threshold test to integer coordinates.
+packed simulation per witness, the full Gram matrix, one dot product
+per pair of coordinate lists, with its Hermiticity checked at run time,
+one acceptance probability per witness compared with the thresholds as
+field elements by a trichotomy of their own, written apart from the
+package's rule, and sI - Q and cI - Q built entrywise over the
+rationals.  The package packs every witness of a
+chunk into one run, forms only the upper triangle, four dot products
+per entry, and scales every threshold test to integer coordinates.
 
 The tests require each to agree with the package bit for bit.
 """
@@ -29,7 +30,7 @@ The tests require each to agree with the package bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from helpers_values import ONE, SQRT2_INV, coords, fadd, fmul, scaled_identity
 from oracle_field import abs2
@@ -181,6 +182,23 @@ def _witness_input(c: Circuit, y: str) -> str:
     return "0" * k + y
 
 
+def _inner(left: list[list[int]],
+           right: list[list[int]]) -> tuple[int, int, int, int]:
+    """Sum over j of conj(left_j) * right_j in Z[w], as (z0, z1, z2, z3),
+    one dot product per pair of coordinate lists.
+
+    conj(w^i) = w^-i, so the product of coordinates i of left and l of
+    right lands on w^(l - i); w^4 = -1 turns a negative power into a
+    negated one.
+    """
+    z = [0, 0, 0, 0]
+    for i, x in enumerate(left):
+        for l, y in enumerate(right):
+            term = sum(map(mul, x, y))
+            z[(l - i) % 4] += term if l >= i else -term
+    return tuple(z)
+
+
 def acceptance_operator_per_witness(c: Circuit,
                                     config: Config = Config()) -> ExactMatrix:
     """One `simulate` per witness, all dim^2 Gram entries, and a run-time
@@ -199,7 +217,7 @@ def acceptance_operator_per_witness(c: Circuit,
     half = 1 << c.total_qubits - 1
     halves = [[list(xs[half:]) for xs in coords(state)] for state in runs]
     k = runs[0].k
-    rows = tuple(tuple(circuit._readout(circuit._inner(left, right), k)
+    rows = tuple(tuple(circuit._readout(_inner(left, right), k)
                        for right in halves) for left in halves)
     q = ExactMatrix(rows)
     if not q.is_hermitian():

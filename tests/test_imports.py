@@ -39,6 +39,12 @@ its own.  Outside ``tm`` and ``ptm``, a machine's ``rows`` are read only
 by ``OracleMachine.rows``, from its base machine, and ``cook_run`` reads
 only the rows of the oracle machine it is given, so no module steps a
 machine table past the one loop.
+
+A bit-string grammar is read in one scan.  In ``tm`` and ``circuit`` a
+function calls at most one compiled pattern's ``match``, for a header,
+and at most one's ``split``, for the body, outside any loop, and no
+other pattern method, so no body is read by a second pattern scan or a
+match per unit.
 """
 
 import ast
@@ -335,3 +341,38 @@ def test_machine_rows_are_read_only_by_the_oracle_machine():
     assert reads == {"promise.OracleMachine.rows": {"self.base"},
                      "promise.cook_run": {"o"}}, reads
     assert _function("promise", "cook_run").args.args[0].arg == "o"
+
+
+def _pattern_calls(path: Path) -> dict[str, list[tuple[str, bool]]]:
+    """For each module-level function, its calls of a method of a
+    module-level compiled pattern: ("<pattern>.<method>", in a loop)."""
+    tree = _tree(path)
+    patterns = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and ast.unparse(node.value.func) == "re.compile"
+                for target in node.targets if isinstance(target, ast.Name)}
+
+    def calls(node: ast.AST, looped: bool):
+        for sub in ast.iter_child_nodes(node):
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and isinstance(sub.func.value, ast.Name)
+                    and sub.func.value.id in patterns):
+                yield ast.unparse(sub.func), looped
+            yield from calls(sub, looped or isinstance(
+                sub, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                      ast.DictComp, ast.GeneratorExp)))
+
+    return {node.name: list(calls(node, False)) for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("module", ["tm", "circuit"])
+def test_each_grammar_is_read_in_one_scan(module):
+    scans = {}
+    for name, calls in _pattern_calls(PACKAGE / f"{module}.py").items():
+        methods = [call.rpartition(".")[2] for call, _ in calls]
+        if (any(looped for _, looped in calls) or methods.count("match") > 1
+                or methods.count("split") > 1
+                or set(methods) - {"match", "split"}):
+            scans[name] = [call for call, _ in calls]
+    assert scans == {}, f"{module}: bodies read by more than one scan: {scans}"

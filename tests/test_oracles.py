@@ -89,6 +89,7 @@ argv and every pinned usage error as None.
 import contextlib
 import io
 import random
+import time
 from argparse import ArgumentTypeError
 from fractions import Fraction
 from typing import Callable
@@ -597,18 +598,89 @@ def _outcome(parse, bits: str):
         return "rejected"
 
 
+def _godel(states: int, initial: int, finals, quintuples) -> str:
+    """The encoding of a header and quintuples, valid or not."""
+    return ("1" * states + "0" + "1" * (initial + 1) + "0"
+            + "".join("1" * (f + 1) + "0" for f in finals) + "00"
+            + "".join(tm.encode_quintuple(*q) for q in quintuples))
+
+
+# Two states, state 1 final; each case below breaks one rule that the
+# grammar leaves to the decoder, but the last, whose final state carries
+# a quintuple: its row is None and its rule stays in the transitions.
+_RULES = [(0, "0", 0, "0", "R"), (0, "1", 0, "1", "R"),
+          (0, tm.BLANK, 1, "1", "N")]
+_DECODER_CHECKS = {
+    "source out of range": _godel(2, 0, [1], _RULES + [(2, "0", 1, "0", "N")]),
+    "target out of range": _godel(2, 0, [1], _RULES[:2]
+                                  + [(0, tm.BLANK, 2, "1", "N")]),
+    "initial out of range": _godel(2, 2, [1], _RULES),
+    "final out of range": _godel(2, 0, [1, 2], _RULES),
+    "repeated pair": _godel(2, 0, [1], _RULES + [(0, "0", 1, "0", "L")]),
+    "uncovered non-final pair": _godel(2, 0, [1], _RULES[:2]),
+    "final state with a quintuple": _godel(2, 0, [1],
+                                           _RULES + [(1, "0", 0, "1", "L")]),
+}
+# A 15-gate circuit on 5 qubits, one of them a witness qubit, whose
+# const_output_machine generator encodes in about 25 kbit
+_LONG_CIRCUIT = _circuit("H 1", "T 1", "H 1", "T 1", "H 2", "T 1", "H 1",
+                         "T 1", "H 1", "CNOT 1 2", "H 1", "T 1", "H 1", "T 1",
+                         "H 5", witness=1)
+
+
+def _decoded_alike(bits: str) -> bool:
+    """Whether the package's decoders and the per-character ones agree on
+    bits, the rows of the machines included."""
+    got, want = tm.decode_godel(bits), oracle_parser.decode_godel(bits)
+    return (got == want and got.rows == want.rows
+            and ptm.decode_ptm(bits) == oracle_parser.decode_ptm(bits))
+
+
 class TestParserOracle:
     @settings(max_examples=300)
     @given(GODEL_WORDS)
+    @example(_DECODER_CHECKS["source out of range"])
+    @example(_DECODER_CHECKS["target out of range"])
+    @example(_DECODER_CHECKS["initial out of range"])
+    @example(_DECODER_CHECKS["final out of range"])
+    @example(_DECODER_CHECKS["repeated pair"])
+    @example(_DECODER_CHECKS["uncovered non-final pair"])
+    @example(_DECODER_CHECKS["final state with a quintuple"])
     def test_machines_and_ptms(self, bits):
         got = _outcome(tm.parse_godel_structure, bits)
         assert got == _outcome(oracle_quintuples.parse_godel_structure, bits)
         assert got == _outcome(oracle_parser.parse_godel_structure, bits)
-        assert tm.decode_godel(bits) == oracle_parser.decode_godel(bits)
-        assert ptm.decode_ptm(bits) == oracle_parser.decode_ptm(bits)
+        assert _decoded_alike(bits)
+
+    def test_decoder_checks(self):
+        decoded = {case: tm.decode_godel(bits)
+                   for case, bits in _DECODER_CHECKS.items()}
+        kept = decoded.pop("final state with a quintuple")
+        assert all(m is tm.TRIVIAL_MACHINE for m in decoded.values())
+        assert kept.rows[1] is None and (1, "0") in kept.transitions
+
+    def test_long_body_and_its_flipped_bits(self):
+        bits = tm.encode_godel(const_output_machine(encode_circuit(_LONG_CIRCUIT)))
+        assert 20_000 < len(bits) < 30_000
+        assert not tm.decode_godel(bits).trivial and _decoded_alike(bits)
+        for i in range(tm._HEADER.match(bits).end(), len(bits), 97):
+            assert _decoded_alike(bits[:i] + "10"[int(bits[i])] + bits[i + 1:])
+
+    def test_a_scan_outside_the_grammar_stays_linear(self):
+        # a split that scanned a long unary run again from each of its
+        # positions would take quadratic time: minutes, not milliseconds
+        bits = "1010" + "00" + "1" * 200_000
+        start = time.perf_counter()
+        assert tm.decode_godel(bits) is tm.TRIVIAL_MACHINE
+        assert parse_circuit("11" + "0" + bits) is TRIVIAL_CIRCUIT
+        assert time.perf_counter() - start < 5
 
     @settings(max_examples=300)
     @given(CIRCUIT_WORDS)
+    @example("110101")  # CNOT 1 1
+    @example("010100")  # H 1 and trailing bits
+    @example("01011001")  # H 1 and T 1 with no separator
+    @example("100")  # a witness header and no gates
     def test_circuits(self, bits):
         for header in (False, True):
             assert parse_circuit(bits, header) == \
