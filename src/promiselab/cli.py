@@ -30,7 +30,7 @@ from .config import Config, load_config
 from .errors import CapExceeded, PromiseLabError
 from .field import FieldElem, decimal_string
 from .promise import TotalDecider, builtin, karp_check, marked_union
-from .words import words_up_to
+from .words import words_of_length, words_up_to
 
 
 def _polynomial(text: str) -> enumeration.Polynomial:
@@ -186,16 +186,24 @@ def _cmd_enumerate(args, config: Config) -> int:
     # an oversized index is reported before an unknown family name
     enumeration._check_index(args.index, config)
     item = enumeration.family_series(args.family, config)(args.index)
-    # each table is streamed, one line per word, never held whole
-    out, words = sys.stdout, words_up_to(args.max_len)
+    out = sys.stdout
     if not isinstance(item, TotalDecider):  # a polyfunc word function
+        # streamed, one line per word, never held whole
         out.write("word\timage\n")
         out.writelines(f"{w or '(empty)'}\t{item(w) or '(empty)'}\n"
-                       for w in words)
+                       for w in words_up_to(args.max_len))
         return 0
     out.write(f"decider: {item.tag}\nword\tverdict\n")
-    verdict = item.fn
-    out.writelines(f"{w or '(empty)'}\t{verdict(w)._value_}\n" for w in words)
+    # one string per length; a verdict that raises ends the table after
+    # the lines of its length before it
+    for n in range(args.max_len + 1):
+        lines = []
+        try:
+            for w, v in zip(words_of_length(n) if n else ("(empty)",),
+                            item.verdicts(n)):
+                lines.append(f"{w}\t{v._value_}\n")
+        finally:
+            out.write("".join(lines))
     return 0
 
 

@@ -17,8 +17,8 @@ r large enough that every even interval contains a word contradicting
 the corresponding presented machine (and every odd interval one for the
 other presentation), and ships the prefix-marking reduction to the
 marked union of A and A'.  Membership depends on the length alone, so a
-construction finds it once per length; its per-word loops call verdict
-maps (TotalDecider.fn) directly.
+construction finds it once per length, and the mixer answers a whole
+length from one side; per-word loops call the verdict maps directly.
 """
 
 from __future__ import annotations
@@ -290,11 +290,9 @@ def diagonalize(inst: DiagInstance, witness_bound: int = 3) -> DiagResult:
         return ("0" if gaps[len(x)] else "1") + x
 
     def mix_lengths(n: int) -> Iterator[Verdict]:
-        side = inst.a if gaps[n] else inst.a_prime
-        return side.lengths(n) if side.lengths else map(side.fn, words_of_length(n))
+        return (inst.a if gaps[n] else inst.a_prime).verdicts(n)
 
-    b = TotalDecider(f"diag({inst.a.tag};{inst.a_prime.tag})", mix,
-                     mix_lengths if inst.a.lengths or inst.a_prime.lengths else None)
+    b = TotalDecider(f"diag({inst.a.tag};{inst.a_prime.tag})", mix, mix_lengths)
     witnesses = []
     for side in ("even", "odd"):
         for i in range(witness_bound):

@@ -6,9 +6,10 @@ machine series, and class_presentation, whose table of families presents
 P, NP and the extremal problems of the starred classes, one verdict
 builder per machine model: P, BPP and BQP are NP, MA and QCMA at witness
 length 0.  An NP verdict is one walk of the verifier on x and a blank,
-its witness cells unread.  Indices decode as (machine, clock[, witness
-length]) tuples; machines come from the word bijection, clocks from the
-polynomial series cut off at the fuel ceiling.
+its witness cells unread; for P, one walk answers every word of a
+length.  Indices decode as (machine, clock[, witness length]) tuples;
+machines come from the word bijection, clocks from the polynomial
+series cut off at the fuel ceiling.
 
 Machines that break their clock are absorbed rather than reported: a
 clocked decision machine defaults to No, a clocked function machine to
@@ -22,8 +23,9 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cache, partial
+from itertools import repeat
 from math import comb, isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import circuit as qc
 from . import ptm as ptm_mod
@@ -204,10 +206,11 @@ def polyset_series(i: int, config: Config = Config()) -> CostedFunction:
 
 
 # Verdict builders: each turns (machine, clock, witness length, config)
-# into the verdict function of one presented decider.  A trivial machine,
-# the decoding of almost every index, is never run: its verdict is known
+# into the (fn, lengths) pair of one presented decider, lengths None
+# where every verdict is read word by word.  A trivial machine, the
+# decoding of almost every index, is never run: its verdict is known
 # when the decider is built, and only the checks of a run are kept.
-def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
+def _np_verdict(verifier, fuel, wit_len, config) -> tuple:
     if verifier.trivial:
         def reject(x: str) -> Verdict:
             # decide's checks, in its order: the cap, then the word; the
@@ -217,7 +220,11 @@ def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
                 tm._check_inputs((x,))  # raises a run's ValueError
             return Verdict.NO
 
-        return reject
+        def rejections(n: int) -> Iterator[Verdict]:
+            _check_witness_space(wit_len(n), MAX_WITNESS_SPACE)
+            return repeat(Verdict.NO, 1 << n)
+
+        return reject, rejections
 
     def decide(x: str) -> Verdict:
         m = wit_len(len(x))
@@ -226,16 +233,21 @@ def _np_verdict(verifier, fuel, wit_len, config) -> Callable[[str], Verdict]:
         return (Verdict.YES if "1" in tm.walk(verifier, m, fuel(len(x)),
                                                x + tm.BLANK) else Verdict.NO)
 
-    return decide
+    def lengths(n: int) -> Iterator[Verdict]:
+        # one walk over the words, Yes where the output is "1"
+        return map({"1": Verdict.YES}.get, tm.walk(verifier, n, fuel(n)),
+                   repeat(Verdict.NO))
+
+    # NP with a witness walks once per word, over its witness cells
+    return decide, lengths if wit_len is _NO_WITNESS else None
 
 
-def _ma_verdict(machine, fuel, wit_len, config) -> Callable[[str], Verdict]:
-    return lambda x: ptm_mod.classify_ma(machine, fuel, wit_len, x,
-                                         config=config)
+def _ma_verdict(machine, fuel, wit_len, config) -> tuple:
+    return (lambda x: ptm_mod.classify_ma(machine, fuel, wit_len, x,
+                                          config=config)), None
 
 
-def _quantum_verdict(fam, gen, fuel, wit_len,
-                     config) -> Callable[[str], Verdict]:
+def _quantum_verdict(fam, gen, fuel, wit_len, config) -> tuple:
     if gen.trivial:
         # the generator halts in one step with output "0", which parses
         # as the trivial circuit, whose verdict depends on the thresholds
@@ -246,7 +258,7 @@ def _quantum_verdict(fam, gen, fuel, wit_len,
             tm._check_inputs((x,))
             return emitted if fuel(len(x)) >= 1 else Verdict.NO
 
-        return trivial
+        return trivial, None
 
     classify = getattr(qc, f"classify_{fam}")
 
@@ -258,7 +270,7 @@ def _quantum_verdict(fam, gen, fuel, wit_len,
             # trivial circuit is not No (s < 0)
             return Verdict.NO
 
-    return decide
+    return decide, None
 
 
 # Family -> (tag prefix, machine series, index carries a witness-length
@@ -284,7 +296,8 @@ def class_presentation(family: str, i: int,
     The family's row of _PRESENTED names its machine series and whether i
     decodes to (machine, clock) or (machine, clock, l), l indexing a
     witness length in the polynomial set, which is 0 without l; the row's
-    builder, one per machine model, makes the verdict function.  Starred
+    builder, one per machine model, makes the verdict function, and for
+    P the verdicts of a whole length too, one walk over its words.  Starred
     verdicts may be OutsidePromise: these present extremal promise
     problems.  The tag is the row's prefix and i.
     """
@@ -296,8 +309,7 @@ def class_presentation(family: str, i: int,
     machine, fuel, *rest = _clocked(i, config, globals()[series],
                                     3 if witness else 2)
     wit_len = polyset_series(rest[0], config).value if rest else _NO_WITNESS
-    return TotalDecider(f"{prefix}[{i}]",
-                        fn=build(machine, fuel, wit_len, config))
+    return TotalDecider(f"{prefix}[{i}]", *build(machine, fuel, wit_len, config))
 
 
 def family_series(name: str, config: Config = Config()

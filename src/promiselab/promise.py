@@ -15,8 +15,7 @@ import enum
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
-from itertools import chain
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
 
@@ -24,7 +23,7 @@ from . import tm
 from .config import Config
 from .errors import CapExceeded, FuelExhausted, NonPromisedQuery, \
     NotTotalDecider, WitnessSpaceTooLarge
-from .words import words_of_length, words_up_to
+from .words import index_to_word, words_of_length, words_up_to
 
 # Most witnesses of one word under the NP walk and the MA witness loop.
 MAX_WITNESS_SPACE = 4096
@@ -53,7 +52,8 @@ _OUTPUT_VERDICT = {"1": Verdict.YES, "0": Verdict.NO, "10": Verdict.OUTSIDE}
 @dataclass(frozen=True)
 class TotalDecider:
     """Total classification map: fn gives every word its verdict, and
-    lengths, when set, those of all words of length n, lazily in order."""
+    lengths, when set, those of all words of length n, lazily in order.
+    verdicts(n) is how a loop over all words of a length reads it."""
 
     tag: str
     fn: Callable[[str], Verdict]
@@ -75,8 +75,19 @@ class TotalDecider:
         def decide(x: str) -> Verdict:
             return verdict(x, tm.run(machine, [x], fuel_policy(len(x))).output)
 
-        return TotalDecider(tag, decide, lambda n: map(
-            verdict, words_of_length(n), tm.walk(machine, n, fuel_policy(n))))
+        def lengths(n: int) -> Iterator[Verdict]:
+            # one lookup per output; only a refused output builds its word
+            walked = tm.walk(machine, n, fuel_policy(n))
+            for i, output in enumerate(walked, (1 << n) - 1):  # word index i
+                yield _OUTPUT_VERDICT.get(output) or verdict(index_to_word(i), output)
+
+        return TotalDecider(tag, decide, lengths)
+
+    def verdicts(self, n: int) -> Iterator[Verdict]:
+        """The verdicts of all words of length n, in canonical order."""
+        if self.lengths is not None:
+            return self.lengths(n)
+        return map(self.fn, words_of_length(n))
 
     def classify(self, x: str) -> Verdict:
         return self.fn(x)
@@ -210,31 +221,26 @@ def karp_check(a: TotalDecider,
     """Verify yes->yes and no->no of each reduction f from a to its target
     b, for every (f, b) in checks, on all words of length <= bound.
 
-    One walk serves every pair: each word is classified under a once, and
-    a word outside a's promise is skipped for every pair.  Returns one
-    report per pair, in order; each counts every word walked as checked.
+    One walk serves every pair: a's verdicts are read one length at a
+    time through a.verdicts, word by word in canonical order, and a word
+    outside a's promise is skipped for every pair.  Returns one report
+    per pair, in order; each counts every word walked as checked.
     """
     if bound > config.max_word_length:
         raise CapExceeded(
             f"reduction check bound {bound} exceeds cap {config.max_word_length}")
-    # bound once: the walk calls the verdict maps directly, not through
-    # classify; from a's lengths, next(verdicts, w) is the verdict of w
-    classify = a.fn
-    if a.lengths is not None:
-        classify = partial(next, chain.from_iterable(map(a.lengths, range(bound + 1))))
     pairs = [(f, b.fn, []) for f, b in checks]
     outside = Verdict.OUTSIDE
-    checked = 0
-    for w in words_up_to(bound):
-        checked += 1
-        va = classify(w)
-        if va is outside:
-            continue
-        for f, b, violations in pairs:
-            image = f(w)
-            vb = b(image)
-            if vb is not va:
-                violations.append(KarpViolation(w, va, image, vb))
+    for n in range(bound + 1):
+        for w, va in zip(words_of_length(n), a.verdicts(n)):
+            if va is outside:
+                continue
+            for f, b, violations in pairs:
+                image = f(w)
+                vb = b(image)
+                if vb is not va:
+                    violations.append(KarpViolation(w, va, image, vb))
+    checked = (2 << bound) - 1 if bound >= 0 else 0
     return tuple(KarpReport(checked, tuple(violations))
                  for _, _, violations in pairs)
 

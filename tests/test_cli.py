@@ -365,6 +365,22 @@ class TestEnumerateCommand:
         assert captured.err == f"error: {error}\n"
 
 
+    def test_verdict_raising_partway_through_a_length(self, tmp_path, capsys):
+        # the identity generator's circuit is the word itself: "01011" is
+        # the first word that needs two qubits, so the table ends on the
+        # lines of length 5 before it
+        config = tmp_path / "one-qubit.conf"
+        config.write_text("max-qubits = 1\n")
+        index = pair(word_to_index(encode_godel(identity_machine())), 1 << 99)
+        assert dispatch(["--config", str(config), "enumerate", "bqp",
+                         str(index), "--max-len", "8"]) == 1
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[2:]
+        assert [row.split("\t")[0] for row in rows] == \
+            ["(empty)", *list(words_up_to(5))[1:word_to_index("01011")]]
+        assert captured.err == "error: DimensionCap: 2 qubits exceed cap 1\n"
+
+
 class TestFamilyPresentations:
     LADNER = ["ladner", "--a", "builtin:parity", "--bound", "2", "--table", "2",
               "--witnesses", "1", "--search-cap", "64"]
@@ -588,7 +604,7 @@ class TestConstructionWorkCounts:
 
 class TestEnumerateWorkCounts:
     """Series deciders of the trivial machine answer without running it,
-    and a machine's decider walks it once per word."""
+    and a P machine's decider walks it once per length."""
 
     # index 2^99 of the polynomial series is the constant clock 100, and
     # machine index 0 decodes to the trivial machine
@@ -630,12 +646,12 @@ class TestEnumerateWorkCounts:
         assert out.count("\tno\n") == 2047
         assert runs == {("run", 1): 11}
 
-    def test_machine_runs_once_per_word(self, runs, capsys):
+    def test_machine_walks_once_per_length(self, runs, capsys):
         parity = word_to_index(encode_godel(parity_machine()))
         self._enumerate("p", pair(parity, self.CLOCK), capsys)
-        # P is NP at witness length 0: its one walk per word has no
-        # unread cell, so it is one run on x and a blank
-        assert runs == {("walk", 0): 2047}
+        # P is NP at witness length 0: one walk answers all the words of
+        # a length, sharing the steps before they differ
+        assert runs == {("walk", n): 1 for n in range(11)}
 
 
 class TestDecideWitnessClasses:

@@ -123,6 +123,10 @@ CASES = {
     "enumerate p": (["enumerate", "p", _clocked(parity_machine()),
                      "--max-len", "3"],
                     "8a0d48d03c6505e9be3aedf2624600db5a995987af0fcf32d241458adac08476"),
+    # one walk per length answers every word of it
+    "enumerate p walk": (["enumerate", "p", _clocked(parity_machine()),
+                          "--max-len", "10"],
+                         "92012ad2a0f58fb649fb44f51ec938f60b8d16d19422ed8ab1df5490cd539439"),
     # the trivial machine and generator, which their deciders never run
     "enumerate p trivial": (["enumerate", "p", str(TRIVIAL), "--max-len", "4"],
                             "f9b6335e3667d456858c4392cba4199cda1baf0ac307dad9d095d9520a836167"),
@@ -250,6 +254,21 @@ def test_trivial_verifier_past_the_witness_cap(capsys):
     assert captured.out.endswith("word\tverdict\n(empty)\tno\n0\tno\n1\tno\n")
     assert captured.err == \
         "error: WitnessSpaceTooLarge: 2^14 witnesses exceed cap 4096\n"
+
+
+def test_trivial_verifier_table_cut_short_at_the_cap(capsys):
+    # witness length |x|: every row through length 12, then the cap's
+    # error at the first word of length 13
+    argv = ["enumerate", "np", str(triple(0, CLOCK, WITNESS_LENGTH)),
+            "--max-len", "13"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        "aa0d82898cdf233c0b65d22ee9ba8f5d0e5bfeb62536ab214315c3ac2c60207f"
+    assert captured.out.count("\n") == 2 + (1 << 13) - 1
+    assert captured.out.endswith("\n111111111111\tno\n")
+    assert captured.err == \
+        "error: WitnessSpaceTooLarge: 2^13 witnesses exceed cap 4096\n"
 
 
 @pytest.mark.parametrize("command", sorted(HELP))

@@ -33,6 +33,10 @@ decider forks from its witness class again.  NP's builder hands its
 verifier to ``tm.walk`` alone and reads no ``run`` attribute, so a word
 costs one walk over the witness cells, never one run per witness.
 
+A decider's ``lengths`` is read only by ``TotalDecider.verdicts``, the
+one reader of all the verdicts of a length, and by ``memoized``, which
+wraps them; so no word-range loop forks on whether a decider has them.
+
 ``tm._ends`` is the one deterministic stepping loop.  ``promise.cook_run``
 loops only over what it yields and has no ``range`` or ``while`` loop of
 its own.  Outside ``tm`` and ``ptm``, a machine's ``rows`` are read only
@@ -297,6 +301,31 @@ def test_np_verifier_runs_only_in_one_walk():
     assert callers == {"tm.walk"}, callers
     assert "run" not in {sub.attr for sub in ast.walk(builder)
                          if isinstance(sub, ast.Attribute)}
+
+
+def _methods_and_functions(path: Path):
+    """(name, node) of each module-level function and of each method of a
+    module-level class; a node holds its nested functions and lambdas."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{path.stem}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{path.stem}.{node.name}.{sub.name}", sub)
+                        for sub in node.body if isinstance(sub, ast.FunctionDef))
+
+
+# The one reader of a decider's lengths, and the memo that wraps them.
+LENGTHS_READERS = {"promise.TotalDecider.verdicts",
+                   "promise.TotalDecider.memoized"}
+
+
+def test_lengths_are_read_through_one_helper():
+    readers = {name for path in MODULES
+               for name, node in _methods_and_functions(path)
+               if any(isinstance(sub, ast.Attribute) and sub.attr == "lengths"
+                      and isinstance(sub.ctx, ast.Load)
+                      for sub in ast.walk(node))}
+    assert readers == LENGTHS_READERS, sorted(readers - LENGTHS_READERS)
 
 
 def _function(module: str, name: str) -> ast.FunctionDef:

@@ -78,6 +78,12 @@ The `p` and `promisebpp` deciders are checked against the `np` and
 `promisema` deciders of the same machine and clock at witness length 0:
 equal verdicts or errors on the same words, under negative thresholds
 too.
+The verdicts of a whole length that every presented decider gives
+through `TotalDecider.verdicts` (one walk for a `p` machine, one cap
+check for the trivial `p` and `np` verifier) are checked against its
+verdicts word by word: equal verdicts, or an equal error after equal
+verdicts, at lengths 0 to 8, for every family, on random and hand-built
+indices, clocks cut one step short and witness spaces past the cap.
 The one-pass argv reader `promiselab.cli._read` is checked against
 argparse itself: on argv built from each subcommand's own arguments and
 perturbed with abbreviated and =-joined options, bad values, "-1", "",
@@ -92,7 +98,7 @@ import random
 import time
 from argparse import ArgumentTypeError
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 from unittest import mock
 
 import pytest
@@ -109,8 +115,8 @@ import oracle_simulator as ref
 import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
     costed_toy, fair_coin_ptm, fan_ptm, halt_at_one_machine, \
-    identity_machine, machine_reduction, parity_machine, \
-    witness_equals_one_ptm
+    identity_machine, last_bits_machine, machine_reduction, \
+    parity_machine, witness_equals_one_ptm
 from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows, \
     scaled_identity
 from promiselab import circuit, cli, enumeration, field, ptm, tm
@@ -1251,7 +1257,7 @@ class TestWitnessWalkOracle:
     @example(parity_machine(), "0120", 13, 80)
     def test_walk_verdict_equals_the_witness_loop(self, verifier, x, m, fuel):
         clock, wit_len = (lambda n: fuel), (lambda n: m)
-        fast = enumeration._np_verdict(verifier, clock, wit_len, Config())
+        fast, _ = enumeration._np_verdict(verifier, clock, wit_len, Config())
         slow = oracle_enumeration.np_verdict(verifier, clock, wit_len)
         assert _verdict_or_error(fast, x) == _verdict_or_error(slow, x)
 
@@ -1279,6 +1285,67 @@ class TestWitnessLengthZero:
             witness, enumeration.triple(j, clock, 0), config).fn
         for x in [*words_up_to(6), "2", "0120"]:
             assert _verdict_or_error(one, x) == _verdict_or_error(other, x), x
+
+
+# Hand-built machine indices for every family: the trivial machine, the
+# parity machine, a constant output, one that reads every cell of x and
+# one whose output runs on through the unread cells of its word.
+_LENGTH_MACHINES = (0, machine_index(parity_machine()),
+                    machine_index(const_output_machine("1")),
+                    machine_index(last_bits_machine()),
+                    machine_index(identity_machine()), *_HAND_BUILT.values())
+
+
+def _length_outcomes(verdicts: Callable[[], Iterator[Verdict]]) -> list:
+    """The verdicts up to the first error, then its type and message."""
+    got = []
+    try:
+        got.extend(verdicts())
+    except (ValueError, PromiseLabError) as exc:
+        got.append((type(exc), str(exc)))
+    return got
+
+
+class TestLengthVerdictsOracle:
+    """A presented decider's verdicts of a whole length, one walk for a
+    P machine, are its verdicts word by word: equal verdicts, or an equal
+    error after equal verdicts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(enumeration._PRESENTED)),
+           st.one_of(st.sampled_from(_LENGTH_MACHINES), st.integers(0, 1 << 20)),
+           st.one_of(st.sampled_from([0, _N_CLOCK, _CLOCK]),
+                     st.integers(0, 40)),
+           st.one_of(st.sampled_from([0, _WITNESS_LENGTH, _WIDE]),
+                     st.integers(0, 1 << 12)),
+           st.integers(0, 8), _THRESHOLDS)
+    # one walk per length: the parity machine, a constant, every cell
+    # read, an output that runs on, zero fuel and the clock n
+    @example("p", _LENGTH_MACHINES[1], _CLOCK, 0, 8, _STRADDLING)
+    @example("p", _LENGTH_MACHINES[2], _CLOCK, 0, 5, _STRADDLING)
+    @example("p", _LENGTH_MACHINES[3], _CLOCK, 0, 8, _STRADDLING)
+    @example("p", _LENGTH_MACHINES[4], _CLOCK, 0, 1, _STRADDLING)
+    @example("p", _LENGTH_MACHINES[1], 0, 0, 3, _STRADDLING)
+    @example("p", _LENGTH_MACHINES[4], _N_CLOCK, 0, 4, _STRADDLING)
+    # the parity machine takes n + 1 steps: one short of them, and all
+    @example("p", _LENGTH_MACHINES[1], _N_CLOCK, 0, 5, _STRADDLING)
+    @example("p", _LENGTH_MACHINES[1], clock_index(Polynomial((1, 1))), 0, 5,
+             _STRADDLING)
+    # a verifier read word by word; the trivial verifier's one cap check
+    # per length, under a witness length min(16, 7n) that passes the cap
+    # at length 2, and under |x|
+    @example("np", _LENGTH_MACHINES[3], _CLOCK, _WIDE, 1, _STRADDLING)
+    @example("np", 0, _CLOCK, _WIDE, 1, _STRADDLING)
+    @example("np", 0, _CLOCK, _WIDE, 3, _STRADDLING)
+    @example("np", 0, _CLOCK, _WITNESS_LENGTH, 8, _STRADDLING)
+    def test_length_verdicts_equal_the_word_verdicts(self, family, j, clock,
+                                                     wit, n, thresholds):
+        i = (enumeration.triple(j, clock, wit)
+             if enumeration._PRESENTED[family][2] else enumeration.pair(j, clock))
+        config = Config(threshold_s=thresholds[0], threshold_c=thresholds[1])
+        decider = enumeration.class_presentation(family, i, config)
+        assert _length_outcomes(lambda: decider.verdicts(n)) == \
+            _length_outcomes(lambda: map(decider.fn, words_of_length(n)))
 
 
 _TABLE_WORDS = list(oracle_promise.words_up_to(6))
