@@ -20,6 +20,8 @@ cell codes with blank = 0, cell 0 (or -1) in the lowest bits.  Equal
 tapes are then equal ints and need no canonical form.  Reading a cell is
 a shift and a mask, and writing one XORs in the read code XOR the
 written code, which the machine's rows table holds for each action.
+A lone configuration steps on its own until it branches, in tm's one
+deterministic stepping loop, over the machine's lone_rows.
 
 The Godel grammar is shared with deterministic machines; repeating a
 (state, symbol) pair contributes further actions to its branch set, and
@@ -49,11 +51,11 @@ Step = tuple[int, int, int, int | None]
 # the next cell's above it, so output "1" is the code of 1 over a blank's.
 _CODE = {tm.BLANK: 0, "0": 1, "1": 2}
 _OUT_ONE, _OUT_ZERO = _CODE["1"], _CODE["0"]
-# Between cells and base-4 digits: input text, a bytearray of codes, and
-# the hex digits of an int tape, each two cells, the higher cell first.
+# Between symbols and base-4 digits, and from each hex digit of an int
+# tape to its two cells' symbols, the higher cell first.
 _TEXT_DIGITS = str.maketrans({sym: str(code) for sym, code in _CODE.items()})
-_CELL_DIGITS = bytes.maketrans(b"\0\1\2", b"012")
-_HEX_CELLS = {ord(f"{d:x}"): chr(d >> 2) + chr(d & 3) for d in range(16)}
+_HEX_SYMBOLS = {ord(f"{hi << 2 | lo:x}"): a + b
+                for a, hi in _CODE.items() for b, lo in _CODE.items()}
 
 
 class PTMDesc(namedtuple("PTMDesc",
@@ -88,6 +90,16 @@ class PTMDesc(namedtuple("PTMDesc",
                     _steps(code, self.transitions[(s, sym)])
                     for sym, code in _CODE.items())
                 for s in range(self.states)]
+
+    @cached_property
+    def lone_rows(self) -> list[tm.Row | None]:
+        """tm's rows for a lone stretch: a pair (s, sym) with a branch set
+        steps to final clone state states + s, keeps sym and stays."""
+        n = self.states
+        return tm._tables(2 * n, self.finals.union(range(n, 2 * n)), (
+            (s, sym, *actions[0]) if len(actions) == 1
+            else (s, sym, n + s, sym, "N")
+            for (s, sym), actions in self.transitions.items()))[1]
 
 
 def _steps(code: int, actions: tuple[Action, ...]) -> tuple[Step, ...]:
@@ -177,7 +189,7 @@ def enumerate_branches(
         while frontier:
             if len(frontier) == 1:
                 (key, entry), = frontier
-                key, ran = _run_alone(rows, key,
+                key, ran = _run_alone(m, key,
                                       min(fuel - steps, budget - expanded))
                 steps += ran
                 expanded += ran
@@ -237,54 +249,41 @@ def enumerate_branches(
                        Fraction(accepting, total), Fraction(rejecting, total))
 
 
-def _run_alone(rows, key, limit: int):
+def _run_alone(m: PTMDesc, key, limit: int):
     """Step one configuration for at most `limit` steps, up to its first
     branch or final state; returns it with the number of steps taken.
 
-    The stretch steps over a bytearray of cell codes, made from the int
-    tapes and turned back into them once, each in time linear in the
-    tape, so a long deterministic walk stays linear."""
+    The stretch runs in tm._ends over lone_rows, on one list of symbols
+    made from the int tapes and turned back, each in time linear in the
+    tape.  _ends moves cell 0 when it grows the list on the left, so the
+    list is padded there as far as the tape is long and the fuel keeps
+    the head on it; the frontier walk resumes a stretch cut there on a
+    tape padded about twice as far, so a long walk stays linear."""
     state, head, right, left = key
-    row = rows[state]
+    row = m.rows[state]
     if not limit or row is None or len(row[_cell(head, right, left)]) > 1:
         return key, 0
-    # cells[zero] is cell 0; the array is padded with blanks at either
-    # end on demand
-    cells = bytearray(_hex_cells(left))
-    zero = len(cells)
-    cells += _hex_cells(right)[::-1]
-    i = head + zero
-    steps = 0
-    while steps < limit and row is not None:
-        if not 0 <= i < len(cells):
-            pad = bytes(len(cells) + abs(i) + 1)
-            if i < 0:
-                cells[:0] = pad
-                zero += len(pad)
-                i += len(pad)
-            else:
-                cells += pad
-        actions = row[cells[i]]
-        if len(actions) > 1:
-            break
-        (state, flip, delta, _), = actions
-        cells[i] ^= flip
-        i += delta
-        steps += 1
-        row = rows[state]
-    right = int(cells[zero:][::-1].translate(_CELL_DIGITS) or b"0", 4)
-    left = int(cells[:zero].translate(_CELL_DIGITS) or b"0", 4)
-    return (state, i - zero, right, left), steps
+    # cells from -len(lefts) and from 0, each reaching the head, and the
+    # cells left of 0 padded as far as the tape is long
+    lefts = format(left, "x").translate(_HEX_SYMBOLS).rjust(-head, tm.BLANK)
+    rights = format(right, "x").translate(_HEX_SYMBOLS)[::-1].ljust(
+        head + 1, tm.BLANK)
+    lefts = tm.BLANK * (len(lefts) + len(rights)) + lefts
+    zero = len(lefts)
+    state, tape, i, steps, _ = next(tm._ends(m.lone_rows, [(
+        state, list(lefts + rights), zero + head, 0, 0)],
+        min(limit, zero + head)))
+    clone, state = divmod(state, m.states)  # 1 after the phantom step
+    text = "".join(tape)
+    if not text.startswith(lefts):
+        left = int(text[:zero].translate(_TEXT_DIGITS), 4)
+    return (state, i - zero, int(text[:zero - 1:-1].translate(_TEXT_DIGITS), 4),
+            left), steps - clone
 
 
 def _cell(head: int, right: int, left: int) -> int:
     """The code in cell `head` of the int tapes."""
     return right >> (head << 1) & 3 if head >= 0 else left >> (~head << 1) & 3
-
-
-def _hex_cells(tape: int) -> bytes:
-    """The cell codes of an int tape, its highest cell first."""
-    return format(tape, "x").translate(_HEX_CELLS).encode()
 
 
 def _path(link) -> tuple[int, ...]:

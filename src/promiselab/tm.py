@@ -16,8 +16,9 @@ block of blanks as long as itself, so a machine that walks far left
 still runs in linear time.  A walk runs all words of one length, each
 after one fixed start, depth first, so the runs share each step taken
 before their words differ.  A run's outcome is its output, None past
-fuel as in a walk, and its step count.  An oracle machine steps in the
-same loop, over rows of its own that stop the loop at each query.
+fuel as in a walk, and its step count.  Oracle machines and the lone
+stretches of PTMs step in the same loop, over rows that stop it at a
+query or a branch.
 
 Encoding grammar (every section terminated by "0", the final list closed
 by "00"):

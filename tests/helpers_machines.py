@@ -249,6 +249,19 @@ def det_walk_ptm(emit: str) -> PTMDesc:
     })
 
 
+def left_walk_ptm() -> PTMDesc:
+    """Deterministic PTM that walks left for ever over fresh cells, one
+    cell every two steps: it writes 1, writes 0 one cell on, and steps
+    back to read the 1 and the 0 before it moves on.  A symbol it did not
+    write sends it to final state 4, so a run that loses a written cell
+    halts instead of running out of fuel."""
+    halt = {(s, sym): ((4, sym, "N"),) for s in (1, 2, 3) for sym in SYMBOLS}
+    return PTMDesc(states=5, initial=0, finals=frozenset({4}), transitions={
+        **halt, **{(0, sym): ((1, "1", "L"),) for sym in SYMBOLS},
+        (1, BLANK): ((2, "0", "R"),), (2, "1"): ((3, "1", "L"),),
+        (3, "0"): ((0, "0", "L"),)})
+
+
 def fan_ptm(accepting: int, total: int) -> PTMDesc:
     """Walk right, then branch `total` ways; `accepting` leaves output "1".
 

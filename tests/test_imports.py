@@ -42,7 +42,10 @@ loops only over what it yields and has no ``range`` or ``while`` loop of
 its own.  Outside ``tm`` and ``ptm``, a machine's ``rows`` are read only
 by ``OracleMachine.rows``, from its base machine, and ``cook_run`` reads
 only the rows of the oracle machine it is given, so no module steps a
-machine table past the one loop.
+machine table past the one loop.  A PTM's lone stretch steps there too:
+``ptm._run_alone`` calls ``tm._ends`` and has no loop of its own, and no
+function in ``ptm`` but ``enumerate_branches``, whose frontier walk
+steps many configurations at once, subscripts a row table in a loop.
 
 A bit-string grammar is read in one scan.  In ``tm`` and ``circuit`` a
 function calls at most one compiled pattern's ``match``, for a header,
@@ -345,6 +348,22 @@ def test_oracle_machine_steps_only_in_the_one_loop():
              if isinstance(node, (ast.For, ast.While))]
     assert [loop.partition("(")[0] for loop in loops] == ["tm._ends"], loops
     assert "range" not in _referenced_names(cook_run)
+
+
+def test_ptm_stretches_step_only_in_the_one_loop():
+    run_alone = _function("ptm", "_run_alone")
+    loops = [ast.unparse(node).partition("\n")[0] for node in ast.walk(run_alone)
+             if isinstance(node, (ast.For, ast.While))]
+    assert loops == [], f"ptm._run_alone steps in a loop of its own: {loops}"
+    assert "tm._ends" in {ast.unparse(sub.func) for sub in ast.walk(run_alone)
+                          if isinstance(sub, ast.Call)}
+    looping = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+               ast.GeneratorExp)
+    steppers = {name for name, node in _methods_and_functions(PACKAGE / "ptm.py")
+                for loop in ast.walk(node) if isinstance(loop, looping)
+                for sub in ast.walk(loop) if isinstance(sub, ast.Subscript)
+                and ast.unparse(sub.value).endswith(("row", "rows"))}
+    assert steppers == {"ptm.enumerate_branches"}, sorted(steppers)
 
 
 def _rows_reads(path: Path):

@@ -34,7 +34,9 @@ a machine-backed decider's verdicts of a whole length against its
 verdicts word by word, up to an equal error at the same word.
 The merged-configuration branch counter in `promiselab.ptm` is checked
 against the depth-first tree walk kept in `oracle_ptm`: equal leaf
-counts, and an equal path when a branch runs out of fuel; the BPP
+counts, and an equal path when a branch runs out of fuel, also at the
+fuel and `max-branch-configs` boundaries of a lone walk into a branch
+and on a lone walk cut and resumed far left of cell 0; the BPP
 decider, which is the MA one at witness length 0, against the threshold
 rule written from the definition on that walk's acceptance fraction.
 The memos that let one invocation compute each value once are checked
@@ -115,7 +117,7 @@ import oracle_simulator as ref
 import oracle_tm
 from helpers_machines import complete_tree_ptm, const_output_machine, \
     costed_toy, fair_coin_ptm, fan_ptm, halt_at_one_machine, \
-    identity_machine, last_bits_machine, machine_reduction, \
+    identity_machine, last_bits_machine, left_walk_ptm, machine_reduction, \
     parity_machine, witness_equals_one_ptm
 from helpers_values import ONE, amplitudes, coords, fadd, fmul, from_rows, \
     scaled_identity
@@ -980,6 +982,46 @@ class TestBranchOracle:
         m = ptm.PTMDesc(s + 3, 0, frozenset({s + 2}), table)
         assert ptm.enumerate_branches(m, ["01"], 40).accepting == 32
         _assert_branches_match(m, ["01"], 40)
+
+    @pytest.mark.parametrize("fuel, want", [
+        (8, ("overrun", (), 8)), (9, (1, 2, 3)), (10, (1, 2, 3))])
+    def test_fuel_boundary_of_a_lone_walk_into_a_branch(self, fuel, want):
+        # eight steps over the input, then a three-way branch on the
+        # blank: the lone stretch stops there with a phantom step into a
+        # clone state, which must take no fuel, so 8 overruns and 9 halts
+        m, x = fan_ptm(1, 3), ["01100101"]
+        got = _branch_outcome(ptm.enumerate_branches, m, x, fuel, "raise")
+        assert got[:3] == want
+        _assert_branches_match(m, x, fuel)
+
+    @pytest.mark.parametrize("on_overrun", ["raise", "reject"])
+    def test_cap_boundary_of_a_lone_walk_into_a_branch(self, on_overrun):
+        # nor does the phantom step count as a configuration step: eight
+        # steps over the input and one to branch
+        m, x = fan_ptm(1, 3), ["01100101"]
+        stats = ptm.enumerate_branches(m, x, 10, on_overrun,
+                                       config=Config(max_branch_configs=9))
+        assert (stats.accepting, stats.rejecting, stats.total) == (1, 2, 3)
+        with pytest.raises(CapExceeded):
+            ptm.enumerate_branches(m, x, 10, on_overrun,
+                                   config=Config(max_branch_configs=8))
+
+    def test_lone_left_walk_outruns_its_padding(self):
+        # 1,000 cells left of cell 0 in 2,000 steps: the stretch is cut
+        # at the left end of each padded tape and resumed on the next,
+        # and a cell lost on the way would halt the walk
+        m, x = left_walk_ptm(), ["01"]
+        with mock.patch.object(tm, "_ends", wraps=tm._ends) as ends:
+            got = _branch_outcome(ptm.enumerate_branches, m, x, 2000, "raise")
+        assert got == ("overrun", (), 2000) and ends.call_count > 1
+        _assert_branches_match(m, x, 2000)
+        for on_overrun in ("raise", "reject"):
+            with pytest.raises(CapExceeded):
+                ptm.enumerate_branches(m, x, 2000, on_overrun,
+                                       config=Config(max_branch_configs=1999))
+        assert ptm.enumerate_branches(
+            m, x, 2000, "reject", config=Config(max_branch_configs=2000)
+        ).rejecting == 1
 
     @pytest.mark.parametrize("fuel", [0, 3, 6, 7, 8, 9])
     def test_wide_trees_split_into_chunks(self, fuel):

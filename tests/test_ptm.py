@@ -1,10 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from helpers_machines import (complete_tree_ptm, det_walk_ptm, fan_ptm,
-                              fair_coin_ptm, two_input_fan_ptm, unbalanced_ptm,
-                              witness_equals_11_ptm, witness_equals_one_ptm)
+                              fair_coin_ptm, left_walk_ptm, two_input_fan_ptm,
+                              unbalanced_ptm, witness_equals_11_ptm,
+                              witness_equals_one_ptm)
+from promiselab import tm
 from promiselab.config import Config
 from promiselab.errors import (BranchFuelExhausted, CapExceeded,
                                WitnessSpaceTooLarge)
@@ -229,6 +232,29 @@ class TestBranchConfigCap:
         with pytest.raises(CapExceeded):
             classify_ma(witness_equals_one_ptm(), LINEAR, lambda n: 1, "01",
                         config=config)
+
+
+def _ends_entries(m: PTMDesc, inputs: list[str], fuel: int) -> int:
+    """How often a walk enters tm._ends, once for each lone stretch."""
+    with mock.patch.object(tm, "_ends", wraps=tm._ends) as ends:
+        enumerate_branches(m, inputs, fuel, "reject")
+    return ends.call_count
+
+
+class TestLoneStretches:
+    def test_a_long_left_walk_enters_logarithmically_often(self):
+        # a stretch is cut at the left end of a tape padded as far as it
+        # is long; this walk covers a cell every two steps, so a stretch
+        # covers half its padding and the tape grows by half: a tenfold
+        # longer walk enters at most log_1.5(10) < 6 times more
+        counts = [_ends_entries(left_walk_ptm(), ["01"], steps)
+                  for steps in (200, 2000, 20000)]
+        assert counts[0] <= 8, counts
+        assert all(0 < b - a <= 6 for a, b in zip(counts, counts[1:])), counts
+
+    def test_a_long_right_walk_enters_once(self):
+        # the tape grows on the right in tm._ends itself
+        assert _ends_entries(fan_ptm(1, 3), ["01" * 2048], 5000) == 1
 
 
 class TestClassifyBpp:
